@@ -19,6 +19,7 @@ from .complexes import c_diff, c_element, verify_hdc
 from .core import (
     GwaElement,
     GwaParams,
+    basis_triples,
     basis_window,
     module_nu,
     module_plain,
@@ -43,7 +44,7 @@ from .percomplex import (
     per_diff,
     split2,
 )
-from .scalars import Poly, bezout_for_phi, rat, rat_str
+from .scalars import bezout_for_phi, rat, rat_str
 
 ENV_PREFIX = "GWADEFORM_"
 
@@ -55,9 +56,7 @@ def _env(name, default=None):
 def load_config(path: str) -> tuple[GwaParams, str]:
     with open(path) as fh:
         data = json.load(fh)
-    params = GwaParams(rat(data["lambda"]), rat(data["eta"]),
-                       Poly([rat(c) for c in data["phi"]]))
-    return params, data.get("label", "")
+    return GwaParams.from_json(data), data.get("label", "")
 
 
 def parse_element(params: GwaParams, text: str) -> GwaElement:
@@ -68,10 +67,19 @@ def parse_cochain(params: GwaParams, text: str) -> PerCochain:
     data = json.loads(text)
     mod = data.get("module", "plain")
     if isinstance(mod, dict):
-        mod = mod.get("right", "id")
+        # the form written by PerCochain.to_json
+        if mod.get("left", "id") != "id":
+            raise ValueError(f"unsupported left twist {mod['left']!r}")
+        right = mod.get("right", "id")
+        mod = "plain" if right == "id" else right
+    if mod not in ("plain", "nu"):
+        raise ValueError(f"unknown module {mod!r}; use 'plain' or 'nu'")
     module = module_nu(params) if mod == "nu" else module_plain(params)
+    degree = data["degree"]
+    if type(degree) is not int:
+        raise ValueError(f"cochain degree must be an int, got {degree!r}")
     comps = tuple(GwaElement.from_json(params, c) for c in data["components"])
-    return PerCochain(params, module, int(data["degree"]), comps)
+    return PerCochain(params, module, degree, comps)
 
 
 def _random_element(rng, params, window, nterms=3):
@@ -103,15 +111,11 @@ def cmd_check_algebra(params, args, rng):
     window = 2 * params.l + 4
     ok = True
     count = 0
-    for t1 in basis_window(params, window):
-        w1 = params.weight(*t1)
-        for t2 in basis_window(params, window - w1):
-            w2 = params.weight(*t2)
-            for t3 in basis_window(params, window - w1 - w2):
-                u, v, w = (params.monomial(*t) for t in (t1, t2, t3))
-                if (u * v) * w != u * (v * w):
-                    ok = False
-                count += 1
+    for triple in basis_triples(params, window):
+        u, v, w = (params.monomial(*t) for t in triple)
+        if (u * v) * w != u * (v * w):
+            ok = False
+        count += 1
     for _ in range(200):
         u, v, w = (_random_element(rng, params, window) for _ in range(3))
         if (u * v) * w != u * (v * w):

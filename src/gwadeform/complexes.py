@@ -13,11 +13,14 @@ from fractions import Fraction
 
 from . import linalg
 from .core import (
+    DirectSum,
     GwaElement,
     GwaParams,
     LEG_ID,
     LegMap,
+    LinComb,
     TensorElement,
+    _accumulate,
     multiply,
     tensor_from_pair,
     twisted_delta,
@@ -43,34 +46,10 @@ def _push_for(degree: int, summand: int) -> int:
     return -1 if summand == 0 else 1
 
 
-class StandardTensor:
+class StandardTensor(LinComb):
     """sum over (i, j) of x_i (x) b_{ij}(z) x_j with b_{ij} nonzero."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: GwaParams, terms: dict):
-        self.algebra = algebra
-        self.terms = {k: v for k, v in terms.items() if not v.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, StandardTensor):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __neg__(self):
-        return StandardTensor(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Poly.zero()) + v
-        return StandardTensor(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
+    __slots__ = ()
 
     def __repr__(self):
         bits = [f"x_{i}(x){b!r}x_{j}" for (i, j), b in sorted(self.terms.items())]
@@ -86,15 +65,14 @@ def standardize(params: GwaParams, u: GwaElement, v: GwaElement,
         # sigma^{push} of itself.
         b = params.sigma_pow(Poly.monomial(p, c), -q + push)
         w = multiply(params.from_poly(b), v)
+        # several (m, j) land on the same key (q, j): add them one by one
         for (m, j), cw in w.terms.items():
-            key = (q, j)
-            cur = out.get(key, Poly.zero())
-            out[key] = cur + Poly.monomial(m, cw)
+            _accumulate(out, {(q, j): Poly.monomial(m, cw)})
     return StandardTensor(params, out)
 
 
 @dataclass
-class CElement:
+class CElement(DirectSum):
     degree: int
     components: tuple  # one StandardTensor (degree 0) or a pair
 
@@ -107,21 +85,6 @@ class CElement:
     def algebra(self) -> GwaParams:
         return self.components[0].algebra
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return (self.degree == other.degree
-                and self.components == other.components)
-
-    def __add__(self, other):
-        return CElement(self.degree, tuple(a + b for a, b in
-                                           zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return CElement(self.degree, tuple(a - b for a, b in
-                                           zip(self.components, other.components)))
-
 
 def c_zero(params: GwaParams, degree: int) -> CElement:
     n = 1 if degree == 0 else 2
@@ -132,10 +95,10 @@ def c_element(params: GwaParams, degree: int, *summands) -> CElement:
     """Build a CElement from lists of (u, v) GwaElement pairs per summand."""
     comps = []
     for s, pairs in enumerate(summands):
-        acc = StandardTensor(params, {})
+        acc: dict = {}
         for u, v in pairs:
-            acc = acc + standardize(params, u, v, _push_for(degree, s))
-        comps.append(acc)
+            _accumulate(acc, standardize(params, u, v, _push_for(degree, s)).terms)
+        comps.append(StandardTensor(params, acc))
     return CElement(degree, tuple(comps))
 
 
@@ -158,21 +121,17 @@ def c_diff(i: int, e: CElement) -> CElement:
         raise ValueError("degree mismatch")
     params = e.algebra
     gens = _c_generator_images(params, i)
-    out = c_zero(params, i - 1)
+    out = [{} for _ in range(1 if i == 1 else 2)]
     for s, comp in enumerate(e.components):
         for (q, j), b in comp.terms.items():
             left = params.monomial(0, q)
             right = multiply(params.from_poly(b), params.monomial(0, j))
-            target = []
             for t, pairs in enumerate(gens[s]):
-                acc = StandardTensor(params, {})
                 for u, v in pairs:
-                    acc = acc + standardize(params, multiply(left, u),
-                                            multiply(v, right),
-                                            _push_for(i - 1, t))
-                target.append(acc)
-            out = out + CElement(i - 1, tuple(target))
-    return out
+                    _accumulate(out[t], standardize(params, multiply(left, u),
+                                                    multiply(v, right),
+                                                    _push_for(i - 1, t)).terms)
+    return CElement(i - 1, tuple(StandardTensor(params, t) for t in out))
 
 
 def c_augment(e: CElement) -> GwaElement:
@@ -180,11 +139,12 @@ def c_augment(e: CElement) -> GwaElement:
     if e.degree != 0:
         raise ValueError("augmentation is defined in degree 0 only")
     params = e.algebra
-    out = params.zero()
+    out: dict = {}
     for (q, j), b in e.components[0].terms.items():
-        out = out + multiply(params.monomial(0, q),
-                             multiply(params.from_poly(b), params.monomial(0, j)))
-    return out
+        _accumulate(out, multiply(params.monomial(0, q),
+                                  multiply(params.from_poly(b),
+                                           params.monomial(0, j))).terms)
+    return GwaElement(params, out)
 
 
 def _c_index_set(params: GwaParams, degree: int, window: int):
@@ -217,12 +177,10 @@ def _c_to_vector(e: CElement, index) -> list:
 
 
 def _c_from_vector(params: GwaParams, degree: int, index, vec) -> CElement:
-    comps = [dict() for _ in range(1 if degree == 0 else 2)]
+    comps = [{} for _ in range(1 if degree == 0 else 2)]
     for (s, q, m, j), c in zip(index, vec):
-        if c == 0:
-            continue
-        cur = comps[s].get((q, j), Poly.zero())
-        comps[s][(q, j)] = cur + Poly.monomial(m, c)
+        if c:
+            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
     return CElement(degree, tuple(StandardTensor(params, t) for t in comps))
 
 
@@ -258,7 +216,7 @@ def c_solve_preimage(i: int, target: CElement, window: int):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PElement:
+class PElement(DirectSum):
     p: int
     q: int  # row: 0 or 1
     components: tuple  # TensorElements; length 1 for p = 0, else 2
@@ -271,21 +229,6 @@ class PElement:
     @property
     def algebra(self) -> GwaParams:
         return self.components[0].algebra
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return ((self.p, self.q) == (other.p, other.q)
-                and self.components == other.components)
-
-    def __add__(self, other):
-        return PElement(self.p, self.q,
-                        tuple(a + b for a, b in zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return PElement(self.p, self.q,
-                        tuple(a - b for a, b in zip(self.components, other.components)))
 
 
 def p_zero(params: GwaParams, p: int, q: int) -> PElement:
@@ -312,19 +255,14 @@ def _apply_bimodule(images, a: GwaElement, b: GwaElement):
 def _linear_extend(e: PElement, gen_images) -> tuple:
     """Extend generator images (list per source slot) bimodule-linearly."""
     params = e.algebra
-    ncomp = len(gen_images[0])
-    out = [TensorElement(params, {}) for _ in range(ncomp)]
+    out = [{} for _ in gen_images[0]]
     for s, comp in enumerate(e.components):
         for (L, R), c in comp.terms.items():
             a = GwaElement(params, {L: c})
             b = GwaElement(params, {R: Fraction(1)})
             for t, img in enumerate(_apply_bimodule(gen_images[s], a, b)):
-                out[t] = out[t] + img
-    return tuple(out)
-
-
-def _t(params, u, v):
-    return tensor_from_pair(u, v)
+                _accumulate(out[t], img.terms)
+    return tuple(TensorElement(params, t) for t in out)
 
 
 def p_dv(p: int, e: PElement) -> PElement:
@@ -337,13 +275,13 @@ def p_dv(p: int, e: PElement) -> PElement:
     siz = a.from_poly(a.sigma_z(-1))
     zero_t = TensorElement(a, {})
     if p == 0:
-        gens = [[_t(a, z, one) - _t(a, one, z)]]
+        gens = [[tensor_from_pair(z, one) - tensor_from_pair(one, z)]]
     elif p % 2 == 1:
-        gens = [[_t(a, sz, one) - _t(a, one, z), zero_t],
-                [zero_t, _t(a, siz, one) - _t(a, one, z)]]
+        gens = [[tensor_from_pair(sz, one) - tensor_from_pair(one, z), zero_t],
+                [zero_t, tensor_from_pair(siz, one) - tensor_from_pair(one, z)]]
     else:
-        gens = [[_t(a, z, one) - _t(a, one, z), zero_t],
-                [zero_t, _t(a, z, one) - _t(a, one, z)]]
+        gens = [[tensor_from_pair(z, one) - tensor_from_pair(one, z), zero_t],
+                [zero_t, tensor_from_pair(z, one) - tensor_from_pair(one, z)]]
     return PElement(p, 0, _linear_extend(e, gens))
 
 
@@ -357,24 +295,24 @@ def p_dh(p: int, q: int, e: PElement) -> PElement:
     il = 1 / lam
     if q == 0:
         if p == 1:
-            gens = [[_t(a, x, one) - _t(a, one, x)],
-                    [_t(a, y, one) - _t(a, one, y)]]
+            gens = [[tensor_from_pair(x, one) - tensor_from_pair(one, x)],
+                    [tensor_from_pair(y, one) - tensor_from_pair(one, y)]]
         elif p % 2 == 0:
-            gens = [[_t(a, y, one), _t(a, one, x)],
-                    [_t(a, one, y), _t(a, x, one)]]
+            gens = [[tensor_from_pair(y, one), tensor_from_pair(one, x)],
+                    [tensor_from_pair(one, y), tensor_from_pair(x, one)]]
         else:
-            gens = [[_t(a, x, one), -_t(a, one, x)],
-                    [-_t(a, one, y), _t(a, y, one)]]
+            gens = [[tensor_from_pair(x, one), -tensor_from_pair(one, x)],
+                    [-tensor_from_pair(one, y), tensor_from_pair(y, one)]]
     else:
         if p == 1:
-            gens = [[-_t(a, x, one) + _t(a, lam * one, x)],
-                    [-_t(a, y, one) + _t(a, il * one, y)]]
+            gens = [[-tensor_from_pair(x, one) + tensor_from_pair(lam * one, x)],
+                    [-tensor_from_pair(y, one) + tensor_from_pair(il * one, y)]]
         elif p % 2 == 0:
-            gens = [[-_t(a, y, one), -_t(a, lam * one, x)],
-                    [-_t(a, il * one, y), -_t(a, x, one)]]
+            gens = [[-tensor_from_pair(y, one), -tensor_from_pair(lam * one, x)],
+                    [-tensor_from_pair(il * one, y), -tensor_from_pair(x, one)]]
         else:
-            gens = [[-_t(a, x, one), _t(a, lam * one, x)],
-                    [_t(a, il * one, y), -_t(a, y, one)]]
+            gens = [[-tensor_from_pair(x, one), tensor_from_pair(lam * one, x)],
+                    [tensor_from_pair(il * one, y), -tensor_from_pair(y, one)]]
     return PElement(p - 1, q, _linear_extend(e, gens))
 
 
@@ -432,7 +370,7 @@ def verify_hdc(params: GwaParams, max_p: int) -> list[dict]:
 
 
 @dataclass
-class TotElement:
+class TotElement(DirectSum):
     """Total-complex element: T_0 = P_00, T_n = P_{n-1,1} + P_{n,0}."""
 
     degree: int
@@ -441,19 +379,6 @@ class TotElement:
     @property
     def algebra(self):
         return self.parts[0].algebra
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.parts)
-
-    def __add__(self, other):
-        return TotElement(self.degree,
-                          tuple(a + b for a, b in zip(self.parts, other.parts)))
-
-
-def tot_zero(params: GwaParams, n: int) -> TotElement:
-    if n == 0:
-        return TotElement(0, (p_zero(params, 0, 0),))
-    return TotElement(n, (p_zero(params, n - 1, 1), p_zero(params, n, 0)))
 
 
 def tot_generators(params: GwaParams, n: int) -> list[TotElement]:

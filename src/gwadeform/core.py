@@ -8,16 +8,133 @@ Generators x, y, z with relations
 where sigma(z) = lambda*z + eta.  Every element is a finite combination of
 basis monomials z^p x_q with x_q = x^q for q >= 0 and y^{-q} for q < 0.
 The filtration weight of z^p x_q is p + (l+1)|q| with l = deg phi.
+
+Shared arithmetic.  Every object of the package is a finite combination
+over A or A (x) A, or a short tuple of such combinations:
+
+* ``LinComb`` is a combination {key: coefficient} over one algebra, with
+  Fraction or Poly coefficients; a falsy coefficient means zero and is
+  never stored.  It gives equality (the algebra is part of it), negation,
+  sum, difference and scaling.  ``GwaElement``, ``TensorElement`` and the
+  standard tensors of ``complexes`` subclass it.
+* ``DirectSum`` gives the tuple dataclasses (chain and cochain
+  components, truncated tau-series) componentwise zero test, negation,
+  sum and difference; their equality is the dataclass one.
+* ``_accumulate(out, terms, c)`` adds c * terms into the term dict ``out``
+  in place.  Summing loops use it instead of rebuilding an element per
+  term; it must only be given a dict that the caller owns.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .errors import ZeroPhiError
 from .scalars import Poly, rat, rat_str
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
+
+
+def _accumulate(out: dict, terms: dict, c=None) -> dict:
+    """out += c * terms in place (c = None means 1); cancelled keys are dropped."""
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        old = out.get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            out[k] = v
+        elif old is not None:
+            del out[k]
+    return out
+
+
+def _same_algebra(u, v) -> GwaParams:
+    if u.algebra is not v.algebra and u.algebra != v.algebra:
+        raise ValueError("operands belong to different algebras")
+    return u.algebra
+
+
+class LinComb:
+    """A finite combination sum c_k e_k over one algebra, as {key: c_k}."""
+
+    __slots__ = ("algebra", "terms")
+
+    def __init__(self, algebra, terms: dict):
+        self.algebra = algebra
+        self.terms = {k: v for k, v in terms.items() if v}
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return ((self.algebra is other.algebra or self.algebra == other.algebra)
+                and self.terms == other.terms)
+
+    def __neg__(self):
+        return type(self)(self.algebra, {k: -v for k, v in self.terms.items()})
+
+    def _plus(self, other, c):
+        """self + c * other for an operand of the same type and algebra."""
+        if type(other) is not type(self):
+            return NotImplemented
+        alg = _same_algebra(self, other)
+        return type(self)(alg, _accumulate(dict(self.terms), other.terms, c))
+
+    def __add__(self, other):
+        return self._plus(other, None)
+
+    def __sub__(self, other):
+        return self._plus(other, _MINUS_ONE)
+
+    def scale(self, c):
+        c = rat(c)
+        return type(self)(self.algebra, {k: c * v for k, v in self.terms.items()})
+
+    __rmul__ = scale
+
+
+class DirectSum:
+    """Componentwise arithmetic for a dataclass whose last field is a tuple.
+
+    The other fields fix the shape (degree, position, algebra, module);
+    both operands of a sum must agree on them.
+    """
+
+    def _summands(self) -> tuple:
+        return getattr(self, fields(self)[-1].name)
+
+    def _with(self, parts) -> "DirectSum":
+        return replace(self, **{fields(self)[-1].name: tuple(parts)})
+
+    def _combine(self, other, op):
+        if type(other) is not type(self):
+            return NotImplemented
+        head = [f.name for f in fields(self)[:-1]]
+        if any(getattr(self, n) != getattr(other, n) for n in head):
+            raise ValueError(f"{type(self).__name__} operands differ in shape")
+        return self._with(map(op, self._summands(), other._summands()))
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self._summands())
+
+    def __neg__(self):
+        return self._with(-c for c in self._summands())
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
+
+    def __sub__(self, other):
+        return self._combine(other, operator.sub)
 
 
 class GwaParams:
@@ -51,6 +168,8 @@ class GwaParams:
         return (self.lam, self.eta) != (1, 0)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if isinstance(other, GwaParams):
             return (self.lam, self.eta, self.phi) == (other.lam, other.eta, other.phi)
         return NotImplemented
@@ -85,7 +204,7 @@ class GwaParams:
         return GwaElement(self, {})
 
     def one(self) -> "GwaElement":
-        return GwaElement(self, {(0, 0): Fraction(1)})
+        return GwaElement(self, {(0, 0): _ONE})
 
     def monomial(self, p: int, q: int, c=1) -> "GwaElement":
         c = rat(c)
@@ -105,9 +224,6 @@ class GwaParams:
     def from_poly(self, h: Poly, q: int = 0) -> "GwaElement":
         """h(z) * x_q as an element."""
         return GwaElement(self, {(p, q): c for p, c in enumerate(h.coeffs) if c != 0})
-
-    def scalar(self, c) -> "GwaElement":
-        return self.monomial(0, 0, c)
 
     # -- basis product -----------------------------------------------------
 
@@ -145,57 +261,18 @@ class GwaParams:
                          Poly.from_json(data["phi"]))
 
 
-class GwaElement:
+class GwaElement(LinComb):
     """A finite combination sum c_{p,q} z^p x_q over a fixed algebra."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: GwaParams, terms: dict):
-        self.algebra = algebra
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, GwaElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __slots__ = ()
 
     def coeff(self, p: int, q: int) -> Fraction:
         return self.terms.get((p, q), _ZERO)
 
-    def __neg__(self):
-        return GwaElement(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __add__(self, other: "GwaElement"):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, _ZERO) + v
-        return GwaElement(self.algebra, out)
-
-    def __sub__(self, other: "GwaElement"):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, GwaElement):
             return multiply(self, other)
-        c = rat(other)
-        return GwaElement(self.algebra, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        # scalars commute; GwaElement * GwaElement goes through __mul__
-        c = rat(other)
-        return GwaElement(self.algebra, {k: c * v for k, v in self.terms.items()})
-
-    def scalar_part(self) -> Fraction:
-        return self.coeff(0, 0)
+        return self.scale(other)
 
     def __repr__(self):
         if not self.terms:
@@ -220,9 +297,16 @@ class GwaElement:
 
     @staticmethod
     def from_json(algebra: GwaParams, data) -> "GwaElement":
+        """Records {"p": int >= 0, "q": int, "c": rational}, each (p, q) once."""
         terms = {}
         for rec in data:
-            terms[(int(rec["p"]), int(rec["q"]))] = rat(rec["c"])
+            p, q = rec["p"], rec["q"]
+            if type(p) is not int or type(q) is not int or p < 0:
+                raise ValueError(f"monomial z^p x_q needs ints p >= 0 and q, "
+                                 f"got p={p!r}, q={q!r}")
+            if (p, q) in terms:
+                raise ValueError(f"monomial (p, q) = ({p}, {q}) given twice")
+            terms[(p, q)] = rat(rec["c"])
         return GwaElement(algebra, terms)
 
     def to_vector(self, window: list) -> list[Fraction]:
@@ -240,19 +324,13 @@ class GwaElement:
         return GwaElement(algebra, dict(zip(window, vec)))
 
 
-def sigma_pow(params: GwaParams, h: Poly, j: int) -> Poly:
-    return params.sigma_pow(h, j)
-
-
 def multiply(u: GwaElement, v: GwaElement) -> GwaElement:
     """Product in A, in normal form."""
-    alg = u.algebra
+    alg = _same_algebra(u, v)
     out: dict = {}
     for (p, q), cu in u.terms.items():
         for (i, j), cv in v.terms.items():
-            c = cu * cv
-            for pq, w in alg._mono_mul(p, q, i, j).items():
-                out[pq] = out.get(pq, _ZERO) + c * w
+            _accumulate(out, alg._mono_mul(p, q, i, j), cu * cv)
     return GwaElement(alg, out)
 
 
@@ -274,6 +352,16 @@ def basis_window(params: GwaParams, n: int) -> list[tuple[int, int]]:
             out.append((p, q))
     out.sort(key=lambda t: (t[1], t[0]))
     return out
+
+
+def basis_triples(params: GwaParams, window: int):
+    """Basis triples (t1, t2, t3) whose weights sum to at most the window."""
+    for t1 in basis_window(params, window):
+        w1 = params.weight(*t1)
+        for t2 in basis_window(params, window - w1):
+            w2 = params.weight(*t2)
+            for t3 in basis_window(params, window - w1 - w2):
+                yield t1, t2, t3
 
 
 @dataclass(frozen=True)
@@ -335,9 +423,8 @@ def apply_automorphism(rho: Automorphism, u: GwaElement) -> GwaElement:
         if p not in zpow:
             zpow[p] = rho.z_image**p
         scale = c * (rho.x_scale**q if q >= 0 else rho.y_scale ** (-q))
-        for d, a in enumerate(zpow[p].coeffs):
-            if a != 0:
-                out[(d, q)] = out.get((d, q), _ZERO) + scale * a
+        _accumulate(out, {(d, q): a for d, a in enumerate(zpow[p].coeffs) if a},
+                    scale)
     return GwaElement(alg, out)
 
 
@@ -365,64 +452,29 @@ def bimodule_act(spec: BimoduleSpec, a_left: GwaElement, m: GwaElement,
                     multiply(m, apply_automorphism(spec.right_twist, a_right)))
 
 
-class TensorElement:
+class TensorElement(LinComb):
     """A combination of (basis monomial) tensor (basis monomial) in A (x) A."""
 
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: GwaParams, terms: dict):
-        self.algebra = algebra
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, TensorElement):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __neg__(self):
-        return TensorElement(self.algebra, {k: -v for k, v in self.terms.items()})
-
-    def __add__(self, other: "TensorElement"):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, _ZERO) + v
-        return TensorElement(self.algebra, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c) -> "TensorElement":
-        c = rat(c)
-        return TensorElement(self.algebra, {k: c * v for k, v in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self.scale(other)
+    __slots__ = ()
 
     def _leg(self, pq) -> GwaElement:
-        return GwaElement(self.algebra, {pq: Fraction(1)})
+        return GwaElement(self.algebra, {pq: _ONE})
 
     def act_left(self, a: GwaElement) -> "TensorElement":
         """a . (u (x) v) = (a u) (x) v."""
-        out = TensorElement(self.algebra, {})
+        out: dict = {}
         for (L, R), c in self.terms.items():
             prod = multiply(a, self._leg(L))
-            for pq, w in prod.terms.items():
-                key = (pq, R)
-                out.terms[key] = out.terms.get(key, _ZERO) + c * w
-        return TensorElement(self.algebra, out.terms)
+            _accumulate(out, {(pq, R): w for pq, w in prod.terms.items()}, c)
+        return TensorElement(self.algebra, out)
 
     def act_right(self, b: GwaElement) -> "TensorElement":
         """(u (x) v) . b = u (x) (v b)."""
-        out = TensorElement(self.algebra, {})
+        out: dict = {}
         for (L, R), c in self.terms.items():
             prod = multiply(self._leg(R), b)
-            for pq, w in prod.terms.items():
-                key = (L, pq)
-                out.terms[key] = out.terms.get(key, _ZERO) + c * w
-        return TensorElement(self.algebra, out.terms)
+            _accumulate(out, {(L, pq): w for pq, w in prod.terms.items()}, c)
+        return TensorElement(self.algebra, out)
 
     def mul_tensor(self, other: "TensorElement") -> "TensorElement":
         """Legwise product (a (x) b)(c (x) d) = ac (x) bd."""
@@ -431,11 +483,7 @@ class TensorElement:
             for (L2, R2), c2 in other.terms.items():
                 left = multiply(self._leg(L1), self._leg(L2))
                 right = multiply(self._leg(R1), self._leg(R2))
-                c = c1 * c2
-                for pqL, wL in left.terms.items():
-                    for pqR, wR in right.terms.items():
-                        key = (pqL, pqR)
-                        out[key] = out.get(key, _ZERO) + c * wL * wR
+                _accumulate(out, tensor_from_pair(left, right).terms, c1 * c2)
         return TensorElement(self.algebra, out)
 
     def __repr__(self):
@@ -443,31 +491,20 @@ class TensorElement:
             return "Tensor(0)"
         bits = []
         for (L, R), c in sorted(self.terms.items()):
-            bits.append(f"{rat_str(c)}*{GwaElement(self.algebra, {L: Fraction(1)})!r}"
-                        f"(x){GwaElement(self.algebra, {R: Fraction(1)})!r}")
+            bits.append(f"{rat_str(c)}*{self._leg(L)!r}(x){self._leg(R)!r}")
         return "Tensor(" + " + ".join(bits) + ")"
 
 
 def tensor_from_pair(a: GwaElement, b: GwaElement) -> TensorElement:
-    out: dict = {}
-    for L, cl in a.terms.items():
-        for R, cr in b.terms.items():
-            out[(L, R)] = out.get((L, R), _ZERO) + cl * cr
-    return TensorElement(a.algebra, out)
+    return TensorElement(_same_algebra(a, b),
+                         {(L, R): cl * cr for L, cl in a.terms.items()
+                          for R, cr in b.terms.items()})
 
 
 def delta0(params: GwaParams, k: int) -> TensorElement:
     """Delta_0(z^k) = sum_{i=1}^{k} z^{k-i} (x) z^{i-1}; Delta_0(1) = 0."""
-    terms = {((k - i, 0), (i - 1, 0)): Fraction(1) for i in range(1, k + 1)}
+    terms = {((k - i, 0), (i - 1, 0)): _ONE for i in range(1, k + 1)}
     return TensorElement(params, terms)
-
-
-def delta0_poly(params: GwaParams, h: Poly) -> TensorElement:
-    out = TensorElement(params, {})
-    for k, c in enumerate(h.coeffs):
-        if c != 0:
-            out = out + delta0(params, k).scale(c)
-    return out
 
 
 @dataclass(frozen=True)
@@ -514,19 +551,16 @@ def delta_nu(params: GwaParams, gen: str, q: int) -> TensorElement:
         raise ValueError("gen must be 'x' or 'y'")
     sign = 1 if gen == "x" else -1
     lam = params.lam if gen == "x" else 1 / params.lam
-    terms = {}
-    for s in range(1, q + 1):
-        key = ((0, sign * (q - s)), (0, sign * (s - 1)))
-        terms[key] = terms.get(key, _ZERO) + lam ** (s - 1)
-    return TensorElement(params, terms)
+    return TensorElement(params, {((0, sign * (q - s)), (0, sign * (s - 1))):
+                                  lam ** (s - 1) for s in range(1, q + 1)})
 
 
 def tensor_act(T: TensorElement, spec: BimoduleSpec, m: GwaElement) -> GwaElement:
     """(a1 (x) a2) . m = a1 . m . a2 via the bimodule structure."""
     alg = T.algebra
-    out = alg.zero()
+    out: dict = {}
     for (L, R), c in T.terms.items():
         a1 = GwaElement(alg, {L: c})
-        a2 = GwaElement(alg, {R: Fraction(1)})
-        out = out + bimodule_act(spec, a1, m, a2)
-    return out
+        a2 = GwaElement(alg, {R: _ONE})
+        _accumulate(out, bimodule_act(spec, a1, m, a2).terms)
+    return GwaElement(alg, out)

@@ -19,8 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
+    DirectSum,
     GwaElement,
     GwaParams,
+    LegMap,
+    _accumulate,
+    basis_triples,
     basis_window,
     filtration_degree,
     module_plain,
@@ -36,11 +40,9 @@ from .hochschild import (
 from .percomplex import contract3, f_map, per_solve_preimage
 from .scalars import Poly, bezout_for_phi, rat
 
-_ZERO = Fraction(0)
-
 
 @dataclass
-class TruncatedElement:
+class TruncatedElement(DirectSum):
     """An element of A[tau]/(tau^{N+1}): one coefficient per tau-power."""
 
     algebra: GwaParams
@@ -50,41 +52,25 @@ class TruncatedElement:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coefficients)
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedElement):
-            return self.coefficients == other.coefficients
-        return NotImplemented
-
-    def __neg__(self):
-        return TruncatedElement(self.algebra,
-                                tuple(-c for c in self.coefficients))
-
-    def __add__(self, other):
-        return TruncatedElement(self.algebra,
-                                tuple(a + b for a, b in
-                                      zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def tau_times(self, tau_poly) -> "TruncatedElement":
         """Multiply by a polynomial in tau (list of scalar coefficients)."""
-        zero = self.algebra.zero()
-        out = [zero] * (self.order + 1)
+        out = [{} for _ in self.coefficients]
         for k, ck in enumerate(tau_poly):
             ck = rat(ck)
             if ck == 0:
                 continue
             for n, un in enumerate(self.coefficients):
                 if k + n <= self.order:
-                    out[k + n] = out[k + n] + ck * un
-        return TruncatedElement(self.algebra, tuple(out))
+                    _accumulate(out[k + n], un.terms, ck)
+        return _from_terms(self.algebra, out)
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coefficients]
+
+
+def _from_terms(params: GwaParams, coefficients: list) -> TruncatedElement:
+    return TruncatedElement(params, tuple(GwaElement(params, t)
+                                          for t in coefficients))
 
 
 def truncated_zero(params: GwaParams, order: int) -> TruncatedElement:
@@ -106,20 +92,14 @@ class StarProduct:
         return self.cochains[n - 1]
 
 
-def _nth_derivative(h: Poly, n: int) -> Poly:
-    for _ in range(n):
-        h = h.derivative()
-    return h
-
-
 def _closed_form_datum(params: GwaParams, n: int):
     """Generator values of the stage-n cochain from the closed forms."""
     c = Fraction((-1) ** n, math.factorial(n))
+    dn_phi_bar = LegMap(0, n).apply(params, params.phi_bar)
     if params.is_quantum:
-        vxy = params.from_poly(Poly.monomial(n, c)
-                               * _nth_derivative(params.phi_bar, n))
+        vxy = params.from_poly(Poly.monomial(n, c) * dn_phi_bar)
         return (params.zero(), vxy, params.y() * params.z(), params.zero())
-    vxy = c * params.from_poly(_nth_derivative(params.phi_bar, n))
+    vxy = c * params.from_poly(dn_phi_bar)
     return (params.zero(), vxy, params.zero(), params.zero())
 
 
@@ -162,7 +142,7 @@ def star_mul(sp: StarProduct, U: TruncatedElement,
              V: TruncatedElement) -> TruncatedElement:
     """The tau-bilinear extension of the star product to truncated elements."""
     N = sp.order
-    out = [sp.params.zero()] * (N + 1)
+    out = [{} for _ in range(N + 1)]
     for a, ua in enumerate(U.coefficients):
         if ua.is_zero():
             continue
@@ -172,8 +152,8 @@ def star_mul(sp: StarProduct, U: TruncatedElement,
             prod = star(sp, ua, vb)
             for m, w in enumerate(prod.coefficients):
                 if a + b + m <= N:
-                    out[a + b + m] = out[a + b + m] + w
-    return TruncatedElement(sp.params, tuple(out))
+                    _accumulate(out[a + b + m], w.terms)
+    return _from_terms(sp.params, out)
 
 
 def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
@@ -230,15 +210,6 @@ def check_relations(sp: StarProduct) -> dict:
     return out
 
 
-def _triples(params: GwaParams, window: int):
-    for t1 in basis_window(params, window):
-        w1 = params.weight(*t1)
-        for t2 in basis_window(params, window - w1):
-            w2 = params.weight(*t2)
-            for t3 in basis_window(params, window - w1 - w2):
-                yield t1, t2, t3
-
-
 def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
     """Stage-n identity: sum of circle products equals the coboundary of F_n."""
     if not 2 <= n <= sp.order:
@@ -250,7 +221,7 @@ def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
     rhs = hochschild_b(sp.f_n(n))
     checked = 0
     failures = []
-    for t1, t2, t3 in _triples(a, window):
+    for t1, t2, t3 in basis_triples(a, window):
         u, v, w = a.monomial(*t1), a.monomial(*t2), a.monomial(*t3)
         if not (lhs(u, v, w) - rhs(u, v, w)).is_zero():
             failures.append({"triple": [t1, t2, t3]})
@@ -307,7 +278,7 @@ def discover_f2(params: GwaParams, sample_window: int = 6) -> dict:
         (bF2(params.monomial(*t1), params.monomial(*t2), params.monomial(*t3))
          - target(params.monomial(*t1), params.monomial(*t2),
                   params.monomial(*t3))).is_zero()
-        for t1, t2, t3 in _triples(params, sample_window))
+        for t1, t2, t3 in basis_triples(params, sample_window))
     return {
         "derived": {k: v.to_json() for k, v in derived.items()},
         "closed_form": {k: v.to_json() for k, v in closed_form.items()},

@@ -14,12 +14,11 @@ into a 2-cochain, and thetaprime2/thetaprime3 go the other way.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .core import (
     GwaElement,
     GwaParams,
     TensorElement,
+    _accumulate,
     basis_window,
     filtration_degree,
     module_plain,
@@ -28,7 +27,7 @@ from .core import (
 )
 from .errors import UnsupportedPatternError
 from .percomplex import PerCochain
-from .scalars import Poly, rat
+from .scalars import Poly
 
 
 class Cochain2:
@@ -54,7 +53,7 @@ class Cochain2:
 
     def evaluate(self, u: GwaElement, v: GwaElement) -> GwaElement:
         a = self.params
-        out = a.zero()
+        out: dict = {}
         for (p, q), cu in u.terms.items():
             if q == 0 and p > 0:
                 # F(z^p, v) = z^{p-1} F(z, v) = 0 by unit normalization
@@ -63,8 +62,8 @@ class Cochain2:
                 val = self.eval_basis(q, i, j)
                 if val.is_zero():
                     continue
-                out = out + (cu * cv) * (a.z(p) * val if p else val)
-        return out
+                _accumulate(out, (a.z(p) * val if p else val).terms, cu * cv)
+        return GwaElement(a, out)
 
     def __call__(self, u: GwaElement, v: GwaElement) -> GwaElement:
         return self.evaluate(u, v)
@@ -73,12 +72,6 @@ class Cochain2:
         return Cochain2(self.params,
                         lambda q, i, j: self.eval_basis(q, i, j)
                         + other.eval_basis(q, i, j),
-                        "explicit-table")
-
-    def scale(self, c) -> "Cochain2":
-        c = rat(c)
-        return Cochain2(self.params,
-                        lambda q, i, j: c * self.eval_basis(q, i, j),
                         "explicit-table")
 
     def to_table(self, window: int) -> dict:
@@ -116,10 +109,6 @@ class Cochain3:
     def __add__(self, other: "Cochain3") -> "Cochain3":
         return Cochain3(self.params,
                         lambda u, v, w: self._eval(u, v, w) + other._eval(u, v, w))
-
-    def scale(self, c) -> "Cochain3":
-        c = rat(c)
-        return Cochain3(self.params, lambda u, v, w: c * self._eval(u, v, w))
 
 
 def cochain3_zero(params: GwaParams) -> Cochain3:
@@ -226,11 +215,12 @@ def theta2_pullback(c: PerCochain) -> Cochain2:
 
     def base(q, i, j):
         slots = theta2(params, (0, q), (i, j))
-        out = params.zero()
+        out: dict = {}
         for s in range(4):
             if not slots[s].is_zero():
-                out = out + tensor_act(slots[s], c.module, c.components[s])
-        return out
+                _accumulate(out, tensor_act(slots[s], c.module,
+                                            c.components[s]).terms)
+        return GwaElement(params, out)
 
     return Cochain2(params, base, "explicit-table")
 
@@ -320,10 +310,10 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
         return target_b.evaluate(u, v, w)
 
     def ev_right(q, elem):
-        out = zero
+        out: dict = {}
         for (i, j), c in elem.terms.items():
-            out = out + c * val(q, i, j)
-        return out
+            _accumulate(out, val(q, i, j).terms, c)
+        return GwaElement(params, out)
 
     def val(q, i, j):
         if q == 0 or (i == 0 and (j == 0 or (j > 0) == (q > 0))):

@@ -11,7 +11,7 @@ family z^{j+1} x_k governed by the multiplicative order e of lambda.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (

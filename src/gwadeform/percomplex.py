@@ -14,25 +14,24 @@ degree-2 cocycle into a coboundary plus f-image.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import (
     BimoduleSpec,
+    DirectSum,
     GwaElement,
     GwaParams,
     LEG_ID,
     LegMap,
     TensorElement,
+    _accumulate,
     basis_window,
     bimodule_act,
     tensor_act,
     twisted_delta,
 )
 from .errors import NotCocycleError
-from .scalars import BezoutPair, Poly
-
-_ZERO = Fraction(0)
+from .scalars import BezoutPair
 
 _SIG = LegMap(1, 0)
 _SIG_D = LegMap(1, 1)  # derivative, then sigma
@@ -40,33 +39,20 @@ _D = LegMap(0, 1)
 
 
 @dataclass
-class PerCochain:
+class PerCochain(DirectSum):
     params: GwaParams
     module: BimoduleSpec
     degree: int
     components: tuple
 
+    @staticmethod
+    def slots(degree: int) -> int:
+        """Number of module components of a degree-n cochain."""
+        return {0: 1, 1: 3}.get(degree, 4)
+
     def __post_init__(self):
-        want = {0: 1, 1: 3}.get(self.degree, 4)
-        if len(self.components) != want:
+        if len(self.components) != self.slots(self.degree):
             raise ValueError("component count does not match the degree")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def __eq__(self, other):
-        return (self.degree == other.degree
-                and self.components == other.components)
-
-    def __add__(self, other):
-        return PerCochain(self.params, self.module, self.degree,
-                          tuple(a + b for a, b in
-                                zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return PerCochain(self.params, self.module, self.degree,
-                          tuple(a - b for a, b in
-                                zip(self.components, other.components)))
 
     def to_json(self) -> dict:
         names = {True: "nu", False: "id"}
@@ -79,7 +65,7 @@ class PerCochain:
 
 
 def per_zero(params: GwaParams, module: BimoduleSpec, degree: int) -> PerCochain:
-    n = {0: 1, 1: 3}.get(degree, 4)
+    n = PerCochain.slots(degree)
     return PerCochain(params, module, degree, tuple(params.zero() for _ in range(n)))
 
 
@@ -275,10 +261,6 @@ def split2(c: PerCochain, bez: BezoutPair):
 # Windowed coboundary solve
 # ---------------------------------------------------------------------------
 
-def _slots(degree: int) -> int:
-    return {0: 1, 1: 3}.get(degree, 4)
-
-
 def _to_vector(c: PerCochain, window_list) -> list:
     vec = []
     for comp in c.components:
@@ -300,7 +282,7 @@ def per_solve_preimage(target: PerCochain, window: int):
     src_basis = basis_window(params, window)
     tgt_window = window + 2 * (params.l + 1)
     tgt_basis = basis_window(params, tgt_window)
-    nslots = _slots(n - 1)
+    nslots = PerCochain.slots(n - 1)
     columns = []
     index = []
     for slot in range(nslots):
@@ -316,8 +298,8 @@ def per_solve_preimage(target: PerCochain, window: int):
     sol = linalg.solve(matrix, rhs)
     if sol is None:
         return None
-    comps = [params.zero() for _ in range(nslots)]
+    comps = [{} for _ in range(nslots)]
     for (slot, pq), coeff in zip(index, sol):
-        if coeff:
-            comps[slot] = comps[slot] + params.monomial(*pq, coeff)
-    return PerCochain(params, mod, n - 1, tuple(comps))
+        _accumulate(comps[slot], {pq: coeff})
+    return PerCochain(params, mod, n - 1,
+                      tuple(GwaElement(params, t) for t in comps))

@@ -11,13 +11,16 @@ from fractions import Fraction
 
 from .errors import MultipleRootError, ZeroPhiError
 
-Rational = Fraction
-
-
 def rat(value) -> Fraction:
-    """Coerce ints, strings like "3/2", or Fractions to an exact rational."""
+    """Coerce ints, strings like "3/2", or Fractions to an exact rational.
+
+    Floats are refused (0.1 is not 1/10), and so are bools.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"inexact or non-numeric scalar {value!r}; "
+                         "use an int or a rational string such as '1/10'")
     return Fraction(value)
 
 
@@ -214,11 +217,10 @@ class Poly:
 
     @staticmethod
     def from_json(data) -> "Poly":
+        """A list of coefficients, constant term first."""
+        if not isinstance(data, list):
+            raise ValueError(f"polynomial must be a coefficient list, got {data!r}")
         return Poly([rat(c) for c in data])
-
-
-def poly_derivative(h: Poly) -> Poly:
-    return h.derivative()
 
 
 def poly_ext_gcd(h1: Poly, h2: Poly) -> tuple[Poly, Poly, Poly]:

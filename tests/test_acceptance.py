@@ -9,7 +9,8 @@ import time
 from fractions import Fraction
 
 from gwadeform.complexes import c_diff, c_element, verify_hdc
-from gwadeform.core import basis_window, module_nu, module_plain, multiply
+from gwadeform.core import basis_triples, basis_window, module_nu, module_plain, \
+    multiply
 from gwadeform.deform import build_star, check_assoc, check_obstruction, \
     check_relations
 from gwadeform.hochschild import hochschild_b, preserves_gamma
@@ -20,7 +21,7 @@ from gwadeform.scalars import Poly, bezout_for_phi
 
 from conftest import full_corpus, random_element
 from free_oracle import oracle_multiply
-from test_hochschild import all_triples, build_f1, f1_closed_quantum
+from test_hochschild import build_f1, f1_closed_quantum
 from test_percomplex import obstruction_cocycle, random_cochain
 
 ONE = Poly.one()
@@ -53,7 +54,7 @@ def test_criterion_1_relations_and_associativity():
         assert y * z == a.from_poly(a.sigma_z(-1)) * y
         assert y * x == a.from_poly(a.phi)
         assert x * y == a.from_poly(a.phi_bar)
-        for t1, t2, t3 in all_triples(a, 2 * a.l + 4):
+        for t1, t2, t3 in basis_triples(a, 2 * a.l + 4):
             u, v, w = (a.monomial(*t) for t in (t1, t2, t3))
             assert (u * v) * w == u * (v * w), (a, t1, t2, t3)
         for _ in range(200):
@@ -169,7 +170,7 @@ def test_criterion_7_f1_pipeline():
                 else:
                     assert got == f1_closed_quantum(a, *pq1, *pq2), (a, pq1, pq2)
         bF = hochschild_b(F)
-        for t1, t2, t3 in all_triples(a, window):
+        for t1, t2, t3 in basis_triples(a, window):
             assert bF(a.monomial(*t1), a.monomial(*t2),
                       a.monomial(*t3)).is_zero(), (a, t1, t2, t3)
     report(7, "first-order cochain closed forms and cocycle law",

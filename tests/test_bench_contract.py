@@ -1,0 +1,48 @@
+"""The names that perfbench/tracer.py wraps from outside the package.
+
+The tracer resolves its span table and cache attributes by name at run
+time, so a rename in the package would only show when a traced benchmark
+runs.  These tests read the tracer's tables (without importing or
+editing it) and check that every name still resolves.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+from gwadeform.core import GwaElement, GwaParams, identity_auto
+from gwadeform.hochschild import cochain2_zero
+from gwadeform.scalars import Poly
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def tracer_constant(name):
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{name} is not defined in {TRACER}")
+
+
+def test_tracer_spans_resolve():
+    spans = tracer_constant("SPANS")
+    assert spans
+    for name, (module, path) in spans.items():
+        obj = importlib.import_module("gwadeform." + module)
+        for part in path.split("."):
+            assert hasattr(obj, part), f"{name}: gwadeform.{module}.{path}"
+            obj = getattr(obj, part)
+        assert callable(obj), name
+    for layer in tracer_constant("LAYERS"):
+        importlib.import_module("gwadeform." + layer)
+
+
+def test_tracer_cache_and_hook_attributes():
+    params = GwaParams(2, 0, Poly.z())
+    assert isinstance(params._mono_cache, dict)
+    assert isinstance(cochain2_zero(params)._memo, dict)
+    # hooks read the operands of multiply and apply_automorphism
+    assert isinstance(params.x().terms, dict)
+    assert isinstance(GwaElement(params, {}).terms, dict)
+    rho = identity_auto(params)
+    assert (rho.x_scale, rho.y_scale, rho.z_image.coeffs) == (1, 1, (0, 1))

@@ -1,0 +1,149 @@
+"""Exactness and validity at the entry points, and algebra-aware arithmetic.
+
+Malformed input must fail loudly instead of giving a silently wrong
+algebra or element; elements of different algebras never mix.
+"""
+import json
+from fractions import Fraction
+
+import pytest
+
+from gwadeform.cli import parse_cochain, run
+from gwadeform.complexes import c_zero
+from gwadeform.core import GwaElement, GwaParams, basis_window, tensor_from_pair
+from gwadeform.deform import lift
+from gwadeform.scalars import Poly, rat
+
+Z = Poly.z()
+
+
+def write_config(tmp_path, data):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_rat_rejects_float_and_bool():
+    for bad in (0.1, 2.0, True, False):
+        with pytest.raises(ValueError):
+            rat(bad)
+    assert rat("1/10") == Fraction(1, 10)
+    assert rat(3) == 3 and rat(Fraction(2, 3)) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("data", [
+    {"lambda": 0.1, "eta": "0", "phi": ["1"]},
+    {"lambda": "2", "eta": True, "phi": ["1"]},
+    {"lambda": "2", "eta": "0", "phi": [0.5, "1"]},
+    {"lambda": "2", "eta": "0", "phi": "12"},
+], ids=["float-lambda", "bool-eta", "float-phi", "string-phi"])
+def test_inexact_config_fails(tmp_path, capsys, data):
+    cfg = write_config(tmp_path, data)
+    x = json.dumps([{"p": 0, "q": 1, "c": "1"}])
+    assert run(["--config", cfg, "mul", x, x]) == 2
+    assert "error" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        GwaParams.from_json(data)
+
+
+@pytest.mark.parametrize("record", [
+    {"p": -1, "q": 1, "c": "1"},
+    {"p": 1.7, "q": 0, "c": "1"},
+    {"p": 1, "q": 1.0, "c": "1"},
+    {"p": True, "q": 0, "c": "1"},
+    {"p": 0, "q": 1, "c": 0.5},
+], ids=["negative-p", "float-p", "float-q", "bool-p", "float-c"])
+def test_element_records_validated(tmp_path, capsys, record):
+    a = GwaParams(2, 0, Z)
+    with pytest.raises(ValueError):
+        GwaElement.from_json(a, [record])
+    cfg = write_config(tmp_path, {"lambda": "2", "eta": "0", "phi": ["0", "1"]})
+    x = json.dumps([{"p": 0, "q": 1, "c": "1"}])
+    assert run(["--config", cfg, "mul", x, json.dumps([record])]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_repeated_monomial_rejected():
+    a = GwaParams(2, 0, Z)
+    data = [{"p": 1, "q": 0, "c": "1"}, {"p": 1, "q": 0, "c": "2"}]
+    with pytest.raises(ValueError):
+        GwaElement.from_json(a, data)
+
+
+def test_parse_cochain_module_and_degree():
+    a = GwaParams(2, 0, Z)
+    comps = [[{"p": 1, "q": 0, "c": "1"}]]
+    good = parse_cochain(a, json.dumps({"degree": 0, "module": "nu",
+                                        "components": comps}))
+    assert not good.module.right_twist.is_identity()
+    # the dict form written by PerCochain.to_json round-trips
+    again = parse_cochain(a, json.dumps(good.to_json()))
+    assert again == good
+    for bad in ({"degree": 0, "module": "nuu", "components": comps},
+                {"degree": 0, "module": {"left": "nu", "right": "id"},
+                 "components": comps},
+                {"degree": 0.0, "components": comps},
+                {"degree": 1.9, "components": comps * 3}):
+        with pytest.raises(ValueError):
+            parse_cochain(a, json.dumps(bad))
+
+
+def test_algebra_is_part_of_element_identity():
+    a2, a3 = GwaParams(2, 0, Z), GwaParams(3, 0, Z)
+    assert a2.x() != a3.x()
+    assert a2.x() == GwaParams(2, 0, Z).x()  # equal algebras, equal elements
+    for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+        with pytest.raises(ValueError):
+            op(a2.x(), a3.x())
+    with pytest.raises(ValueError):
+        tensor_from_pair(a2.one(), a3.one())
+    with pytest.raises(ValueError):
+        lift(a2, a2.x(), 2) + lift(a3, a3.x(), 2)
+    assert a2.x() + GwaParams(2, 0, Z).x() == 2 * a2.x()
+
+
+def test_direct_sum_shapes_must_agree():
+    a = GwaParams(2, 0, Z)
+    with pytest.raises(ValueError):
+        c_zero(a, 1) + c_zero(a, 2)
+    assert (c_zero(a, 2) - c_zero(a, 2)).is_zero()
+    assert -c_zero(a, 1) == c_zero(a, 1)
+
+
+def test_accumulate_in_place():
+    from gwadeform.core import _accumulate
+
+    out = {"a": Fraction(1), "b": Fraction(2)}
+    src = {"a": Fraction(-1), "c": Fraction(3)}
+    assert _accumulate(out, src) is out
+    assert out == {"b": 2, "c": 3} and src == {"a": -1, "c": 3}
+    _accumulate(out, {"b": Fraction(1)}, Fraction(-2))
+    assert out == {"c": 3}
+    polys = {"k": Z}
+    _accumulate(polys, {"k": Z, "m": Z}, Fraction(-1))
+    assert polys == {"m": -Z}
+
+
+def test_products_leave_the_monomial_cache_alone():
+    a = GwaParams(2, 0, Z**2 - Poly.one())
+    u = a.x() + a.monomial(1, 1, 3)
+    v = a.y() + a.z()
+    first = u * v
+    cached = {k: dict(t) for k, t in a._mono_cache.items()}
+    assert u * v == first
+    assert a._mono_cache == cached
+
+
+def test_basis_triples_order():
+    from gwadeform.core import basis_triples
+
+    for a in (GwaParams(2, 0, Z), GwaParams(1, 1, Z**2)):
+        window = 2 * a.l + 4
+        want = []
+        for t1 in basis_window(a, window):
+            w1 = a.weight(*t1)
+            for t2 in basis_window(a, window - w1):
+                w2 = a.weight(*t2)
+                for t3 in basis_window(a, window - w1 - w2):
+                    want.append((t1, t2, t3))
+        assert list(basis_triples(a, window)) == want

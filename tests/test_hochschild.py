@@ -8,6 +8,7 @@ from gwadeform.core import (
     GwaParams,
     LEG_ID,
     LegMap,
+    basis_triples,
     basis_window,
     delta_nu,
     module_plain,
@@ -189,20 +190,11 @@ def test_quantum_f1_matches_closed_forms():
                 assert got == want, (a, pq1, pq2)
 
 
-def all_triples(a, window):
-    for t1 in basis_window(a, window):
-        w1 = a.weight(*t1)
-        for t2 in basis_window(a, window - w1):
-            w2 = a.weight(*t2)
-            for t3 in basis_window(a, window - w1 - w2):
-                yield t1, t2, t3
-
-
 def test_f1_is_cocycle():
     for a in (GwaParams(2, 0, Z), GwaParams(2, 0, Z**2 - ONE),
               GwaParams(1, 1, Z**2)):
         bF = hochschild_b(build_f1(a))
-        for t1, t2, t3 in all_triples(a, a.l + 4):
+        for t1, t2, t3 in basis_triples(a, a.l + 4):
             res = bF(a.monomial(*t1), a.monomial(*t2), a.monomial(*t3))
             assert res.is_zero(), (a, t1, t2, t3)
 
