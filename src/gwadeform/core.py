@@ -174,6 +174,9 @@ class GwaParams:
             return (self.lam, self.eta, self.phi) == (other.lam, other.eta, other.phi)
         return NotImplemented
 
+    def __hash__(self):
+        return hash((self.lam, self.eta, self.phi))
+
     def __repr__(self):
         return f"GwaParams(lam={self.lam}, eta={self.eta}, phi={self.phi!r})"
 
@@ -207,6 +210,8 @@ class GwaParams:
         return GwaElement(self, {(0, 0): _ONE})
 
     def monomial(self, p: int, q: int, c=1) -> "GwaElement":
+        if type(p) is not int or p < 0:
+            raise ValueError(f"z-exponent must be an int >= 0, got {p!r}")
         c = rat(c)
         if c == 0:
             return self.zero()
@@ -416,6 +421,12 @@ def nakayama(params: GwaParams) -> Automorphism:
 
 
 def apply_automorphism(rho: Automorphism, u: GwaElement) -> GwaElement:
+    if rho.z_image.coeffs == (0, 1):  # z -> z: rescale x_q, or nothing at all
+        if rho.x_scale == 1 and rho.y_scale == 1:
+            return u
+        return GwaElement(u.algebra, {
+            (p, q): c * (rho.x_scale**q if q >= 0 else rho.y_scale ** (-q))
+            for (p, q), c in u.terms.items()})
     alg = u.algebra
     out: dict = {}
     zpow: dict[int, Poly] = {0: Poly.one()}

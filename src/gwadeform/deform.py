@@ -233,21 +233,26 @@ def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
 
 
 def check_local_finiteness(sp: StarProduct, window: int) -> dict:
-    """Every F_n keeps basis pairs inside their combined filtration level."""
+    """Every F_n keeps basis pairs inside their combined filtration level.
+
+    The scan stops at the fifth failure.
+    """
     a = sp.params
     checked = 0
     failures = []
-    for pq1 in basis_window(a, window):
-        w1 = a.weight(*pq1)
-        for pq2 in basis_window(a, window - w1):
-            bound = w1 + a.weight(*pq2)
-            for n in range(1, sp.order + 1):
-                val = sp.f_n(n).evaluate(a.monomial(*pq1), a.monomial(*pq2))
-                if filtration_degree(val) > bound:
-                    failures.append({"pair": [pq1, pq2], "n": n})
-                    if len(failures) >= 5:
-                        break
-            checked += 1
+    pairs = ((pq1, pq2) for pq1 in basis_window(a, window)
+             for pq2 in basis_window(a, window - a.weight(*pq1)))
+    for pq1, pq2 in pairs:
+        if len(failures) >= 5:
+            break
+        bound = a.weight(*pq1) + a.weight(*pq2)
+        for n in range(1, sp.order + 1):
+            val = sp.f_n(n).evaluate(a.monomial(*pq1), a.monomial(*pq2))
+            if filtration_degree(val) > bound:
+                failures.append({"pair": [pq1, pq2], "n": n})
+                if len(failures) >= 5:
+                    break
+        checked += 1
     return {"window": window, "pairs": checked,
             "failures": failures, "pass": not failures}
 

@@ -90,6 +90,14 @@ class Echelon:
         self.pivots.insert(idx, p)
         return True
 
+    def widened(self, ncols: int) -> "Echelon":
+        """The same span in Q^ncols (ncols >= self.ncols), rows zero-padded."""
+        out = Echelon(ncols)
+        pad = [_ZERO] * (ncols - self.ncols)
+        out.rows = [row + pad for row in self.rows]
+        out.pivots = list(self.pivots)
+        return out
+
     def contains(self, vec: list[Fraction]) -> bool:
         return all(a == 0 for a in self._reduce(vec))
 

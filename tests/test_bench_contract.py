@@ -7,10 +7,12 @@ editing it) and check that every name still resolves.
 """
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 from gwadeform.core import GwaElement, GwaParams, identity_auto
 from gwadeform.hochschild import cochain2_zero
+from gwadeform.homology import commutator_span
 from gwadeform.scalars import Poly
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -46,3 +48,10 @@ def test_tracer_cache_and_hook_attributes():
     assert isinstance(GwaElement(params, {}).terms, dict)
     rho = identity_auto(params)
     assert (rho.x_scale, rho.y_scale, rho.z_image.coeffs) == (1, 1, (0, 1))
+
+
+def test_commutator_span_window_is_third_positional():
+    # the tracer's homology.span_windows counter reads args[2]
+    params = list(inspect.signature(commutator_span).parameters.values())
+    assert params[2].name == "window"
+    assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD

@@ -10,7 +10,8 @@ import pytest
 
 from gwadeform.cli import parse_cochain, run
 from gwadeform.complexes import c_zero
-from gwadeform.core import GwaElement, GwaParams, basis_window, tensor_from_pair
+from gwadeform.core import GwaElement, GwaParams, basis_window, module_nu, \
+    tensor_from_pair
 from gwadeform.deform import lift
 from gwadeform.scalars import Poly, rat
 
@@ -61,6 +62,26 @@ def test_element_records_validated(tmp_path, capsys, record):
     x = json.dumps([{"p": 0, "q": 1, "c": "1"}])
     assert run(["--config", cfg, "mul", x, json.dumps([record])]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [-1, -3, 1.0, True, Fraction(1)],
+                         ids=["minus-1", "minus-3", "float", "bool", "fraction"])
+def test_monomial_needs_nonnegative_int_exponent(p):
+    a = GwaParams(2, 0, Z)
+    with pytest.raises(ValueError):
+        a.monomial(p, 1)
+    if type(p) is int:
+        with pytest.raises(ValueError):
+            a.z(p)
+    assert a.monomial(0, -2) == a.y(2) and a.z(0) == a.one()
+
+
+def test_equal_algebras_hash_equal():
+    a, b = GwaParams(2, 0, Z**2 - Poly.one()), GwaParams("2", 0, [-1, 0, 1])
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert hash(module_nu(a)) == hash(module_nu(b))
+    assert len({module_nu(a), module_nu(b)}) == 1
 
 
 def test_repeated_monomial_rejected():

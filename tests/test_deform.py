@@ -128,6 +128,22 @@ def test_local_finiteness():
         assert rep["pass"] and rep["pairs"] > 0
 
 
+def test_local_finiteness_stops_at_five_failures(monkeypatch):
+    a = GwaParams(2, 0, Z)
+    sp = build_star(a, 2)
+
+    class Escaping:
+        """An F_n whose value on every pair lies far above the filtration."""
+
+        def evaluate(self, u, v):
+            return a.monomial(100, 0)
+
+    monkeypatch.setattr(StarProduct, "f_n", lambda self, n: Escaping())
+    rep = check_local_finiteness(sp, 6)
+    assert len(rep["failures"]) == 5 and not rep["pass"]
+    assert rep["pairs"] == 3  # two failures (n = 1, 2) per pair
+
+
 def test_taylor_series_identity():
     # x * y agrees with the shifted-argument series computed by substitution
     for a in noncommutative_corpus():

@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gwadeform.core import GwaParams, basis_window, module_nu, nakayama, \
-    apply_automorphism
+from gwadeform.core import GwaParams, basis_window, bimodule_act, module_nu, \
+    module_plain, nakayama, apply_automorphism
 from gwadeform.errors import CommutativeAlgebraError, MixedCaseError
 from gwadeform.homology import (
+    TruncatedSubspace,
     commutator_span,
     compare_h0,
     compute_R,
@@ -20,6 +22,25 @@ from conftest import full_corpus
 
 Z = Poly.z()
 ONE = Poly.one()
+
+
+def all_pairs_span(params, module, window):
+    """Reference: b.m - m.b over every basis pair with ||b|| + ||m|| <= window."""
+    span = TruncatedSubspace(params, window)
+    one = params.one()
+    for pq_b in basis_window(params, window):
+        b = params.monomial(*pq_b)
+        wb = params.weight(*pq_b)
+        for pq_m in basis_window(params, window - wb):
+            m = params.monomial(*pq_m)
+            c = bimodule_act(module, b, m, one) - bimodule_act(module, one, m, b)
+            if not c.is_zero():
+                span.add(c)
+    return span
+
+
+def same_span(u, v):
+    return u.rank == v.rank and u.subset_of(v)
 
 
 def test_compute_e():
@@ -155,3 +176,48 @@ def test_compare_h0_quantum_e2():
     # some non-predicted classes reduce to predicted ones without vanishing
     assert any(n["certified"] and not n["strictly_zero"]
                for n in rep["non_predicted"])
+
+
+@pytest.mark.parametrize("twist", [module_plain, module_nu])
+def test_generator_span_equals_all_pairs(corpus_algebra, twist):
+    mod = twist(corpus_algebra)
+    for w in range(11):
+        assert same_span(commutator_span(corpus_algebra, mod, w),
+                         all_pairs_span(corpus_algebra, mod, w)), w
+
+
+def test_widened_span_equals_fresh_span():
+    for a in (GwaParams(1, 1, ONE), GwaParams(2, 0, Z**2 - ONE),
+              GwaParams(1, 1, Z * (Z - ONE))):
+        mod = module_nu(a)
+        for w, wide in [(0, 3), (2, 2), (4, 9), (8, 12)]:
+            base = commutator_span(a, mod, w)
+            widened = commutator_span(a, mod, wide, base)
+            assert widened.window == wide and base.window == w
+            assert same_span(widened, commutator_span(a, mod, wide)), (a, w, wide)
+        with pytest.raises(ValueError):
+            commutator_span(a, mod, 3, commutator_span(a, mod, 5))
+
+
+def test_copy_into_wider_window():
+    a = GwaParams(2, 0, Z**2 - ONE)
+    span = commutator_span(a, module_nu(a), 6)
+    wide = span.copy(9)
+    assert wide.window == 9 and wide.rank == span.rank
+    assert span.subset_of(wide) and wide.subset_of(span.copy(9))
+    wide.add(a.monomial(9, 0))
+    assert not span.copy(9).contains(a.monomial(9, 0))
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lam=_small.filter(bool), eta=_small,
+       phi=st.lists(st.integers(-2, 2), min_size=1, max_size=3).filter(any),
+       window=st.integers(0, 8), twisted=st.booleans())
+def test_generator_span_property(lam, eta, phi, window, twisted):
+    a = GwaParams(lam, eta, Poly(phi))
+    mod = module_nu(a) if twisted else module_plain(a)
+    assert same_span(commutator_span(a, mod, window),
+                     all_pairs_span(a, mod, window))
