@@ -152,6 +152,7 @@ class GwaParams:
         self.phi = phi
         self.l = phi.degree
         self._sigma_z: dict[int, Poly] = {}
+        self._sigma_cache: dict[tuple[Poly, int], Poly] = {}
         self._mono_cache: dict[tuple[int, int, int, int], dict] = {}
         self.phi_bar = self.sigma_pow(phi, 1)
 
@@ -196,10 +197,15 @@ class GwaParams:
         return p
 
     def sigma_pow(self, h: Poly, j: int) -> Poly:
-        """sigma^j extended to k[z] as an algebra map."""
+        """sigma^j extended to k[z] as an algebra map (memoized per algebra)."""
         if j == 0 or h.degree < 1:
             return h
-        return h.compose(self.sigma_z(j))
+        key = (h, j)
+        out = self._sigma_cache.get(key)
+        if out is None:
+            out = h.compose(self.sigma_z(j))
+            self._sigma_cache[key] = out
+        return out
 
     # -- element constructors ----------------------------------------------
 

@@ -18,6 +18,7 @@ from .core import (
     GwaElement,
     GwaParams,
     TensorElement,
+    _MINUS_ONE,
     _accumulate,
     basis_window,
     filtration_degree,
@@ -62,7 +63,11 @@ class Cochain2:
                 val = self.eval_basis(q, i, j)
                 if val.is_zero():
                     continue
-                _accumulate(out, (a.z(p) * val if p else val).terms, cu * cv)
+                terms = val.terms
+                if p:
+                    # z^p (z^e x_k) = z^{p+e} x_k
+                    terms = {(p + e, k): c for (e, k), c in terms.items()}
+                _accumulate(out, terms, cu * cv)
         return GwaElement(a, out)
 
     def __call__(self, u: GwaElement, v: GwaElement) -> GwaElement:
@@ -135,20 +140,20 @@ def hochschild_b(F: Cochain2) -> Cochain3:
 def theta1(params: GwaParams, pattern: tuple[int, int]) -> tuple:
     """Image of 1|z^i x_j|1 in the degree-1 column pair (z-, x-, y-slot)."""
     i, j = pattern
-    z_slot = TensorElement(params, {})
-    x_slot = TensorElement(params, {})
-    y_slot = TensorElement(params, {})
+    z_slot: dict = {}
+    x_slot: dict = {}
+    y_slot: dict = {}
     for k in range(1, i + 1):
-        z_slot = z_slot + tensor_from_pair(params.z(i - k),
-                                           params.monomial(k - 1, j))
+        _accumulate(z_slot, tensor_from_pair(params.z(i - k),
+                                             params.monomial(k - 1, j)).terms)
     for k in range(1, abs(j) + 1):
         if j > 0:
-            x_slot = x_slot + tensor_from_pair(params.monomial(i, j - k),
-                                               params.x(k - 1))
+            _accumulate(x_slot, tensor_from_pair(params.monomial(i, j - k),
+                                                 params.x(k - 1)).terms)
         else:
-            y_slot = y_slot + tensor_from_pair(params.monomial(i, j + k),
-                                               params.y(k - 1))
-    return (z_slot, x_slot, y_slot)
+            _accumulate(y_slot, tensor_from_pair(params.monomial(i, j + k),
+                                                 params.y(k - 1)).terms)
+    return tuple(TensorElement(params, t) for t in (z_slot, x_slot, y_slot))
 
 
 def theta2(params: GwaParams, left: tuple[int, int],
@@ -159,9 +164,9 @@ def theta2(params: GwaParams, left: tuple[int, int],
     """
     p, q = left
     i, j = right
-    slots = [TensorElement(params, {}) for _ in range(4)]
+    slots: list[dict] = [{} for _ in range(4)]
     if q == 0:
-        return tuple(slots)
+        return tuple(TensorElement(params, t) for t in slots)
     zp = Poly.monomial(p)
     if q > 0 and j >= 0:
         # x^q against z^i x^j
@@ -171,7 +176,7 @@ def theta2(params: GwaParams, left: tuple[int, int],
                 lhs = params.from_poly(lz, q - s)
                 rz = params.sigma_pow(Poly.monomial(k - 1), s - 1)
                 rhs = params.lam ** (s - 1) * params.from_poly(rz, s - 1 + j)
-                slots[0] = slots[0] - tensor_from_pair(lhs, rhs)
+                _accumulate(slots[0], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
     elif q < 0 and j <= 0:
         # y^Q against z^i y^J
         Q, J = -q, -j
@@ -181,30 +186,30 @@ def theta2(params: GwaParams, left: tuple[int, int],
                 lhs = params.from_poly(lz, -(Q - s))
                 rz = params.sigma_pow(Poly.monomial(k - 1), -(s - 1))
                 rhs = params.lam ** (1 - s) * params.from_poly(rz, -(s - 1) - J)
-                slots[1] = slots[1] - tensor_from_pair(lhs, rhs)
+                _accumulate(slots[1], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
     elif q == 1:
         # x against z^i y^J
         J = -j
         for k in range(1, i + 1):
             lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), 1))
-            slots[0] = slots[0] - tensor_from_pair(
-                lhs, params.monomial(k - 1, -J))
+            _accumulate(slots[0], tensor_from_pair(
+                lhs, params.monomial(k - 1, -J)).terms, _MINUS_ONE)
         slots[3] = tensor_from_pair(
             params.from_poly(zp * params.sigma_pow(Poly.monomial(i), 1)),
-            params.y(J - 1))
+            params.y(J - 1)).terms
     elif q == -1:
         # y against z^i x^j
         for k in range(1, i + 1):
             lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), -1))
-            slots[1] = slots[1] - tensor_from_pair(
-                lhs, params.monomial(k - 1, j))
+            _accumulate(slots[1], tensor_from_pair(
+                lhs, params.monomial(k - 1, j)).terms, _MINUS_ONE)
         slots[2] = tensor_from_pair(
             params.from_poly(zp * params.sigma_pow(Poly.monomial(i), -1)),
-            params.x(j - 1))
+            params.x(j - 1)).terms
     else:
         raise UnsupportedPatternError(
             f"no displayed image for x_({q}) against z^{i} x_({j})")
-    return tuple(slots)
+    return tuple(TensorElement(params, t) for t in slots)
 
 
 def theta2_pullback(c: PerCochain) -> Cochain2:
@@ -238,18 +243,20 @@ def thetaprime2(F: Cochain2, module=None) -> PerCochain:
     lam = a.lam
     m1 = lam * F(z, x) - F(x, z)
     m2 = (1 / lam) * F(z, y) - F(y, z)
-    m3 = F(y, x) + F(one, one) * a.from_poly(a.phi)
-    m4 = F(x, y) + F(one, one) * a.from_poly(a.phi_bar)
+    m3 = dict((F(y, x) + F(one, one) * a.from_poly(a.phi)).terms)
+    m4 = dict((F(x, y) + F(one, one) * a.from_poly(a.phi_bar)).terms)
     for i in range(1, a.l + 1):
         ai = a.phi[i]
         if ai == 0:
             continue
         for j in range(1, i + 1):
-            m3 = m3 - ai * (F(a.z(i - j), z) * a.z(j - 1))
-            m4 = m4 - ai * (F(_sigma_poly_elem(a, Poly.monomial(i - j), 1),
-                             lam * z)
-                            * _sigma_poly_elem(a, Poly.monomial(j - 1), 1))
-    return PerCochain(a, module, 2, (m1, m2, m3, m4))
+            _accumulate(m3, (F(a.z(i - j), z) * a.z(j - 1)).terms, -ai)
+            _accumulate(m4, (F(_sigma_poly_elem(a, Poly.monomial(i - j), 1),
+                               lam * z)
+                             * _sigma_poly_elem(a, Poly.monomial(j - 1), 1)).terms,
+                        -ai)
+    return PerCochain(a, module, 2,
+                      (m1, m2, GwaElement(a, m3), GwaElement(a, m4)))
 
 
 def thetaprime3(G: Cochain3, module=None) -> PerCochain:
@@ -267,6 +274,7 @@ def thetaprime3(G: Cochain3, module=None) -> PerCochain:
           + G(z, one, one) * phibar_el + G(one, one, z) * phibar_el)
     m3 = (G(x, y, x) + G(x, one, one) * phi_el + G(one, one, x) * phi_el)
     m4 = G(y, x, y)
+    ms = [dict(m.terms) for m in (m1, m2, m3, m4)]
     for i in range(1, a.l + 1):
         ai = a.phi[i]
         if ai == 0:
@@ -276,13 +284,13 @@ def thetaprime3(G: Cochain3, module=None) -> PerCochain:
             zj1 = a.z(j - 1)
             sij = _sigma_poly_elem(a, Poly.monomial(i - j), 1)
             sj1 = _sigma_poly_elem(a, Poly.monomial(j - 1), 1)
-            m1 = m1 - ai * (G(z, zij, z) * zj1)
-            m2 = m2 - ai * (G(z, sij, lam * z) * sj1)
-            m3 = m3 - ai * ((G(x, zij, z) - G(sij, x, z)
-                             + G(sij, lam * z, x)) * zj1)
-            m4 = m4 - ai * ((G(y, sij, lam * z) - G(zij, y, lam * z)
-                             + G(zij, z, y)) * sj1)
-    return PerCochain(a, module, 3, (m1, m2, m3, m4))
+            _accumulate(ms[0], (G(z, zij, z) * zj1).terms, -ai)
+            _accumulate(ms[1], (G(z, sij, lam * z) * sj1).terms, -ai)
+            _accumulate(ms[2], ((G(x, zij, z) - G(sij, x, z)
+                                 + G(sij, lam * z, x)) * zj1).terms, -ai)
+            _accumulate(ms[3], ((G(y, sij, lam * z) - G(zij, y, lam * z)
+                                 + G(zij, z, y)) * sj1).terms, -ai)
+    return PerCochain(a, module, 3, tuple(GwaElement(a, m) for m in ms))
 
 
 # ---------------------------------------------------------------------------

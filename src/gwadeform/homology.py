@@ -95,9 +95,8 @@ class TruncatedSubspace:
 
     def row_elements(self):
         for q, ech in self.columns.items():
-            for row in ech.rows:
-                yield GwaElement(self.params,
-                                 {(p, q): c for p, c in enumerate(row) if c != 0})
+            for row in ech.rows.values():
+                yield GwaElement(self.params, {(p, q): c for p, c in row.items()})
 
     def copy(self, window: int | None = None) -> "TruncatedSubspace":
         """A copy, optionally embedded in a window at least as wide."""

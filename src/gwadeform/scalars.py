@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MultipleRootError, ZeroPhiError
+from .linalg import determinant
 
 def rat(value) -> Fraction:
     """Coerce ints, strings like "3/2", or Fractions to an exact rational.
@@ -288,24 +289,7 @@ def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
         rows.append([_ZERO] * i + fc + [_ZERO] * (size - m - 1 - i))
     for i in range(m):
         rows.append([_ZERO] * i + gc + [_ZERO] * (size - n - 1 - i))
-    # Fraction-exact Gaussian elimination tracking the determinant.
-    det = _ONE
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return _ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] == 0:
-                continue
-            factor = rows[r][col] / inv
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det
+    return determinant(rows)
 
 
 def resultant_power_map(phi: Poly, e: int) -> Poly:

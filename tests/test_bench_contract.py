@@ -8,11 +8,13 @@ editing it) and check that every name still resolves.
 import ast
 import importlib
 import inspect
+from fractions import Fraction
 from pathlib import Path
 
 from gwadeform.core import GwaElement, GwaParams, identity_auto
 from gwadeform.hochschild import cochain2_zero
 from gwadeform.homology import commutator_span
+from gwadeform.linalg import Echelon, solve_many
 from gwadeform.scalars import Poly
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -55,3 +57,16 @@ def test_commutator_span_window_is_third_positional():
     params = list(inspect.signature(commutator_span).parameters.values())
     assert params[2].name == "window"
     assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+def test_linalg_entry_points_the_tracer_reads():
+    # linalg.solve.cells/nnz read args[0] of solve_many as a dense list of
+    # lists; linalg.echelon.add.grew counts truthy results of Echelon.add
+    one, two = Fraction(1), Fraction(2)
+    assert solve_many([[one, 0], [0, two]], [[one, two], [two, 0]]) == [
+        [one, one], [two, 0]]
+    ech = Echelon(2)
+    assert ech.add([one, two]) is True
+    assert ech.add([two, 2 * two]) is False
+    wide = ech.widened(3)
+    assert isinstance(wide, Echelon) and wide.rank == 1

@@ -61,6 +61,27 @@ def test_sigma_pow():
     assert c.sigma_pow(Z, -2) == Z - Poly.constant(2)
 
 
+def test_sigma_pow_memo_composes_once(monkeypatch):
+    a = GwaParams(2, 3, Z + ONE)
+    calls = []
+    compose = Poly.compose
+
+    def counted(h, other):
+        calls.append((h, other))
+        return compose(h, other)
+
+    monkeypatch.setattr(Poly, "compose", counted)
+    h = Z**2 - ONE
+    first = a.sigma_pow(h, -2)
+    assert a.sigma_pow(Poly(h.coeffs), -2) is first
+    assert first == compose(h, a.sigma_z(-2))
+    assert len(calls) == 1
+    # each (h, j) is its own entry; j = 0 and constants never compose
+    assert a.sigma_pow(h, 2) == compose(h, a.sigma_z(2))
+    assert a.sigma_pow(h, 0) is h and a.sigma_pow(ONE, 5) is ONE
+    assert len(calls) == 2
+
+
 def test_defining_relations_corpus():
     for a in full_corpus():
         x, y, z = a.x(), a.y(), a.z()

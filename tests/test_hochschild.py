@@ -216,6 +216,23 @@ def test_determine_F_conditions_and_uniqueness():
         assert F(a.monomial(0, q), a.monomial(0, j)).is_zero()
 
 
+def test_evaluate_matches_left_z_product():
+    # evaluate shifts the z-exponent of F(x_q, v) instead of multiplying by z^p
+    for a in (GwaParams(2, 0, Z**2 - ONE), GwaParams(1, 1, Z)):
+        F = quantum_f1(a) if a.is_quantum else classical_f1(a)
+        rng = random.Random(17)
+        for _ in range(20):
+            u = random_element(rng, a, 6, 4)
+            v = random_element(rng, a, 4)
+            expected = a.zero()
+            for (p, q), cu in u.terms.items():
+                if q == 0 and p > 0:
+                    continue
+                for (i, j), cv in v.terms.items():
+                    expected = expected + (cu * cv) * (a.z(p) * F.eval_basis(q, i, j))
+            assert F(u, v) == expected
+
+
 def test_determine_F_zero_datum():
     a = GwaParams(2, 0, Z)
     F = determine_F(a, None, a.zero(), a.zero(), a.zero(), a.zero())
