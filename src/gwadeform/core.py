@@ -23,6 +23,8 @@ over A or A (x) A, or a short tuple of such combinations:
 * ``_accumulate(out, terms, c)`` adds c * terms into the term dict ``out``
   in place.  Summing loops use it instead of rebuilding an element per
   term; it must only be given a dict that the caller owns.
+  ``_multiply_into(alg, out, u, v, c)`` is the product loop written the
+  same way (out += c * u v on term dicts); ``multiply`` wraps it.
 """
 from __future__ import annotations
 
@@ -154,6 +156,7 @@ class GwaParams:
         self._sigma_z: dict[int, Poly] = {}
         self._sigma_cache: dict[tuple[Poly, int], Poly] = {}
         self._mono_cache: dict[tuple[int, int, int, int], dict] = {}
+        self._delta_cache: dict[tuple[LegMap, LegMap, Poly], dict] = {}
         self.phi_bar = self.sigma_pow(phi, 1)
 
     @property
@@ -335,14 +338,22 @@ class GwaElement(LinComb):
         return GwaElement(algebra, dict(zip(window, vec)))
 
 
+def _multiply_into(alg: GwaParams, out: dict, u_terms: dict, v_terms: dict,
+                   c=None) -> dict:
+    """out += c * (u v) on term dicts of ``alg``, in place (c = None means 1)."""
+    mono = alg._mono_mul
+    for (p, q), cu in u_terms.items():
+        if c is not None:
+            cu = c * cu
+        for (i, j), cv in v_terms.items():
+            _accumulate(out, mono(p, q, i, j), cu * cv)
+    return out
+
+
 def multiply(u: GwaElement, v: GwaElement) -> GwaElement:
     """Product in A, in normal form."""
     alg = _same_algebra(u, v)
-    out: dict = {}
-    for (p, q), cu in u.terms.items():
-        for (i, j), cv in v.terms.items():
-            _accumulate(out, alg._mono_mul(p, q, i, j), cu * cv)
-    return GwaElement(alg, out)
+    return GwaElement(alg, _multiply_into(alg, {}, u.terms, v.terms))
 
 
 def filtration_degree(u: GwaElement) -> int:
@@ -543,8 +554,16 @@ LEG_D = LegMap(0, 1)
 
 def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
                   h: Poly) -> TensorElement:
-    """(iota (x) iota) o (f (x) g) o Delta_0 applied to h."""
-    out: dict = {}
+    """(iota (x) iota) o (f (x) g) o Delta_0 applied to h (memoized per algebra).
+
+    The memo holds plain term dicts: an element in it would refer back to
+    the algebra and keep it alive until the cyclic garbage collector runs.
+    """
+    key = (f_spec, g_spec, h)
+    out = params._delta_cache.get(key)
+    if out is not None:
+        return TensorElement(params, out)
+    out = {}
     for k, c in enumerate(h.coeffs):
         if c == 0:
             continue
@@ -557,8 +576,9 @@ def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
                 for pR, cR in enumerate(right.coeffs):
                     if cR == 0:
                         continue
-                    key = ((pL, 0), (pR, 0))
-                    out[key] = out.get(key, _ZERO) + c * cL * cR
+                    t = ((pL, 0), (pR, 0))
+                    out[t] = out.get(t, _ZERO) + c * cL * cR
+    params._delta_cache[key] = out
     return TensorElement(params, out)
 
 

@@ -11,19 +11,31 @@ associativity of the truncated product, the four presentation relations
 of the deformed algebra (with the right-hand series obtained by direct
 polynomial substitution, independently of the cochains), the stagewise
 obstruction identity, and preservation of the filtration.
+
+The stage-n identity is checked as the vanishing, on basis triples, of
+
+    sum_{i+j=n} F_i(F_j(u,v), w) - F_i(u, F_j(v,w)),   F_0 the product,
+
+the tau^n coefficient of (u*v)*w - u*(v*w).  Its terms with i, j >= 1 are
+the circle products, those with i = 0 or j = 0 make up -b F_n.  The inner
+values F_j on basis pairs are memoized per star product.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .core import (
     DirectSum,
     GwaElement,
     GwaParams,
     LegMap,
+    _MINUS_ONE,
+    _ONE,
     _accumulate,
+    _multiply_into,
     basis_triples,
     basis_window,
     filtration_degree,
@@ -87,9 +99,26 @@ class StarProduct:
     params: GwaParams
     order: int
     cochains: list  # F_1 .. F_N
+    _pairs: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def f_n(self, n: int) -> Cochain2:
         return self.cochains[n - 1]
+
+    def pair_values(self, t1: tuple, t2: tuple) -> tuple:
+        """(F_0, F_1, ..., F_N) on the basis pair (t1, t2) as term dicts.
+
+        F_0 is the product.  Memoized per star product; the dicts are
+        shared and must not be mutated.
+        """
+        vals = self._pairs.get((t1, t2))
+        if vals is None:
+            u, v = {t1: _ONE}, {t2: _ONE}
+            vals = (_multiply_into(self.params, {}, u, v),) + tuple(
+                self.f_n(n).evaluate_into({}, u, v)
+                for n in range(1, self.order + 1))
+            self._pairs[(t1, t2)] = vals
+        return vals
 
 
 def _closed_form_datum(params: GwaParams, n: int):
@@ -131,9 +160,15 @@ def build_star(params: GwaParams, order: int = 4) -> StarProduct:
     return StarProduct(params, order, cochains)
 
 
-def star(sp: StarProduct, u: GwaElement, v: GwaElement) -> TruncatedElement:
+def star(sp: StarProduct, u: GwaElement, v: GwaElement,
+         order: int | None = None) -> TruncatedElement:
+    """u * v up to tau^order (default: the truncation order of sp)."""
+    if order is None:
+        order = sp.order
+    elif not 0 <= order <= sp.order:
+        raise ValueError("order must lie between 0 and the truncation order")
     coeffs = [u * v]
-    for n in range(1, sp.order + 1):
+    for n in range(1, order + 1):
         coeffs.append(sp.f_n(n).evaluate(u, v))
     return TruncatedElement(sp.params, tuple(coeffs))
 
@@ -149,10 +184,9 @@ def star_mul(sp: StarProduct, U: TruncatedElement,
         for b, vb in enumerate(V.coefficients):
             if vb.is_zero() or a + b > N:
                 continue
-            prod = star(sp, ua, vb)
+            prod = star(sp, ua, vb, N - a - b)
             for m, w in enumerate(prod.coefficients):
-                if a + b + m <= N:
-                    _accumulate(out[a + b + m], w.terms)
+                _accumulate(out[a + b + m], w.terms)
     return _from_terms(sp.params, out)
 
 
@@ -210,21 +244,39 @@ def check_relations(sp: StarProduct) -> dict:
     return out
 
 
-def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
-    """Stage-n identity: sum of circle products equals the coboundary of F_n."""
+def obstruction_residuals(sp: StarProduct, n: int, window: int):
+    """Yield (triple, terms) for each of ``basis_triples(params, window)``.
+
+    terms is the term dict of sum_{i+j=n} F_i(F_j(u,v), w) - F_i(u, F_j(v,w))
+    on the basis triple (u, v, w), with F_0 the product; it is empty
+    exactly when the stage-n identity holds there.
+    """
     if not 2 <= n <= sp.order:
         raise ValueError("n must lie between 2 and the truncation order")
     a = sp.params
-    lhs = circle(sp.f_n(1), sp.f_n(n - 1))
-    for i in range(2, n):
-        lhs = lhs + circle(sp.f_n(i), sp.f_n(n - i))
-    rhs = hochschild_b(sp.f_n(n))
+    loops = [partial(_multiply_into, a)]
+    loops += [sp.f_n(i).evaluate_into for i in range(1, n + 1)]
+    for t1, t2, t3 in basis_triples(a, window):
+        uv = sp.pair_values(t1, t2)
+        vw = sp.pair_values(t2, t3)
+        u, w = {t1: _ONE}, {t3: _ONE}
+        out: dict = {}
+        for i, into in enumerate(loops):
+            into(out, uv[n - i], w)
+            into(out, u, vw[n - i], _MINUS_ONE)
+        yield (t1, t2, t3), out
+
+
+def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
+    """Stage-n identity sum_{i+j=n} circle(F_i, F_j) = 0, F_0 the product.
+
+    Equivalently, the circle products of F_1 .. F_{n-1} sum to b F_n.
+    """
     checked = 0
     failures = []
-    for t1, t2, t3 in basis_triples(a, window):
-        u, v, w = a.monomial(*t1), a.monomial(*t2), a.monomial(*t3)
-        if not (lhs(u, v, w) - rhs(u, v, w)).is_zero():
-            failures.append({"triple": [t1, t2, t3]})
+    for triple, residual in obstruction_residuals(sp, n, window):
+        if residual:
+            failures.append({"triple": list(triple)})
             if len(failures) >= 5:
                 break
         checked += 1

@@ -52,23 +52,28 @@ class Cochain2:
             self._memo[key] = val
         return val
 
-    def evaluate(self, u: GwaElement, v: GwaElement) -> GwaElement:
-        a = self.params
-        out: dict = {}
-        for (p, q), cu in u.terms.items():
-            if q == 0 and p > 0:
-                # F(z^p, v) = z^{p-1} F(z, v) = 0 by unit normalization
+    def evaluate_into(self, out: dict, u_terms: dict, v_terms: dict,
+                      c=None) -> dict:
+        """out += c * F(u, v) on term dicts, in place (c = None means 1)."""
+        for (p, q), cu in u_terms.items():
+            if q == 0:
+                # F(z^p, v) = z^p F(1, v) = 0 by unit normalization
                 continue
-            for (i, j), cv in v.terms.items():
-                val = self.eval_basis(q, i, j)
-                if val.is_zero():
+            if c is not None:
+                cu = c * cu
+            for (i, j), cv in v_terms.items():
+                terms = self.eval_basis(q, i, j).terms
+                if not terms:
                     continue
-                terms = val.terms
                 if p:
                     # z^p (z^e x_k) = z^{p+e} x_k
-                    terms = {(p + e, k): c for (e, k), c in terms.items()}
+                    terms = {(p + e, k): w for (e, k), w in terms.items()}
                 _accumulate(out, terms, cu * cv)
-        return GwaElement(a, out)
+        return out
+
+    def evaluate(self, u: GwaElement, v: GwaElement) -> GwaElement:
+        return GwaElement(self.params,
+                          self.evaluate_into({}, u.terms, v.terms))
 
     def __call__(self, u: GwaElement, v: GwaElement) -> GwaElement:
         return self.evaluate(u, v)

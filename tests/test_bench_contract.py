@@ -12,6 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from gwadeform.core import GwaElement, GwaParams, identity_auto
+from gwadeform.deform import build_star, check_obstruction
 from gwadeform.hochschild import cochain2_zero
 from gwadeform.homology import commutator_span
 from gwadeform.linalg import Echelon, solve_many
@@ -70,3 +71,11 @@ def test_linalg_entry_points_the_tracer_reads():
     assert ech.add([two, 2 * two]) is False
     wide = ech.widened(3)
     assert isinstance(wide, Echelon) and wide.rank == 1
+
+
+def test_check_obstruction_reports_int_triples():
+    # deform.check_obstruction.triples adds up result["triples"]
+    params = GwaParams(2, 0, Poly.z())
+    result = check_obstruction(build_star(params, 2), 2, 3)
+    assert isinstance(result, dict)
+    assert type(result["triples"]) is int and result["triples"] > 0

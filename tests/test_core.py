@@ -219,6 +219,22 @@ def test_twisted_delta():
         assert lhs == rhs
 
 
+def test_twisted_delta_memo():
+    a = GwaParams(2, 0, Z**3 - Z)
+    sig = LegMap(1, 0)
+    first = twisted_delta(a, sig, LEG_D, a.phi)
+    expect = twisted_delta(GwaParams(2, 0, Z**3 - Z), sig, LEG_D, a.phi)
+    assert first == expect and not first.is_zero()
+    # returned elements do not share the memo's dict, on a miss or a hit
+    first.terms.clear()
+    twisted_delta(a, sig, LEG_D, a.phi).terms.clear()
+    assert twisted_delta(a, sig, LEG_D, a.phi) == expect
+    # each (f, g, h) is its own entry
+    assert twisted_delta(a, LEG_ID, LEG_D, a.phi) != expect
+    assert twisted_delta(a, sig, LEG_D, Z**2) != expect
+    assert len(a._delta_cache) == 3
+
+
 def test_delta_nu():
     a = GwaParams(2, 0, Z)
     assert delta_nu(a, "x", 1) == tensor_from_pair(a.one(), a.one())

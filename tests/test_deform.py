@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gwadeform.core import GwaParams, basis_window
+from gwadeform.core import GwaElement, GwaParams, _accumulate, basis_triples
 from gwadeform.deform import (
     StarProduct,
     TruncatedElement,
@@ -15,11 +15,13 @@ from gwadeform.deform import (
     discover_f2,
     f1_noncoboundary_evidence,
     lift,
+    obstruction_residuals,
     star,
     star_mul,
     truncated_zero,
 )
 from gwadeform.errors import CommutativeAlgebraError, MixedCaseError
+from gwadeform.hochschild import circle, hochschild_b
 from gwadeform.scalars import Poly
 
 from conftest import full_corpus, random_element
@@ -198,3 +200,147 @@ def test_f1_noncoboundary_evidence():
     # first-order cocycle does bound: the evidence is expected to fail there
     rep = f1_noncoboundary_evidence(GwaParams(1, 1, Z**2))
     assert rep["preimage_found"] and not rep["pass"]
+
+
+# ---------------------------------------------------------------------------
+# The obstruction check against its former Cochain3 formulation
+# ---------------------------------------------------------------------------
+
+def reference_stage_cochains(sp, n):
+    """lhs = circle(F_1, F_{n-1}) + ... + circle(F_{n-1}, F_1), rhs = b F_n."""
+    lhs = circle(sp.f_n(1), sp.f_n(n - 1))
+    for i in range(2, n):
+        lhs = lhs + circle(sp.f_n(i), sp.f_n(n - i))
+    return lhs, hochschild_b(sp.f_n(n))
+
+
+def reference_check_obstruction(sp, n, window):
+    """check_obstruction as it was written on Cochain3 objects."""
+    if not 2 <= n <= sp.order:
+        raise ValueError("n must lie between 2 and the truncation order")
+    a = sp.params
+    lhs, rhs = reference_stage_cochains(sp, n)
+    checked = 0
+    failures = []
+    for t1, t2, t3 in basis_triples(a, window):
+        u, v, w = a.monomial(*t1), a.monomial(*t2), a.monomial(*t3)
+        if not (lhs(u, v, w) - rhs(u, v, w)).is_zero():
+            failures.append({"triple": [t1, t2, t3]})
+            if len(failures) >= 5:
+                break
+        checked += 1
+    return {"n": n, "window": window, "triples": checked,
+            "failures": failures, "pass": not failures}
+
+
+def broken_star(a):
+    """An order-4 star product whose F_2 is off by F_1.
+
+    Stage 2 still holds, since F_1 is a cocycle; stages 3 and 4 fail.
+    """
+    F1, F2, F3, F4 = build_star(a, 4).cochains
+    return StarProduct(a, 4, [F1, F2 + F1, F3, F4])
+
+
+def test_obstruction_matches_reference_on_corpus():
+    for a in noncommutative_corpus():
+        sp = build_star(a, 4)
+        for n in (2, 3, 4):
+            window = 2 * a.l + 4
+            rep = check_obstruction(sp, n, window)
+            assert rep == reference_check_obstruction(sp, n, window), (a, n)
+            assert rep["pass"]
+
+
+def test_obstruction_matches_reference_when_broken():
+    for a in (GwaParams(2, 0, Z**2 - ONE), GwaParams(1, 1, Z * (Z - ONE))):
+        sp = broken_star(a)
+        for n in (2, 3, 4):
+            window = 3 * a.l + 6
+            rep = check_obstruction(sp, n, window)
+            assert rep == reference_check_obstruction(sp, n, window), (a, n)
+            assert rep["triples"] > 0
+            if n == 2:
+                assert rep["pass"]
+            else:
+                assert len(rep["failures"]) == 5 and not rep["pass"]
+
+
+def test_obstruction_residual_elements():
+    a = GwaParams(2, 0, Z**2 - ONE)
+    sp = broken_star(a)
+    for n in (2, 3, 4):
+        lhs, rhs = reference_stage_cochains(sp, n)
+        triples = list(basis_triples(a, 2 * a.l + 4))
+        seen = nonzero = 0
+        for (t1, t2, t3), terms in obstruction_residuals(sp, n, 2 * a.l + 4):
+            assert (t1, t2, t3) == triples[seen]
+            u, v, w = a.monomial(*t1), a.monomial(*t2), a.monomial(*t3)
+            assert GwaElement(a, terms) == lhs(u, v, w) - rhs(u, v, w)
+            seen += 1
+            nonzero += bool(terms)
+        assert seen == len(triples) and (nonzero > 0) == (n > 2), n
+
+
+def test_pair_values_are_memoized():
+    a = GwaParams(2, 0, Z**2 - ONE)
+    sp = build_star(a, 3)
+    t1, t2 = (1, 1), (2, -1)
+    vals = sp.pair_values(t1, t2)
+    assert sp.pair_values(t1, t2) is vals and len(vals) == 4
+    u, v = a.monomial(*t1), a.monomial(*t2)
+    assert [GwaElement(a, t) for t in vals] == list(star(sp, u, v).coefficients)
+
+
+# ---------------------------------------------------------------------------
+# The truncated product
+# ---------------------------------------------------------------------------
+
+def reference_star_mul(sp, U, V):
+    """star_mul as it was: every order of star, then drop those above N."""
+    N = sp.order
+    out = [{} for _ in range(N + 1)]
+    for a, ua in enumerate(U.coefficients):
+        if ua.is_zero():
+            continue
+        for b, vb in enumerate(V.coefficients):
+            if vb.is_zero() or a + b > N:
+                continue
+            for m, w in enumerate(star(sp, ua, vb).coefficients):
+                if a + b + m <= N:
+                    _accumulate(out[a + b + m], w.terms)
+    return TruncatedElement(sp.params, tuple(GwaElement(sp.params, t)
+                                             for t in out))
+
+
+def random_truncated(rng, a, order, window):
+    return TruncatedElement(a, tuple(
+        random_element(rng, a, window, nterms=2) if rng.random() < 0.7
+        else a.zero() for _ in range(order + 1)))
+
+
+def test_star_truncated_prefix():
+    rng = random.Random(17)
+    for a in (GwaParams(2, 0, Z**2 - ONE), GwaParams(1, 1, Z * (Z - ONE))):
+        sp = build_star(a, 4)
+        for _ in range(3):
+            u = random_element(rng, a, 2 * a.l + 2)
+            v = random_element(rng, a, 2 * a.l + 2)
+            full = star(sp, u, v).coefficients
+            assert star(sp, u, v, 4).coefficients == full
+            for k in range(5):
+                assert star(sp, u, v, k).coefficients == full[:k + 1]
+        with pytest.raises(ValueError):
+            star(sp, a.x(), a.y(), 5)
+        with pytest.raises(ValueError):
+            star(sp, a.x(), a.y(), -1)
+
+
+def test_star_mul_matches_full_then_drop():
+    rng = random.Random(23)
+    for a in noncommutative_corpus():
+        sp = build_star(a, 3)
+        for _ in range(3):
+            U = random_truncated(rng, a, 3, a.l + 2)
+            V = random_truncated(rng, a, 3, a.l + 2)
+            assert star_mul(sp, U, V) == reference_star_mul(sp, U, V), a

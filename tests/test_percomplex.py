@@ -5,6 +5,7 @@ import pytest
 
 from gwadeform.core import (
     GwaParams,
+    LegMap,
     apply_automorphism,
     basis_window,
     module_nu,
@@ -212,3 +213,26 @@ def test_serialization():
     assert data["degree"] == 2
     assert data["module"]["right"] == "nu"
     assert len(data["components"]) == 4
+
+
+def test_connecting_deltas_built_once_per_algebra(monkeypatch):
+    # every per_diff call asks for four twisted deltas; each is computed
+    # once per algebra, whatever the module and however many calls
+    a = GwaParams(2, 0, Z**2 - ONE)
+    rng = random.Random(5)
+    cochains = [PerCochain(a, make(a), degree, tuple(
+        random_element(rng, a, 4) for _ in range(PerCochain.slots(degree))))
+        for make in (module_plain, module_nu) for degree in range(4)]
+    applied = []
+    real = LegMap.apply
+
+    def counted(self, params, h):
+        applied.append(self)
+        return real(self, params, h)
+
+    monkeypatch.setattr(LegMap, "apply", counted)
+    first = [per_diff(c) for c in cochains]
+    built = len(applied)
+    assert built > 0 and len(a._delta_cache) == 4
+    assert [per_diff(c) for c in cochains] == first
+    assert len(applied) == built
