@@ -49,10 +49,6 @@ from .scalars import bezout_for_phi, rat, rat_str
 ENV_PREFIX = "GWADEFORM_"
 
 
-def _env(name, default=None):
-    return os.environ.get(ENV_PREFIX + name, default)
-
-
 def load_config(path: str) -> tuple[GwaParams, str]:
     with open(path) as fh:
         data = json.load(fh)
@@ -156,8 +152,9 @@ def cmd_cohomology(params, args, rng):
         m = parse_element(params, args.payload)
         module = module_nu(params) if args.module == "nu" else module_plain(params)
         out = f_map(m, params, module)
+        ok = is_cocycle(out)
         return [{"check": "f", "cochain": out.to_json(),
-                 "is_cocycle": is_cocycle(out), "pass": is_cocycle(out)}]
+                 "is_cocycle": ok, "pass": ok}]
     if sub == "diff":
         c = parse_cochain(params, args.payload)
         return [{"check": "diff", "cochain": per_diff(c).to_json(),
@@ -236,24 +233,21 @@ def cmd_deform_verify(params, args, rng):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; flags left out stay None until ``_read_env``."""
     parser = argparse.ArgumentParser(
         prog="gwadeform",
         description="verified computations in generalized Weyl algebras "
         "and their formal deformations")
-    parser.add_argument("--config", default=_env("CONFIG"),
+    parser.add_argument("--config",
                         help="path to an algebra config JSON file")
-    parser.add_argument("--json", action="store_true",
-                        default=_env("JSON") == "1",
+    parser.add_argument("--json", action="store_true", default=None,
                         help="emit the full report as JSON")
     parser.add_argument("--seed", type=int,
-                        default=int(_env("SEED", "0")),
-                        help="seed for randomized sweeps")
+                        help="seed for randomized sweeps (default 0)")
     parser.add_argument("--window", type=int,
-                        default=(int(_env("WINDOW")) if _env("WINDOW") else None),
                         help="filtration window for windowed checks")
     parser.add_argument("--order", type=int,
-                        default=int(_env("ORDER", "4")),
-                        help="truncation order for star products")
+                        help="truncation order for star products (default 4)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("check-algebra")
     p = sub.add_parser("mul")
@@ -272,6 +266,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+# flag -> (converter, default) for the values GWADEFORM_<FLAG> may supply
+_ENV_FLAGS = {
+    "config": (str, None),
+    "json": (lambda v: v == "1", False),
+    "seed": (int, 0),
+    "window": (int, None),
+    "order": (int, 4),
+}
+
+
+def _read_env(args) -> None:
+    """Fill each flag left out from GWADEFORM_<FLAG>, read now, or its default.
+
+    An empty variable counts as unset; a malformed one raises ValueError.
+    """
+    for flag, (convert, default) in _ENV_FLAGS.items():
+        if getattr(args, flag) is None:
+            name = ENV_PREFIX + flag.upper()
+            raw = os.environ.get(name)
+            try:
+                setattr(args, flag, convert(raw) if raw else default)
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {raw!r}") \
+                    from None
+
+
 _DISPATCH = {
     "check-algebra": cmd_check_algebra,
     "mul": cmd_mul,
@@ -283,13 +305,12 @@ _DISPATCH = {
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if not args.config:
-        print("error: --config is required (or set GWADEFORM_CONFIG)",
-              file=sys.stderr)
-        return 2
+    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
+        _read_env(args)
+        if not args.config:
+            raise ValueError("--config is required (or set GWADEFORM_CONFIG)")
         params, label = load_config(args.config)
         rng = random.Random(args.seed)
         results = _DISPATCH[args.command](params, args, rng)

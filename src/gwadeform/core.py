@@ -200,13 +200,17 @@ class GwaParams:
         return p
 
     def sigma_pow(self, h: Poly, j: int) -> Poly:
-        """sigma^j extended to k[z] as an algebra map (memoized per algebra)."""
+        """sigma^j extended to k[z] as an algebra map (memoized per algebra).
+
+        sigma^j(z) = c z + d, so a miss is one affine substitution h(c z + d).
+        """
         if j == 0 or h.degree < 1:
             return h
         key = (h, j)
         out = self._sigma_cache.get(key)
         if out is None:
-            out = h.compose(self.sigma_z(j))
+            d, c = self.sigma_z(j).coeffs
+            out = h.affine(c, d)
             self._sigma_cache[key] = out
         return out
 
@@ -391,7 +395,20 @@ class Automorphism:
     """A diagonal algebra automorphism x -> a x, y -> b y, z -> c z + d.
 
     Validity (the images satisfy the four defining relations) is checked
-    on construction.
+    on construction, as scalar and polynomial identities.  With Z = c z + d
+    and sigma(z) = lambda z + eta, x h(z) = h(sigma(z)) x and a, b, c != 0:
+
+    * (a x) Z = (lambda Z + eta)(a x) reads c sigma(z) + d = lambda Z + eta,
+      that is c eta + d = lambda d + eta;
+    * (b y) Z = sigma^{-1}(Z)(b y) reads c sigma^{-1}(z) + d = sigma^{-1}(Z);
+      times lambda, c (z - eta) + lambda d = c z + d - eta, the same
+      condition;
+    * (b y)(a x) = phi(Z) reads a b phi = phi(c z + d);
+    * (a x)(b y) = phi_bar(Z) reads a b phi_bar = phi_bar(c z + d).
+
+    Given the z-condition, z -> Z commutes with sigma and phi_bar = phi o
+    sigma, so the two phi-conditions are equivalent; both are checked, one
+    per relation.
     """
 
     params: GwaParams
@@ -405,17 +422,11 @@ class Automorphism:
         a = self.params
         if self.z_image.degree != 1 or self.x_scale == 0 or self.y_scale == 0:
             raise ValueError("automorphism must be invertible")
-        X = self.x_scale * a.x()
-        Y = self.y_scale * a.y()
-        Z = a.from_poly(self.z_image)
-        lam, eta = a.lam, a.eta
-        checks = [
-            X * Z - (lam * Z + eta * a.one()) * X,
-            Y * Z - ((1 / lam) * Z - (eta / lam) * a.one()) * Y,
-            Y * X - a.from_poly(a.phi.compose(self.z_image)),
-            X * Y - a.from_poly(a.phi_bar.compose(self.z_image)),
-        ]
-        if any(not c.is_zero() for c in checks):
+        d, c = self.z_image.coeffs
+        ab = self.x_scale * self.y_scale
+        if (c * a.eta + d != a.lam * d + a.eta
+                or a.phi * ab != a.phi.affine(c, d)
+                or a.phi_bar * ab != a.phi_bar.affine(c, d)):
             raise ValueError("images do not satisfy the defining relations")
 
     def is_identity(self) -> bool:

@@ -52,6 +52,10 @@ from .hochschild import (
 from .percomplex import contract3, f_map, per_solve_preimage
 from .scalars import Poly, bezout_for_phi, rat
 
+# The largest order build_star accepts; orders 12 and 16 pass deform-verify
+# on quantum and classical algebras.
+MAX_ORDER = 16
+
 
 @dataclass
 class TruncatedElement(DirectSum):
@@ -148,8 +152,8 @@ def build_star(params: GwaParams, order: int = 4) -> StarProduct:
     if not (params.is_quantum or params.is_classical):
         raise MixedCaseError("lambda != 1 with eta != 0 is not handled; "
                              "normalize to the quantum form first")
-    if not 1 <= order <= 8:
-        raise ValueError("order must be between 1 and 8")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}")
     cochains = [build_f1(params)]
     for n in range(2, order + 1):
         target = circle(cochains[0], cochains[n - 2])

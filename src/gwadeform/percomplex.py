@@ -25,8 +25,9 @@ from .core import (
     LegMap,
     TensorElement,
     _accumulate,
+    apply_automorphism,
     basis_window,
-    bimodule_act,
+    multiply,
     tensor_act,
     twisted_delta,
 )
@@ -76,7 +77,7 @@ class _Ops:
         self.a = params
         self.mod = module
         a = params
-        self.x, self.y, self.one = a.x(), a.y(), a.one()
+        self.x, self.y = a.x(), a.y()
         self.z = a.z()
         self.sz = a.from_poly(a.sigma_z(1))
         self.lam = a.lam
@@ -86,11 +87,12 @@ class _Ops:
         self.delta_sl = twisted_delta(a, _SIG, LEG_ID, a.phi)
         self.delta_sr = twisted_delta(a, LEG_ID, _SIG, a.phi)
 
+    # a . m . 1 = f(a) m and 1 . m . a = m g(a): no product by g(1) = f(1) = 1
     def l(self, a: GwaElement, m: GwaElement) -> GwaElement:
-        return bimodule_act(self.mod, a, m, self.one)
+        return multiply(apply_automorphism(self.mod.left_twist, a), m)
 
     def r(self, m: GwaElement, a: GwaElement) -> GwaElement:
-        return bimodule_act(self.mod, self.one, m, a)
+        return multiply(m, apply_automorphism(self.mod.right_twist, a))
 
     def act(self, T: TensorElement, m: GwaElement) -> GwaElement:
         return tensor_act(T, self.mod, m)

@@ -191,6 +191,24 @@ class Poly:
             result = result * other + Poly.constant(c)
         return result
 
+    def affine(self, c, d) -> "Poly":
+        """h(c z + d) on the coefficient list: a scaling when d = 0, else Horner."""
+        c, d = rat(c), rat(d)
+        if not d:
+            out, ck = [], _ONE
+            for a in self.coeffs:
+                out.append(a * ck)
+                ck *= c
+            return Poly(out)
+        out = []
+        for a in reversed(self.coeffs):
+            # out <- out * (c z + d) + a
+            shifted = [a] + [c * u for u in out]
+            for k, u in enumerate(out):
+                shifted[k] += d * u
+            out = shifted
+        return Poly(out)
+
     def __call__(self, value) -> Fraction:
         acc = _ZERO
         v = rat(value)

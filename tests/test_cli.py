@@ -1,8 +1,18 @@
 import json
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gwadeform.cli import run
+from gwadeform.cli import load_config, run
+from gwadeform.core import GwaElement, module_nu, module_plain
+from gwadeform.errors import MultipleRootError
+from gwadeform.percomplex import PerCochain, f_map, per_diff
+from gwadeform.scalars import bezout_for_phi
+
+CORPUS = sorted((Path(__file__).resolve().parent.parent
+                 / "perfbench" / "corpus").glob("alg*.json"))
 
 
 def write_config(tmp_path, lam, eta, phi, label=""):
@@ -143,3 +153,118 @@ def test_mixed_case_rejected_at_build(tmp_path, capsys):
     code = run(["--config", cfg, "--order", "2", "deform-verify"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["SEED", "ORDER", "WINDOW"])
+def test_malformed_env_value_exits_2(tmp_path, capsys, monkeypatch, name):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    monkeypatch.setenv("GWADEFORM_" + name, "x")
+    assert run(["--config", cfg, "h0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GWADEFORM_" + name in err
+    # the variable is not read when its flag is given
+    flag = "--" + name.lower()
+    value = "3" if name == "ORDER" else "4"
+    code, report = run_json(capsys, ["--config", cfg, "--json", flag, value,
+                                     "h0"])
+    assert code == 0 and report["pass"]
+
+
+def test_env_read_on_every_run(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    for seed in ("5", "6"):
+        monkeypatch.setenv("GWADEFORM_SEED", seed)
+        code, report = run_json(capsys, ["--config", cfg, "--json", "h0"])
+        assert code == 0 and report["seed"] == int(seed)
+    code, report = run_json(capsys, ["--config", cfg, "--json", "--seed", "2",
+                                     "h0"])
+    assert report["seed"] == 2
+
+
+def test_star_and_deform_verify_at_order_12(tmp_path, capsys):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    x = json.dumps([{"p": 0, "q": 1, "c": "1"}])
+    z = json.dumps([{"p": 1, "q": 0, "c": "1"}])
+    code, report = run_json(
+        capsys, ["--config", cfg, "--json", "--order", "12", "star", x, z])
+    assert code == 0 and report["results"][0]["order"] == 12
+    series = report["results"][0]["series"]
+    assert len(series) == 13
+    assert series[:2] == [[{"p": 1, "q": 1, "c": "2"}],
+                          [{"p": 1, "q": 1, "c": "-2"}]]
+    assert all(s == [] for s in series[2:])
+    # the first Weyl algebra, [x, y] = 1
+    cfg = write_config(tmp_path, "1", "1", ["0", "1"])
+    code, report = run_json(
+        capsys, ["--config", cfg, "--json", "--order", "12", "deform-verify"])
+    assert code == 0 and report["pass"]
+    checks = [r["check"] for r in report["results"]]
+    assert "obstruction n=12" in checks
+    assert run(["--config", cfg, "--order", "17", "deform-verify"]) == 2
+    assert "between 1 and 16" in capsys.readouterr().err
+
+
+def _floats(value):
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [f for v in value for f in _floats(v)]
+    return []
+
+
+def _corpus_requests(path, rng):
+    """One argv tail per command and cohomology operation the config admits."""
+    params, _ = load_config(str(path))
+
+    def element(nterms=3):
+        return GwaElement(params, {
+            (rng.randint(0, 3), rng.randint(-2, 2)):
+            Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2]))
+            for _ in range(nterms)})
+
+    def js(obj):
+        return json.dumps(obj.to_json())
+
+    def cochain(module, degree):
+        return PerCochain(params, module, degree, tuple(
+            element(2) for _ in range(PerCochain.slots(degree))))
+
+    requests = [["mul", js(element()), js(element())], ["h0"],
+                ["--order", "3", "star", js(element()), js(element())]]
+    try:
+        bezout_for_phi(params.phi)
+        squarefree = True
+    except MultipleRootError:
+        squarefree = False
+    for name, make in (("plain", module_plain), ("nu", module_nu)):
+        module = make(params)
+        m = element()
+        requests.append(["cohomology", "f", js(m), "--module", name])
+        for degree in range(4):
+            requests.append(["cohomology", "diff", js(cochain(module, degree))])
+        if squarefree:
+            cocycle2 = per_diff(cochain(module, 1)) + f_map(m, params, module)
+            requests.append(["cohomology", "g", js(cocycle2)])
+            requests.append(["cohomology", "split2", js(cocycle2)])
+            requests.append(["cohomology", "contract3",
+                             js(per_diff(cochain(module, 2)))])
+    return requests
+
+
+def test_no_float_in_any_report(capsys):
+    assert _floats({"a": [1, "0.5", {"b": 0.5}]}) == [0.5]
+    rng = random.Random(19)
+    reports = 0
+    for k, path in enumerate(CORPUS):
+        requests = _corpus_requests(path, rng)
+        if k in (1, 7):
+            requests += [["check-algebra"], ["deform-verify"]]
+        for tail in requests:
+            code, report = run_json(capsys, ["--config", str(path), "--json",
+                                             *tail])
+            assert code == 0, (path.name, tail[:2])
+            assert _floats(report) == [], (path.name, tail[:2])
+            reports += 1
+    assert len(CORPUS) == 11 and reports > 150

@@ -62,22 +62,23 @@ def test_sigma_pow():
 
 
 def test_sigma_pow_memo_composes_once(monkeypatch):
+    # sigma_pow substitutes sigma^j(z) = c z + d through Poly.affine
     a = GwaParams(2, 3, Z + ONE)
     calls = []
-    compose = Poly.compose
+    affine = Poly.affine
 
-    def counted(h, other):
-        calls.append((h, other))
-        return compose(h, other)
+    def counted(h, c, d):
+        calls.append((h, c, d))
+        return affine(h, c, d)
 
-    monkeypatch.setattr(Poly, "compose", counted)
+    monkeypatch.setattr(Poly, "affine", counted)
     h = Z**2 - ONE
     first = a.sigma_pow(h, -2)
     assert a.sigma_pow(Poly(h.coeffs), -2) is first
-    assert first == compose(h, a.sigma_z(-2))
+    assert first == h.compose(a.sigma_z(-2))
     assert len(calls) == 1
-    # each (h, j) is its own entry; j = 0 and constants never compose
-    assert a.sigma_pow(h, 2) == compose(h, a.sigma_z(2))
+    # each (h, j) is its own entry; j = 0 and constants never substitute
+    assert a.sigma_pow(h, 2) == h.compose(a.sigma_z(2))
     assert a.sigma_pow(h, 0) is h and a.sigma_pow(ONE, 5) is ONE
     assert len(calls) == 2
 
@@ -175,6 +176,59 @@ def test_automorphism_validation():
         Automorphism(a, 1, 1, Poly.constant(2))  # not invertible
     # x -> cx, y -> y/c is always valid when z is fixed and phi unchanged
     Automorphism(a, 5, Fraction(1, 5), Z)
+
+
+def reference_automorphism_ok(a, x_scale, y_scale, z_image) -> bool:
+    """The former check: the four defining relations on the images, as elements."""
+    if z_image.degree != 1 or x_scale == 0 or y_scale == 0:
+        return False
+    X = x_scale * a.x()
+    Y = y_scale * a.y()
+    Zi = a.from_poly(z_image)
+    lam, eta = a.lam, a.eta
+    checks = [
+        X * Zi - (lam * Zi + eta * a.one()) * X,
+        Y * Zi - ((1 / lam) * Zi - (eta / lam) * a.one()) * Y,
+        Y * X - a.from_poly(a.phi.compose(z_image)),
+        X * Y - a.from_poly(a.phi_bar.compose(z_image)),
+    ]
+    return all(c.is_zero() for c in checks)
+
+
+def test_automorphism_check_matches_element_relations():
+    rng = random.Random(11)
+    small = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]
+    phis = [ONE, Z, Z - ONE, Z**2, Z**2 - ONE, Z**2 + ONE, Z**3 - Z,
+            Z * (Z - ONE), Poly.constant(3)]
+    agreed = valid = 0
+    for _ in range(3000):
+        lam = rng.choice([1, 1, 2, -1, Fraction(1, 2), 3])
+        eta = rng.choice([0, 0, 1, -1, 2])
+        phi = rng.choice(phis + [Poly([rng.choice(small) for _ in range(3)])])
+        if phi.is_zero():
+            continue
+        a = GwaParams(lam, eta, phi)
+        # candidates near the valid ones: c from few values, d solving the
+        # z-relation or random, a*b = 1, c^l or random
+        c = rng.choice([1, 1, -1, a.lam, 2, 0])
+        if a.lam != 1 and rng.random() < 0.7:
+            d = a.eta * (1 - c) / (1 - a.lam)
+        else:
+            d = rng.choice([0, 0] + small)
+        ab = rng.choice([1, 1, Fraction(c) ** max(a.l, 0), rng.choice(small)])
+        xs = rng.choice([s for s in small if s] + [0])
+        ys = ab / xs if xs and rng.random() < 0.8 else rng.choice(small)
+        z_image = Poly([d, c])
+        expect = reference_automorphism_ok(a, Fraction(xs), Fraction(ys), z_image)
+        try:
+            Automorphism(a, xs, ys, z_image)
+            got = True
+        except ValueError:
+            got = False
+        assert got == expect, (a, xs, ys, z_image)
+        agreed += 1
+        valid += got
+    assert agreed > 2900 and 100 < valid < agreed - 1000
 
 
 def test_bimodule_act():

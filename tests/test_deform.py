@@ -42,7 +42,7 @@ def test_build_star_errors():
     with pytest.raises(ValueError):
         build_star(GwaParams(2, 0, Z), 0)
     with pytest.raises(ValueError):
-        build_star(GwaParams(2, 0, Z), 9)
+        build_star(GwaParams(2, 0, Z), 17)
 
 
 def test_star_examples():
@@ -62,6 +62,19 @@ def test_star_examples():
         u = random_element(rng, a, 4)
         assert star(sp, u, a.one()) == lift(a, u, 3)
         assert star(sp, a.one(), u) == lift(a, u, 3)
+
+
+def test_star_order_12():
+    # above the former cap of 8: the order-8 series is a prefix, and the
+    # truncated product still associates and satisfies the relations
+    rng = random.Random(12)
+    for a in (GwaParams(2, 0, Z**2 - ONE), GwaParams(1, 1, Z)):
+        sp, sp8 = build_star(a, 12), build_star(a, 8)
+        for _ in range(3):
+            u, v, w = (random_element(rng, a, a.l + 2, 2) for _ in range(3))
+            assert star(sp, u, v).coefficients[:9] == star(sp8, u, v).coefficients
+            assert check_assoc(sp, u, v, w).is_zero()
+        assert all(r.is_zero() for r in check_relations(sp).values())
 
 
 def test_quantum_datum_example():

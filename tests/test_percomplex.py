@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from gwadeform import percomplex
 from gwadeform.core import (
     GwaParams,
     LegMap,
     apply_automorphism,
     basis_window,
+    bimodule_act,
     module_nu,
     module_plain,
     nakayama,
@@ -16,6 +18,7 @@ from gwadeform.errors import NotCocycleError
 from gwadeform.homology import commutator_span
 from gwadeform.percomplex import (
     PerCochain,
+    _Ops,
     contract3,
     f_map,
     g_map,
@@ -236,3 +239,42 @@ def test_connecting_deltas_built_once_per_algebra(monkeypatch):
     assert built > 0 and len(a._delta_cache) == 4
     assert [per_diff(c) for c in cochains] == first
     assert len(applied) == built
+
+
+class ReferenceOps(_Ops):
+    """The former one-sided actions a . m . 1 and 1 . m . a, via bimodule_act."""
+
+    def l(self, a, m):
+        return bimodule_act(self.mod, a, m, self.a.one())
+
+    def r(self, m, a):
+        return bimodule_act(self.mod, self.a.one(), m, a)
+
+
+def test_maps_match_bimodule_act_reference(monkeypatch):
+    rng = random.Random(43)
+    cases = []
+    for a in full_corpus():
+        bez = bezout_for_phi(a.phi) if bezout_is_ok(a) else None
+        for mod in (module_plain(a), module_nu(a)):
+            cochains = [random_cochain(rng, a, mod, d, window=3)
+                        for d in range(4)]
+            m = random_element(rng, a, 3)
+            cases.append((a, mod, bez, cochains, m))
+
+    def evaluate():
+        out = []
+        for a, mod, bez, cochains, m in cases:
+            row = [per_diff(c) for c in cochains] + [f_map(m, a, mod)]
+            if bez is not None:
+                cocycle2 = per_diff(cochains[1]) + f_map(m, a, mod)
+                row += [g_map(cocycle2, bez),
+                        contract3(per_diff(cochains[2]), bez),
+                        split2(cocycle2, bez)]
+            out.append(row)
+        return out
+
+    got = evaluate()
+    monkeypatch.setattr(percomplex, "_Ops", ReferenceOps)
+    assert evaluate() == got
+    assert len(cases) == 22 and sum(len(row) == 8 for row in got) == 18

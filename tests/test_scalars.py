@@ -56,6 +56,16 @@ def test_compose_and_eval():
     assert p(3) == 8
 
 
+nonzero_fracs = small_fracs.filter(bool)
+
+
+@given(small_polys, st.one_of(st.just(Fraction(1)), nonzero_fracs),
+       st.one_of(st.just(Fraction(0)), small_fracs))
+def test_affine_matches_compose(h, c, d):
+    # the general Horner composition is the reference for h(c z + d)
+    assert h.affine(c, d) == h.compose(Poly([d, c]))
+
+
 def test_derivative_examples():
     assert (Z**2 - Poly.one()).derivative() == 2 * Z
     assert Poly.one().derivative().is_zero()
