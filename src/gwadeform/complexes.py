@@ -27,8 +27,6 @@ from .core import (
 )
 from .scalars import Poly
 
-_ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # The complex C
@@ -161,54 +159,36 @@ def _c_index_set(params: GwaParams, degree: int, window: int):
     return out
 
 
-def _c_to_vector(e: CElement, index) -> list:
-    pos = {k: n for n, k in enumerate(index)}
-    vec = [_ZERO] * len(index)
-    for s, comp in enumerate(e.components):
-        for (q, j), b in comp.terms.items():
-            for m, c in enumerate(b.coeffs):
-                if c == 0:
-                    continue
-                key = (s, q, m, j)
-                if key not in pos:
-                    raise ValueError(f"standard monomial {key} outside the window")
-                vec[pos[key]] = c
-    return vec
-
-
-def _c_from_vector(params: GwaParams, degree: int, index, vec) -> CElement:
-    comps = [{} for _ in range(1 if degree == 0 else 2)]
-    for (s, q, m, j), c in zip(index, vec):
-        if c:
-            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
-    return CElement(degree, tuple(StandardTensor(params, t) for t in comps))
+def _c_terms(e: CElement) -> dict:
+    return {(s, q, m, j): c for s, comp in enumerate(e.components)
+            for (q, j), b in comp.terms.items()
+            for m, c in enumerate(b.coeffs) if c}
 
 
 def c_solve_preimage(i: int, target: CElement, window: int):
     """Find e in C_{i+1} with d_{i+1}(e) = target by an exact windowed solve.
 
-    Returns None when the truncated system is inconsistent.
+    The unknowns are the standard monomials of C_{i+1} in the window plus
+    l + 1.  Returns None when the truncated system is inconsistent.
     """
     params = target.algebra
     if i >= 1 and not c_diff(i, target).is_zero():
         raise ValueError("target is not a cycle")
-    src_window = window + params.l + 1
-    tgt_window = src_window + 2 * (params.l + 1)
-    src_index = _c_index_set(params, i + 1, src_window)
-    tgt_index = _c_index_set(params, i, tgt_window)
-    cols = []
+    src_index = _c_index_set(params, i + 1, window + params.l + 1)
+    zero = c_zero(params, i + 1).components
+    columns = []
     for (s, q, m, j) in src_index:
-        basis = c_zero(params, i + 1)
-        comps = list(basis.components)
+        comps = list(zero)
         comps[s] = StandardTensor(params, {(q, j): Poly.monomial(m)})
-        cols.append(_c_to_vector(c_diff(i + 1, CElement(i + 1, tuple(comps))),
-                                 tgt_index))
-    matrix = [[cols[c][r] for c in range(len(cols))] for r in range(len(tgt_index))]
-    rhs = _c_to_vector(target, tgt_index)
-    sol = linalg.solve(matrix, rhs)
+        columns.append(_c_terms(c_diff(i + 1, CElement(i + 1, tuple(comps)))))
+    sol = linalg.solve_many(columns, [_c_terms(target)])[0]
     if sol is None:
         return None
-    return _c_from_vector(params, i + 1, src_index, sol)
+    comps = [{} for _ in zero]
+    for (s, q, m, j), c in zip(src_index, sol):
+        if c:
+            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
+    return CElement(i + 1, tuple(StandardTensor(params, t) for t in comps))
 
 
 # ---------------------------------------------------------------------------

@@ -327,20 +327,6 @@ class GwaElement(LinComb):
             terms[(p, q)] = rat(rec["c"])
         return GwaElement(algebra, terms)
 
-    def to_vector(self, window: list) -> list[Fraction]:
-        """Coordinates with respect to an explicit (p, q) basis list."""
-        idx = {pq: i for i, pq in enumerate(window)}
-        vec = [_ZERO] * len(window)
-        for pq, c in self.terms.items():
-            if pq not in idx:
-                raise ValueError(f"monomial {pq} outside the window")
-            vec[idx[pq]] = c
-        return vec
-
-    @staticmethod
-    def from_vector(algebra: GwaParams, window: list, vec) -> "GwaElement":
-        return GwaElement(algebra, dict(zip(window, vec)))
-
 
 def _multiply_into(alg: GwaParams, out: dict, u_terms: dict, v_terms: dict,
                    c=None) -> dict:

@@ -42,8 +42,6 @@ from .errors import CommutativeAlgebraError, MixedCaseError
 from .linalg import Echelon
 from .scalars import Poly, resultant_power_map, squarefree_part
 
-_ZERO = Fraction(0)
-
 
 class TruncatedSubspace:
     """Windowed span of single-column vectors, echelonized per column."""
@@ -53,26 +51,20 @@ class TruncatedSubspace:
         self.window = window
         self.columns: dict[int, Echelon] = {}
 
-    def _column_dim(self, q: int) -> int:
-        return self.window - (self.params.l + 1) * abs(q) + 1
-
     def _column(self, q: int) -> Echelon:
         ech = self.columns.get(q)
         if ech is None:
-            ech = Echelon(self._column_dim(q))
+            ech = Echelon()
             self.columns[q] = ech
         return ech
 
-    def _split(self, u: GwaElement) -> dict[int, list]:
-        parts: dict[int, list] = {}
+    def _split(self, u: GwaElement) -> dict[int, dict]:
+        """The x-columns of u as sparse z-coefficient vectors {p: c}."""
+        parts: dict[int, dict] = {}
         for (p, q), c in u.terms.items():
             if self.params.weight(p, q) > self.window:
                 raise ValueError("element outside the window")
-            vec = parts.get(q)
-            if vec is None:
-                vec = [_ZERO] * self._column_dim(q)
-                parts[q] = vec
-            vec[p] = c
+            parts.setdefault(q, {})[p] = c
         return parts
 
     def add(self, u: GwaElement) -> bool:
@@ -104,8 +96,7 @@ class TruncatedSubspace:
         if window < self.window:
             raise ValueError("cannot copy into a narrower window")
         out = TruncatedSubspace(self.params, window)
-        for q, ech in self.columns.items():
-            out.columns[q] = ech.widened(out._column_dim(q))
+        out.columns = {q: ech.copy() for q, ech in self.columns.items()}
         return out
 
     def subset_of(self, other: "TruncatedSubspace") -> bool:

@@ -1,15 +1,22 @@
 """Exact rational linear algebra: one sparse row reducer for solves,
 incremental spans and determinants.
 
-Matrices come in dense (lists of Fraction rows) and results go out dense,
-but elimination works on sparse rows: a row is a dict {column: Fraction}
-that never stores a zero.  A reduced table {pivot column: row} holds rows
-that are normalized (1 at their pivot, the smallest column they touch) and
-zero at every other row's pivot.  `_reduce` subtracts from a row its
-components along the table; `_insert` adds the remainder as a new table
-row and back-substitutes it into the old ones, so the table stays fully
-reduced and one pass of `_reduce` always suffices.  `Echelon`,
-`solve_many` and `determinant` are all written on these two helpers.
+Everything comes in sparse.  A sparse vector is a dict {key: Fraction}
+that never stores a zero (a term dict of the package, flattened by its
+caller).  Elimination works on rows of that form: a reduced table
+{pivot key: row} holds rows that are normalized (1 at their pivot, the
+smallest key they touch) and zero at every other row's pivot.  `_reduce`
+subtracts from a row its components along the table; `_insert` adds the
+remainder as a new table row and back-substitutes it into the old ones, so
+the table stays fully reduced and one pass of `_reduce` always suffices.
+`Echelon`, `solve_many` and `determinant` are all written on these two
+helpers.
+
+Key order.  Keys that become pivots must be mutually comparable: those of
+`Echelon` vectors, whose order fixes the basis in `Echelon.rows`, and the
+columns of `determinant`.  `solve_many` numbers its unknowns by their
+position in the list of images, and that order fixes the solution; its
+row keys need only be hashable, since the row order changes nothing.
 
 Which solution `solve_many` returns.  The pivot columns of a row space's
 reduced echelon basis are unique: they are the leading columns of its
@@ -19,17 +26,15 @@ order, and for a consistent b there is exactly one solution that is zero
 on the free (non-pivot) columns.  That solution, the RREF one that dense
 Gauss-Jordan elimination returns, is the one given here.  A row of the
 table whose pivot lies among the right-hand-side columns has a zero
-A-part; the right-hand sides it touches are inconsistent.
+A-part; the right-hand sides it touches are inconsistent.  So is a
+right-hand side with a key that no image touches: its row has no
+unknowns.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
 _ZERO = Fraction(0)
-
-
-def _sparse(vec: list[Fraction]) -> dict[int, Fraction]:
-    return {c: a for c, a in enumerate(vec) if a}
 
 
 def _reduce(row: dict, table: dict) -> dict:
@@ -70,26 +75,23 @@ def _insert(table: dict, row: dict):
     return p, lead
 
 
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]):
-    """One solution of A·x = rhs, or None if inconsistent."""
-    sols = solve_many(matrix, [rhs])
-    return sols[0]
-
-
-def solve_many(matrix: list[list[Fraction]], rhss: list[list[Fraction]]):
+def solve_many(columns: list[dict], rhss: list[dict]):
     """Solve A·x = b for several right-hand sides with one elimination.
 
-    Returns a list (one entry per rhs) of solution vectors or None; each
-    solution is the RREF one, zero on the free columns.
+    ``columns[c]`` is the sparse image of unknown c (column c of A) and
+    each right-hand side is a sparse vector over the same row keys.
+    Returns a list (one entry per rhs) of solution lists of length
+    ``len(columns)`` or None; each solution is the RREF one, zero on the
+    free columns.
     """
-    ncols = len(matrix[0]) if matrix else 0
+    ncols = len(columns)
+    rows: dict = {}
+    for c, image in enumerate(columns + rhss):
+        for key, a in image.items():
+            rows.setdefault(key, {})[c] = a
     table: dict[int, dict[int, Fraction]] = {}
-    for i, row in enumerate(matrix):
-        aug = _sparse(row)
-        for t, rhs in enumerate(rhss):
-            if rhs[i]:
-                aug[ncols + t] = rhs[i]
-        _insert(table, aug)
+    for row in rows.values():
+        _insert(table, row)
     inconsistent = {c for p, row in table.items() if p >= ncols for c in row}
     results = []
     for t in range(len(rhss)):
@@ -105,8 +107,8 @@ def solve_many(matrix: list[list[Fraction]], rhss: list[list[Fraction]]):
     return results
 
 
-def determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square matrix, from the reducer.
+def determinant(rows: list[dict]) -> Fraction:
+    """Determinant of a square matrix given by sparse rows {column: value}.
 
     Row i reduces, against the rows before it, to a remainder that is zero
     at their pivots p_1 .. p_{i-1} and before its own pivot p_i.  Taking
@@ -117,8 +119,8 @@ def determinant(matrix: list[list[Fraction]]) -> Fraction:
     table: dict[int, dict[int, Fraction]] = {}
     pivots = []
     det = Fraction(1)
-    for row in matrix:
-        got = _insert(table, _sparse(row))
+    for row in rows:
+        got = _insert(table, row)
         if got is None:
             return _ZERO
         pivots.append(got[0])
@@ -128,28 +130,25 @@ def determinant(matrix: list[list[Fraction]]) -> Fraction:
 
 
 class Echelon:
-    """An incrementally built reduced echelon basis of a subspace of Q^n.
+    """An incrementally built reduced echelon basis of a span of sparse
+    vectors, kept as the table ``rows`` {pivot key: normalized row}."""
 
-    Vectors come in as dense lists of length ``ncols``; the basis is kept
-    as the sparse table ``rows`` {pivot column: normalized row}.
-    """
+    def __init__(self):
+        self.rows: dict = {}
 
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: dict[int, dict[int, Fraction]] = {}
-
-    def add(self, vec: list[Fraction]) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert a vector; return True if it enlarged the span."""
-        return _insert(self.rows, _sparse(vec)) is not None
+        return _insert(self.rows, vec) is not None
 
-    def widened(self, ncols: int) -> "Echelon":
-        """The same span in Q^ncols (ncols >= self.ncols)."""
-        out = Echelon(ncols)
+    def copy(self) -> "Echelon":
+        """An independent copy: table rows are replaced, never mutated, so
+        the two may share them."""
+        out = Echelon()
         out.rows = dict(self.rows)
         return out
 
-    def contains(self, vec: list[Fraction]) -> bool:
-        return not _reduce(_sparse(vec), self.rows)
+    def contains(self, vec: dict) -> bool:
+        return not _reduce(vec, self.rows)
 
     @property
     def rank(self) -> int:

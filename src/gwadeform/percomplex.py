@@ -207,15 +207,17 @@ def _alpha_beta(params: GwaParams, bez: BezoutPair):
     return alpha, beta, sbeta
 
 
+def _g(ops: _Ops, c: PerCochain, alpha, beta, sbeta) -> GwaElement:
+    m1, _, m3, m4 = c.components
+    return (ops.il * ops.r(m1, alpha * ops.y)
+            + ops.r(m3, beta) - ops.il * ops.r(m4, sbeta))
+
+
 def g_map(c: PerCochain, bez: BezoutPair) -> GwaElement:
     """g(m1, m2, m3, m4) = lam^{-1} m1 alpha y + m3 beta - lam^{-1} m4 sigma(beta)."""
     if c.degree != 2 or not is_cocycle(c):
         raise NotCocycleError("g is defined on degree-2 cocycles")
-    ops = _Ops(c.params, c.module)
-    alpha, beta, sbeta = _alpha_beta(c.params, bez)
-    m1, _, m3, m4 = c.components
-    return (ops.il * ops.r(m1, alpha * ops.y)
-            + ops.r(m3, beta) - ops.il * ops.r(m4, sbeta))
+    return _g(_Ops(c.params, c.module), c, *_alpha_beta(c.params, bez))
 
 
 def contract3(c: PerCochain, bez: BezoutPair) -> PerCochain:
@@ -254,7 +256,7 @@ def split2(c: PerCochain, bez: BezoutPair):
     n3 = -ops.r(ops.act(dsD_l, m1), beta)
     n4 = (ops.r(m3, alpha * ops.y)
           - ops.lam * ops.r(ops.act(d_sD, m2), sbeta))
-    n2 = g_map(c, bez)
+    n2 = _g(ops, c, alpha, beta, sbeta)
     u = PerCochain(params, mod, 1, (n1, n3, n4))
     return u, n2
 
@@ -263,41 +265,32 @@ def split2(c: PerCochain, bez: BezoutPair):
 # Windowed coboundary solve
 # ---------------------------------------------------------------------------
 
-def _to_vector(c: PerCochain, window_list) -> list:
-    vec = []
-    for comp in c.components:
-        vec.extend(comp.to_vector(window_list))
-    return vec
+def _terms(c: PerCochain) -> dict:
+    return {(slot, pq): v for slot, comp in enumerate(c.components)
+            for pq, v in comp.terms.items()}
 
 
 def per_solve_preimage(target: PerCochain, window: int):
     """Search a degree-(n-1) cochain u with per_diff(u) = target.
 
-    The search space is truncated to the filtration window; the target is
-    compared inside an enlarged window.  Returns u or None (a None at a
-    given window is one-sided evidence, not a proof of non-exactness).
+    The unknowns are the coefficients of u on the window, one per slot and
+    basis monomial; a target term that no column reaches leaves the system
+    inconsistent.  Returns u or None (a None at a given window is one-sided
+    evidence, not a proof of non-exactness).
     """
     params, mod = target.params, target.module
     n = target.degree
     if n < 1:
         raise ValueError("target degree must be >= 1")
-    src_basis = basis_window(params, window)
-    tgt_window = window + 2 * (params.l + 1)
-    tgt_basis = basis_window(params, tgt_window)
     nslots = PerCochain.slots(n - 1)
+    index = [(slot, pq) for slot in range(nslots)
+             for pq in basis_window(params, window)]
     columns = []
-    index = []
-    for slot in range(nslots):
-        for pq in src_basis:
-            comps = [params.zero()] * nslots
-            comps[slot] = params.monomial(*pq)
-            u = PerCochain(params, mod, n - 1, tuple(comps))
-            columns.append(_to_vector(per_diff(u), tgt_basis))
-            index.append((slot, pq))
-    rhs = _to_vector(target, tgt_basis)
-    nrows = len(rhs)
-    matrix = [[columns[c][r] for c in range(len(columns))] for r in range(nrows)]
-    sol = linalg.solve(matrix, rhs)
+    for slot, pq in index:
+        comps = [params.zero()] * nslots
+        comps[slot] = params.monomial(*pq)
+        columns.append(_terms(per_diff(PerCochain(params, mod, n - 1, tuple(comps)))))
+    sol = linalg.solve_many(columns, [_terms(target)])[0]
     if sol is None:
         return None
     comps = [{} for _ in range(nslots)]

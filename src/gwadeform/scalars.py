@@ -299,14 +299,10 @@ def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
         return f.lead**n
     if n == 0:
         return g.lead**m
-    size = m + n
-    rows = []
     fc = [f[m - k] for k in range(m + 1)]
     gc = [g[n - k] for k in range(n + 1)]
-    for i in range(n):
-        rows.append([_ZERO] * i + fc + [_ZERO] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([_ZERO] * i + gc + [_ZERO] * (size - n - 1 - i))
+    rows = [{i + k: c for k, c in enumerate(fc) if c} for i in range(n)]
+    rows += [{i + k: c for k, c in enumerate(gc) if c} for i in range(m)]
     return determinant(rows)
 
 

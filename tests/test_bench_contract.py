@@ -61,16 +61,21 @@ def test_commutator_span_window_is_third_positional():
 
 
 def test_linalg_entry_points_the_tracer_reads():
-    # linalg.solve.cells/nnz read args[0] of solve_many as a dense list of
-    # lists; linalg.echelon.add.grew counts truthy results of Echelon.add
+    # linalg.solve.cells/nnz read args[0] of solve_many: a list of sparse
+    # images, one per unknown, so cells is unknowns x len(first image) and
+    # nnz counts the keys of all images (the package's keys are tuples,
+    # never 0); linalg.echelon.add.grew counts truthy results of Echelon.add
     one, two = Fraction(1), Fraction(2)
-    assert solve_many([[one, 0], [0, two]], [[one, two], [two, 0]]) == [
+    columns = [{(0,): one}, {(1,): two}]
+    assert solve_many(columns, [{(0,): one, (1,): two}, {(0,): two}]) == [
         [one, one], [two, 0]]
-    ech = Echelon(2)
-    assert ech.add([one, two]) is True
-    assert ech.add([two, 2 * two]) is False
-    wide = ech.widened(3)
-    assert isinstance(wide, Echelon) and wide.rank == 1
+    assert len(columns) * len(columns[0]) == 2
+    assert sum(1 for row in columns for v in row if v != 0) == 2
+    ech = Echelon()
+    assert ech.add({0: one, 1: two}) is True
+    assert ech.add({0: two, 1: 2 * two}) is False
+    copy = ech.copy()
+    assert isinstance(copy, Echelon) and copy.rank == 1
 
 
 def test_check_obstruction_reports_int_triples():

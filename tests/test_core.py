@@ -323,12 +323,3 @@ def test_serialization_roundtrip():
     data = u.to_json()
     assert data == sorted(data, key=lambda r: (r["q"], r["p"]))
     assert GwaElement.from_json(a, data) == u
-
-
-def test_vector_roundtrip():
-    a = GwaParams(1, 1, Z)
-    w = basis_window(a, 4)
-    u = a.monomial(2, 1, 5) + a.monomial(0, 0, Fraction(-1, 3))
-    assert GwaElement.from_vector(a, w, u.to_vector(w)) == u
-    with pytest.raises(ValueError):
-        a.monomial(9, 9).to_vector(w)

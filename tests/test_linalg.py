@@ -2,9 +2,12 @@
 
 `dense_solve_many`, `DenseEchelon` and `dense_sylvester_determinant` are
 the former dense Gauss-Jordan solve, the former dense incremental echelon
-basis and the former inline Sylvester determinant, kept as references.
-The sparse solver must return the very same solution vectors (the RREF
-ones), not merely valid ones.
+basis and the former inline Sylvester determinant, kept as references;
+`dense_per_solve_preimage` and `dense_c_solve_preimage` are the former
+preimage searches, which built dense columns over an explicit target basis.
+Dense inputs are made sparse at the test boundary.  The sparse solver must
+return the very same solution vectors (the RREF ones), not merely valid
+ones, and the preimage searches the very same preimages.
 """
 import random
 from fractions import Fraction
@@ -14,8 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwadeform import linalg
-from gwadeform.complexes import c_diff, c_element, c_solve_preimage
-from gwadeform.core import module_nu, module_plain
+from gwadeform.complexes import (
+    CElement,
+    StandardTensor,
+    _c_index_set,
+    c_diff,
+    c_element,
+    c_solve_preimage,
+    c_zero,
+)
+from gwadeform.core import GwaElement, _accumulate, basis_window, module_nu, module_plain
 from gwadeform.linalg import Echelon, determinant, solve_many
 from gwadeform.percomplex import PerCochain, f_map, per_diff, per_solve_preimage
 from gwadeform.scalars import Poly, sylvester_resultant
@@ -150,18 +161,113 @@ def matvec(matrix, x):
     return [sum((a * b for a, b in zip(row, x)), _ZERO) for row in matrix]
 
 
+def sparse(vec):
+    return {c: a for c, a in enumerate(vec) if a}
+
+
+def sparse_columns(matrix):
+    """The columns of a dense matrix as sparse images over row indices."""
+    ncols = len(matrix[0]) if matrix else 0
+    return [{r: row[c] for r, row in enumerate(matrix) if row[c]}
+            for c in range(ncols)]
+
+
+def densify(columns, rhss):
+    """The dense matrix and right-hand sides of a sparse system."""
+    keys = list(dict.fromkeys(k for v in columns + rhss for k in v))
+    matrix = [[col.get(k, _ZERO) for col in columns] for k in keys]
+    return matrix, [[b.get(k, _ZERO) for k in keys] for b in rhss]
+
+
+def dense_vector(terms, basis):
+    """Coordinates of a term dict on an explicit key list."""
+    pos = {k: n for n, k in enumerate(basis)}
+    vec = [_ZERO] * len(basis)
+    for k, c in terms.items():
+        if k not in pos:
+            raise ValueError(f"monomial {k} outside the window")
+        vec[pos[k]] = c
+    return vec
+
+
+def dense_per_solve_preimage(target, window):
+    """Reference: the former per_solve_preimage, dense columns over the
+    target basis at window + 2(l + 1)."""
+    params, mod = target.params, target.module
+    n = target.degree
+    src_basis = basis_window(params, window)
+    tgt_basis = basis_window(params, window + 2 * (params.l + 1))
+
+    def to_vector(c):
+        vec = []
+        for comp in c.components:
+            vec.extend(dense_vector(comp.terms, tgt_basis))
+        return vec
+
+    nslots = PerCochain.slots(n - 1)
+    columns = []
+    index = []
+    for slot in range(nslots):
+        for pq in src_basis:
+            comps = [params.zero()] * nslots
+            comps[slot] = params.monomial(*pq)
+            u = PerCochain(params, mod, n - 1, tuple(comps))
+            columns.append(to_vector(per_diff(u)))
+            index.append((slot, pq))
+    rhs = to_vector(target)
+    matrix = [[col[r] for col in columns] for r in range(len(rhs))]
+    sol = dense_solve_many(matrix, [rhs])[0]
+    if sol is None:
+        return None
+    comps = [{} for _ in range(nslots)]
+    for (slot, pq), coeff in zip(index, sol):
+        _accumulate(comps[slot], {pq: coeff})
+    return PerCochain(params, mod, n - 1,
+                      tuple(GwaElement(params, t) for t in comps))
+
+
+def dense_c_solve_preimage(i, target, window):
+    """Reference: the former c_solve_preimage, dense columns over the
+    standard basis of C_i at the source window + 2(l + 1)."""
+    params = target.algebra
+    src_window = window + params.l + 1
+    src_index = _c_index_set(params, i + 1, src_window)
+    tgt_index = _c_index_set(params, i, src_window + 2 * (params.l + 1))
+
+    def to_vector(e):
+        terms = {(s, q, m, j): c for s, comp in enumerate(e.components)
+                 for (q, j), b in comp.terms.items()
+                 for m, c in enumerate(b.coeffs) if c}
+        return dense_vector(terms, tgt_index)
+
+    cols = []
+    for (s, q, m, j) in src_index:
+        comps = list(c_zero(params, i + 1).components)
+        comps[s] = StandardTensor(params, {(q, j): Poly.monomial(m)})
+        cols.append(to_vector(c_diff(i + 1, CElement(i + 1, tuple(comps)))))
+    matrix = [[col[r] for col in cols] for r in range(len(tgt_index))]
+    sol = dense_solve_many(matrix, [to_vector(target)])[0]
+    if sol is None:
+        return None
+    comps = [{}, {}]
+    for (s, q, m, j), c in zip(src_index, sol):
+        if c:
+            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
+    return CElement(i + 1, tuple(StandardTensor(params, t) for t in comps))
+
+
 # ---------------------------------------------------------------------------
 # The systems the preimage solvers build over the corpus
 # ---------------------------------------------------------------------------
 
 def captured(monkeypatch, build):
-    """The (matrix, rhss) of every solve_many call made by build()."""
+    """The (columns, rhss) of every solve_many call made by build()."""
     systems = []
     real = linalg.solve_many
 
-    def record(matrix, rhss):
-        systems.append((matrix, rhss))
-        return real(matrix, rhss)
+    def record(columns, rhss):
+        systems.append((columns, rhss))
+        return real(columns, rhss)
 
     monkeypatch.setattr(linalg, "solve_many", record)
     build()
@@ -186,24 +292,39 @@ def c_targets(a, rng):
         yield i, c_diff(i + 1, c_element(a, i + 1, *pairs))
 
 
+def corpus_solves(a, rng):
+    """The 8 preimage searches on one algebra, with their dense references."""
+    for target, window in per_targets(a, rng):
+        yield per_solve_preimage, dense_per_solve_preimage, (target, window)
+    for i, target in c_targets(a, rng):
+        yield c_solve_preimage, dense_c_solve_preimage, (i, target, 2)
+
+
 def test_corpus_systems_match_dense(monkeypatch):
     rng = random.Random(7)
     outcomes = set()
     for a in full_corpus():
-        def build():
-            for target, window in per_targets(a, rng):
-                per_solve_preimage(target, window)
-            for i, target in c_targets(a, rng):
-                c_solve_preimage(i, target, 2)
-
-        systems = captured(monkeypatch, build)
+        solves = list(corpus_solves(a, rng))
+        systems = captured(monkeypatch,
+                           lambda: [solve(*args) for solve, _, args in solves])
         assert len(systems) == 8
-        for matrix, rhss in systems:
-            got = solve_many(matrix, rhss)
-            assert got == dense_solve_many(matrix, rhss)
+        for columns, rhss in systems:
+            got = solve_many(columns, rhss)
+            assert got == dense_solve_many(*densify(columns, rhss))
             outcomes.update(x is None for x in got)
     # both consistent and inconsistent systems were compared
     assert outcomes == {True, False}
+
+
+def test_preimages_match_dense_column_builders():
+    # the column order fixes which RREF solution comes back
+    rng = random.Random(7)
+    count = 0
+    for a in full_corpus():
+        for solve, dense, args in corpus_solves(a, rng):
+            assert solve(*args) == dense(*args), (a, solve.__name__)
+            count += 1
+    assert count == 88
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +359,7 @@ def test_random_systems_match_dense(data):
             rhss.append(matvec(matrix, x0))
         else:
             rhss.append(data.draw(st.lists(rationals, min_size=nrows, max_size=nrows)))
-    got = solve_many(matrix, rhss)
+    got = solve_many(sparse_columns(matrix), [sparse(b) for b in rhss])
     assert got == dense_solve_many(matrix, rhss)
     for b, x in zip(rhss, got):
         if x is not None:
@@ -249,9 +370,17 @@ def test_inconsistent_and_consistent_rhs_together():
     matrix = [[_ONE, _ONE], [Fraction(2), Fraction(2)], [_ZERO, _ONE]]
     good = [Fraction(3), Fraction(6), _ONE]
     bad = [_ONE, _ONE, _ONE]
-    assert solve_many(matrix, [good, bad, good]) == [[Fraction(2), _ONE], None,
-                                                     [Fraction(2), _ONE]]
-    assert solve_many([], [[]]) == dense_solve_many([], [[]]) == [[]]
+    got = solve_many(sparse_columns(matrix), [sparse(good), sparse(bad), sparse(good)])
+    assert got == [[Fraction(2), _ONE], None, [Fraction(2), _ONE]]
+    assert solve_many([], [{}]) == dense_solve_many([], [[]]) == [[]]
+
+
+def test_row_keys_need_only_be_hashable():
+    columns = [{"a": _ONE, (0, 1): _ONE}, {(0, 1): _ONE, 2: _ONE}]
+    two = Fraction(2)
+    assert solve_many(columns, [{"a": _ONE, (0, 1): Fraction(3), 2: two}]) == [[_ONE, two]]
+    # a key no image touches is an equation without unknowns
+    assert solve_many(columns, [{"a": _ONE, "b": _ONE}, {}]) == [None, [_ZERO, _ZERO]]
 
 
 @settings(max_examples=100, deadline=None)
@@ -260,35 +389,35 @@ def test_echelon_matches_dense(data):
     ncols = data.draw(st.integers(1, 7))
     vec = st.lists(st.one_of(st.just(_ZERO), rationals),
                    min_size=ncols, max_size=ncols)
-    sparse, dense = Echelon(ncols), DenseEchelon(ncols)
+    ech, dense = Echelon(), DenseEchelon(ncols)
     for v in data.draw(st.lists(vec, max_size=8)):
-        assert sparse.add(v) == dense.add(v)
-        assert sparse.rank == dense.rank
+        assert ech.add(sparse(v)) == dense.add(v)
+        assert ech.rank == dense.rank
+    # the same fully reduced basis
+    assert ech.rows == {p: sparse(row) for p, row in zip(dense.pivots, dense.rows)}
     probes = data.draw(st.lists(vec, max_size=4))
     for v in probes:
-        assert sparse.contains(v) == dense.contains(v)
-    for row in dense.rows:
-        assert sparse.contains(row)
+        assert ech.contains(sparse(v)) == dense.contains(v)
     wide = ncols + data.draw(st.integers(0, 3))
-    sparse, dense = sparse.widened(wide), dense.widened(wide)
-    assert sparse.ncols == wide and sparse.rank == dense.rank
+    ech, dense = ech.copy(), dense.widened(wide)
+    assert ech.rank == dense.rank
     wvec = st.lists(st.one_of(st.just(_ZERO), rationals), min_size=wide, max_size=wide)
     for v in probes:
         padded = v + [_ZERO] * (wide - ncols)
-        assert sparse.contains(padded) == dense.contains(padded)
+        assert ech.contains(sparse(padded)) == dense.contains(padded)
     for v in data.draw(st.lists(wvec, max_size=4)):
-        assert sparse.add(v) == dense.add(v)
-        assert sparse.rank == dense.rank
-        assert sparse.contains(v)
+        assert ech.add(sparse(v)) == dense.add(v)
+        assert ech.rank == dense.rank
+        assert ech.contains(sparse(v))
 
 
-def test_widened_leaves_the_original_alone():
-    ech = Echelon(2)
-    assert ech.add([_ONE, _ONE])
-    wide = ech.widened(3)
-    assert wide.add([_ZERO, _ONE, _ZERO])
-    assert (ech.rank, wide.rank) == (1, 2)
-    assert not ech.contains([_ZERO, _ONE])
+def test_copy_leaves_the_original_alone():
+    ech = Echelon()
+    assert ech.add({0: _ONE, 1: _ONE})
+    copy = ech.copy()
+    assert copy.add({1: _ONE})
+    assert (ech.rank, copy.rank) == (1, 2)
+    assert not ech.contains({1: _ONE})
     assert ech.rows == {0: {0: _ONE, 1: _ONE}}
 
 
@@ -310,7 +439,7 @@ def test_determinant_matches_permutation_expansion(data):
         for i, c in enumerate(perm):
             term *= m[i][c]
         expected += term
-    assert determinant(m) == expected
+    assert determinant([sparse(row) for row in m]) == expected
 
 
 polys = st.lists(rationals, min_size=1, max_size=5).map(Poly)

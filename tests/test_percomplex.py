@@ -194,6 +194,27 @@ def test_split2():
                 assert n2 == g_map(c, bez)
 
 
+def test_split2_computes_per_diff_once(monkeypatch):
+    a = GwaParams(2, 0, Z**2 - ONE)
+    bez = bezout_for_phi(a.phi)
+    mod = module_nu(a)
+    c = per_diff(random_cochain(random.Random(3), a, mod, 1, window=3)) \
+        + f_map(a.z(), a, mod)
+    calls = []
+    real = percomplex.per_diff
+
+    def counted(cochain):
+        calls.append(cochain.degree)
+        return real(cochain)
+
+    monkeypatch.setattr(percomplex, "per_diff", counted)
+    split2(c, bez)
+    assert calls == [2]
+    calls.clear()
+    g_map(c, bez)
+    assert calls == [2]
+
+
 def test_per_solve_preimage():
     a = GwaParams(1, 1, Z)
     mod = module_plain(a)
@@ -207,6 +228,17 @@ def test_per_solve_preimage():
     c = twisted_commutator(a, a.x(), a.z())
     found = per_solve_preimage(f_map(c, a, mod), 5)
     assert found is not None and per_diff(found) == f_map(c, a, mod)
+
+
+def test_per_solve_preimage_target_beyond_the_window():
+    # the target reaches weight 7, past window 2 + 2(l + 1): no column
+    # reaches those terms, so the truncated system is inconsistent
+    a = GwaParams(1, 1, Z)
+    mod = module_plain(a)
+    target = per_diff(PerCochain(a, mod, 1, (a.monomial(6, 0), a.zero(), a.zero())))
+    assert per_solve_preimage(target, 2) is None
+    found = per_solve_preimage(target, 6)
+    assert found is not None and per_diff(found) == target
 
 
 def test_serialization():
