@@ -52,6 +52,8 @@ ENV_PREFIX = "GWADEFORM_"
 def load_config(path: str) -> tuple[GwaParams, str]:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
     return GwaParams.from_json(data), data.get("label", "")
 
 
@@ -61,6 +63,8 @@ def parse_element(params: GwaParams, text: str) -> GwaElement:
 
 def parse_cochain(params: GwaParams, text: str) -> PerCochain:
     data = json.loads(text)
+    if not isinstance(data, dict) or not isinstance(data.get("components"), list):
+        raise ValueError("a cochain is an object with a 'components' list")
     mod = data.get("module", "plain")
     if isinstance(mod, dict):
         # the form written by PerCochain.to_json

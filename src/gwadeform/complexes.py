@@ -4,7 +4,10 @@
   (A^s (x)_B A) + (A (x)_B ^s A), even positive degrees two untwisted
   copies.  Elements are kept in the standard form sum x_i (x) b_{ij} x_j.
 * The bigraded family P (two rows q = 0, 1) with maps d^v, d^h, r
-  satisfying the homotopy-double-complex identities, and its total complex.
+  satisfying the homotopy-double-complex identities, and its total complex
+  T.  Each map extends one table of generator images; ``tot_images``
+  gathers them into d on T, and the cochain differential of Hom(T, M) in
+  ``percomplex`` is read from the same table.
 """
 from __future__ import annotations
 
@@ -227,80 +230,52 @@ def p_generators(params: GwaParams, p: int, q: int):
     return gens
 
 
-def _apply_bimodule(images, a: GwaElement, b: GwaElement):
-    """Outer action a . (generator image) . b, per target component."""
-    return tuple(t.act_left(a).act_right(b) for t in images)
-
-
-def _linear_extend(e: PElement, gen_images) -> tuple:
+def _linear_extend(params: GwaParams, components, gen_images) -> tuple:
     """Extend generator images (list per source slot) bimodule-linearly."""
-    params = e.algebra
     out = [{} for _ in gen_images[0]]
-    for s, comp in enumerate(e.components):
+    for s, comp in enumerate(components):
         for (L, R), c in comp.terms.items():
             a = GwaElement(params, {L: c})
             b = GwaElement(params, {R: Fraction(1)})
-            for t, img in enumerate(_apply_bimodule(gen_images[s], a, b)):
-                _accumulate(out[t], img.terms)
+            for t, img in enumerate(gen_images[s]):
+                _accumulate(out[t], img.act_left(a).act_right(b).terms)
     return tuple(TensorElement(params, t) for t in out)
 
 
-def p_dv(p: int, e: PElement) -> PElement:
-    """Vertical map P_{p,1} -> P_{p,0}."""
-    if e.q != 1 or e.p != p:
-        raise ValueError("shape mismatch")
-    a = e.algebra
+def _dv_gens(a: GwaParams, p: int) -> list:
+    """d^v on the generators of P_{p,1}, per slot of P_{p,0}."""
     one, z = a.one(), a.z()
-    sz = a.from_poly(a.sigma_z(1))
-    siz = a.from_poly(a.sigma_z(-1))
-    zero_t = TensorElement(a, {})
+
+    def dv(j):  # sigma^j(z) (x) 1 - 1 (x) z
+        return (tensor_from_pair(a.from_poly(a.sigma_z(j)), one)
+                - tensor_from_pair(one, z))
+
     if p == 0:
-        gens = [[tensor_from_pair(z, one) - tensor_from_pair(one, z)]]
-    elif p % 2 == 1:
-        gens = [[tensor_from_pair(sz, one) - tensor_from_pair(one, z), zero_t],
-                [zero_t, tensor_from_pair(siz, one) - tensor_from_pair(one, z)]]
-    else:
-        gens = [[tensor_from_pair(z, one) - tensor_from_pair(one, z), zero_t],
-                [zero_t, tensor_from_pair(z, one) - tensor_from_pair(one, z)]]
-    return PElement(p, 0, _linear_extend(e, gens))
+        return [[dv(0)]]
+    j = p % 2  # odd columns twist by sigma and sigma^{-1}
+    zero_t = TensorElement(a, {})
+    return [[dv(j), zero_t], [zero_t, dv(-j)]]
 
 
-def p_dh(p: int, q: int, e: PElement) -> PElement:
-    """Horizontal map P_{p,q} -> P_{p-1,q}."""
-    if p < 1 or (e.p, e.q) != (p, q):
-        raise ValueError("shape mismatch")
-    a = e.algebra
+def _dh_gens(a: GwaParams, p: int, q: int) -> list:
+    """d^h on the generators of P_{p,q}, per slot of P_{p-1,q}."""
     one, x, y = a.one(), a.x(), a.y()
-    lam = a.lam
-    il = 1 / lam
-    if q == 0:
-        if p == 1:
-            gens = [[tensor_from_pair(x, one) - tensor_from_pair(one, x)],
-                    [tensor_from_pair(y, one) - tensor_from_pair(one, y)]]
-        elif p % 2 == 0:
-            gens = [[tensor_from_pair(y, one), tensor_from_pair(one, x)],
-                    [tensor_from_pair(one, y), tensor_from_pair(x, one)]]
-        else:
-            gens = [[tensor_from_pair(x, one), -tensor_from_pair(one, x)],
-                    [-tensor_from_pair(one, y), tensor_from_pair(y, one)]]
-    else:
-        if p == 1:
-            gens = [[-tensor_from_pair(x, one) + tensor_from_pair(lam * one, x)],
-                    [-tensor_from_pair(y, one) + tensor_from_pair(il * one, y)]]
-        elif p % 2 == 0:
-            gens = [[-tensor_from_pair(y, one), -tensor_from_pair(lam * one, x)],
-                    [-tensor_from_pair(il * one, y), -tensor_from_pair(x, one)]]
-        else:
-            gens = [[-tensor_from_pair(x, one), tensor_from_pair(lam * one, x)],
-                    [tensor_from_pair(il * one, y), -tensor_from_pair(y, one)]]
-    return PElement(p - 1, q, _linear_extend(e, gens))
+    sign, nx, ny = 1, x, y
+    if q == 1:  # row 0 negated, with nu (x -> lam x, y -> y / lam) on the right leg
+        sign, nx, ny = -1, a.lam * x, (1 / a.lam) * y
+
+    def t(u, v):
+        return sign * tensor_from_pair(u, v)
+
+    if p == 1:
+        return [[t(x, one) - t(one, nx)], [t(y, one) - t(one, ny)]]
+    if p % 2 == 0:
+        return [[t(y, one), t(one, nx)], [t(one, ny), t(x, one)]]
+    return [[t(x, one), -t(one, nx)], [-t(one, ny), t(y, one)]]
 
 
-def p_r(p: int, e: PElement) -> PElement:
-    """Homotopy-like map P_{p,0} -> P_{p-2,1} for p >= 2."""
-    if p < 2 or (e.p, e.q) != (p, 0):
-        raise ValueError("shape mismatch")
-    a = e.algebra
+def _r_gens(a: GwaParams, p: int) -> list:
+    """r on the generators of P_{p,0}, per slot of P_{p-2,1} (p >= 2)."""
     lam = a.lam
     sL, sR = LegMap(1, 0), LegMap(1, 0)
     d = twisted_delta(a, LEG_ID, LEG_ID, a.phi)
@@ -309,12 +284,34 @@ def p_r(p: int, e: PElement) -> PElement:
     d_s = twisted_delta(a, LEG_ID, sR, a.phi).scale(lam)
     zero_t = TensorElement(a, {})
     if p == 2:
-        gens = [[-d], [-ds_s]]
-    elif p % 2 == 1:
-        gens = [[-sd, zero_t], [zero_t, -d_s]]
-    else:
-        gens = [[-d, zero_t], [zero_t, -ds_s]]
-    return PElement(p - 2, 1, _linear_extend(e, gens))
+        return [[-d], [-ds_s]]
+    if p % 2 == 1:
+        return [[-sd, zero_t], [zero_t, -d_s]]
+    return [[-d, zero_t], [zero_t, -ds_s]]
+
+
+def p_dv(p: int, e: PElement) -> PElement:
+    """Vertical map P_{p,1} -> P_{p,0}."""
+    if e.q != 1 or e.p != p:
+        raise ValueError("shape mismatch")
+    a = e.algebra
+    return PElement(p, 0, _linear_extend(a, e.components, _dv_gens(a, p)))
+
+
+def p_dh(p: int, q: int, e: PElement) -> PElement:
+    """Horizontal map P_{p,q} -> P_{p-1,q}."""
+    if p < 1 or (e.p, e.q) != (p, q):
+        raise ValueError("shape mismatch")
+    a = e.algebra
+    return PElement(p - 1, q, _linear_extend(a, e.components, _dh_gens(a, p, q)))
+
+
+def p_r(p: int, e: PElement) -> PElement:
+    """Homotopy-like map P_{p,0} -> P_{p-2,1} for p >= 2."""
+    if p < 2 or (e.p, e.q) != (p, 0):
+        raise ValueError("shape mismatch")
+    a = e.algebra
+    return PElement(p - 2, 1, _linear_extend(a, e.components, _r_gens(a, p)))
 
 
 def verify_hdc(params: GwaParams, max_p: int) -> list[dict]:
@@ -372,15 +369,34 @@ def tot_generators(params: GwaParams, n: int) -> list[TotElement]:
     return out
 
 
+def tot_images(params: GwaParams, n: int) -> list[list[TensorElement]]:
+    """d of each generator of T_n, written on the generators of T_{n-1}.
+
+    Row t is d(generator t of T_n) and its entry s the A (x) A coefficient
+    of generator s of T_{n-1}; generators are ordered as in
+    ``tot_generators`` (P_{k-1,1} first, then P_{k,0}).  This table is the
+    only definition of the total differential: ``tot_diff`` extends it
+    bimodule-linearly and the cochain differential of ``percomplex`` is
+    its dual.
+    """
+    if n < 1:
+        raise ValueError(f"T_n has a differential only for n >= 1, got {n}")
+    dv, dh0 = _dv_gens(params, n - 1), _dh_gens(params, n, 0)
+    if n == 1:  # T_0 = P_00
+        return dv + dh0
+    return ([h + v for h, v in zip(_dh_gens(params, n - 1, 1), dv)]
+            + [r + h for r, h in zip(_r_gens(params, n), dh0)])
+
+
 def tot_diff(n: int, e: TotElement) -> TotElement:
-    """d = d^v + d^h + r assembled componentwise on the total complex."""
+    """d = d^v + d^h + r, the linear extension of ``tot_images``."""
     if n < 1 or e.degree != n:
         raise ValueError("degree mismatch")
     params = e.algebra
+    comps = [c for part in e.parts for c in part.components]
+    out = _linear_extend(params, comps, tot_images(params, n))
     if n == 1:
-        part01, part10 = e.parts
-        return TotElement(0, (p_dv(0, part01) + p_dh(1, 0, part10),))
-    up, right = e.parts  # up in P_{n-1,1}, right in P_{n,0}
-    q1 = p_dh(n - 1, 1, up) + p_r(n, right)
-    q0 = p_dv(n - 1, up) + p_dh(n, 0, right)
-    return TotElement(n - 1, (q1, q0))
+        return TotElement(0, (PElement(0, 0, out),))
+    k = 1 if n == 2 else 2  # generators of P_{n-2,1}
+    return TotElement(n - 1, (PElement(n - 2, 1, out[:k]),
+                              PElement(n - 1, 0, out[k:])))

@@ -316,8 +316,12 @@ class GwaElement(LinComb):
     @staticmethod
     def from_json(algebra: GwaParams, data) -> "GwaElement":
         """Records {"p": int >= 0, "q": int, "c": rational}, each (p, q) once."""
+        if not isinstance(data, list):
+            raise ValueError(f"an element is a list of records, got {data!r}")
         terms = {}
         for rec in data:
+            if not isinstance(rec, dict):
+                raise ValueError(f"a term is a record {{p, q, c}}, got {rec!r}")
             p, q = rec["p"], rec["q"]
             if type(p) is not int or type(q) is not int or p < 0:
                 raise ValueError(f"monomial z^p x_q needs ints p >= 0 and q, "
@@ -590,11 +594,13 @@ def delta_nu(params: GwaParams, gen: str, q: int) -> TensorElement:
 
 
 def tensor_act(T: TensorElement, spec: BimoduleSpec, m: GwaElement) -> GwaElement:
-    """(a1 (x) a2) . m = a1 . m . a2 via the bimodule structure."""
-    alg = T.algebra
+    """(a1 (x) a2) . m = f(a1) m g(a2); no product by a unit leg, f(1) = g(1) = 1."""
     out: dict = {}
     for (L, R), c in T.terms.items():
-        a1 = GwaElement(alg, {L: c})
-        a2 = GwaElement(alg, {R: _ONE})
-        _accumulate(out, bimodule_act(spec, a1, m, a2).terms)
-    return GwaElement(alg, out)
+        v = m
+        if R != (0, 0):
+            v = multiply(v, apply_automorphism(spec.right_twist, T._leg(R)))
+        if L != (0, 0):
+            v = multiply(apply_automorphism(spec.left_twist, T._leg(L)), v)
+        _accumulate(out, v.terms, c)
+    return GwaElement(T.algebra, out)

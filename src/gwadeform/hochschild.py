@@ -23,11 +23,10 @@ from .core import (
     basis_window,
     filtration_degree,
     module_plain,
-    tensor_act,
     tensor_from_pair,
 )
 from .errors import UnsupportedPatternError
-from .percomplex import PerCochain
+from .percomplex import PerCochain, _pair
 from .scalars import Poly
 
 
@@ -224,13 +223,7 @@ def theta2_pullback(c: PerCochain) -> Cochain2:
     params = c.params
 
     def base(q, i, j):
-        slots = theta2(params, (0, q), (i, j))
-        out: dict = {}
-        for s in range(4):
-            if not slots[s].is_zero():
-                _accumulate(out, tensor_act(slots[s], c.module,
-                                            c.components[s]).terms)
-        return GwaElement(params, out)
+        return _pair([theta2(params, (0, q), (i, j))], c.module, c.components)[0]
 
     return Cochain2(params, base, "explicit-table")
 

@@ -4,8 +4,10 @@ Coefficients are twisted bimodules M given by a BimoduleSpec.  A degree-n
 cochain is a short tuple of module elements: (m) in degree 0,
 (m; m1, m2) in degree 1, and (m1, m2; m3, m4) in degree n >= 2, where the
 first pair sits in the odd column and the second in the even column of the
-two-row grid.  The differential is assembled from the horizontal maps, the
-vertical maps, and the connecting maps s below.
+two-row grid.  It is a map in Hom_{A^e}(T_n, M), given by its values on
+the generators of the total complex T of ``complexes``, so the
+differential is c -> c o d, read from ``complexes.tot_images``: the same
+table of generator images that defines d on T.
 
 Also provided: the explicit degree-2 cocycle family f, its one-sided
 inverse g, the constructive degree-3 contraction, and the splitting of a
@@ -16,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
+from .complexes import tot_images
 from .core import (
     BimoduleSpec,
     DirectSum,
@@ -52,6 +55,8 @@ class PerCochain(DirectSum):
         return {0: 1, 1: 3}.get(degree, 4)
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError(f"cochain degree must be >= 0, got {self.degree}")
         if len(self.components) != self.slots(self.degree):
             raise ValueError("component count does not match the degree")
 
@@ -71,21 +76,16 @@ def per_zero(params: GwaParams, module: BimoduleSpec, degree: int) -> PerCochain
 
 
 class _Ops:
-    """The building-block maps of the two-row cochain grid."""
+    """One-sided actions and constants of the explicit maps f, g and contractions."""
 
     def __init__(self, params: GwaParams, module: BimoduleSpec):
         self.a = params
         self.mod = module
         a = params
         self.x, self.y = a.x(), a.y()
-        self.z = a.z()
-        self.sz = a.from_poly(a.sigma_z(1))
         self.lam = a.lam
         self.il = 1 / a.lam
-        self.delta = twisted_delta(a, LEG_ID, LEG_ID, a.phi)
         self.delta_ss = twisted_delta(a, _SIG, _SIG, a.phi)
-        self.delta_sl = twisted_delta(a, _SIG, LEG_ID, a.phi)
-        self.delta_sr = twisted_delta(a, LEG_ID, _SIG, a.phi)
 
     # a . m . 1 = f(a) m and 1 . m . a = m g(a): no product by g(1) = f(1) = 1
     def l(self, a: GwaElement, m: GwaElement) -> GwaElement:
@@ -97,92 +97,25 @@ class _Ops:
     def act(self, T: TensorElement, m: GwaElement) -> GwaElement:
         return tensor_act(T, self.mod, m)
 
-    # horizontal maps, row 0
-    def dh00(self, m):
-        return (self.l(self.x, m) - self.r(m, self.x),
-                self.l(self.y, m) - self.r(m, self.y))
 
-    def dh_odd0(self, m1, m2):
-        return (self.l(self.y, m1) + self.r(m2, self.x),
-                self.r(m1, self.y) + self.l(self.x, m2))
-
-    def dh_even0(self, m1, m2):
-        return (self.l(self.x, m1) - self.r(m2, self.x),
-                -self.r(m1, self.y) + self.l(self.y, m2))
-
-    # horizontal maps, row 1
-    def dh01(self, m):
-        return (-self.l(self.x, m) + self.lam * self.r(m, self.x),
-                -self.l(self.y, m) + self.il * self.r(m, self.y))
-
-    def dh_odd1(self, m1, m2):
-        return (-self.l(self.y, m1) - self.lam * self.r(m2, self.x),
-                -self.il * self.r(m1, self.y) - self.l(self.x, m2))
-
-    def dh_even1(self, m1, m2):
-        return (-self.l(self.x, m1) + self.lam * self.r(m2, self.x),
-                self.il * self.r(m1, self.y) - self.l(self.y, m2))
-
-    # vertical maps
-    def dv0(self, m):
-        return self.l(self.z, m) - self.r(m, self.z)
-
-    def dv_odd(self, m1, m2):
-        return (self.l(self.sz, m1) - self.r(m1, self.z),
-                self.il * self.l(self.z, m2) - self.il * self.r(m2, self.sz))
-
-    def dv_even(self, m1, m2):
-        return (self.l(self.z, m1) - self.r(m1, self.z),
-                self.il * self.l(self.sz, m2) - self.il * self.r(m2, self.sz))
-
-    # connecting maps
-    def s0(self, m):
-        return (-self.act(self.delta, m),
-                -self.lam * self.act(self.delta_ss, m))
-
-    def s_odd(self, m1, m2):
-        return (-self.act(self.delta_sl, m1),
-                -self.lam * self.act(self.delta_sr, m2))
-
-    def s_even(self, m1, m2):
-        return (-self.act(self.delta, m1),
-                -self.lam * self.act(self.delta_ss, m2))
+def _pair(images, module: BimoduleSpec, comps) -> tuple:
+    """(c o d)_t = sum_s images[t][s] . c_s for the cochain with components comps."""
+    params = comps[0].algebra
+    out = []
+    for row in images:
+        acc: dict = {}
+        for T, m in zip(row, comps):
+            if m:
+                _accumulate(acc, tensor_act(T, module, m).terms)
+        out.append(GwaElement(params, acc))
+    return tuple(out)
 
 
 def per_diff(c: PerCochain) -> PerCochain:
-    """The total differential; raises degree by one."""
-    ops = _Ops(c.params, c.module)
-    n = c.degree
-    if n == 0:
-        (m,) = c.components
-        return PerCochain(c.params, c.module, 1,
-                          (ops.dv0(m),) + ops.dh00(m))
-    if n == 1:
-        m, u, v = c.components
-        row1 = ops.dh01(m)
-        dv = ops.dv_odd(u, v)
-        top = ops.s0(m)
-        dh = ops.dh_odd0(u, v)
-        return PerCochain(c.params, c.module, 2,
-                          (row1[0] + dv[0], row1[1] + dv[1],
-                           top[0] + dh[0], top[1] + dh[1]))
-    m1, m2, m3, m4 = c.components
-    # (m1, m2) sits at column n-1 of row 1; (m3, m4) at column n of row 0.
-    if (n - 1) % 2 == 1:
-        row1 = ops.dh_odd1(m1, m2)
-        s = ops.s_odd(m1, m2)
-    else:
-        row1 = ops.dh_even1(m1, m2)
-        s = ops.s_even(m1, m2)
-    if n % 2 == 1:
-        dh = ops.dh_odd0(m3, m4)
-        dv = ops.dv_odd(m3, m4)
-    else:
-        dh = ops.dh_even0(m3, m4)
-        dv = ops.dv_even(m3, m4)
-    return PerCochain(c.params, c.module, n + 1,
-                      (row1[0] + dv[0], row1[1] + dv[1],
-                       s[0] + dh[0], s[1] + dh[1]))
+    """The total differential c -> c o d; raises degree by one."""
+    images = tot_images(c.params, c.degree + 1)
+    return PerCochain(c.params, c.module, c.degree + 1,
+                      _pair(images, c.module, c.components))
 
 
 def is_cocycle(c: PerCochain) -> bool:
@@ -265,8 +198,8 @@ def split2(c: PerCochain, bez: BezoutPair):
 # Windowed coboundary solve
 # ---------------------------------------------------------------------------
 
-def _terms(c: PerCochain) -> dict:
-    return {(slot, pq): v for slot, comp in enumerate(c.components)
+def _terms(components) -> dict:
+    return {(slot, pq): v for slot, comp in enumerate(components)
             for pq, v in comp.terms.items()}
 
 
@@ -280,8 +213,7 @@ def per_solve_preimage(target: PerCochain, window: int):
     """
     params, mod = target.params, target.module
     n = target.degree
-    if n < 1:
-        raise ValueError("target degree must be >= 1")
+    images = tot_images(params, n)  # raises for a target of degree 0
     nslots = PerCochain.slots(n - 1)
     index = [(slot, pq) for slot in range(nslots)
              for pq in basis_window(params, window)]
@@ -289,8 +221,8 @@ def per_solve_preimage(target: PerCochain, window: int):
     for slot, pq in index:
         comps = [params.zero()] * nslots
         comps[slot] = params.monomial(*pq)
-        columns.append(_terms(per_diff(PerCochain(params, mod, n - 1, tuple(comps)))))
-    sol = linalg.solve_many(columns, [_terms(target)])[0]
+        columns.append(_terms(_pair(images, mod, comps)))
+    sol = linalg.solve_many(columns, [_terms(target.components)])[0]
     if sol is None:
         return None
     comps = [{} for _ in range(nslots)]

@@ -15,14 +15,20 @@ from .linalg import determinant
 def rat(value) -> Fraction:
     """Coerce ints, strings like "3/2", or Fractions to an exact rational.
 
-    Floats are refused (0.1 is not 1/10), and so are bools.
+    Floats are refused (0.1 is not 1/10), and so are bools, other types
+    and a zero denominator; each raises ValueError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, (bool, float)):
         raise ValueError(f"inexact or non-numeric scalar {value!r}; "
                          "use an int or a rational string such as '1/10'")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    except TypeError:
+        raise ValueError(f"not a rational scalar: {value!r}") from None
 
 
 def rat_str(value: Fraction) -> str:

@@ -25,7 +25,7 @@ def write_config(tmp_path, data):
 
 
 def test_rat_rejects_float_and_bool():
-    for bad in (0.1, 2.0, True, False):
+    for bad in (0.1, 2.0, True, False, "1/0", None, [1]):
         with pytest.raises(ValueError):
             rat(bad)
     assert rat("1/10") == Fraction(1, 10)
@@ -107,6 +107,32 @@ def test_parse_cochain_module_and_degree():
                 {"degree": 1.9, "components": comps * 3}):
         with pytest.raises(ValueError):
             parse_cochain(a, json.dumps(bad))
+
+
+X = [{"p": 0, "q": 1, "c": "1"}]
+
+
+@pytest.mark.parametrize("config, argv", [
+    (None, ["mul", '[{"p": 0, "q": 1, "c": "1/0"}]', "[]"]),
+    (None, ["mul", '[{"p": 0, "q": 1, "c": null}]', "[]"]),
+    (None, ["mul", '{"p": 1}', "[]"]),
+    (None, ["mul", "[1]", "[]"]),
+    (None, ["cohomology", "diff", "[]"]),
+    (None, ["cohomology", "diff", '{"degree": 2, "components": 5}']),
+    (None, ["cohomology", "diff", json.dumps(
+        {"degree": -2, "components": [X, [], [], []]})]),
+    ([1, 2], ["mul", json.dumps(X), "[]"]),
+    ({"lambda": "1/0", "eta": "0", "phi": ["0", "1"]},
+     ["mul", json.dumps(X), "[]"]),
+], ids=["zero-denominator", "null-coefficient", "element-object",
+        "element-of-ints", "cochain-list", "components-int",
+        "negative-degree", "config-list", "config-zero-denominator"])
+def test_malformed_input_exits_2(tmp_path, capsys, config, argv):
+    if config is None:
+        config = {"lambda": "2", "eta": "0", "phi": ["0", "1"]}
+    cfg = write_config(tmp_path, config)
+    assert run(["--config", cfg] + argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_algebra_is_part_of_element_identity():

@@ -20,11 +20,13 @@ from gwadeform.complexes import (
     standardize,
     tot_diff,
     tot_generators,
+    tot_images,
     TotElement,
     verify_hdc,
 )
 from gwadeform.core import (
     GwaParams,
+    TensorElement,
     LEG_ID,
     LegMap,
     tensor_from_pair,
@@ -32,7 +34,7 @@ from gwadeform.core import (
 )
 from gwadeform.scalars import Poly
 
-from conftest import full_corpus
+from conftest import full_corpus, random_element
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -210,6 +212,48 @@ def test_tot_diff_squared_zero():
         for n in range(2, 7):
             for g in tot_generators(a, n):
                 assert tot_diff(n - 1, tot_diff(n, g)).is_zero(), (a, n)
+
+
+def reference_tot_diff(n, e):
+    """The former componentwise assembly of d = d^v + d^h + r on T_n."""
+    if n == 1:
+        part01, part10 = e.parts
+        return TotElement(0, (p_dv(0, part01) + p_dh(1, 0, part10),))
+    up, right = e.parts  # up in P_{n-1,1}, right in P_{n,0}
+    q1 = p_dh(n - 1, 1, up) + p_r(n, right)
+    q0 = p_dv(n - 1, up) + p_dh(n, 0, right)
+    return TotElement(n - 1, (q1, q0))
+
+
+def random_tot_element(rng, a, n):
+    def part(p, q):
+        return PElement(p, q, tuple(
+            tensor_from_pair(random_element(rng, a, 2), random_element(rng, a, 2))
+            for _ in p_zero(a, p, q).components))
+    return TotElement(n, (part(n - 1, 1), part(n, 0)))
+
+
+def test_tot_diff_matches_componentwise_assembly():
+    rng = random.Random(53)
+    for a in full_corpus():
+        for n in range(1, 7):
+            for g in tot_generators(a, n):
+                assert tot_diff(n, g) == reference_tot_diff(n, g), (a, n)
+            for _ in range(2):
+                e = random_tot_element(rng, a, n)
+                assert tot_diff(n, e) == reference_tot_diff(n, e), (a, n)
+
+
+def test_tot_images_shape():
+    a = GwaParams(2, 0, Z**2 - ONE)
+    for n in range(1, 6):
+        images = tot_images(a, n)
+        assert len(images) == len(tot_generators(a, n))
+        assert {len(row) for row in images} == {len(tot_generators(a, n - 1))}
+        assert all(isinstance(t, TensorElement) for row in images for t in row)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            tot_images(a, n)
 
 
 def test_augmentation_tot():

@@ -5,6 +5,7 @@ import pytest
 
 from gwadeform.core import (
     Automorphism,
+    BimoduleSpec,
     GwaElement,
     GwaParams,
     LEG_D,
@@ -305,6 +306,30 @@ def test_tensor_act():
     assert tensor_act(tensor_from_pair(a.one(), a.one()), plain, m) == m
     assert tensor_act(delta0(a, 2), plain, m) == a.z() * m + m * a.z()
     assert tensor_act(delta0(a, 0), plain, m).is_zero()
+
+
+def test_tensor_act_matches_bimodule_act_sum():
+    # tensor_act skips the products by a unit leg; the reference multiplies
+    # by every leg through bimodule_act, and the legs include the unit
+    rng = random.Random(47)
+    cases = []
+    for a in full_corpus():
+        cases += [(a, module_plain(a)), (a, module_nu(a))]
+    # twists that move z as well: x -> 2x, y -> 3y, z -> 6z on lambda = 2, phi = z
+    a = GwaParams(2, 0, Z)
+    rho = Automorphism(a, 2, 3, Poly([0, 6]))
+    cases.append((a, BimoduleSpec(rho, rho.inverse())))
+    for a, spec in cases:
+        for _ in range(3):
+            T = tensor_from_pair(a.one() + random_element(rng, a, 3),
+                                 a.one() + random_element(rng, a, 3))
+            T = T + tensor_from_pair(a.one(), a.one())
+            m = random_element(rng, a, 4)
+            expect = a.zero()
+            for (L, R), c in T.terms.items():
+                expect = expect + bimodule_act(spec, GwaElement(a, {L: c}), m,
+                                               GwaElement(a, {R: Fraction(1)}))
+            assert tensor_act(T, spec, m) == expect, (a, spec)
 
 
 def test_tensor_algebra_ops():

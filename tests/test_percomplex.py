@@ -6,6 +6,7 @@ import pytest
 from gwadeform import percomplex
 from gwadeform.core import (
     GwaParams,
+    LEG_ID,
     LegMap,
     apply_automorphism,
     basis_window,
@@ -13,6 +14,7 @@ from gwadeform.core import (
     module_nu,
     module_plain,
     nakayama,
+    twisted_delta,
 )
 from gwadeform.errors import NotCocycleError
 from gwadeform.homology import commutator_span
@@ -71,6 +73,129 @@ def obstruction_cocycle(a, mod):
         Fraction(1, 2) * a.from_poly(Z**2 * pb2),
     ))
     return c, pre
+
+
+class ReferenceGrid(_Ops):
+    """The former hand-written duals of the grid maps, one per map and parity."""
+
+    def __init__(self, params, module):
+        super().__init__(params, module)
+        a = params
+        sig = LegMap(1, 0)
+        self.z = a.z()
+        self.sz = a.from_poly(a.sigma_z(1))
+        self.delta = twisted_delta(a, LEG_ID, LEG_ID, a.phi)
+        self.delta_sl = twisted_delta(a, sig, LEG_ID, a.phi)
+        self.delta_sr = twisted_delta(a, LEG_ID, sig, a.phi)
+
+    # horizontal maps, row 0
+    def dh00(self, m):
+        return (self.l(self.x, m) - self.r(m, self.x),
+                self.l(self.y, m) - self.r(m, self.y))
+
+    def dh_odd0(self, m1, m2):
+        return (self.l(self.y, m1) + self.r(m2, self.x),
+                self.r(m1, self.y) + self.l(self.x, m2))
+
+    def dh_even0(self, m1, m2):
+        return (self.l(self.x, m1) - self.r(m2, self.x),
+                -self.r(m1, self.y) + self.l(self.y, m2))
+
+    # horizontal maps, row 1
+    def dh01(self, m):
+        return (-self.l(self.x, m) + self.lam * self.r(m, self.x),
+                -self.l(self.y, m) + self.il * self.r(m, self.y))
+
+    def dh_odd1(self, m1, m2):
+        return (-self.l(self.y, m1) - self.lam * self.r(m2, self.x),
+                -self.il * self.r(m1, self.y) - self.l(self.x, m2))
+
+    def dh_even1(self, m1, m2):
+        return (-self.l(self.x, m1) + self.lam * self.r(m2, self.x),
+                self.il * self.r(m1, self.y) - self.l(self.y, m2))
+
+    # vertical maps
+    def dv0(self, m):
+        return self.l(self.z, m) - self.r(m, self.z)
+
+    def dv_odd(self, m1, m2):
+        return (self.l(self.sz, m1) - self.r(m1, self.z),
+                self.il * self.l(self.z, m2) - self.il * self.r(m2, self.sz))
+
+    def dv_even(self, m1, m2):
+        return (self.l(self.z, m1) - self.r(m1, self.z),
+                self.il * self.l(self.sz, m2) - self.il * self.r(m2, self.sz))
+
+    # connecting maps
+    def s0(self, m):
+        return (-self.act(self.delta, m),
+                -self.lam * self.act(self.delta_ss, m))
+
+    def s_odd(self, m1, m2):
+        return (-self.act(self.delta_sl, m1),
+                -self.lam * self.act(self.delta_sr, m2))
+
+    def s_even(self, m1, m2):
+        return (-self.act(self.delta, m1),
+                -self.lam * self.act(self.delta_ss, m2))
+
+
+def reference_per_diff(c):
+    """The former per_diff: the grid duals above, chosen by parity."""
+    ops = ReferenceGrid(c.params, c.module)
+    n = c.degree
+    if n == 0:
+        (m,) = c.components
+        return PerCochain(c.params, c.module, 1,
+                          (ops.dv0(m),) + ops.dh00(m))
+    if n == 1:
+        m, u, v = c.components
+        row1 = ops.dh01(m)
+        dv = ops.dv_odd(u, v)
+        top = ops.s0(m)
+        dh = ops.dh_odd0(u, v)
+        return PerCochain(c.params, c.module, 2,
+                          (row1[0] + dv[0], row1[1] + dv[1],
+                           top[0] + dh[0], top[1] + dh[1]))
+    m1, m2, m3, m4 = c.components
+    # (m1, m2) sits at column n-1 of row 1; (m3, m4) at column n of row 0.
+    if (n - 1) % 2 == 1:
+        row1 = ops.dh_odd1(m1, m2)
+        s = ops.s_odd(m1, m2)
+    else:
+        row1 = ops.dh_even1(m1, m2)
+        s = ops.s_even(m1, m2)
+    if n % 2 == 1:
+        dh = ops.dh_odd0(m3, m4)
+        dv = ops.dv_odd(m3, m4)
+    else:
+        dh = ops.dh_even0(m3, m4)
+        dv = ops.dv_even(m3, m4)
+    return PerCochain(c.params, c.module, n + 1,
+                      (row1[0] + dv[0], row1[1] + dv[1],
+                       s[0] + dh[0], s[1] + dh[1]))
+
+
+def test_per_diff_matches_hand_written_duals():
+    rng = random.Random(59)
+    checked = 0
+    for a in full_corpus():
+        for mod in (module_plain(a), module_nu(a)):
+            for degree in range(6):
+                for _ in range(2):
+                    c = random_cochain(rng, a, mod, degree)
+                    assert per_diff(c) == reference_per_diff(c), (a, degree)
+                    checked += 1
+    assert checked == 264
+
+
+def test_negative_degree_rejected():
+    a = GwaParams(2, 0, Z)
+    for degree in (-1, -2):
+        with pytest.raises(ValueError):
+            PerCochain(a, module_plain(a), degree, (a.one(),) * 4)
+        with pytest.raises(ValueError):
+            per_zero(a, module_plain(a), degree)
 
 
 def test_per_diff_degree0():
