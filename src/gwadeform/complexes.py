@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .core import (
@@ -28,7 +27,7 @@ from .core import (
     tensor_from_pair,
     twisted_delta,
 )
-from .scalars import Poly
+from .scalars import Poly, div
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +235,7 @@ def _linear_extend(params: GwaParams, components, gen_images) -> tuple:
     for s, comp in enumerate(components):
         for (L, R), c in comp.terms.items():
             a = GwaElement(params, {L: c})
-            b = GwaElement(params, {R: Fraction(1)})
+            b = GwaElement(params, {R: 1})
             for t, img in enumerate(gen_images[s]):
                 _accumulate(out[t], img.act_left(a).act_right(b).terms)
     return tuple(TensorElement(params, t) for t in out)
@@ -262,7 +261,7 @@ def _dh_gens(a: GwaParams, p: int, q: int) -> list:
     one, x, y = a.one(), a.x(), a.y()
     sign, nx, ny = 1, x, y
     if q == 1:  # row 0 negated, with nu (x -> lam x, y -> y / lam) on the right leg
-        sign, nx, ny = -1, a.lam * x, (1 / a.lam) * y
+        sign, nx, ny = -1, a.lam * x, div(1, a.lam) * y
 
     def t(u, v):
         return sign * tensor_from_pair(u, v)

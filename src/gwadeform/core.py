@@ -13,16 +13,18 @@ Shared arithmetic.  Every object of the package is a finite combination
 over A or A (x) A, or a short tuple of such combinations:
 
 * ``LinComb`` is a combination {key: coefficient} over one algebra, with
-  Fraction or Poly coefficients; a falsy coefficient means zero and is
-  never stored.  It gives equality (the algebra is part of it), negation,
+  scalar coefficients (an int when integral, else a Fraction; see
+  ``scalars``) or Poly ones; a falsy coefficient means zero and is never
+  stored.  It gives equality (the algebra is part of it), negation,
   sum, difference and scaling.  ``GwaElement``, ``TensorElement`` and the
   standard tensors of ``complexes`` subclass it.
 * ``DirectSum`` gives the tuple dataclasses (chain and cochain
   components, truncated tau-series) componentwise zero test, negation,
   sum and difference; their equality is the dataclass one.
 * ``_accumulate(out, terms, c)`` adds c * terms into the term dict ``out``
-  in place.  Summing loops use it instead of rebuilding an element per
-  term; it must only be given a dict that the caller owns.
+  in place, storing integral values as ints.  Summing loops use it
+  instead of rebuilding an element per term; it must only be given a dict
+  that the caller owns.
   ``_multiply_into(alg, out, u, v, c)`` is the product loop written the
   same way (out += c * u v on term dicts); ``multiply`` wraps it.
 """
@@ -33,15 +35,19 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 from .errors import ZeroPhiError
-from .scalars import Poly, rat, rat_str
+from .scalars import Poly, div, rat, rat_str
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
+_ZERO = 0
+_ONE = 1
+_MINUS_ONE = -1
 
 
 def _accumulate(out: dict, terms: dict, c=None) -> dict:
-    """out += c * terms in place (c = None means 1); cancelled keys are dropped."""
+    """out += c * terms in place (c = None means 1); cancelled keys are dropped.
+
+    A sum or product of Fractions that comes out integral is stored as an
+    int, so that later arithmetic on it stays int arithmetic.
+    """
     for k, v in terms.items():
         if c is not None:
             v = c * v
@@ -49,7 +55,7 @@ def _accumulate(out: dict, terms: dict, c=None) -> dict:
         if old is not None:
             v = old + v
         if v:
-            out[k] = v
+            out[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
         elif old is not None:
             del out[k]
     return out
@@ -194,8 +200,8 @@ class GwaParams:
         if self.lam == 1:
             p = Poly([j * self.eta, 1])
         else:
-            lj = self.lam**j
-            p = Poly([self.eta * (lj - 1) / (self.lam - 1), lj])
+            lj = self.lam**j if j >= 0 else div(1, self.lam ** -j)
+            p = Poly([div(self.eta * (lj - 1), self.lam - 1), lj])
         self._sigma_z[j] = p
         return p
 
@@ -284,7 +290,7 @@ class GwaElement(LinComb):
 
     __slots__ = ()
 
-    def coeff(self, p: int, q: int) -> Fraction:
+    def coeff(self, p: int, q: int) -> int | Fraction:
         return self.terms.get((p, q), _ZERO)
 
     def __mul__(self, other):
@@ -402,8 +408,8 @@ class Automorphism:
     """
 
     params: GwaParams
-    x_scale: Fraction
-    y_scale: Fraction
+    x_scale: int | Fraction
+    y_scale: int | Fraction
     z_image: Poly
 
     def __post_init__(self):
@@ -425,8 +431,8 @@ class Automorphism:
 
     def inverse(self) -> "Automorphism":
         c, d = self.z_image[1], self.z_image[0]
-        return Automorphism(self.params, 1 / self.x_scale, 1 / self.y_scale,
-                            Poly([-d / c, 1 / c]))
+        return Automorphism(self.params, div(1, self.x_scale),
+                            div(1, self.y_scale), Poly([div(-d, c), div(1, c)]))
 
 
 def identity_auto(params: GwaParams) -> Automorphism:
@@ -435,7 +441,7 @@ def identity_auto(params: GwaParams) -> Automorphism:
 
 def nakayama(params: GwaParams) -> Automorphism:
     """nu: x -> lambda x, y -> lambda^{-1} y, z -> z."""
-    return Automorphism(params, params.lam, 1 / params.lam, Poly.z())
+    return Automorphism(params, params.lam, div(1, params.lam), Poly.z())
 
 
 def apply_automorphism(rho: Automorphism, u: GwaElement) -> GwaElement:
@@ -588,7 +594,7 @@ def delta_nu(params: GwaParams, gen: str, q: int) -> TensorElement:
     if gen not in ("x", "y"):
         raise ValueError("gen must be 'x' or 'y'")
     sign = 1 if gen == "x" else -1
-    lam = params.lam if gen == "x" else 1 / params.lam
+    lam = params.lam if gen == "x" else div(1, params.lam)
     return TensorElement(params, {((0, sign * (q - s)), (0, sign * (s - 1))):
                                   lam ** (s - 1) for s in range(1, q + 1)})
 

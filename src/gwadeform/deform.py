@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 from .core import (
@@ -50,7 +49,7 @@ from .hochschild import (
     theta2_pullback,
 )
 from .percomplex import contract3, f_map, per_solve_preimage
-from .scalars import Poly, bezout_for_phi, rat
+from .scalars import Poly, bezout_for_phi, div, rat
 
 # The largest order build_star accepts; orders 12 and 16 pass deform-verify
 # on quantum and classical algebras.
@@ -127,7 +126,7 @@ class StarProduct:
 
 def _closed_form_datum(params: GwaParams, n: int):
     """Generator values of the stage-n cochain from the closed forms."""
-    c = Fraction((-1) ** n, math.factorial(n))
+    c = div((-1) ** n, math.factorial(n))
     dn_phi_bar = LegMap(0, n).apply(params, params.phi_bar)
     if params.is_quantum:
         vxy = params.from_poly(Poly.monomial(n, c) * dn_phi_bar)
@@ -233,7 +232,7 @@ def check_relations(sp: StarProduct) -> dict:
         out["f1"] = star(sp, x, z) - star(sp, z, x).tau_times([lam, -lam])
         # (1 - tau) (y * z) = lambda^{-1} (z * y), the cleared form of f2
         out["f2"] = (star(sp, y, z).tau_times([1, -1])
-                     - star(sp, z, y).tau_times([1 / lam]))
+                     - star(sp, z, y).tau_times([div(1, lam)]))
         out["f3"] = star(sp, x, y) - _binomial_shift_series(a, N, True)
     else:
         eta = a.eta

@@ -27,7 +27,7 @@ from .core import (
 )
 from .errors import UnsupportedPatternError
 from .percomplex import PerCochain, _pair
-from .scalars import Poly
+from .scalars import Poly, div
 
 
 class Cochain2:
@@ -189,7 +189,7 @@ def theta2(params: GwaParams, left: tuple[int, int],
             for s in range(1, Q + 1):
                 lhs = params.from_poly(lz, -(Q - s))
                 rz = params.sigma_pow(Poly.monomial(k - 1), -(s - 1))
-                rhs = params.lam ** (1 - s) * params.from_poly(rz, -(s - 1) - J)
+                rhs = div(1, params.lam ** (s - 1)) * params.from_poly(rz, -(s - 1) - J)
                 _accumulate(slots[1], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
     elif q == 1:
         # x against z^i y^J
@@ -240,7 +240,7 @@ def thetaprime2(F: Cochain2, module=None) -> PerCochain:
     one, x, y, z = a.one(), a.x(), a.y(), a.z()
     lam = a.lam
     m1 = lam * F(z, x) - F(x, z)
-    m2 = (1 / lam) * F(z, y) - F(y, z)
+    m2 = div(1, lam) * F(z, y) - F(y, z)
     m3 = dict((F(y, x) + F(one, one) * a.from_poly(a.phi)).terms)
     m4 = dict((F(x, y) + F(one, one) * a.from_poly(a.phi_bar)).terms)
     for i in range(1, a.l + 1):
@@ -268,7 +268,7 @@ def thetaprime3(G: Cochain3, module=None) -> PerCochain:
     phibar_el = a.from_poly(a.phi_bar)
     m1 = (G(z, y, x) - lam * G(y, z, x) + G(y, x, z)
           + G(z, one, one) * phi_el + G(one, one, z) * phi_el)
-    m2 = (G(z, x, y) - (1 / lam) * G(x, z, y) + G(x, y, z)
+    m2 = (G(z, x, y) - div(1, lam) * G(x, z, y) + G(x, y, z)
           + G(z, one, one) * phibar_el + G(one, one, z) * phibar_el)
     m3 = (G(x, y, x) + G(x, one, one) * phi_el + G(one, one, x) * phi_el)
     m4 = G(y, x, y)

@@ -27,7 +27,6 @@ family z^{j+1} x_k governed by the multiplicative order e of lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .core import (
     BimoduleSpec,
@@ -40,7 +39,7 @@ from .core import (
 )
 from .errors import CommutativeAlgebraError, MixedCaseError
 from .linalg import Echelon
-from .scalars import Poly, resultant_power_map, squarefree_part
+from .scalars import Poly, rat, resultant_power_map, squarefree_part
 
 
 class TruncatedSubspace:
@@ -134,7 +133,7 @@ def commutator_span(params: GwaParams, module: BimoduleSpec, window: int,
 
 def compute_e(lam) -> int:
     """Multiplicative order of lambda over the rationals (0 if infinite)."""
-    lam = Fraction(lam)
+    lam = rat(lam)
     if lam == 0:
         raise ValueError("lambda must be nonzero")
     if lam == 1:

@@ -1,9 +1,11 @@
 """Exact rational linear algebra: one sparse row reducer for solves,
 incremental spans and determinants.
 
-Everything comes in sparse.  A sparse vector is a dict {key: Fraction}
-that never stores a zero (a term dict of the package, flattened by its
-caller).  Elimination works on rows of that form: a reduced table
+Everything comes in sparse.  A sparse vector is a dict {key: scalar},
+the scalar an int or a Fraction as in `scalars`, that never stores a zero
+(a term dict of the package, flattened by its caller); rows are
+normalized through `scalars.div`, so an integral quotient stays an int.
+Elimination works on rows of that form: a reduced table
 {pivot key: row} holds rows that are normalized (1 at their pivot, the
 smallest key they touch) and zero at every other row's pivot.  `_reduce`
 subtracts from a row its components along the table; `_insert` adds the
@@ -34,7 +36,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
+from .scalars import div
+
+_ZERO = 0
 
 
 def _reduce(row: dict, table: dict) -> dict:
@@ -66,7 +70,7 @@ def _insert(table: dict, row: dict):
         return None
     p = min(v)
     lead = v[p]
-    v = {c: a / lead for c, a in v.items()}
+    v = {c: div(a, lead) for c, a in v.items()}
     single = {p: v}
     for q, r in table.items():
         if p in r:
@@ -89,7 +93,7 @@ def solve_many(columns: list[dict], rhss: list[dict]):
     for c, image in enumerate(columns + rhss):
         for key, a in image.items():
             rows.setdefault(key, {})[c] = a
-    table: dict[int, dict[int, Fraction]] = {}
+    table: dict[int, dict] = {}
     for row in rows.values():
         _insert(table, row)
     inconsistent = {c for p, row in table.items() if p >= ncols for c in row}
@@ -107,7 +111,7 @@ def solve_many(columns: list[dict], rhss: list[dict]):
     return results
 
 
-def determinant(rows: list[dict]) -> Fraction:
+def determinant(rows: list[dict]) -> int | Fraction:
     """Determinant of a square matrix given by sparse rows {column: value}.
 
     Row i reduces, against the rows before it, to a remainder that is zero
@@ -116,9 +120,9 @@ def determinant(rows: list[dict]) -> Fraction:
     triangular, and subtracting earlier rows keeps the determinant, so it
     is the sign of i -> p_i times the product of the pivot values.
     """
-    table: dict[int, dict[int, Fraction]] = {}
+    table: dict[int, dict] = {}
     pivots = []
-    det = Fraction(1)
+    det = 1
     for row in rows:
         got = _insert(table, row)
         if got is None:

@@ -35,7 +35,7 @@ from .core import (
     twisted_delta,
 )
 from .errors import NotCocycleError
-from .scalars import BezoutPair
+from .scalars import BezoutPair, div
 
 _SIG = LegMap(1, 0)
 _SIG_D = LegMap(1, 1)  # derivative, then sigma
@@ -84,7 +84,7 @@ class _Ops:
         a = params
         self.x, self.y = a.x(), a.y()
         self.lam = a.lam
-        self.il = 1 / a.lam
+        self.il = div(1, a.lam)
         self.delta_ss = twisted_delta(a, _SIG, _SIG, a.phi)
 
     # a . m . 1 = f(a) m and 1 . m . a = m g(a): no product by g(1) = f(1) = 1

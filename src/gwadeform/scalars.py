@@ -1,8 +1,16 @@
 """Exact rational scalars and dense univariate polynomials over them.
 
-Rationals are ``fractions.Fraction`` (always in lowest terms, exact equality).
-A polynomial in z is stored as a tuple of Fractions indexed by degree; the
-zero polynomial has an empty tuple and degree -1.
+A scalar is an ``int`` when it is integral and a ``fractions.Fraction``
+(in lowest terms) otherwise; it is never a float or a bool.  ``rat`` is
+the entry point: it keeps ints, turns an integral Fraction or string
+into an int, and refuses floats.  Every division goes through ``div``,
+which keeps that form, so that no ``/`` between two ints can make a
+float.  Arithmetic on two Fractions may still give an integral Fraction;
+it compares and hashes equal to the int, and ``rat``, ``div`` and the
+term-dict sums of ``core`` turn it back into one.
+
+A polynomial in z is stored as a tuple of such scalars indexed by degree;
+the zero polynomial has an empty tuple and degree -1.
 """
 from __future__ import annotations
 
@@ -10,37 +18,54 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MultipleRootError, ZeroPhiError
-from .linalg import determinant
 
-def rat(value) -> Fraction:
-    """Coerce ints, strings like "3/2", or Fractions to an exact rational.
+
+def rat(value) -> int | Fraction:
+    """Coerce ints, strings like "3/2", or Fractions to an exact rational:
+    an int when the value is integral, else a Fraction.
 
     Floats are refused (0.1 is not 1/10), and so are bools, other types
     and a zero denominator; each raises ValueError.
     """
-    if isinstance(value, Fraction):
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, (bool, float)):
         raise ValueError(f"inexact or non-numeric scalar {value!r}; "
                          "use an int or a rational string such as '1/10'")
     try:
-        return Fraction(value)
+        value = Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {value!r}") from None
     except TypeError:
         raise ValueError(f"not a rational scalar: {value!r}") from None
+    return value.numerator if value.denominator == 1 else value
 
 
-def rat_str(value: Fraction) -> str:
-    """Serialize a rational as "p/q", or "p" when the denominator is 1."""
+def div(a, b) -> int | Fraction:
+    """The exact quotient a / b of two scalars: an int when it is integral,
+    else a Fraction.  The only division of the package; b = 0 raises
+    ZeroDivisionError."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def rat_str(value) -> str:
+    """Serialize a rational as "p/q", or "p" when it is integral."""
+    if type(value) is int:
+        return str(value)
     value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
 class Poly:
@@ -89,12 +114,12 @@ class Poly:
         return not self.coeffs
 
     @property
-    def lead(self) -> Fraction:
+    def lead(self) -> int | Fraction:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, k: int) -> Fraction:
+    def __getitem__(self, k: int) -> int | Fraction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return _ZERO
@@ -166,26 +191,34 @@ class Poly:
             if len(r) - 1 < d:
                 break
             k = len(r) - 1 - d
-            t = r[-1] / lead
+            t = div(r[-1], lead)
             q[k] = t
             for i, c in enumerate(other.coeffs):
                 r[k + i] -= t * c
             r.pop()
         return Poly(q), Poly(r)
 
+    def exact_quo(self, other: "Poly") -> "Poly":
+        """The quotient by a polynomial that divides this one exactly."""
+        quo, rem = divmod(self, other)
+        if not rem.is_zero():
+            raise ValueError("inexact polynomial division")
+        return quo
+
+    def over(self, c) -> "Poly":
+        """Every coefficient divided by the nonzero scalar c."""
+        c = rat(c)
+        return Poly([div(a, c) for a in self.coeffs])
+
     def __truediv__(self, other):
         if isinstance(other, Poly):
-            quo, rem = divmod(self, other)
-            if not rem.is_zero():
-                raise ValueError("inexact polynomial division")
-            return quo
-        c = rat(other)
-        return Poly([a / c for a in self.coeffs])
+            return self.exact_quo(other)
+        return self.over(other)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self / self.lead
+        return self.over(self.lead)
 
     def derivative(self) -> "Poly":
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
@@ -215,7 +248,7 @@ class Poly:
             out = shifted
         return Poly(out)
 
-    def __call__(self, value) -> Fraction:
+    def __call__(self, value) -> int | Fraction:
         acc = _ZERO
         v = rat(value)
         for c in reversed(self.coeffs):
@@ -261,7 +294,7 @@ def poly_ext_gcd(h1: Poly, h2: Poly) -> tuple[Poly, Poly, Poly]:
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     lead = r0.lead
-    return r0 / lead, s0 / lead, t0 / lead
+    return r0.over(lead), s0.over(lead), t0.over(lead)
 
 
 @dataclass(frozen=True)
@@ -293,11 +326,13 @@ def squarefree_part(h: Poly) -> Poly:
     if h.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
     g, _, _ = poly_ext_gcd(h, h.derivative())
-    return (h / g).monic()
+    return h.exact_quo(g).monic()
 
 
-def sylvester_resultant(f: Poly, g: Poly) -> Fraction:
+def sylvester_resultant(f: Poly, g: Poly) -> int | Fraction:
     """Resultant of f and g via the Sylvester matrix determinant."""
+    from .linalg import determinant  # linalg divides through this module
+
     if f.is_zero() or g.is_zero():
         return _ZERO
     m, n = f.degree, g.degree
@@ -328,11 +363,11 @@ def resultant_power_map(phi: Poly, e: int) -> Poly:
     points = []
     for c in range(l + 1):
         g = Poly.monomial(e, -1) + Poly.constant(c)
-        points.append((Fraction(c), sylvester_resultant(phi, g)))
+        points.append((c, sylvester_resultant(phi, g)))
     return _lagrange(points)
 
 
-def _lagrange(points: list[tuple[Fraction, Fraction]]) -> Poly:
+def _lagrange(points: list[tuple]) -> Poly:
     result = Poly.zero()
     for i, (xi, yi) in enumerate(points):
         if yi == 0:
@@ -344,5 +379,5 @@ def _lagrange(points: list[tuple[Fraction, Fraction]]) -> Poly:
                 continue
             num = num * Poly([-xj, 1])
             den *= xi - xj
-        result = result + num / den
+        result = result + num.over(den)
     return result

@@ -22,9 +22,9 @@ def _rewrite_step(params: GwaParams, word: str):
                 out.append((eta, a + "x" + b))
             return out
         if pair == "yz":
-            out = [(1 / lam, a + "zy" + b)]
+            out = [(Fraction(1) / lam, a + "zy" + b)]
             if eta:
-                out.append((-eta / lam, a + "y" + b))
+                out.append((Fraction(-eta) / lam, a + "y" + b))
             return out
         if pair == "xy":
             return [(c, a + "z" * k + b)

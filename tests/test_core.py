@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwadeform.core import (
     Automorphism,
@@ -30,7 +31,7 @@ from gwadeform.errors import ZeroPhiError
 from gwadeform.scalars import Poly
 
 from conftest import full_corpus, random_element
-from free_oracle import oracle_multiply
+from free_oracle import oracle_multiply, oracle_normalize
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -115,6 +116,44 @@ def test_oracle_agreement():
                 assert got == oracle_multiply(a, pq1, pq2), (a, pq1, pq2)
 
 
+CORPUS = full_corpus()
+coefficients = st.one_of(st.integers(-5, 5), st.fractions(max_denominator=6))
+word = st.text("xyz", max_size=5)
+words = st.lists(st.tuples(word, word, coefficients), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(len(CORPUS))), words)
+def test_product_matches_free_oracle_on_random_words(k, combo):
+    # sum c * (normal form of w1)(normal form of w2), against rewriting w1 w2
+    a = CORPUS[k]
+    gens = {"x": a.x(), "y": a.y(), "z": a.z()}
+
+    def normal_form(w):
+        u = a.one()
+        for letter in w:
+            u = u * gens[letter]
+        return u
+
+    got, want = a.zero(), {}
+    for w1, w2, c in combo:
+        got = got + c * (normal_form(w1) * normal_form(w2))
+        want[w1 + w2] = want.get(w1 + w2, 0) + Fraction(c)
+    assert got == oracle_normalize(a, want)
+
+
+def test_sigma_z_negative_powers_are_exact():
+    # sigma^j(z) = lam^j z + eta (lam^j - 1) / (lam - 1); j < 0 once gave floats
+    for lam, want in ((2, Poly([Fraction(-7, 8), Fraction(1, 8)])),
+                      (-1, Poly([1, -1]))):
+        a = GwaParams(lam, 1, Z)
+        got = a.sigma_z(-3)
+        assert got == want
+        assert all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                   for c in got.coeffs), got.coeffs
+        assert got.compose(a.sigma_z(3)) == Z
+
+
 def test_associativity_random():
     rng = random.Random(11)
     for a in full_corpus():
@@ -189,7 +228,7 @@ def reference_automorphism_ok(a, x_scale, y_scale, z_image) -> bool:
     lam, eta = a.lam, a.eta
     checks = [
         X * Zi - (lam * Zi + eta * a.one()) * X,
-        Y * Zi - ((1 / lam) * Zi - (eta / lam) * a.one()) * Y,
+        Y * Zi - ((Fraction(1) / lam) * Zi - (Fraction(eta) / lam) * a.one()) * Y,
         Y * X - a.from_poly(a.phi.compose(z_image)),
         X * Y - a.from_poly(a.phi_bar.compose(z_image)),
     ]
@@ -213,7 +252,7 @@ def test_automorphism_check_matches_element_relations():
         # z-relation or random, a*b = 1, c^l or random
         c = rng.choice([1, 1, -1, a.lam, 2, 0])
         if a.lam != 1 and rng.random() < 0.7:
-            d = a.eta * (1 - c) / (1 - a.lam)
+            d = Fraction(a.eta * (1 - c)) / (1 - a.lam)
         else:
             d = rng.choice([0, 0] + small)
         ab = rng.choice([1, 1, Fraction(c) ** max(a.l, 0), rng.choice(small)])

@@ -106,6 +106,20 @@ def test_theta2_zero_and_display_cases():
         a.y(j - 1))
 
 
+def test_theta2_y_branch_is_exact():
+    # y^2 against z: slot 1 is -(y (x) 1 + lam^{-1} 1 (x) y), from lam^{1-s}
+    for lam in (2, -1):
+        a = GwaParams(lam, 0, Z)
+        slots = theta2(a, (0, -2), (1, 0))
+        inv = Fraction(1, lam)
+        assert slots[1] == -(tensor_from_pair(a.y(), a.one())
+                             + inv * tensor_from_pair(a.one(), a.y()))
+        coeff = slots[1].terms[((0, 0), (0, -1))]
+        assert coeff == -inv and type(coeff) is (Fraction if lam == 2 else int)
+        for slot in theta2(a, (1, -3), (2, -1)):
+            assert not any(isinstance(c, float) for c in slot.terms.values())
+
+
 def test_theta2_unsupported():
     a = GwaParams(2, 0, Z)
     with pytest.raises(UnsupportedPatternError):

@@ -51,7 +51,7 @@ def dense_solve_many(matrix, rhss):
             continue
         aug[r], aug[piv] = aug[piv], aug[r]
         inv = aug[r][c]
-        aug[r] = [v / inv for v in aug[r]]
+        aug[r] = [Fraction(v) / inv for v in aug[r]]
         for i in range(nrows):
             if i != r and aug[i][c] != 0:
                 f = aug[i][c]
@@ -151,7 +151,7 @@ def dense_sylvester_determinant(f, g):
         for r in range(col + 1, size):
             if rows[r][col] == 0:
                 continue
-            factor = rows[r][col] / inv
+            factor = Fraction(rows[r][col]) / inv
             for c in range(col, size):
                 rows[r][c] -= factor * rows[col][c]
     return det

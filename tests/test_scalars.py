@@ -1,14 +1,18 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import gwadeform
 from gwadeform.errors import MultipleRootError, ZeroPhiError
 from gwadeform.scalars import (
     BezoutPair,
     Poly,
     bezout_for_phi,
+    div,
     poly_ext_gcd,
     rat,
     rat_str,
@@ -31,6 +35,67 @@ def test_rat_roundtrip():
     assert rat_str(rat("3/2")) == "3/2"
     assert rat_str(rat(5)) == "5"
     assert rat("-7/14") == Fraction(-1, 2)
+
+
+def _is_normal_scalar(v) -> bool:
+    """An int (not a bool) or a Fraction that is not integral."""
+    if isinstance(v, Fraction):
+        return v.denominator != 1
+    return type(v) is int
+
+
+scalar_inputs = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(max_denominator=50),
+    st.fractions(max_denominator=50).map(str),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-60, 60), st.integers(1, 12)),
+)
+scalars = st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=50)).map(rat)
+
+
+@given(scalar_inputs)
+def test_rat_is_int_when_integral(value):
+    got = rat(value)
+    assert _is_normal_scalar(got), (value, got)
+    assert got == Fraction(value)
+
+
+def test_rat_normal_forms():
+    assert type(rat(3)) is int and type(rat("3")) is int
+    assert type(rat(Fraction(6, 3))) is int and rat(Fraction(6, 3)) == 2
+
+
+@given(scalars, scalars.filter(bool))
+def test_div_is_exact(a, b):
+    q = div(a, b)
+    assert _is_normal_scalar(q), (a, b, q)
+    assert q * b == a
+
+
+@given(scalars)
+def test_div_by_zero_raises(a):
+    with pytest.raises(ZeroDivisionError):
+        div(a, 0)
+    with pytest.raises(ZeroDivisionError):
+        div(a, Fraction(0))
+
+
+def test_only_scalars_div_divides():
+    # with int scalars a stray `/` would give a float, so the package
+    # divides in one place
+    allowed, found = set(), []
+    for path in sorted(Path(gwadeform.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "scalars.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name == "div":
+                    allowed = set(ast.walk(node))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                    and isinstance(node.op, ast.Div)):
+                found.append((f"{path.name}:{node.lineno}", node in allowed))
+    assert [where for where, ok in found if not ok] == []
+    assert [ok for _, ok in found] == [True]
 
 
 def test_poly_basics():
@@ -206,3 +271,29 @@ def test_resultant_power_map_root_multiset():
             # no stray rational roots beyond the expected ones
             for c in _roots_brute(n):
                 assert c in expect
+
+
+def _to_sympy(p: Poly):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)] or [0], z, domain="QQ")
+
+
+def _from_sympy(p) -> Poly:
+    return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
+
+
+@given(small_polys, small_polys.filter(bool))
+def test_divmod_matches_sympy(f, g):
+    q, r = divmod(f, g)
+    sq, sr = _to_sympy(f).div(_to_sympy(g))
+    assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
+
+
+@given(small_polys, small_polys)
+def test_gcd_matches_sympy(f, g):
+    if f.is_zero() and g.is_zero():
+        return
+    d, _, _ = poly_ext_gcd(f, g)
+    assert d == _from_sympy(_to_sympy(f).gcd(_to_sympy(g)).monic())
