@@ -27,12 +27,14 @@ over A or A (x) A, or a short tuple of such combinations:
   that the caller owns.
   ``_multiply_into(alg, out, u, v, c)`` is the product loop written the
   same way (out += c * u v on term dicts); ``multiply`` wraps it.
+* ``basis_window`` builds each window once per l + 1; callers get copies.
 """
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ZeroPhiError
 from .scalars import Poly, div, rat, rat_str
@@ -105,8 +107,7 @@ class LinComb:
         return self._plus(other, _MINUS_ONE)
 
     def scale(self, c):
-        c = rat(c)
-        return type(self)(self.algebra, {k: c * v for k, v in self.terms.items()})
+        return type(self)(self.algebra, _accumulate({}, self.terms, rat(c)))
 
     __rmul__ = scale
 
@@ -364,16 +365,19 @@ def filtration_degree(u: GwaElement) -> int:
     return max(alg.weight(p, q) for (p, q) in u.terms)
 
 
-def basis_window(params: GwaParams, n: int) -> list[tuple[int, int]]:
-    """All (p, q) with p + (l+1)|q| <= n, ordered q ascending then p ascending."""
-    w = params.l + 1
-    out = []
+@lru_cache(maxsize=1024)
+def _window_cells(w: int, n: int) -> tuple[tuple[int, int], ...]:
     qmax = n // w
-    for q in range(-qmax, qmax + 1):
-        for p in range(n - w * abs(q) + 1):
-            out.append((p, q))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+    return tuple((p, q) for q in range(-qmax, qmax + 1)
+                 for p in range(n - w * abs(q) + 1))
+
+
+def basis_window(params: GwaParams, n: int) -> list[tuple[int, int]]:
+    """All (p, q) with p + (l+1)|q| <= n, ordered q ascending then p ascending.
+
+    Cached per (l + 1, n); each call returns a fresh list.
+    """
+    return list(_window_cells(params.l + 1, n))
 
 
 def basis_triples(params: GwaParams, window: int):
@@ -600,13 +604,20 @@ def delta_nu(params: GwaParams, gen: str, q: int) -> TensorElement:
 
 
 def tensor_act(T: TensorElement, spec: BimoduleSpec, m: GwaElement) -> GwaElement:
-    """(a1 (x) a2) . m = f(a1) m g(a2); no product by a unit leg, f(1) = g(1) = 1."""
+    """(a1 (x) a2) . m = f(a1) (m g(a2)); no product by a unit leg, f(1) = g(1) = 1."""
+    alg = _same_algebra(T, m)
     out: dict = {}
     for (L, R), c in T.terms.items():
-        v = m
+        v = m.terms
         if R != (0, 0):
-            v = multiply(v, apply_automorphism(spec.right_twist, T._leg(R)))
-        if L != (0, 0):
-            v = multiply(apply_automorphism(spec.left_twist, T._leg(L)), v)
-        _accumulate(out, v.terms, c)
-    return GwaElement(T.algebra, out)
+            g = apply_automorphism(spec.right_twist, T._leg(R)).terms
+            if L == (0, 0):
+                _multiply_into(alg, out, v, g, c)
+                continue
+            v = _multiply_into(alg, {}, v, g)
+        if L == (0, 0):
+            _accumulate(out, v, c)
+        else:
+            f = apply_automorphism(spec.left_twist, T._leg(L)).terms
+            _multiply_into(alg, out, f, v, c)
+    return GwaElement(alg, out)

@@ -18,7 +18,9 @@ The stage-n identity is checked as the vanishing, on basis triples, of
 
 the tau^n coefficient of (u*v)*w - u*(v*w).  Its terms with i, j >= 1 are
 the circle products, those with i = 0 or j = 0 make up -b F_n.  The inner
-values F_j on basis pairs are memoized per star product.
+values F_j on basis pairs are memoized per star product.  ``check_assoc``
+is the same stage sum over all n <= N on whole elements, with F_j(u,v) and
+F_j(v,w) computed once and each tau^n coefficient summed into one term dict.
 """
 from __future__ import annotations
 
@@ -193,12 +195,26 @@ def star_mul(sp: StarProduct, U: TruncatedElement,
     return _from_terms(sp.params, out)
 
 
+def _stage_maps(sp: StarProduct, n: int) -> list:
+    """[F_0 = product, F_1, ..., F_n] as maps into(out, u, v, c) on term dicts."""
+    return ([partial(_multiply_into, sp.params)]
+            + [sp.f_n(i).evaluate_into for i in range(1, n + 1)])
+
+
 def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
                 w: GwaElement) -> TruncatedElement:
     """(u * v) * w - u * (v * w); zero iff the truncated product associates."""
-    left = star_mul(sp, star(sp, u, v), lift(sp.params, w, sp.order))
-    right = star_mul(sp, lift(sp.params, u, sp.order), star(sp, v, w))
-    return left - right
+    if not u.algebra == v.algebra == w.algebra == sp.params:
+        raise ValueError("operands belong to different algebras")
+    maps = _stage_maps(sp, sp.order)
+    uv = [into({}, u.terms, v.terms) for into in maps]
+    vw = [into({}, v.terms, w.terms) for into in maps]
+    out = [{} for _ in maps]
+    for n, acc in enumerate(out):
+        for i in range(n + 1):
+            maps[i](acc, uv[n - i], w.terms)
+            maps[i](acc, u.terms, vw[n - i], _MINUS_ONE)
+    return _from_terms(sp.params, out)
 
 
 def _binomial_shift_series(params: GwaParams, order: int,
@@ -256,15 +272,13 @@ def obstruction_residuals(sp: StarProduct, n: int, window: int):
     """
     if not 2 <= n <= sp.order:
         raise ValueError("n must lie between 2 and the truncation order")
-    a = sp.params
-    loops = [partial(_multiply_into, a)]
-    loops += [sp.f_n(i).evaluate_into for i in range(1, n + 1)]
-    for t1, t2, t3 in basis_triples(a, window):
+    maps = _stage_maps(sp, n)
+    for t1, t2, t3 in basis_triples(sp.params, window):
         uv = sp.pair_values(t1, t2)
         vw = sp.pair_values(t2, t3)
         u, w = {t1: _ONE}, {t3: _ONE}
         out: dict = {}
-        for i, into in enumerate(loops):
+        for i, into in enumerate(maps):
             into(out, uv[n - i], w)
             into(out, u, vw[n - i], _MINUS_ONE)
         yield (t1, t2, t3), out

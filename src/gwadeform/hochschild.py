@@ -11,6 +11,8 @@ The theta maps translate between bar-resolution cochains and the
 periodic cochain grid: theta2 sends a basis pair to an element of the
 degree-2 column pair, its pullback turns a degree-2 periodic cochain
 into a 2-cochain, and thetaprime2/thetaprime3 go the other way.
+A 3-cochain holds ``into(out, u, v, w, c)``, which adds c * G(u, v, w) to
+a term dict in place; ``evaluate`` builds one element at the end.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ from .core import (
     TensorElement,
     _MINUS_ONE,
     _accumulate,
+    _multiply_into,
     basis_window,
     filtration_degree,
     module_plain,
@@ -37,13 +40,16 @@ class Cochain2:
         self.params = params
         self._base = base_eval  # (q, i, j) -> GwaElement, value at (x_q, z^i x_j)
         self._memo: dict[tuple[int, int, int], GwaElement] = {}
+        self._zero = params.zero()
         self.provenance = provenance
 
     def eval_basis(self, q: int, i: int, j: int) -> GwaElement:
-        """Value on (x_q, z^i x_j); the left z-power factors out."""
-        a = self.params
+        """Value on (x_q, z^i x_j); the left z-power factors out.
+
+        Memoized, and trivial pairs share one zero: never mutate a value.
+        """
         if q == 0 or (i == 0 and (j == 0 or (j > 0) == (q > 0))):
-            return a.zero()
+            return self._zero
         key = (q, i, j)
         val = self._memo.get(key)
         if val is None:
@@ -103,38 +109,53 @@ def cochain2_zero(params: GwaParams) -> Cochain2:
 
 
 class Cochain3:
-    """A trilinear map A^3 -> A, built from 2-cochains and never tabulated."""
+    """A trilinear map A^3 -> A, built from 2-cochains and never tabulated.
 
-    def __init__(self, params: GwaParams, eval3):
+    ``into(out, u, v, w, c=None)`` adds c * G(u, v, w) to the term dict
+    ``out`` (c = None means 1) and returns it.
+    """
+
+    def __init__(self, params: GwaParams, into):
         self.params = params
-        self._eval = eval3
+        self.into = into
 
     def evaluate(self, u: GwaElement, v: GwaElement, w: GwaElement) -> GwaElement:
-        return self._eval(u, v, w)
+        return GwaElement(self.params,
+                          self.into({}, u.terms, v.terms, w.terms))
 
-    def __call__(self, u, v, w):
-        return self._eval(u, v, w)
+    __call__ = evaluate
 
     def __add__(self, other: "Cochain3") -> "Cochain3":
-        return Cochain3(self.params,
-                        lambda u, v, w: self._eval(u, v, w) + other._eval(u, v, w))
+        return Cochain3(self.params, lambda out, u, v, w, c=None: other.into(
+            self.into(out, u, v, w, c), u, v, w, c))
 
 
 def cochain3_zero(params: GwaParams) -> Cochain3:
-    return Cochain3(params, lambda u, v, w: params.zero())
+    return Cochain3(params, lambda out, u, v, w, c=None: out)
 
 
 def circle(F: Cochain2, G: Cochain2) -> Cochain3:
     """F(G(u,v),w) - F(u,G(v,w))."""
-    return Cochain3(F.params,
-                    lambda u, v, w: F(G(u, v), w) - F(u, G(v, w)))
+    def into(out, u, v, w, c=None):
+        F.evaluate_into(out, G.evaluate_into({}, u, v), w, c)
+        neg = _MINUS_ONE if c is None else -c
+        return F.evaluate_into(out, u, G.evaluate_into({}, v, w), neg)
+
+    return Cochain3(F.params, into)
 
 
 def hochschild_b(F: Cochain2) -> Cochain3:
     """The coboundary u F(v,w) - F(uv,w) + F(u,vw) - F(u,v) w."""
-    return Cochain3(F.params,
-                    lambda u, v, w: u * F(v, w) - F(u * v, w)
-                    + F(u, v * w) - F(u, v) * w)
+    a = F.params
+
+    def into(out, u, v, w, c=None):
+        neg = _MINUS_ONE if c is None else -c
+        _multiply_into(a, out, u, F.evaluate_into({}, v, w), c)
+        F.evaluate_into(out, _multiply_into(a, {}, u, v), w, neg)
+        F.evaluate_into(out, u, _multiply_into(a, {}, v, w), c)
+        return _multiply_into(a, out, F.evaluate_into({}, u, v), w, neg)
+
+    return Cochain3(a, into)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from gwadeform.core import GwaElement, GwaParams, identity_auto
 from gwadeform.deform import build_star, check_obstruction
-from gwadeform.hochschild import cochain2_zero
+from gwadeform.hochschild import Cochain2, cochain2_zero
 from gwadeform.homology import commutator_span
 from gwadeform.linalg import Echelon, solve_many
 from gwadeform.scalars import Poly
@@ -84,3 +84,27 @@ def test_check_obstruction_reports_int_triples():
     result = check_obstruction(build_star(params, 2), 2, 3)
     assert isinstance(result, dict)
     assert type(result["triples"]) is int and result["triples"] > 0
+
+
+def test_evaluate_into_goes_through_eval_basis(monkeypatch):
+    # hochschild.eval_basis.calls counts the wrapped Cochain2.eval_basis, so
+    # evaluate_into must reach every basis value through that attribute
+    params = GwaParams(2, 0, Poly.z())
+    F = Cochain2(params, lambda q, i, j: params.monomial(i, q + j))
+    seen = []
+    inner = Cochain2.eval_basis
+
+    def counted(self, q, i, j):
+        seen.append((q, i, j))
+        return inner(self, q, i, j)
+
+    monkeypatch.setattr(Cochain2, "eval_basis", counted)
+    u = {(1, 1): 1, (0, -1): 2, (3, 0): 5}
+    v = {(1, 1): 1, (2, -1): 3}
+    out = F.evaluate_into({}, u, v)
+    # z^3 (q = 0) is skipped by unit normalization; the other four pairs are read
+    want = [(-1, 1, 1), (-1, 2, -1), (1, 1, 1), (1, 2, -1)]
+    assert sorted(seen) == want and out
+    # memo hits are read through eval_basis too
+    assert F.evaluate_into({}, u, v) == out
+    assert sorted(seen) == sorted(want * 2)

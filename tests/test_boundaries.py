@@ -11,8 +11,8 @@ import pytest
 from gwadeform.cli import parse_cochain, run
 from gwadeform.complexes import c_zero
 from gwadeform.core import GwaElement, GwaParams, basis_window, module_nu, \
-    tensor_from_pair
-from gwadeform.deform import lift
+    module_plain, tensor_act, tensor_from_pair
+from gwadeform.deform import build_star, check_assoc, lift
 from gwadeform.scalars import Poly, rat
 
 Z = Poly.z()
@@ -147,6 +147,20 @@ def test_algebra_is_part_of_element_identity():
     with pytest.raises(ValueError):
         lift(a2, a2.x(), 2) + lift(a3, a3.x(), 2)
     assert a2.x() + GwaParams(2, 0, Z).x() == 2 * a2.x()
+
+
+def test_term_dict_checks_reject_another_algebra():
+    # check_assoc and tensor_act work on term dicts, but still refuse
+    # operands of a different algebra, as the element products they replace
+    a2, a3 = GwaParams(2, 0, Z), GwaParams(3, 0, Z)
+    sp = build_star(a2, 2)
+    for u, v, w in [(a3.x(), a2.y(), a2.x()), (a2.x(), a2.y(), a3.x())]:
+        with pytest.raises(ValueError):
+            check_assoc(sp, u, v, w)
+    with pytest.raises(ValueError):
+        check_assoc(build_star(a3, 2), a2.x(), a2.y(), a2.x())
+    with pytest.raises(ValueError):
+        tensor_act(tensor_from_pair(a2.x(), a2.y()), module_plain(a2), a3.z())
 
 
 def test_direct_sum_shapes_must_agree():

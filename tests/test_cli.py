@@ -116,6 +116,34 @@ def test_deform_verify(tmp_path, capsys):
     assert not note["applicable"] and "trivial" in note["note"]
 
 
+def test_check_algebra_associativity_sweep_detects_a_wrong_product(
+        capsys, monkeypatch):
+    # one wrong cached monomial product, z x = 2 z x, makes (z z) x differ
+    # from z (z x); the sweep must report it over the same number of triples
+    from gwadeform import cli
+
+    argv = ["--config", str(CORPUS[4]), "--json", "--seed", "3",
+            "check-algebra"]
+
+    def sweep():
+        _, report = run_json(capsys, argv)
+        return [r for r in report["results"]
+                if r["check"] == "associativity"][0]
+
+    clean = sweep()
+    assert clean["pass"]
+
+    def poisoned(path):
+        params, label = load_config(path)
+        params._mono_cache[(1, 0, 0, 1)] = {(1, 1): 2}
+        return params, label
+
+    monkeypatch.setattr(cli, "load_config", poisoned)
+    broken = sweep()
+    assert broken["pass"] is False
+    assert broken["triples"] == clean["triples"] > 200
+
+
 def test_json_report_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, "2", "0", ["0", "1"])
     argv = ["--config", cfg, "--json", "--seed", "7", "check-algebra"]

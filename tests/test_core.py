@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gwadeform import core
 from gwadeform.core import (
     Automorphism,
     BimoduleSpec,
@@ -12,6 +13,7 @@ from gwadeform.core import (
     LEG_D,
     LEG_ID,
     LegMap,
+    _accumulate,
     apply_automorphism,
     basis_window,
     bimodule_act,
@@ -28,7 +30,7 @@ from gwadeform.core import (
     twisted_delta,
 )
 from gwadeform.errors import ZeroPhiError
-from gwadeform.scalars import Poly
+from gwadeform.scalars import Poly, rat
 
 from conftest import full_corpus, random_element
 from free_oracle import oracle_multiply, oracle_normalize
@@ -187,6 +189,35 @@ def test_basis_window():
     assert (0, 1) in basis_window(a, a.l + 1)
     w = basis_window(a, 4)
     assert w == sorted(w, key=lambda t: (t[1], t[0]))
+
+
+def reference_basis_window(params, n):
+    """basis_window as it was: build the list, then sort it."""
+    w = params.l + 1
+    out = []
+    qmax = n // w
+    for q in range(-qmax, qmax + 1):
+        for p in range(n - w * abs(q) + 1):
+            out.append((p, q))
+    out.sort(key=lambda t: (t[1], t[0]))
+    return out
+
+
+def test_basis_window_matches_reference_and_is_not_shared():
+    for l in range(4):
+        a = GwaParams(2, 0, Z**l if l else ONE)
+        b = GwaParams(1, 1, Z**l if l else ONE)
+        for n in range(13):
+            got = basis_window(a, n)
+            assert type(got) is list and got == reference_basis_window(a, n)
+            # a caller may mutate its list without touching the next result
+            got.append((99, 99))
+            got.sort(reverse=True)
+            assert basis_window(a, n) == reference_basis_window(a, n)
+            # windows depend on l only, so another algebra reads the same entry
+            hits = core._window_cells.cache_info().hits
+            assert basis_window(b, n) == reference_basis_window(b, n)
+            assert core._window_cells.cache_info().hits == hits + 1
 
 
 def test_automorphism_nu():
@@ -371,6 +402,35 @@ def test_tensor_act_matches_bimodule_act_sum():
             assert tensor_act(T, spec, m) == expect, (a, spec)
 
 
+def reference_tensor_act(T, spec, m):
+    """tensor_act as it was: one element per leg product, units skipped."""
+    out = {}
+    for (L, R), c in T.terms.items():
+        v = m
+        if R != (0, 0):
+            v = multiply(v, apply_automorphism(spec.right_twist, T._leg(R)))
+        if L != (0, 0):
+            v = multiply(apply_automorphism(spec.left_twist, T._leg(L)), v)
+        _accumulate(out, v.terms, c)
+    return GwaElement(T.algebra, out)
+
+
+def test_tensor_act_matches_reference():
+    rng = random.Random(53)
+    a2 = GwaParams(2, 0, Z)
+    rho = Automorphism(a2, 2, 3, Poly([0, 6]))
+    cases = [(a2, BimoduleSpec(rho, rho.inverse()))]
+    for a in full_corpus():
+        cases += [(a, module_plain(a)), (a, module_nu(a))]
+    for a, spec in cases:
+        for _ in range(3):
+            T = tensor_from_pair(a.one() + random_element(rng, a, 3),
+                                 a.one() + random_element(rng, a, 3))
+            m = random_element(rng, a, 4)
+            assert tensor_act(T, spec, m) == reference_tensor_act(T, spec, m), a
+            assert tensor_act(T, spec, a.zero()).is_zero()
+
+
 def test_tensor_algebra_ops():
     a = GwaParams(2, 0, Z)
     t = tensor_from_pair(a.x(), a.y())
@@ -387,3 +447,24 @@ def test_serialization_roundtrip():
     data = u.to_json()
     assert data == sorted(data, key=lambda r: (r["q"], r["p"]))
     assert GwaElement.from_json(a, data) == u
+
+
+scalars_st = st.one_of(st.integers(-6, 6), st.fractions(max_denominator=4))
+term_dicts = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(-2, 2)),
+                             scalars_st.map(rat), max_size=5)
+
+
+def stores_no_integral_fraction(u):
+    return not any(type(c) is Fraction and c.denominator == 1
+                   for c in u.terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_dicts, term_dicts, scalars_st)
+def test_lincomb_stores_integral_values_as_ints(t1, t2, c):
+    # scale, + and - keep the int-first form: an integral value is an int
+    a = CORPUS[3]
+    u, v = GwaElement(a, t1), GwaElement(a, t2)
+    for w in (u.scale(c), c * u, u + v, u - v, u.scale(c) - v.scale(c)):
+        assert stores_no_integral_fraction(w), w.terms
+    assert u.scale(c) == GwaElement(a, {k: c * x for k, x in t1.items()})

@@ -21,10 +21,15 @@ from gwadeform.deform import (
     truncated_zero,
 )
 from gwadeform.errors import CommutativeAlgebraError, MixedCaseError
-from gwadeform.hochschild import circle, hochschild_b
 from gwadeform.scalars import Poly
 
-from conftest import full_corpus, random_element
+from conftest import (
+    full_corpus,
+    non_cocycle,
+    random_element,
+    reference_circle,
+    reference_hochschild_b,
+)
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -220,11 +225,19 @@ def test_f1_noncoboundary_evidence():
 # ---------------------------------------------------------------------------
 
 def reference_stage_cochains(sp, n):
-    """lhs = circle(F_1, F_{n-1}) + ... + circle(F_{n-1}, F_1), rhs = b F_n."""
-    lhs = circle(sp.f_n(1), sp.f_n(n - 1))
-    for i in range(2, n):
-        lhs = lhs + circle(sp.f_n(i), sp.f_n(n - i))
-    return lhs, hochschild_b(sp.f_n(n))
+    """lhs = circle(F_1, F_{n-1}) + ... + circle(F_{n-1}, F_1), rhs = b F_n.
+
+    Both are element-level maps, independent of ``hochschild.Cochain3``.
+    """
+    circles = [reference_circle(sp.f_n(i), sp.f_n(n - i)) for i in range(1, n)]
+
+    def lhs(u, v, w):
+        out = circles[0](u, v, w)
+        for c in circles[1:]:
+            out = out + c(u, v, w)
+        return out
+
+    return lhs, reference_hochschild_b(sp.f_n(n))
 
 
 def reference_check_obstruction(sp, n, window):
@@ -357,3 +370,45 @@ def test_star_mul_matches_full_then_drop():
             U = random_truncated(rng, a, 3, a.l + 2)
             V = random_truncated(rng, a, 3, a.l + 2)
             assert star_mul(sp, U, V) == reference_star_mul(sp, U, V), a
+
+
+# ---------------------------------------------------------------------------
+# The associativity check against its former star_mul formulation
+# ---------------------------------------------------------------------------
+
+def reference_check_assoc(sp, u, v, w):
+    """check_assoc as it was: (u * v) * w - u * (v * w) through star_mul."""
+    left = star_mul(sp, star(sp, u, v), lift(sp.params, w, sp.order))
+    right = star_mul(sp, lift(sp.params, u, sp.order), star(sp, v, w))
+    return left - right
+
+
+def test_check_assoc_matches_reference_on_corpus():
+    rng = random.Random(29)
+    for a in noncommutative_corpus():
+        for order in (2, 4, 8):
+            sp = build_star(a, order)
+            for _ in range(2):
+                u, v, w = (random_element(rng, a, a.l + 2, nterms=3)
+                           for _ in range(3))
+                got = check_assoc(sp, u, v, w)
+                assert got == reference_check_assoc(sp, u, v, w), (a, order)
+                assert got.is_zero() and got.order == order
+
+
+def test_check_assoc_matches_reference_when_not_associative():
+    # F_1 plus a non-cocycle: the tau^1 coefficient of the associator is
+    # b of the non-cocycle, which is nonzero on (x, y, x)
+    rng = random.Random(31)
+    for a in noncommutative_corpus():
+        for order in (2, 4, 8):
+            F = build_star(a, order).cochains
+            sp = StarProduct(a, order, [F[0] + non_cocycle(a)] + F[1:])
+            x, y = a.x(), a.y()
+            triples = [(x, y, x), (y, x, y)] + [
+                tuple(random_element(rng, a, a.l + 2, nterms=3)
+                      for _ in range(3)) for _ in range(2)]
+            got = [check_assoc(sp, u, v, w) for u, v, w in triples]
+            assert got == [reference_check_assoc(sp, u, v, w)
+                           for u, v, w in triples], (a, order)
+            assert not got[0].coefficients[1].is_zero(), (a, order)

@@ -16,6 +16,7 @@ from gwadeform.core import (
     tensor_from_pair,
     twisted_delta,
 )
+from gwadeform.deform import build_star
 from gwadeform.errors import UnsupportedPatternError
 from gwadeform.hochschild import (
     Cochain2,
@@ -34,7 +35,13 @@ from gwadeform.hochschild import (
 from gwadeform.percomplex import PerCochain, f_map, is_cocycle, per_diff
 from gwadeform.scalars import Poly
 
-from conftest import full_corpus, random_element
+from conftest import (
+    full_corpus,
+    non_cocycle,
+    random_element,
+    reference_circle,
+    reference_hochschild_b,
+)
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -285,6 +292,40 @@ def test_circle_bilinear():
         lhs = circle(H, FG)(u, v, w)
         assert lhs == circle(H, F)(u, v, w) + circle(H, G)(u, v, w)
     assert circle(F, cochain2_zero(a))(a.x(), a.y(), a.z()).is_zero()
+
+
+def test_cochain3_matches_element_reference():
+    # circle, hochschild_b and their sums against the element-level maps,
+    # on the cochains of order-2, 4 and 8 star products and a non-cocycle
+    rng = random.Random(37)
+    for a in full_corpus():
+        if not a.is_noncommutative:
+            continue
+        for order in (2, 4, 8):
+            F = build_star(a, order).cochains
+            N = non_cocycle(a)
+            stage = circle(F[0], F[-2]) + circle(F[-2], F[0])
+            r1, r2 = reference_circle(F[0], F[-2]), reference_circle(F[-2], F[0])
+            cases = [
+                (circle(F[0], F[-1]), reference_circle(F[0], F[-1])),
+                (circle(F[-1], N), reference_circle(F[-1], N)),
+                (hochschild_b(F[-1]), reference_hochschild_b(F[-1])),
+                (hochschild_b(N), reference_hochschild_b(N)),
+                (stage, lambda u, v, w: r1(u, v, w) + r2(u, v, w)),
+            ]
+            x, y = a.x(), a.y()
+            triples = [(x, y, x)] + [
+                tuple(random_element(rng, a, a.l + 2, nterms=3)
+                      for _ in range(3)) for _ in range(2)]
+            for G, ref in cases:
+                for u, v, w in triples:
+                    assert G(u, v, w) == ref(u, v, w), (a, order)
+            assert not hochschild_b(N)(x, y, x).is_zero()
+            # into adds in place: adding G and then -G leaves nothing
+            for G, _ in cases:
+                u, v, w = (t.terms for t in triples[-1])
+                out = G.into({}, u, v, w)
+                assert G.into(out, u, v, w, -1) == {}
 
 
 def test_thetaprime2_roundtrip():
