@@ -271,13 +271,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 _PARSER = build_parser()
 
-# flag -> (converter, default) for the values GWADEFORM_<FLAG> may supply
+# flag -> (converter, default, accepted values) for GWADEFORM_<FLAG>
 _ENV_FLAGS = {
-    "config": (str, None),
-    "json": (lambda v: v == "1", False),
-    "seed": (int, 0),
-    "window": (int, None),
-    "order": (int, 4),
+    "config": (str, None, "a path"),
+    "json": ({"0": False, "1": True}.__getitem__, False, "0 or 1"),
+    "seed": (int, 0, "an integer"),
+    "window": (int, None, "an integer"),
+    "order": (int, 4, "an integer"),
 }
 
 
@@ -286,14 +286,14 @@ def _read_env(args) -> None:
 
     An empty variable counts as unset; a malformed one raises ValueError.
     """
-    for flag, (convert, default) in _ENV_FLAGS.items():
+    for flag, (convert, default, accepted) in _ENV_FLAGS.items():
         if getattr(args, flag) is None:
             name = ENV_PREFIX + flag.upper()
             raw = os.environ.get(name)
             try:
                 setattr(args, flag, convert(raw) if raw else default)
-            except ValueError:
-                raise ValueError(f"{name} must be an integer, got {raw!r}") \
+            except (KeyError, ValueError):
+                raise ValueError(f"{name} must be {accepted}, got {raw!r}") \
                     from None
 
 
@@ -312,6 +312,9 @@ def run(argv=None) -> int:
     started = time.monotonic()
     try:
         _read_env(args)
+        if args.window is not None and args.window < 0:
+            raise ValueError("the window (--window or GWADEFORM_WINDOW) must "
+                             f"be >= 0, got {args.window}")
         if not args.config:
             raise ValueError("--config is required (or set GWADEFORM_CONFIG)")
         params, label = load_config(args.config)

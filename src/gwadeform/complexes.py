@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import linalg
 from .core import (
     DirectSum,
     GwaElement,
@@ -86,11 +85,6 @@ class CElement(DirectSum):
         return self.components[0].algebra
 
 
-def c_zero(params: GwaParams, degree: int) -> CElement:
-    n = 1 if degree == 0 else 2
-    return CElement(degree, tuple(StandardTensor(params, {}) for _ in range(n)))
-
-
 def c_element(params: GwaParams, degree: int, *summands) -> CElement:
     """Build a CElement from lists of (u, v) GwaElement pairs per summand."""
     comps = []
@@ -134,65 +128,6 @@ def c_diff(i: int, e: CElement) -> CElement:
     return CElement(i - 1, tuple(StandardTensor(params, t) for t in out))
 
 
-def c_augment(e: CElement) -> GwaElement:
-    """Multiplication map A (x)_B A -> A on degree 0."""
-    if e.degree != 0:
-        raise ValueError("augmentation is defined in degree 0 only")
-    params = e.algebra
-    out: dict = {}
-    for (q, j), b in e.components[0].terms.items():
-        _accumulate(out, multiply(params.monomial(0, q),
-                                  multiply(params.from_poly(b),
-                                           params.monomial(0, j))).terms)
-    return GwaElement(params, out)
-
-
-def _c_index_set(params: GwaParams, degree: int, window: int):
-    """Deterministic standard-basis indices (summand, q, deg z, j) in a window."""
-    w = params.l + 1
-    nsum = 1 if degree == 0 else 2
-    out = []
-    for s in range(nsum):
-        for q in range(-(window // w), window // w + 1):
-            for j in range(-(window // w), window // w + 1):
-                rem = window - w * (abs(q) + abs(j))
-                for m in range(rem + 1):
-                    out.append((s, q, m, j))
-    return out
-
-
-def _c_terms(e: CElement) -> dict:
-    return {(s, q, m, j): c for s, comp in enumerate(e.components)
-            for (q, j), b in comp.terms.items()
-            for m, c in enumerate(b.coeffs) if c}
-
-
-def c_solve_preimage(i: int, target: CElement, window: int):
-    """Find e in C_{i+1} with d_{i+1}(e) = target by an exact windowed solve.
-
-    The unknowns are the standard monomials of C_{i+1} in the window plus
-    l + 1.  Returns None when the truncated system is inconsistent.
-    """
-    params = target.algebra
-    if i >= 1 and not c_diff(i, target).is_zero():
-        raise ValueError("target is not a cycle")
-    src_index = _c_index_set(params, i + 1, window + params.l + 1)
-    zero = c_zero(params, i + 1).components
-    columns = []
-    for (s, q, m, j) in src_index:
-        comps = list(zero)
-        comps[s] = StandardTensor(params, {(q, j): Poly.monomial(m)})
-        columns.append(_c_terms(c_diff(i + 1, CElement(i + 1, tuple(comps)))))
-    sol = linalg.solve_many(columns, [_c_terms(target)])[0]
-    if sol is None:
-        return None
-    comps = [{} for _ in zero]
-    for (s, q, m, j), c in zip(src_index, sol):
-        if c:
-            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
-    return CElement(i + 1, tuple(StandardTensor(params, t) for t in comps))
-
-
 # ---------------------------------------------------------------------------
 # The bigraded family P and its total complex
 # ---------------------------------------------------------------------------
@@ -230,14 +165,21 @@ def p_generators(params: GwaParams, p: int, q: int):
 
 
 def _linear_extend(params: GwaParams, components, gen_images) -> tuple:
-    """Extend generator images (list per source slot) bimodule-linearly."""
+    """Extend generator images (list per source slot) bimodule-linearly.
+
+    A term c L (x) R of slot s sends each term u (x) v of an image in
+    gen_images[s] to c (L u) (x) (v R), on basis products.
+    """
+    mono = params._mono_mul
     out = [{} for _ in gen_images[0]]
     for s, comp in enumerate(components):
         for (L, R), c in comp.terms.items():
-            a = GwaElement(params, {L: c})
-            b = GwaElement(params, {R: 1})
             for t, img in enumerate(gen_images[s]):
-                _accumulate(out[t], img.act_left(a).act_right(b).terms)
+                for (u, v), w in img.terms.items():
+                    right = mono(*v, *R)
+                    for pq, cl in mono(*L, *u).items():
+                        terms = {(pq, pr): cr for pr, cr in right.items()}
+                        _accumulate(out[t], terms, c * w * cl)
     return tuple(TensorElement(params, t) for t in out)
 
 

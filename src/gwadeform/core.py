@@ -433,11 +433,6 @@ class Automorphism:
         return (self.x_scale == 1 and self.y_scale == 1
                 and self.z_image == Poly.z())
 
-    def inverse(self) -> "Automorphism":
-        c, d = self.z_image[1], self.z_image[0]
-        return Automorphism(self.params, div(1, self.x_scale),
-                            div(1, self.y_scale), Poly([div(-d, c), div(1, c)]))
-
 
 def identity_auto(params: GwaParams) -> Automorphism:
     return Automorphism(params, 1, 1, Poly.z())
@@ -499,32 +494,6 @@ class TensorElement(LinComb):
     def _leg(self, pq) -> GwaElement:
         return GwaElement(self.algebra, {pq: _ONE})
 
-    def act_left(self, a: GwaElement) -> "TensorElement":
-        """a . (u (x) v) = (a u) (x) v."""
-        out: dict = {}
-        for (L, R), c in self.terms.items():
-            prod = multiply(a, self._leg(L))
-            _accumulate(out, {(pq, R): w for pq, w in prod.terms.items()}, c)
-        return TensorElement(self.algebra, out)
-
-    def act_right(self, b: GwaElement) -> "TensorElement":
-        """(u (x) v) . b = u (x) (v b)."""
-        out: dict = {}
-        for (L, R), c in self.terms.items():
-            prod = multiply(self._leg(R), b)
-            _accumulate(out, {(L, pq): w for pq, w in prod.terms.items()}, c)
-        return TensorElement(self.algebra, out)
-
-    def mul_tensor(self, other: "TensorElement") -> "TensorElement":
-        """Legwise product (a (x) b)(c (x) d) = ac (x) bd."""
-        out: dict = {}
-        for (L1, R1), c1 in self.terms.items():
-            for (L2, R2), c2 in other.terms.items():
-                left = multiply(self._leg(L1), self._leg(L2))
-                right = multiply(self._leg(R1), self._leg(R2))
-                _accumulate(out, tensor_from_pair(left, right).terms, c1 * c2)
-        return TensorElement(self.algebra, out)
-
     def __repr__(self):
         if not self.terms:
             return "Tensor(0)"
@@ -538,12 +507,6 @@ def tensor_from_pair(a: GwaElement, b: GwaElement) -> TensorElement:
     return TensorElement(_same_algebra(a, b),
                          {(L, R): cl * cr for L, cl in a.terms.items()
                           for R, cr in b.terms.items()})
-
-
-def delta0(params: GwaParams, k: int) -> TensorElement:
-    """Delta_0(z^k) = sum_{i=1}^{k} z^{k-i} (x) z^{i-1}; Delta_0(1) = 0."""
-    terms = {((k - i, 0), (i - 1, 0)): _ONE for i in range(1, k + 1)}
-    return TensorElement(params, terms)
 
 
 @dataclass(frozen=True)
@@ -560,7 +523,6 @@ class LegMap:
 
 
 LEG_ID = LegMap(0, 0)
-LEG_D = LegMap(0, 1)
 
 
 def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
@@ -591,16 +553,6 @@ def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
                     out[t] = out.get(t, _ZERO) + c * cL * cR
     params._delta_cache[key] = out
     return TensorElement(params, out)
-
-
-def delta_nu(params: GwaParams, gen: str, q: int) -> TensorElement:
-    """Delta^nu(x^q) = sum_s x^{q-s} (x) (lambda x)^{s-1}, likewise for y."""
-    if gen not in ("x", "y"):
-        raise ValueError("gen must be 'x' or 'y'")
-    sign = 1 if gen == "x" else -1
-    lam = params.lam if gen == "x" else div(1, params.lam)
-    return TensorElement(params, {((0, sign * (q - s)), (0, sign * (s - 1))):
-                                  lam ** (s - 1) for s in range(1, q + 1)})
 
 
 def tensor_act(T: TensorElement, spec: BimoduleSpec, m: GwaElement) -> GwaElement:

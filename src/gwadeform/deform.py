@@ -10,7 +10,8 @@ Verification helpers re-check what the construction promises:
 associativity of the truncated product, the four presentation relations
 of the deformed algebra (with the right-hand series obtained by direct
 polynomial substitution, independently of the cochains), the stagewise
-obstruction identity, and preservation of the filtration.
+obstruction identity, and preservation of the filtration (local
+finiteness), read from the basis-pair values of ``StarProduct.pair_values``.
 
 The stage-n identity is checked as the vanishing, on basis triples, of
 
@@ -39,7 +40,6 @@ from .core import (
     _multiply_into,
     basis_triples,
     basis_window,
-    filtration_degree,
     module_plain,
 )
 from .errors import CommutativeAlgebraError, MixedCaseError
@@ -88,10 +88,6 @@ class TruncatedElement(DirectSum):
 def _from_terms(params: GwaParams, coefficients: list) -> TruncatedElement:
     return TruncatedElement(params, tuple(GwaElement(params, t)
                                           for t in coefficients))
-
-
-def truncated_zero(params: GwaParams, order: int) -> TruncatedElement:
-    return TruncatedElement(params, tuple(params.zero() for _ in range(order + 1)))
 
 
 def lift(params: GwaParams, u: GwaElement, order: int) -> TruncatedElement:
@@ -304,7 +300,8 @@ def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
 def check_local_finiteness(sp: StarProduct, window: int) -> dict:
     """Every F_n keeps basis pairs inside their combined filtration level.
 
-    The scan stops at the fifth failure.
+    The values are the memoized ``pair_values``; the scan stops at the
+    fifth failure.
     """
     a = sp.params
     checked = 0
@@ -315,9 +312,9 @@ def check_local_finiteness(sp: StarProduct, window: int) -> dict:
         if len(failures) >= 5:
             break
         bound = a.weight(*pq1) + a.weight(*pq2)
+        vals = sp.pair_values(pq1, pq2)
         for n in range(1, sp.order + 1):
-            val = sp.f_n(n).evaluate(a.monomial(*pq1), a.monomial(*pq2))
-            if filtration_degree(val) > bound:
+            if any(a.weight(*pq) > bound for pq in vals[n]):
                 failures.append({"pair": [pq1, pq2], "n": n})
                 if len(failures) >= 5:
                     break

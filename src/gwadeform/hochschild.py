@@ -5,7 +5,8 @@ assumed unit-normalized (F(u,1) = F(1,v) = 0) and z-left-linear with
 vanishing x/y-power values (F(z u, v) = z F(u, v), F(x^q, x^j) =
 F(y^q, y^j) = 0).  Under these conditions F is pinned down by its
 coboundary together with the four values F(x,z), F(x,y), F(y,z), F(y,x);
-`determine_F` carries out that reconstruction.
+`determine_F` carries out that reconstruction.  A 2-cochain is its
+evaluator and memo only; it keeps no record of how it was built.
 
 The theta maps translate between bar-resolution cochains and the
 periodic cochain grid: theta2 sends a basis pair to an element of the
@@ -36,12 +37,11 @@ from .scalars import Poly, div
 class Cochain2:
     """A bilinear map A x A -> A given on basis pairs, lazily memoized."""
 
-    def __init__(self, params: GwaParams, base_eval, provenance="explicit-table"):
+    def __init__(self, params: GwaParams, base_eval):
         self.params = params
         self._base = base_eval  # (q, i, j) -> GwaElement, value at (x_q, z^i x_j)
         self._memo: dict[tuple[int, int, int], GwaElement] = {}
         self._zero = params.zero()
-        self.provenance = provenance
 
     def eval_basis(self, q: int, i: int, j: int) -> GwaElement:
         """Value on (x_q, z^i x_j); the left z-power factors out.
@@ -83,30 +83,6 @@ class Cochain2:
     def __call__(self, u: GwaElement, v: GwaElement) -> GwaElement:
         return self.evaluate(u, v)
 
-    def __add__(self, other: "Cochain2") -> "Cochain2":
-        return Cochain2(self.params,
-                        lambda q, i, j: self.eval_basis(q, i, j)
-                        + other.eval_basis(q, i, j),
-                        "explicit-table")
-
-    def to_table(self, window: int) -> dict:
-        """JSON table of values over basis pairs inside a filtration window."""
-        pairs = []
-        for pq1 in basis_window(self.params, window):
-            w1 = self.params.weight(*pq1)
-            for pq2 in basis_window(self.params, window - w1):
-                val = self.evaluate(self.params.monomial(*pq1),
-                                    self.params.monomial(*pq2))
-                if not val.is_zero():
-                    pairs.append({"left": {"p": pq1[0], "q": pq1[1]},
-                                  "right": {"p": pq2[0], "q": pq2[1]},
-                                  "value": val.to_json()})
-        return {"provenance": self.provenance, "window": window, "values": pairs}
-
-
-def cochain2_zero(params: GwaParams) -> Cochain2:
-    return Cochain2(params, lambda q, i, j: params.zero(), "explicit-table")
-
 
 class Cochain3:
     """A trilinear map A^3 -> A, built from 2-cochains and never tabulated.
@@ -128,10 +104,6 @@ class Cochain3:
     def __add__(self, other: "Cochain3") -> "Cochain3":
         return Cochain3(self.params, lambda out, u, v, w, c=None: other.into(
             self.into(out, u, v, w, c), u, v, w, c))
-
-
-def cochain3_zero(params: GwaParams) -> Cochain3:
-    return Cochain3(params, lambda out, u, v, w, c=None: out)
 
 
 def circle(F: Cochain2, G: Cochain2) -> Cochain3:
@@ -161,25 +133,6 @@ def hochschild_b(F: Cochain2) -> Cochain3:
 # ---------------------------------------------------------------------------
 # Comparison maps between the bar resolution and the periodic grid
 # ---------------------------------------------------------------------------
-
-def theta1(params: GwaParams, pattern: tuple[int, int]) -> tuple:
-    """Image of 1|z^i x_j|1 in the degree-1 column pair (z-, x-, y-slot)."""
-    i, j = pattern
-    z_slot: dict = {}
-    x_slot: dict = {}
-    y_slot: dict = {}
-    for k in range(1, i + 1):
-        _accumulate(z_slot, tensor_from_pair(params.z(i - k),
-                                             params.monomial(k - 1, j)).terms)
-    for k in range(1, abs(j) + 1):
-        if j > 0:
-            _accumulate(x_slot, tensor_from_pair(params.monomial(i, j - k),
-                                                 params.x(k - 1)).terms)
-        else:
-            _accumulate(y_slot, tensor_from_pair(params.monomial(i, j + k),
-                                                 params.y(k - 1)).terms)
-    return tuple(TensorElement(params, t) for t in (z_slot, x_slot, y_slot))
-
 
 def theta2(params: GwaParams, left: tuple[int, int],
            right: tuple[int, int]) -> tuple:
@@ -246,7 +199,7 @@ def theta2_pullback(c: PerCochain) -> Cochain2:
     def base(q, i, j):
         return _pair([theta2(params, (0, q), (i, j))], c.module, c.components)[0]
 
-    return Cochain2(params, base, "explicit-table")
+    return Cochain2(params, base)
 
 
 def _sigma_poly_elem(params: GwaParams, h: Poly, j: int) -> GwaElement:
@@ -426,7 +379,7 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
         memo[key] = out
         return out
 
-    return Cochain2(params, val, "determined-from-generators")
+    return Cochain2(params, val)
 
 
 def preserves_gamma(F: Cochain2, window: int) -> bool:

@@ -84,11 +84,6 @@ class TruncatedSubspace:
     def rank(self) -> int:
         return sum(e.rank for e in self.columns.values())
 
-    def row_elements(self):
-        for q, ech in self.columns.items():
-            for row in ech.rows.values():
-                yield GwaElement(self.params, {(p, q): c for p, c in row.items()})
-
     def copy(self, window: int | None = None) -> "TruncatedSubspace":
         """A copy, optionally embedded in a window at least as wide."""
         window = self.window if window is None else window
@@ -97,9 +92,6 @@ class TruncatedSubspace:
         out = TruncatedSubspace(self.params, window)
         out.columns = {q: ech.copy() for q, ech in self.columns.items()}
         return out
-
-    def subset_of(self, other: "TruncatedSubspace") -> bool:
-        return all(other.contains(u) for u in self.row_elements())
 
 
 def commutator_span(params: GwaParams, module: BimoduleSpec, window: int,

@@ -70,11 +70,6 @@ class PerCochain(DirectSum):
         }
 
 
-def per_zero(params: GwaParams, module: BimoduleSpec, degree: int) -> PerCochain:
-    n = PerCochain.slots(degree)
-    return PerCochain(params, module, degree, tuple(params.zero() for _ in range(n)))
-
-
 class _Ops:
     """One-sided actions and constants of the explicit maps f, g and contractions."""
 

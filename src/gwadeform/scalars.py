@@ -210,11 +210,6 @@ class Poly:
         c = rat(c)
         return Poly([div(a, c) for a in self.coeffs])
 
-    def __truediv__(self, other):
-        if isinstance(other, Poly):
-            return self.exact_quo(other)
-        return self.over(other)
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self

@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from gwadeform.core import GwaParams, basis_window
+from gwadeform import linalg
+from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
+from gwadeform.core import (
+    GwaParams,
+    TensorElement,
+    _accumulate,
+    basis_window,
+    multiply,
+)
 from gwadeform.hochschild import Cochain2
-from gwadeform.scalars import Poly
+from gwadeform.scalars import Poly, div
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -60,3 +68,83 @@ def non_cocycle(a):
     """
     return Cochain2(a, lambda q, i, j: a.one() if (q, i, j) == (1, 0, -1)
                     else a.zero())
+
+
+def cochain2_sum(F, G):
+    """The 2-cochain F + G, summed on basis values."""
+    return Cochain2(F.params,
+                    lambda q, i, j: F.eval_basis(q, i, j) + G.eval_basis(q, i, j))
+
+
+def act_left(t, a):
+    """a . (u (x) v) = (a u) (x) v, one element product per term of t."""
+    out = {}
+    for (L, R), c in t.terms.items():
+        prod = multiply(a, t._leg(L))
+        _accumulate(out, {(pq, R): w for pq, w in prod.terms.items()}, c)
+    return TensorElement(t.algebra, out)
+
+
+def act_right(t, b):
+    """(u (x) v) . b = u (x) (v b), one element product per term of t."""
+    out = {}
+    for (L, R), c in t.terms.items():
+        prod = multiply(t._leg(R), b)
+        _accumulate(out, {(L, pq): w for pq, w in prod.terms.items()}, c)
+    return TensorElement(t.algebra, out)
+
+
+def delta_nu(params, gen, q):
+    """Delta^nu(x^q) = sum_s x^{q-s} (x) (lambda x)^{s-1}, likewise for y."""
+    if gen not in ("x", "y"):
+        raise ValueError("gen must be 'x' or 'y'")
+    sign = 1 if gen == "x" else -1
+    lam = params.lam if gen == "x" else div(1, params.lam)
+    return TensorElement(params, {((0, sign * (q - s)), (0, sign * (s - 1))):
+                                  lam ** (s - 1) for s in range(1, q + 1)})
+
+
+def _c_index_set(params, degree, window):
+    """Deterministic standard-basis indices (summand, q, deg z, j) in a window."""
+    w = params.l + 1
+    nsum = 1 if degree == 0 else 2
+    out = []
+    for s in range(nsum):
+        for q in range(-(window // w), window // w + 1):
+            for j in range(-(window // w), window // w + 1):
+                rem = window - w * (abs(q) + abs(j))
+                for m in range(rem + 1):
+                    out.append((s, q, m, j))
+    return out
+
+
+def _c_terms(e):
+    return {(s, q, m, j): c for s, comp in enumerate(e.components)
+            for (q, j), b in comp.terms.items()
+            for m, c in enumerate(b.coeffs) if c}
+
+
+def c_solve_preimage(i, target, window):
+    """Find e in C_{i+1} with d_{i+1}(e) = target by an exact windowed solve.
+
+    The unknowns are the standard monomials of C_{i+1} in the window plus
+    l + 1.  Returns None when the truncated system is inconsistent.
+    """
+    params = target.algebra
+    if i >= 1 and not c_diff(i, target).is_zero():
+        raise ValueError("target is not a cycle")
+    src_index = _c_index_set(params, i + 1, window + params.l + 1)
+    zero = c_element(params, i + 1, [], []).components
+    columns = []
+    for (s, q, m, j) in src_index:
+        comps = list(zero)
+        comps[s] = StandardTensor(params, {(q, j): Poly.monomial(m)})
+        columns.append(_c_terms(c_diff(i + 1, CElement(i + 1, tuple(comps)))))
+    sol = linalg.solve_many(columns, [_c_terms(target)])[0]
+    if sol is None:
+        return None
+    comps = [{} for _ in zero]
+    for (s, q, m, j), c in zip(src_index, sol):
+        if c:
+            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
+    return CElement(i + 1, tuple(StandardTensor(params, t) for t in comps))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from gwadeform.core import GwaElement, GwaParams, identity_auto
 from gwadeform.deform import build_star, check_obstruction
-from gwadeform.hochschild import Cochain2, cochain2_zero
+from gwadeform.hochschild import Cochain2
 from gwadeform.homology import commutator_span
 from gwadeform.linalg import Echelon, solve_many
 from gwadeform.scalars import Poly
@@ -45,7 +45,7 @@ def test_tracer_spans_resolve():
 def test_tracer_cache_and_hook_attributes():
     params = GwaParams(2, 0, Poly.z())
     assert isinstance(params._mono_cache, dict)
-    assert isinstance(cochain2_zero(params)._memo, dict)
+    assert isinstance(Cochain2(params, lambda q, i, j: params.zero())._memo, dict)
     # hooks read the operands of multiply and apply_automorphism
     assert isinstance(params.x().terms, dict)
     assert isinstance(GwaElement(params, {}).terms, dict)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from gwadeform.cli import parse_cochain, run
-from gwadeform.complexes import c_zero
+from gwadeform.complexes import c_element
 from gwadeform.core import GwaElement, GwaParams, basis_window, module_nu, \
     module_plain, tensor_act, tensor_from_pair
 from gwadeform.deform import build_star, check_assoc, lift
@@ -166,9 +166,9 @@ def test_term_dict_checks_reject_another_algebra():
 def test_direct_sum_shapes_must_agree():
     a = GwaParams(2, 0, Z)
     with pytest.raises(ValueError):
-        c_zero(a, 1) + c_zero(a, 2)
-    assert (c_zero(a, 2) - c_zero(a, 2)).is_zero()
-    assert -c_zero(a, 1) == c_zero(a, 1)
+        c_element(a, 1, [], []) + c_element(a, 2, [], [])
+    assert (c_element(a, 2, [], []) - c_element(a, 2, [], [])).is_zero()
+    assert -c_element(a, 1, [], []) == c_element(a, 1, [], [])
 
 
 def test_accumulate_in_place():

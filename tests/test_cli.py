@@ -198,6 +198,44 @@ def test_malformed_env_value_exits_2(tmp_path, capsys, monkeypatch, name):
     assert code == 0 and report["pass"]
 
 
+@pytest.mark.parametrize("command", ["h0", "deform-verify"])
+def test_negative_window_exits_2(tmp_path, capsys, monkeypatch, command):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    assert run(["--config", cfg, "--window", "-5", command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "window" in err
+    monkeypatch.setenv("GWADEFORM_WINDOW", "-5")
+    assert run(["--config", cfg, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GWADEFORM_WINDOW" in err
+    # window 0 is a window: the checks run on the unit alone
+    monkeypatch.setenv("GWADEFORM_WINDOW", "0")
+    code, report = run_json(capsys, ["--config", cfg, "--json", "--order", "2",
+                                     command])
+    assert code == 0 and report["pass"]
+    code, report = run_json(capsys, ["--config", cfg, "--json", "--order", "2",
+                                     "--window", "0", command])
+    assert code == 0 and report["pass"]
+    counted = [r.get("triples", r.get("pairs")) for r in report["results"]
+               if r["check"].startswith(("obstruction", "local"))]
+    assert counted == ([1, 1] if command == "deform-verify" else [])
+
+
+@pytest.mark.parametrize("value", ["true", "yes", "2", "on"])
+def test_json_env_accepts_only_0_or_1(tmp_path, capsys, monkeypatch, value):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    monkeypatch.setenv("GWADEFORM_JSON", value)
+    assert run(["--config", cfg, "h0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "GWADEFORM_JSON" in err
+    monkeypatch.setenv("GWADEFORM_JSON", "0")
+    assert run(["--config", cfg, "h0"]) == 0
+    assert capsys.readouterr().out.startswith("gwadeform h0")
+    monkeypatch.setenv("GWADEFORM_JSON", "1")
+    code, report = run_json(capsys, ["--config", cfg, "h0"])
+    assert code == 0 and report["command"] == "h0"
+
+
 def test_env_read_on_every_run(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, "2", "0", ["0", "1"])
     for seed in ("5", "6"):

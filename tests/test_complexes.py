@@ -7,11 +7,9 @@ from gwadeform.complexes import (
     CElement,
     PElement,
     StandardTensor,
-    c_augment,
+    _linear_extend,
     c_diff,
     c_element,
-    c_solve_preimage,
-    c_zero,
     p_dh,
     p_dv,
     p_generators,
@@ -25,16 +23,25 @@ from gwadeform.complexes import (
     verify_hdc,
 )
 from gwadeform.core import (
+    GwaElement,
     GwaParams,
     TensorElement,
     LEG_ID,
     LegMap,
+    _accumulate,
+    multiply,
     tensor_from_pair,
     twisted_delta,
 )
 from gwadeform.scalars import Poly
 
-from conftest import full_corpus, random_element
+from conftest import (
+    act_left,
+    act_right,
+    c_solve_preimage,
+    full_corpus,
+    random_element,
+)
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -107,6 +114,19 @@ def test_c_diff_squared_on_random():
             assert c_diff(i, c_diff(i + 1, e)).is_zero()
 
 
+def c_augment(e):
+    """Multiplication map A (x)_B A -> A on degree 0."""
+    if e.degree != 0:
+        raise ValueError("augmentation is defined in degree 0 only")
+    params = e.algebra
+    out: dict = {}
+    for (q, j), b in e.components[0].terms.items():
+        _accumulate(out, multiply(params.monomial(0, q),
+                                  multiply(params.from_poly(b),
+                                           params.monomial(0, j))).terms)
+    return GwaElement(params, out)
+
+
 def test_augmentation():
     a = GwaParams(2, 0, Z)
     e = c_element(a, 0, [(a.x(), a.y()), (a.z(2), a.x())])
@@ -128,7 +148,7 @@ def test_c_solve_preimage_roundtrip():
             found = c_solve_preimage(i, target, 4)
             assert found is not None
             assert c_diff(i + 1, found) == target
-    assert c_solve_preimage(1, c_zero(a, 1), 2).is_zero()
+    assert c_solve_preimage(1, c_element(a, 1, [], []), 2).is_zero()
 
 
 def test_c_solve_rejects_non_cycle():
@@ -254,6 +274,35 @@ def test_tot_images_shape():
     for n in (0, -1):
         with pytest.raises(ValueError):
             tot_images(a, n)
+
+
+def reference_linear_extend(params, components, gen_images):
+    """_linear_extend on elements: each term c L (x) R acts on an image
+    through act_left by c L and then act_right by R."""
+    out = [{} for _ in gen_images[0]]
+    for s, comp in enumerate(components):
+        for (L, R), c in comp.terms.items():
+            a = GwaElement(params, {L: c})
+            b = GwaElement(params, {R: 1})
+            for t, img in enumerate(gen_images[s]):
+                _accumulate(out[t], act_right(act_left(img, a), b).terms)
+    return tuple(TensorElement(params, t) for t in out)
+
+
+def test_linear_extend_matches_element_reference():
+    # every table of the total differential, on random multi-term tensors
+    rng = random.Random(59)
+    for a in full_corpus():
+        for n in range(1, 7):
+            images = tot_images(a, n)
+            for _ in range(2):
+                comps = [tensor_from_pair(random_element(rng, a, 3, 2),
+                                          random_element(rng, a, 3, 2))
+                         + tensor_from_pair(random_element(rng, a, 2, 2),
+                                            random_element(rng, a, 2, 2))
+                         for _ in images]
+                assert (_linear_extend(a, comps, images)
+                        == reference_linear_extend(a, comps, images)), (a, n)
 
 
 def test_augmentation_tot():

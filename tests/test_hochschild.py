@@ -3,14 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from gwadeform.complexes import PElement, TotElement, tot_diff
+from gwadeform.complexes import PElement, TotElement, _linear_extend, tot_diff
 from gwadeform.core import (
     GwaParams,
     LEG_ID,
     LegMap,
+    TensorElement,
+    _accumulate,
     basis_triples,
     basis_window,
-    delta_nu,
     module_plain,
     tensor_act,
     tensor_from_pair,
@@ -20,13 +21,11 @@ from gwadeform.deform import build_star
 from gwadeform.errors import UnsupportedPatternError
 from gwadeform.hochschild import (
     Cochain2,
+    Cochain3,
     circle,
-    cochain2_zero,
-    cochain3_zero,
     determine_F,
     hochschild_b,
     preserves_gamma,
-    theta1,
     theta2,
     theta2_pullback,
     thetaprime2,
@@ -36,6 +35,8 @@ from gwadeform.percomplex import PerCochain, f_map, is_cocycle, per_diff
 from gwadeform.scalars import Poly
 
 from conftest import (
+    cochain2_sum,
+    delta_nu,
     full_corpus,
     non_cocycle,
     random_element,
@@ -47,13 +48,37 @@ Z = Poly.z()
 ONE = Poly.one()
 
 
+def theta1(params, pattern):
+    """Image of 1|z^i x_j|1 in the degree-1 column pair (z-, x-, y-slot)."""
+    i, j = pattern
+    z_slot: dict = {}
+    x_slot: dict = {}
+    y_slot: dict = {}
+    for k in range(1, i + 1):
+        _accumulate(z_slot, tensor_from_pair(params.z(i - k),
+                                             params.monomial(k - 1, j)).terms)
+    for k in range(1, abs(j) + 1):
+        if j > 0:
+            _accumulate(x_slot, tensor_from_pair(params.monomial(i, j - k),
+                                                 params.x(k - 1)).terms)
+        else:
+            _accumulate(y_slot, tensor_from_pair(params.monomial(i, j + k),
+                                                 params.y(k - 1)).terms)
+    return tuple(TensorElement(params, t) for t in (z_slot, x_slot, y_slot))
+
+
+def outer(params, t, a, b):
+    """a . t . b for outer factors a, b of A."""
+    return _linear_extend(params, [tensor_from_pair(a, b)], [[t]])[0]
+
+
 def theta1_tot(params, u, a, b):
     """theta1 extended over outer factors a|u|b, as a total-complex element."""
     zero3 = [t.scale(0) for t in theta1(params, (0, 0))]
     acc = zero3
     for (i, j), c in u.terms.items():
         slots = theta1(params, (i, j))
-        acc = [s0 + s1.act_left(a).act_right(b).scale(c)
+        acc = [s0 + outer(params, s1, a, b).scale(c)
                for s0, s1 in zip(acc, slots)]
     return TotElement(1, (PElement(0, 1, (acc[0],)),
                           PElement(1, 0, (acc[1], acc[2]))))
@@ -104,8 +129,8 @@ def test_theta2_zero_and_display_cases():
     # x against z^i y^j matches the twisted-coproduct form
     p, i, j = 1, 2, 2
     slots = theta2(a, (p, 1), (i, -j))
-    want0 = (-twisted_delta(a, LegMap(1, 0), LEG_ID, Poly.monomial(i))
-             .act_left(a.z(p)).act_right(a.y(j)))
+    want0 = -outer(a, twisted_delta(a, LegMap(1, 0), LEG_ID, Poly.monomial(i)),
+                   a.z(p), a.y(j))
     assert slots[0] == want0
     assert slots[1].is_zero() and slots[2].is_zero()
     assert slots[3] == tensor_from_pair(
@@ -283,7 +308,7 @@ def test_circle_bilinear():
     F = random_table_cochain(a, 1)
     G = random_table_cochain(a, 2)
     H = random_table_cochain(a, 3)
-    FG = F + G
+    FG = cochain2_sum(F, G)
     rng = random.Random(7)
     for _ in range(10):
         u, v, w = (random_element(rng, a, 3) for _ in range(3))
@@ -291,7 +316,8 @@ def test_circle_bilinear():
         assert lhs == circle(F, H)(u, v, w) + circle(G, H)(u, v, w)
         lhs = circle(H, FG)(u, v, w)
         assert lhs == circle(H, F)(u, v, w) + circle(H, G)(u, v, w)
-    assert circle(F, cochain2_zero(a))(a.x(), a.y(), a.z()).is_zero()
+    zero = Cochain2(a, lambda q, i, j: a.zero())
+    assert circle(F, zero)(a.x(), a.y(), a.z()).is_zero()
 
 
 def test_cochain3_matches_element_reference():
@@ -334,7 +360,8 @@ def test_thetaprime2_roundtrip():
         assert thetaprime2(quantum_f1(a)) == f_map(a.z(), a, module_plain(a))
     for a in (GwaParams(1, 1, Z**2), GwaParams(1, 1, Z * (Z - ONE))):
         assert thetaprime2(classical_f1(a)) == f_map(a.one(), a, module_plain(a))
-    assert thetaprime2(cochain2_zero(GwaParams(2, 0, Z))).is_zero()
+    a = GwaParams(2, 0, Z)
+    assert thetaprime2(Cochain2(a, lambda q, i, j: a.zero())).is_zero()
 
 
 def test_thetaprime3_obstruction():
@@ -352,7 +379,8 @@ def test_thetaprime3_obstruction():
             + Fraction(1, 2) * (a.y() * a.z(2) * a.from_poly(pb2)),
         ))
         assert got == want, a
-    assert thetaprime3(cochain3_zero(GwaParams(2, 0, Z))).is_zero()
+    a = GwaParams(2, 0, Z)
+    assert thetaprime3(Cochain3(a, lambda out, u, v, w, c=None: out)).is_zero()
 
 
 def test_chain_map_evidence():
@@ -369,11 +397,3 @@ def test_chain_map_evidence():
         F1 = build_f1(a)
         assert is_cocycle(thetaprime2(F1))
         assert per_diff(thetaprime2(F1)) == thetaprime3(hochschild_b(F1))
-
-
-def test_cochain2_table_json():
-    a = GwaParams(2, 0, Z)
-    table = quantum_f1(a).to_table(4)
-    assert table["provenance"] == "determined-from-generators"
-    assert any(rec["left"] == {"p": 0, "q": 1} and rec["right"] == {"p": 1, "q": 0}
-               for rec in table["values"])

@@ -5,6 +5,8 @@ the former dense Gauss-Jordan solve, the former dense incremental echelon
 basis and the former inline Sylvester determinant, kept as references;
 `dense_per_solve_preimage` and `dense_c_solve_preimage` are the former
 preimage searches, which built dense columns over an explicit target basis.
+The sparse preimage search of the complex C, `c_solve_preimage`, is a test
+oracle only and lives in `conftest.py`.
 Dense inputs are made sparse at the test boundary.  The sparse solver must
 return the very same solution vectors (the RREF ones), not merely valid
 ones, and the preimage searches the very same preimages.
@@ -17,21 +19,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwadeform import linalg
-from gwadeform.complexes import (
-    CElement,
-    StandardTensor,
-    _c_index_set,
-    c_diff,
-    c_element,
-    c_solve_preimage,
-    c_zero,
-)
+from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
 from gwadeform.core import GwaElement, _accumulate, basis_window, module_nu, module_plain
 from gwadeform.linalg import Echelon, determinant, solve_many
 from gwadeform.percomplex import PerCochain, f_map, per_diff, per_solve_preimage
 from gwadeform.scalars import Poly, sylvester_resultant
 
-from conftest import full_corpus, random_element
+from conftest import (
+    _c_index_set,
+    c_solve_preimage,
+    full_corpus,
+    random_element,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -242,7 +241,7 @@ def dense_c_solve_preimage(i, target, window):
 
     cols = []
     for (s, q, m, j) in src_index:
-        comps = list(c_zero(params, i + 1).components)
+        comps = list(c_element(params, i + 1, [], []).components)
         comps[s] = StandardTensor(params, {(q, j): Poly.monomial(m)})
         cols.append(to_vector(c_diff(i + 1, CElement(i + 1, tuple(comps)))))
     matrix = [[col[r] for col in cols] for r in range(len(tgt_index))]

@@ -27,7 +27,6 @@ from gwadeform.percomplex import (
     is_cocycle,
     per_diff,
     per_solve_preimage,
-    per_zero,
     split2,
 )
 from gwadeform.scalars import Poly, bezout_for_phi
@@ -195,7 +194,8 @@ def test_negative_degree_rejected():
         with pytest.raises(ValueError):
             PerCochain(a, module_plain(a), degree, (a.one(),) * 4)
         with pytest.raises(ValueError):
-            per_zero(a, module_plain(a), degree)
+            PerCochain(a, module_plain(a), degree,
+                       (a.zero(),) * PerCochain.slots(degree))
 
 
 def test_per_diff_degree0():
@@ -249,7 +249,7 @@ def test_g_map():
     a = GwaParams(2, 0, Z**2 - ONE)
     mod = module_plain(a)
     bez = bezout_for_phi(a.phi)
-    assert g_map(per_zero(a, mod, 2), bez).is_zero()
+    assert g_map(PerCochain(a, mod, 2, (a.zero(),) * 4), bez).is_zero()
     with pytest.raises(NotCocycleError):
         g_map(PerCochain(a, mod, 2, (a.one(), a.zero(), a.zero(), a.zero())), bez)
     # g(f(m)) - m lies in the twisted-commutator span
@@ -274,7 +274,7 @@ def test_contract3_roundtrip():
             continue
         bez = bezout_for_phi(a.phi)
         for mod in (module_plain(a), module_nu(a)):
-            z = per_zero(a, mod, 3)
+            z = PerCochain(a, mod, 3, (a.zero(),) * 4)
             assert per_diff(contract3(z, bez)).is_zero()
             for _ in range(4):
                 c = per_diff(random_cochain(rng, a, mod, 2, window=3))
@@ -308,7 +308,7 @@ def test_split2():
             continue
         bez = bezout_for_phi(a.phi)
         for mod in (module_plain(a), module_nu(a)):
-            u, n2 = split2(per_zero(a, mod, 2), bez)
+            u, n2 = split2(PerCochain(a, mod, 2, (a.zero(),) * 4), bez)
             assert u.is_zero() and n2.is_zero()
             for _ in range(4):
                 m = random_element(rng, a, 3)

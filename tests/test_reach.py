@@ -1,0 +1,68 @@
+"""``src/`` holds only code that the program runs.
+
+Every name defined at module or class level in ``src/gwadeform`` must be
+read somewhere in ``src/`` (as a name or an attribute), be a span that
+``perfbench/tracer.py`` wraps, or be listed in ``ALLOWED`` with its
+reason.  Oracles and fixtures that only tests use live in ``tests/``.
+The scan is by name, so a name read anywhere in ``src/`` counts as
+reached wherever it is defined.
+"""
+import ast
+from pathlib import Path
+
+from test_bench_contract import tracer_constant
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gwadeform"
+
+# name -> why it stays in src/ although nothing in src/ reads it
+ALLOWED = {
+    "tot_diff": "the total differential as a map, the reference that "
+                "tests check tot_images and the theta maps against",
+    "tot_generators": "the generators of T_n, the inputs of the tot_diff "
+                      "reference in tests",
+    "thetaprime2": "the degree-2 comparison map, the reference for the "
+                   "theta2 pullback and the chain-map identity in tests",
+    "preserves_gamma": "the filtration check that the acceptance criteria "
+                       "call",
+    "discover_f2": "the stage-2 derivation that a general extension of "
+                   "every degree-2 class is to replace",
+}
+
+
+def _defined_names(tree):
+    def targets(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, ast.Assign):
+            return [t.id for t in node.targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            return [node.target.id]
+        return []
+
+    for node in tree.body:
+        yield from targets(node)
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                yield from targets(sub)
+
+
+def unreached_names():
+    defined, loaded = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined.update(n for n in _defined_names(tree)
+                       if not (n.startswith("__") and n.endswith("__")))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return defined - loaded
+
+
+def test_src_defines_only_reached_names():
+    spans = {path.split(".")[-1] for _, path in tracer_constant("SPANS").values()}
+    unreached = unreached_names()
+    assert unreached - spans - set(ALLOWED) == set()
+    # the allowlist cannot rot: each entry still exists and is still unreached
+    assert set(ALLOWED) <= unreached
