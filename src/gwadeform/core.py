@@ -262,14 +262,11 @@ class GwaParams:
         if cached is not None:
             return cached
         b = self.sigma_pow(Poly.monomial(i), q) if i else Poly.one()
-        if q > 0 > j:
-            mn = min(q, -j)
-            for k in range(1, mn + 1):
-                b = b * self.sigma_pow(self.phi_bar, q - k)
-        elif q < 0 < j:
-            mn = min(-q, j)
-            for k in range(1, mn + 1):
-                b = b * self.sigma_pow(self.phi, -(-q - k))
+        if q * j < 0:
+            s = 1 if q > 0 else -1
+            # cancelled pair k (x y or y x) leaves sigma^{q - s k + [s > 0]}(phi)
+            for k in range(1, min(s * q, -s * j) + 1):
+                b = b * self.sigma_pow(self.phi, q - s * k + (s > 0))
         terms = {(p + d, q + j): c for d, c in enumerate(b.coeffs) if c != 0}
         self._mono_cache[key] = terms
         return terms

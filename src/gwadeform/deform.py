@@ -50,7 +50,7 @@ from .hochschild import (
     hochschild_b,
     theta2_pullback,
 )
-from .percomplex import contract3, f_map, per_solve_preimage
+from .percomplex import PerCochain, contract3, f_map, per_solve_preimage
 from .scalars import Poly, bezout_for_phi, div, rat
 
 # The largest order build_star accepts; orders 12 and 16 pass deform-verify
@@ -133,11 +133,15 @@ def _closed_form_datum(params: GwaParams, n: int):
     return (params.zero(), vxy, params.zero(), params.zero())
 
 
+def _defining_cocycle(params: GwaParams) -> PerCochain:
+    """The degree-2 cocycle f(z) (quantum case) or f(1) (classical case)."""
+    seed = params.z() if params.is_quantum else params.one()
+    return f_map(seed, params, module_plain(params))
+
+
 def build_f1(params: GwaParams) -> Cochain2:
     """First-order cochain via the cocycle -> column-pullback -> rebuild path."""
-    seed = params.z() if params.is_quantum else params.one()
-    c = f_map(seed, params, module_plain(params))
-    P = theta2_pullback(c)
+    P = theta2_pullback(_defining_cocycle(params))
     x, y, z = params.x(), params.y(), params.z()
     return determine_F(params, None, P(x, z), P(x, y), P(y, z), P(y, x))
 
@@ -284,15 +288,17 @@ def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
     """Stage-n identity sum_{i+j=n} circle(F_i, F_j) = 0, F_0 the product.
 
     Equivalently, the circle products of F_1 .. F_{n-1} sum to b F_n.
+    The scan stops at the fifth failure; ``triples`` counts every triple
+    checked, the one that stopped it included.
     """
     checked = 0
     failures = []
     for triple, residual in obstruction_residuals(sp, n, window):
+        checked += 1
         if residual:
             failures.append({"triple": list(triple)})
             if len(failures) >= 5:
                 break
-        checked += 1
     return {"n": n, "window": window, "triples": checked,
             "failures": failures, "pass": not failures}
 
@@ -366,8 +372,6 @@ def f1_noncoboundary_evidence(params: GwaParams, window: int | None = None) -> d
     """
     if window is None:
         window = 2 * params.l + 8
-    seed = params.z() if params.is_quantum else params.one()
-    target = f_map(seed, params, module_plain(params))
-    found = per_solve_preimage(target, window)
+    found = per_solve_preimage(_defining_cocycle(params), window)
     return {"window": window, "preimage_found": found is not None,
             "one_sided": True, "pass": found is None}

@@ -12,6 +12,16 @@ The theta maps translate between bar-resolution cochains and the
 periodic cochain grid: theta2 sends a basis pair to an element of the
 degree-2 column pair, its pullback turns a degree-2 periodic cochain
 into a 2-cochain, and thetaprime2/thetaprime3 go the other way.
+
+Mirror rule.  Swapping x and y is an isomorphism A(sigma, phi) ~
+A(sigma^{-1}, phi o sigma), so `theta2` and `determine_F` write one
+formula for a left factor x_q and read it with s = sign(q): the
+generator is g = x_s and h = x_{-s} the other one, sigma becomes
+sigma^s, lambda becomes lambda^s, phi_s is phi_bar for s = 1 and phi for
+s = -1 (so that g h = phi_s), and theta2 uses the slots of g: slot
+(1 - s)/2 of the chain column and slot 3 (s = 1) or 2 (s = -1) of the
+single tensor.
+
 A 3-cochain holds ``into(out, u, v, w, c)``, which adds c * G(u, v, w) to
 a term dict in place; ``evaluate`` builds one element at the end.
 """
@@ -138,6 +148,8 @@ def theta2(params: GwaParams, left: tuple[int, int],
            right: tuple[int, int]) -> tuple:
     """Image of 1|z^p x_q|z^i x_j|1 as a 4-tuple in the degree-2 columns.
 
+    One formula serves both generators, by the mirror rule of the module
+    docstring; g against z^i h^J adds the single tensor to the chain.
     Mixed patterns x^q-vs-y or y^q-vs-x with q >= 2 are unsupported.
     """
     p, q = left
@@ -145,48 +157,25 @@ def theta2(params: GwaParams, left: tuple[int, int],
     slots: list[dict] = [{} for _ in range(4)]
     if q == 0:
         return tuple(TensorElement(params, t) for t in slots)
-    zp = Poly.monomial(p)
-    if q > 0 and j >= 0:
-        # x^q against z^i x^j
-        for k in range(1, i + 1):
-            lz = zp * params.sigma_pow(Poly.monomial(i - k), q)
-            for s in range(1, q + 1):
-                lhs = params.from_poly(lz, q - s)
-                rz = params.sigma_pow(Poly.monomial(k - 1), s - 1)
-                rhs = params.lam ** (s - 1) * params.from_poly(rz, s - 1 + j)
-                _accumulate(slots[0], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
-    elif q < 0 and j <= 0:
-        # y^Q against z^i y^J
-        Q, J = -q, -j
-        for k in range(1, i + 1):
-            lz = zp * params.sigma_pow(Poly.monomial(i - k), -Q)
-            for s in range(1, Q + 1):
-                lhs = params.from_poly(lz, -(Q - s))
-                rz = params.sigma_pow(Poly.monomial(k - 1), -(s - 1))
-                rhs = div(1, params.lam ** (s - 1)) * params.from_poly(rz, -(s - 1) - J)
-                _accumulate(slots[1], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
-    elif q == 1:
-        # x against z^i y^J
-        J = -j
-        for k in range(1, i + 1):
-            lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), 1))
-            _accumulate(slots[0], tensor_from_pair(
-                lhs, params.monomial(k - 1, -J)).terms, _MINUS_ONE)
-        slots[3] = tensor_from_pair(
-            params.from_poly(zp * params.sigma_pow(Poly.monomial(i), 1)),
-            params.y(J - 1)).terms
-    elif q == -1:
-        # y against z^i x^j
-        for k in range(1, i + 1):
-            lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), -1))
-            _accumulate(slots[1], tensor_from_pair(
-                lhs, params.monomial(k - 1, j)).terms, _MINUS_ONE)
-        slots[2] = tensor_from_pair(
-            params.from_poly(zp * params.sigma_pow(Poly.monomial(i), -1)),
-            params.x(j - 1)).terms
-    else:
+    s = 1 if q > 0 else -1
+    opposite = s * j < 0
+    if opposite and q != s:
         raise UnsupportedPatternError(
             f"no displayed image for x_({q}) against z^{i} x_({j})")
+    lam_s = params.lam if s > 0 else div(1, params.lam)
+    zp = Poly.monomial(p)
+    for k in range(1, i + 1):
+        lz = zp * params.sigma_pow(Poly.monomial(i - k), q)
+        for t in range(1, s * q + 1):
+            lhs = params.from_poly(lz, q - s * t)
+            rz = params.sigma_pow(Poly.monomial(k - 1), s * (t - 1))
+            rhs = lam_s ** (t - 1) * params.from_poly(rz, s * (t - 1) + j)
+            _accumulate(slots[(1 - s) // 2], tensor_from_pair(lhs, rhs).terms,
+                        _MINUS_ONE)
+    if opposite:
+        slots[(5 + s) // 2] = tensor_from_pair(
+            params.from_poly(zp * params.sigma_pow(Poly.monomial(i), s)),
+            params.monomial(0, j + s)).terms
     return tuple(TensorElement(params, t) for t in slots)
 
 
@@ -274,14 +263,22 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
     """The unique unit-normalized z-left-linear 2-cochain with the given
     coboundary and generator values.
 
-    Values are filled by recursion: pure z-powers first, then pure x/y
-    powers, then mixed second arguments, then induction on the left
-    x/y-power.  The y-side recursions mirror the x-side ones (swap x and
-    y, invert sigma, exchange phi with its shift); their correctness is
-    certified by sampling the coboundary of the output.
+    Each value is the coboundary identity on one triple, solved for its
+    F(x_q, z^i x_j) term.  One recursion serves both sides by the mirror
+    rule of the module docstring: s = sign(q), g = x_s, h = x_{-s} and
+    sigma^s; tb is the target on the triple, and F(g, z), F(g, h) are the
+    given generator values.
+
+    * (g, z, z^{i-1}):  F(g, z^i) = tb + sigma^s(z) F(g, z^{i-1})
+                                    + F(g, z) z^{i-1}
+    * (g, h, h^{J-1}):  F(g, h^J) = tb + F(g, h) h^{J-1}
+    * (g, z^i, x_j):    F(g, z^i x_j) = tb + sigma^s(z^i) F(g, x_j)
+                                        + F(g, z^i) x_j  (i >= 1; F(g, x_j)
+                                        = 0 when x_j is a power of g)
+    * (g^{n-1}, g, v):  F(g^n, v) = g^{n-1} F(g, v) + F(g^{n-1}, g v) - tb
     """
     zero = params.zero()
-    one, x, y, z = params.one(), params.x(), params.y(), params.z()
+    gens = {1: (params.x(), vxz, vxy), -1: (params.y(), vyz, vyx)}
     memo: dict[tuple[int, int, int], GwaElement] = {}
 
     def tb(u, v, w):
@@ -289,9 +286,9 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
             return zero
         return target_b.evaluate(u, v, w)
 
-    def ev_right(q, elem):
+    def ev_right(q, terms):
         out: dict = {}
-        for (i, j), c in elem.terms.items():
+        for (i, j), c in terms.items():
             _accumulate(out, val(q, i, j).terms, c)
         return GwaElement(params, out)
 
@@ -302,80 +299,27 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
         got = memo.get(key)
         if got is not None:
             return got
-        if q == 1:
-            if j == 0:  # F(x, z^i)
-                if i == 1:
-                    out = vxz
-                else:
-                    out = (tb(x, z, params.z(i - 1))
-                           + _sigma_poly_elem(params, Poly.z(), 1)
-                           * val(1, i - 1, 0)
-                           + vxz * params.z(i - 1))
-            elif j > 0:  # F(x, z^i x^j), i >= 1
-                out = tb(x, params.z(i), params.x(j)) + val(1, i, 0) * params.x(j)
-            elif i == 0:  # F(x, y^J)
-                J = -j
-                if J == 1:
-                    out = vxy
-                else:
-                    out = tb(x, y, params.y(J - 1)) + vxy * params.y(J - 1)
-            else:  # F(x, z^i y^J)
-                J = -j
-                out = (tb(x, params.z(i), params.y(J))
-                       + _sigma_poly_elem(params, Poly.monomial(i), 1)
-                       * val(1, 0, j)
-                       + val(1, i, 0) * params.y(J))
-        elif q > 1:
-            xq1 = params.x(q - 1)
-            if j >= 0:  # F(x^q, z^i x^j)
-                shifted = params.from_poly(
-                    params.sigma_pow(Poly.monomial(i), 1), j + 1)
-                out = (xq1 * val(1, i, j) + ev_right(q - 1, shifted)
-                       - tb(xq1, x, params.monomial(i, j)))
-            else:  # F(x^q, z^i y^J)
-                J = -j
-                shifted = params.from_poly(
-                    params.sigma_pow(Poly.monomial(i), 1) * params.phi_bar,
-                    -(J - 1))
-                out = (ev_right(q - 1, shifted) + xq1 * val(1, i, j)
-                       - tb(xq1, x, params.monomial(i, j)))
-        elif q == -1:
-            if j == 0:  # F(y, z^i)
-                if i == 1:
-                    out = vyz
-                else:
-                    out = (tb(y, z, params.z(i - 1))
-                           + _sigma_poly_elem(params, Poly.z(), -1)
-                           * val(-1, i - 1, 0)
-                           + vyz * params.z(i - 1))
-            elif j < 0:  # F(y, z^i y^J), i >= 1
-                J = -j
-                out = tb(y, params.z(i), params.y(J)) + val(-1, i, 0) * params.y(J)
-            elif i == 0:  # F(y, x^j)
-                if j == 1:
-                    out = vyx
-                else:
-                    out = tb(y, x, params.x(j - 1)) + vyx * params.x(j - 1)
-            else:  # F(y, z^i x^j)
-                out = (tb(y, params.z(i), params.x(j))
-                       + _sigma_poly_elem(params, Poly.monomial(i), -1)
-                       * val(-1, 0, j)
-                       + val(-1, i, 0) * params.x(j))
-        else:  # q < -1
-            Q = -q
-            yq1 = params.y(Q - 1)
-            if j <= 0:  # F(y^Q, z^i y^J)
-                J = -j
-                shifted = params.from_poly(
-                    params.sigma_pow(Poly.monomial(i), -1), -(J + 1))
-                out = (yq1 * val(-1, i, j) + ev_right(-(Q - 1), shifted)
-                       - tb(yq1, y, params.monomial(i, j)))
-            else:  # F(y^Q, z^i x^j)
-                shifted = params.from_poly(
-                    params.sigma_pow(Poly.monomial(i), -1) * params.phi,
-                    j - 1)
-                out = (ev_right(-(Q - 1), shifted) + yq1 * val(-1, i, j)
-                       - tb(yq1, y, params.monomial(i, j)))
+        s = 1 if q > 0 else -1
+        g, vgz, vgh = gens[s]
+        if q != s:  # F(g^n, z^i x_j), n >= 2
+            gn1 = params.monomial(0, q - s)
+            gv = params._mono_mul(0, s, i, j)  # g z^i x_j
+            out = (gn1 * val(s, i, j) + ev_right(q - s, gv)
+                   - tb(gn1, g, params.monomial(i, j)))
+        elif j == 0:  # F(g, z^i)
+            out = vgz if i == 1 else (
+                tb(g, params.z(), params.z(i - 1))
+                + _sigma_poly_elem(params, Poly.z(), s) * val(s, i - 1, 0)
+                + vgz * params.z(i - 1))
+        elif i == 0:  # F(g, h^J)
+            hj1 = params.monomial(0, j + s)
+            out = vgh if j == -s else (tb(g, params.monomial(0, -s), hj1)
+                                       + vgh * hj1)
+        else:  # F(g, z^i x_j), i >= 1
+            xj = params.monomial(0, j)
+            sz = _sigma_poly_elem(params, Poly.monomial(i), s)
+            out = (tb(g, params.z(i), xj) + sz * val(s, 0, j)
+                   + val(s, i, 0) * xj)
         memo[key] = out
         return out
 

@@ -5,13 +5,17 @@ import pytest
 from gwadeform import linalg
 from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
 from gwadeform.core import (
+    GwaElement,
     GwaParams,
     TensorElement,
+    _MINUS_ONE,
     _accumulate,
     basis_window,
     multiply,
+    tensor_from_pair,
 )
-from gwadeform.hochschild import Cochain2
+from gwadeform.errors import UnsupportedPatternError
+from gwadeform.hochschild import Cochain2, _sigma_poly_elem
 from gwadeform.scalars import Poly, div
 
 Z = Poly.z()
@@ -148,3 +152,164 @@ def c_solve_preimage(i, target, window):
         if c:
             _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
     return CElement(i + 1, tuple(StandardTensor(params, t) for t in comps))
+
+
+def reference_theta2(params, left, right):
+    """theta2 as it was written with an x branch and a mirrored y branch.
+
+    Image of 1|z^p x_q|z^i x_j|1 as a 4-tuple in the degree-2 columns.
+
+    Mixed patterns x^q-vs-y or y^q-vs-x with q >= 2 are unsupported.
+    """
+    p, q = left
+    i, j = right
+    slots: list[dict] = [{} for _ in range(4)]
+    if q == 0:
+        return tuple(TensorElement(params, t) for t in slots)
+    zp = Poly.monomial(p)
+    if q > 0 and j >= 0:
+        # x^q against z^i x^j
+        for k in range(1, i + 1):
+            lz = zp * params.sigma_pow(Poly.monomial(i - k), q)
+            for s in range(1, q + 1):
+                lhs = params.from_poly(lz, q - s)
+                rz = params.sigma_pow(Poly.monomial(k - 1), s - 1)
+                rhs = params.lam ** (s - 1) * params.from_poly(rz, s - 1 + j)
+                _accumulate(slots[0], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
+    elif q < 0 and j <= 0:
+        # y^Q against z^i y^J
+        Q, J = -q, -j
+        for k in range(1, i + 1):
+            lz = zp * params.sigma_pow(Poly.monomial(i - k), -Q)
+            for s in range(1, Q + 1):
+                lhs = params.from_poly(lz, -(Q - s))
+                rz = params.sigma_pow(Poly.monomial(k - 1), -(s - 1))
+                rhs = div(1, params.lam ** (s - 1)) * params.from_poly(rz, -(s - 1) - J)
+                _accumulate(slots[1], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
+    elif q == 1:
+        # x against z^i y^J
+        J = -j
+        for k in range(1, i + 1):
+            lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), 1))
+            _accumulate(slots[0], tensor_from_pair(
+                lhs, params.monomial(k - 1, -J)).terms, _MINUS_ONE)
+        slots[3] = tensor_from_pair(
+            params.from_poly(zp * params.sigma_pow(Poly.monomial(i), 1)),
+            params.y(J - 1)).terms
+    elif q == -1:
+        # y against z^i x^j
+        for k in range(1, i + 1):
+            lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), -1))
+            _accumulate(slots[1], tensor_from_pair(
+                lhs, params.monomial(k - 1, j)).terms, _MINUS_ONE)
+        slots[2] = tensor_from_pair(
+            params.from_poly(zp * params.sigma_pow(Poly.monomial(i), -1)),
+            params.x(j - 1)).terms
+    else:
+        raise UnsupportedPatternError(
+            f"no displayed image for x_({q}) against z^{i} x_({j})")
+    return tuple(TensorElement(params, t) for t in slots)
+
+
+def reference_determine_F(params, target_b, vxz, vxy, vyz, vyx):
+    """determine_F as it was written with an x branch and a mirrored y branch."""
+    zero = params.zero()
+    one, x, y, z = params.one(), params.x(), params.y(), params.z()
+    memo: dict[tuple[int, int, int], GwaElement] = {}
+
+    def tb(u, v, w):
+        if target_b is None:
+            return zero
+        return target_b.evaluate(u, v, w)
+
+    def ev_right(q, elem):
+        out: dict = {}
+        for (i, j), c in elem.terms.items():
+            _accumulate(out, val(q, i, j).terms, c)
+        return GwaElement(params, out)
+
+    def val(q, i, j):
+        if q == 0 or (i == 0 and (j == 0 or (j > 0) == (q > 0))):
+            return zero
+        key = (q, i, j)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if q == 1:
+            if j == 0:  # F(x, z^i)
+                if i == 1:
+                    out = vxz
+                else:
+                    out = (tb(x, z, params.z(i - 1))
+                           + _sigma_poly_elem(params, Poly.z(), 1)
+                           * val(1, i - 1, 0)
+                           + vxz * params.z(i - 1))
+            elif j > 0:  # F(x, z^i x^j), i >= 1
+                out = tb(x, params.z(i), params.x(j)) + val(1, i, 0) * params.x(j)
+            elif i == 0:  # F(x, y^J)
+                J = -j
+                if J == 1:
+                    out = vxy
+                else:
+                    out = tb(x, y, params.y(J - 1)) + vxy * params.y(J - 1)
+            else:  # F(x, z^i y^J)
+                J = -j
+                out = (tb(x, params.z(i), params.y(J))
+                       + _sigma_poly_elem(params, Poly.monomial(i), 1)
+                       * val(1, 0, j)
+                       + val(1, i, 0) * params.y(J))
+        elif q > 1:
+            xq1 = params.x(q - 1)
+            if j >= 0:  # F(x^q, z^i x^j)
+                shifted = params.from_poly(
+                    params.sigma_pow(Poly.monomial(i), 1), j + 1)
+                out = (xq1 * val(1, i, j) + ev_right(q - 1, shifted)
+                       - tb(xq1, x, params.monomial(i, j)))
+            else:  # F(x^q, z^i y^J)
+                J = -j
+                shifted = params.from_poly(
+                    params.sigma_pow(Poly.monomial(i), 1) * params.phi_bar,
+                    -(J - 1))
+                out = (ev_right(q - 1, shifted) + xq1 * val(1, i, j)
+                       - tb(xq1, x, params.monomial(i, j)))
+        elif q == -1:
+            if j == 0:  # F(y, z^i)
+                if i == 1:
+                    out = vyz
+                else:
+                    out = (tb(y, z, params.z(i - 1))
+                           + _sigma_poly_elem(params, Poly.z(), -1)
+                           * val(-1, i - 1, 0)
+                           + vyz * params.z(i - 1))
+            elif j < 0:  # F(y, z^i y^J), i >= 1
+                J = -j
+                out = tb(y, params.z(i), params.y(J)) + val(-1, i, 0) * params.y(J)
+            elif i == 0:  # F(y, x^j)
+                if j == 1:
+                    out = vyx
+                else:
+                    out = tb(y, x, params.x(j - 1)) + vyx * params.x(j - 1)
+            else:  # F(y, z^i x^j)
+                out = (tb(y, params.z(i), params.x(j))
+                       + _sigma_poly_elem(params, Poly.monomial(i), -1)
+                       * val(-1, 0, j)
+                       + val(-1, i, 0) * params.x(j))
+        else:  # q < -1
+            Q = -q
+            yq1 = params.y(Q - 1)
+            if j <= 0:  # F(y^Q, z^i y^J)
+                J = -j
+                shifted = params.from_poly(
+                    params.sigma_pow(Poly.monomial(i), -1), -(J + 1))
+                out = (yq1 * val(-1, i, j) + ev_right(-(Q - 1), shifted)
+                       - tb(yq1, y, params.monomial(i, j)))
+            else:  # F(y^Q, z^i x^j)
+                shifted = params.from_poly(
+                    params.sigma_pow(Poly.monomial(i), -1) * params.phi,
+                    j - 1)
+                out = (ev_right(-(Q - 1), shifted) + yq1 * val(-1, i, j)
+                       - tb(yq1, y, params.monomial(i, j)))
+        memo[key] = out
+        return out
+
+    return Cochain2(params, val)

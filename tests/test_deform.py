@@ -250,11 +250,11 @@ def reference_check_obstruction(sp, n, window):
     failures = []
     for t1, t2, t3 in basis_triples(a, window):
         u, v, w = a.monomial(*t1), a.monomial(*t2), a.monomial(*t3)
+        checked += 1
         if not (lhs(u, v, w) - rhs(u, v, w)).is_zero():
             failures.append({"triple": [t1, t2, t3]})
             if len(failures) >= 5:
                 break
-        checked += 1
     return {"n": n, "window": window, "triples": checked,
             "failures": failures, "pass": not failures}
 
@@ -290,6 +290,18 @@ def test_obstruction_matches_reference_when_broken():
                 assert rep["pass"]
             else:
                 assert len(rep["failures"]) == 5 and not rep["pass"]
+
+
+def test_obstruction_counts_the_triple_that_stops_it():
+    # the scan stops at the fifth failure, which is the last triple counted
+    a = GwaParams(2, 0, Z)
+    F1, F2, F3 = build_star(a, 3).cochains
+    sp = StarProduct(a, 3, [F1, cochain2_sum(F2, non_cocycle(a)), F3])
+    rep = check_obstruction(sp, 2, 6)
+    assert len(rep["failures"]) == 5 and not rep["pass"]
+    triples = list(basis_triples(a, 6))
+    last = triples.index(tuple(rep["failures"][-1]["triple"]))
+    assert rep["triples"] == last + 1
 
 
 def test_obstruction_residual_elements():

@@ -17,7 +17,7 @@ from gwadeform.core import (
     tensor_from_pair,
     twisted_delta,
 )
-from gwadeform.deform import build_star
+from gwadeform.deform import build_f1, build_star
 from gwadeform.errors import UnsupportedPatternError
 from gwadeform.hochschild import (
     Cochain2,
@@ -27,7 +27,6 @@ from gwadeform.hochschild import (
     hochschild_b,
     preserves_gamma,
     theta2,
-    theta2_pullback,
     thetaprime2,
     thetaprime3,
 )
@@ -41,7 +40,9 @@ from conftest import (
     non_cocycle,
     random_element,
     reference_circle,
+    reference_determine_F,
     reference_hochschild_b,
+    reference_theta2,
 )
 
 Z = Poly.z()
@@ -152,31 +153,34 @@ def test_theta2_y_branch_is_exact():
             assert not any(isinstance(c, float) for c in slot.terms.values())
 
 
+def mirror_algebras():
+    """The corpus and two quantum algebras outside it, lambda = 3 and -2."""
+    return full_corpus() + [GwaParams(3, 0, (Z - ONE) * (Z - 2 * ONE)),
+                            GwaParams(-2, 0, Z * (Z + ONE))]
+
+
+def test_theta2_matches_two_branch_reference():
+    # one formula read by s = sign(q) against the x branch and its mirror
+    for a in mirror_algebras():
+        window = 3 * a.l + 8
+        for left in basis_window(a, window):
+            for right in basis_window(a, window - a.weight(*left)):
+                try:
+                    want = reference_theta2(a, left, right)
+                except UnsupportedPatternError as exc:
+                    with pytest.raises(UnsupportedPatternError) as got:
+                        theta2(a, left, right)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert theta2(a, left, right) == want, (a, left, right)
+
+
 def test_theta2_unsupported():
     a = GwaParams(2, 0, Z)
     with pytest.raises(UnsupportedPatternError):
         theta2(a, (0, 2), (1, -1))
     with pytest.raises(UnsupportedPatternError):
         theta2(a, (1, -3), (0, 2))
-
-
-def quantum_f1(a):
-    """The pipeline: pull f(z) back through theta2, then reconstruct."""
-    c = f_map(a.z(), a, module_plain(a))
-    P = theta2_pullback(c)
-    x, y, z = a.x(), a.y(), a.z()
-    return determine_F(a, None, P(x, z), P(x, y), P(y, z), P(y, x))
-
-
-def classical_f1(a):
-    c = f_map(a.one(), a, module_plain(a))
-    P = theta2_pullback(c)
-    x, y, z = a.x(), a.y(), a.z()
-    return determine_F(a, None, P(x, z), P(x, y), P(y, z), P(y, x))
-
-
-def build_f1(a):
-    return quantum_f1(a) if a.is_quantum else classical_f1(a)
 
 
 def f1_closed_quantum(a, p, q, i, j):
@@ -202,7 +206,7 @@ def f1_closed_quantum(a, p, q, i, j):
 
 def test_quantum_f1_datum():
     a = GwaParams(2, 0, Z)
-    F = quantum_f1(a)
+    F = build_f1(a)
     assert F(a.x(), a.z()) == -a.lam * (a.z() * a.x())
     assert F(a.y(), a.z()) == a.y() * a.z()
     assert F(a.x(), a.y()) == -a.from_poly(Z * a.phi_bar.derivative())
@@ -211,7 +215,7 @@ def test_quantum_f1_datum():
 
 def test_classical_f1_datum():
     a = GwaParams(1, 1, Z**2)
-    F = classical_f1(a)
+    F = build_f1(a)
     assert F(a.x(), a.z()) == -a.x()
     assert F(a.y(), a.z()) == a.y()
     assert F(a.x(), a.y()) == -a.from_poly(a.phi_bar.derivative())
@@ -220,7 +224,7 @@ def test_classical_f1_datum():
 
 def test_quantum_f1_matches_closed_forms():
     for a in [alg for alg in full_corpus() if alg.is_quantum][:4]:
-        F = quantum_f1(a)
+        F = build_f1(a)
         window = 2 * a.l + 6
         for pq1 in basis_window(a, window):
             w1 = a.weight(*pq1)
@@ -247,8 +251,8 @@ def test_f1_is_cocycle():
 
 def test_determine_F_conditions_and_uniqueness():
     a = GwaParams(2, 0, Z**2 - ONE)
-    F = quantum_f1(a)
-    F2 = quantum_f1(a)  # rebuilt from scratch
+    F = build_f1(a)
+    F2 = build_f1(a)  # rebuilt from scratch
     rng = random.Random(11)
     window = basis_window(a, 8)
     one = a.one()
@@ -265,7 +269,7 @@ def test_determine_F_conditions_and_uniqueness():
 def test_evaluate_matches_left_z_product():
     # evaluate shifts the z-exponent of F(x_q, v) instead of multiplying by z^p
     for a in (GwaParams(2, 0, Z**2 - ONE), GwaParams(1, 1, Z)):
-        F = quantum_f1(a) if a.is_quantum else classical_f1(a)
+        F = build_f1(a)
         rng = random.Random(17)
         for _ in range(20):
             u = random_element(rng, a, 6, 4)
@@ -277,6 +281,23 @@ def test_evaluate_matches_left_z_product():
                 for (i, j), cv in v.terms.items():
                     expected = expected + (cu * cv) * (a.z(p) * F.eval_basis(q, i, j))
             assert F(u, v) == expected
+
+
+def test_determine_F_matches_two_branch_reference():
+    # every basis pair of the window, with random generator values, both
+    # with no target and with the stage-2 target circle(F1, F1)
+    rng = random.Random(29)
+    for a in mirror_algebras():
+        F1 = build_f1(a)
+        window = 2 * a.l + 8
+        keys = [(q, i, j) for _, q in basis_window(a, window)
+                for i, j in basis_window(a, window - a.weight(0, q))]
+        for target in (None, circle(F1, F1)):
+            datum = [random_element(rng, a, 3, nterms=2) for _ in range(4)]
+            F = determine_F(a, target, *datum)
+            ref = reference_determine_F(a, target, *datum)
+            for key in keys:
+                assert F.eval_basis(*key) == ref.eval_basis(*key), (a, key)
 
 
 def test_determine_F_zero_datum():
@@ -357,9 +378,9 @@ def test_cochain3_matches_element_reference():
 def test_thetaprime2_roundtrip():
     # the first-order cochain maps back to the defining degree-2 cocycle
     for a in (GwaParams(2, 0, Z), GwaParams(2, 0, Z**2 - ONE)):
-        assert thetaprime2(quantum_f1(a)) == f_map(a.z(), a, module_plain(a))
+        assert thetaprime2(build_f1(a)) == f_map(a.z(), a, module_plain(a))
     for a in (GwaParams(1, 1, Z**2), GwaParams(1, 1, Z * (Z - ONE))):
-        assert thetaprime2(classical_f1(a)) == f_map(a.one(), a, module_plain(a))
+        assert thetaprime2(build_f1(a)) == f_map(a.one(), a, module_plain(a))
     a = GwaParams(2, 0, Z)
     assert thetaprime2(Cochain2(a, lambda q, i, j: a.zero())).is_zero()
 
@@ -367,7 +388,7 @@ def test_thetaprime2_roundtrip():
 def test_thetaprime3_obstruction():
     # circle(F1, F1) assembles to the displayed degree-3 obstruction tuple
     for a in (GwaParams(2, 0, Z), GwaParams(2, 0, Z**2 - ONE)):
-        F1 = quantum_f1(a)
+        F1 = build_f1(a)
         got = thetaprime3(circle(F1, F1))
         pb1 = a.phi_bar.derivative()
         pb2 = pb1.derivative()

@@ -22,7 +22,8 @@ from gwadeform import linalg
 from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
 from gwadeform.core import GwaElement, _accumulate, basis_window, module_nu, module_plain
 from gwadeform.linalg import Echelon, determinant, solve_many
-from gwadeform.percomplex import PerCochain, f_map, per_diff, per_solve_preimage
+from gwadeform.deform import _defining_cocycle
+from gwadeform.percomplex import PerCochain, per_diff, per_solve_preimage
 from gwadeform.scalars import Poly, sylvester_resultant
 
 from conftest import (
@@ -276,8 +277,7 @@ def captured(monkeypatch, build):
 
 def per_targets(a, rng):
     """Noncoboundary-evidence target, coboundaries and random degree-2 targets."""
-    seed = a.z() if a.is_quantum else a.one()
-    yield f_map(seed, a, module_plain(a)), 2 * a.l + 8
+    yield _defining_cocycle(a), 2 * a.l + 8
     for mod in (module_plain(a), module_nu(a)):
         u = PerCochain(a, mod, 1, tuple(random_element(rng, a, 2) for _ in range(3)))
         yield per_diff(u), 4
