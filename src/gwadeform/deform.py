@@ -18,8 +18,11 @@ The stage-n identity is checked as the vanishing, on basis triples, of
     sum_{i+j=n} F_i(F_j(u,v), w) - F_i(u, F_j(v,w)),   F_0 the product,
 
 the tau^n coefficient of (u*v)*w - u*(v*w).  Its terms with i, j >= 1 are
-the circle products, those with i = 0 or j = 0 make up -b F_n.  The inner
-values F_j on basis pairs are memoized per star product.  ``check_assoc``
+the circle products, those with i = 0 or j = 0 make up -b F_n.  Both the
+inner values F_j(u,v), F_j(v,w) and the outer values F_i(a,w), F_i(u,b) on
+their basis terms a, b are read from one table of basis-pair values per
+star product; since each F_n preserves the filtration, the outer pairs stay
+inside the triple's window.  ``check_assoc``
 is the same stage sum over all n <= N on whole elements, with F_j(u,v) and
 F_j(v,w) computed once and each tau^n coefficient summed into one term dict.
 """
@@ -195,18 +198,14 @@ def star_mul(sp: StarProduct, U: TruncatedElement,
     return _from_terms(sp.params, out)
 
 
-def _stage_maps(sp: StarProduct, n: int) -> list:
-    """[F_0 = product, F_1, ..., F_n] as maps into(out, u, v, c) on term dicts."""
-    return ([partial(_multiply_into, sp.params)]
-            + [sp.f_n(i).evaluate_into for i in range(1, n + 1)])
-
-
 def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
                 w: GwaElement) -> TruncatedElement:
     """(u * v) * w - u * (v * w); zero iff the truncated product associates."""
     if not u.algebra == v.algebra == w.algebra == sp.params:
         raise ValueError("operands belong to different algebras")
-    maps = _stage_maps(sp, sp.order)
+    # F_0 = product, F_1, ..., F_N as maps into(out, u, v, c) on term dicts
+    maps = ([partial(_multiply_into, sp.params)]
+            + [sp.f_n(i).evaluate_into for i in range(1, sp.order + 1)])
     uv = [into({}, u.terms, v.terms) for into in maps]
     vw = [into({}, v.terms, w.terms) for into in maps]
     out = [{} for _ in maps]
@@ -268,19 +267,25 @@ def obstruction_residuals(sp: StarProduct, n: int, window: int):
 
     terms is the term dict of sum_{i+j=n} F_i(F_j(u,v), w) - F_i(u, F_j(v,w))
     on the basis triple (u, v, w), with F_0 the product; it is empty
-    exactly when the stage-n identity holds there.
+    exactly when the stage-n identity holds there.  Every value, inner and
+    outer, is a ``pair_values`` entry.
     """
     if not 2 <= n <= sp.order:
         raise ValueError("n must lie between 2 and the truncation order")
-    maps = _stage_maps(sp, n)
+    pairs, compute = sp._pairs, sp.pair_values
     for t1, t2, t3 in basis_triples(sp.params, window):
-        uv = sp.pair_values(t1, t2)
-        vw = sp.pair_values(t2, t3)
-        u, w = {t1: _ONE}, {t3: _ONE}
+        uv = pairs.get((t1, t2)) or compute(t1, t2)
+        vw = pairs.get((t2, t3)) or compute(t2, t3)
         out: dict = {}
-        for i, into in enumerate(maps):
-            into(out, uv[n - i], w)
-            into(out, u, vw[n - i], _MINUS_ONE)
+        for j in range(n + 1):
+            # F_{n-j}(a, w) for each term c a of F_j(u, v), and F_{n-j}(u, b)
+            # for each term c b of F_j(v, w), read from the pair table
+            for a, c in uv[j].items():
+                vals = pairs.get((a, t3)) or compute(a, t3)
+                _accumulate(out, vals[n - j], c)
+            for b, c in vw[j].items():
+                vals = pairs.get((t1, b)) or compute(t1, b)
+                _accumulate(out, vals[n - j], -c)
         yield (t1, t2, t3), out
 
 

@@ -5,8 +5,9 @@ assumed unit-normalized (F(u,1) = F(1,v) = 0) and z-left-linear with
 vanishing x/y-power values (F(z u, v) = z F(u, v), F(x^q, x^j) =
 F(y^q, y^j) = 0).  Under these conditions F is pinned down by its
 coboundary together with the four values F(x,z), F(x,y), F(y,z), F(y,x);
-`determine_F` carries out that reconstruction.  A 2-cochain is its
-evaluator and memo only; it keeps no record of how it was built.
+`determine_F` carries out that reconstruction on term dicts, wrapping
+each value once as an element that the cochain's memo shares.  A 2-cochain
+is its evaluator and memo only; it keeps no record of how it was built.
 
 The theta maps translate between bar-resolution cochains and the
 periodic cochain grid: theta2 sends a basis pair to an element of the
@@ -27,11 +28,14 @@ a term dict in place; ``evaluate`` builds one element at the end.
 """
 from __future__ import annotations
 
+from functools import partial
+
 from .core import (
     GwaElement,
     GwaParams,
     TensorElement,
     _MINUS_ONE,
+    _ONE,
     _accumulate,
     _multiply_into,
     basis_window,
@@ -276,21 +280,28 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
                                         + F(g, z^i) x_j  (i >= 1; F(g, x_j)
                                         = 0 when x_j is a power of g)
     * (g^{n-1}, g, v):  F(g^n, v) = g^{n-1} F(g, v) + F(g^{n-1}, g v) - tb
+
+    Each value is summed in one term dict (tb added in place, products
+    through ``_multiply_into``) and wrapped once, as the one element per key
+    that the returned cochain's memo also holds.  The given values are memo
+    values themselves and are never summed into.
     """
     zero = params.zero()
-    gens = {1: (params.x(), vxz, vxy), -1: (params.y(), vyz, vyx)}
-    memo: dict[tuple[int, int, int], GwaElement] = {}
+    # F(g, z) and F(g, h) are the given elements themselves
+    memo: dict[tuple[int, int, int], GwaElement] = {
+        (1, 1, 0): vxz, (1, 0, -1): vxy, (-1, 1, 0): vyz, (-1, 0, 1): vyx}
+    mul = partial(_multiply_into, params)
 
-    def tb(u, v, w):
-        if target_b is None:
-            return zero
-        return target_b.evaluate(u, v, w)
+    def tb(out, u, v, w, c=None):
+        """out += c * target_b(u, v, w) on the basis monomials u, v, w."""
+        if target_b is not None:
+            target_b.into(out, {u: _ONE}, {v: _ONE}, {w: _ONE}, c)
+        return out
 
-    def ev_right(q, terms):
-        out: dict = {}
-        for (i, j), c in terms.items():
-            _accumulate(out, val(q, i, j).terms, c)
-        return GwaElement(params, out)
+    def sigma_col(i, s):
+        """sigma^s(z^i) as a term dict."""
+        h = params.sigma_pow(Poly.monomial(i), s)
+        return {(p, 0): c for p, c in enumerate(h.coeffs) if c}
 
     def val(q, i, j):
         if q == 0 or (i == 0 and (j == 0 or (j > 0) == (q > 0))):
@@ -300,28 +311,25 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
         if got is not None:
             return got
         s = 1 if q > 0 else -1
-        g, vgz, vgh = gens[s]
+        g = (0, s)
         if q != s:  # F(g^n, z^i x_j), n >= 2
-            gn1 = params.monomial(0, q - s)
-            gv = params._mono_mul(0, s, i, j)  # g z^i x_j
-            out = (gn1 * val(s, i, j) + ev_right(q - s, gv)
-                   - tb(gn1, g, params.monomial(i, j)))
-        elif j == 0:  # F(g, z^i)
-            out = vgz if i == 1 else (
-                tb(g, params.z(), params.z(i - 1))
-                + _sigma_poly_elem(params, Poly.z(), s) * val(s, i - 1, 0)
-                + vgz * params.z(i - 1))
-        elif i == 0:  # F(g, h^J)
-            hj1 = params.monomial(0, j + s)
-            out = vgh if j == -s else (tb(g, params.monomial(0, -s), hj1)
-                                       + vgh * hj1)
+            out = mul({}, {(0, q - s): _ONE}, val(s, i, j).terms)
+            for (a, b), c in params._mono_mul(0, s, i, j).items():  # g z^i x_j
+                _accumulate(out, val(q - s, a, b).terms, c)
+            tb(out, (0, q - s), g, (i, j), _MINUS_ONE)
+        elif j == 0:  # F(g, z^i), i >= 2
+            out = tb({}, g, (1, 0), (i - 1, 0))
+            mul(out, sigma_col(1, s), val(s, i - 1, 0).terms)
+            mul(out, val(s, 1, 0).terms, {(i - 1, 0): _ONE})
+        elif i == 0:  # F(g, h^J), J >= 2
+            out = tb({}, g, (0, -s), (0, j + s))
+            mul(out, val(s, 0, -s).terms, {(0, j + s): _ONE})
         else:  # F(g, z^i x_j), i >= 1
-            xj = params.monomial(0, j)
-            sz = _sigma_poly_elem(params, Poly.monomial(i), s)
-            out = (tb(g, params.z(i), xj) + sz * val(s, 0, j)
-                   + val(s, i, 0) * xj)
-        memo[key] = out
-        return out
+            out = tb({}, g, (i, 0), (0, j))
+            mul(out, sigma_col(i, s), val(s, 0, j).terms)
+            mul(out, val(s, i, 0).terms, {(0, j): _ONE})
+        memo[key] = got = GwaElement(params, out)
+        return got
 
     return Cochain2(params, val)
 

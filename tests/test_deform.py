@@ -1,4 +1,6 @@
+import copy
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from gwadeform.deform import (
     star_mul,
 )
 from gwadeform.errors import CommutativeAlgebraError, MixedCaseError
+from gwadeform.hochschild import Cochain2
 from gwadeform.scalars import Poly
 
 from conftest import (
@@ -328,6 +331,42 @@ def test_pair_values_are_memoized():
     assert sp.pair_values(t1, t2) is vals and len(vals) == 4
     u, v = a.monomial(*t1), a.monomial(*t2)
     assert [GwaElement(a, t) for t in vals] == list(star(sp, u, v).coefficients)
+
+
+def test_pair_table_contract(monkeypatch):
+    # the stage sweep reads its inner and outer values from the pair table:
+    # the table stays inside the window that local finiteness fills, its
+    # values never change, and the sweep evaluates no cochain itself
+    callers = set()
+    evaluate_into = Cochain2.evaluate_into
+
+    def recording(self, *args, **kwargs):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers.add(frame.f_code.co_name)
+        return evaluate_into(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cochain2, "evaluate_into", recording)
+    rng = random.Random(13)
+    for a in noncommutative_corpus():
+        sp = build_star(a, 4)
+        window = 3 * a.l + 6
+        for n in (2, 3, 4):
+            assert check_obstruction(sp, n, window)["pass"], (a, n)
+            if n == 2:
+                after_stage_2 = copy.deepcopy(sp._pairs)
+        for _ in range(3):
+            u, v, w = (random_element(rng, a, 2 * a.l + 4, nterms=2)
+                       for _ in range(3))
+            assert check_assoc(sp, u, v, w).is_zero(), a
+        assert check_local_finiteness(sp, window)["pass"], a
+        assert all(sp._pairs[key] == vals
+                   for key, vals in after_stage_2.items()), a
+        assert all(a.weight(*t1) + a.weight(*t2) <= window
+                   for t1, t2 in sp._pairs), a
+    assert "pair_values" in callers
+    assert "obstruction_residuals" not in callers
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from gwadeform import deform
 from gwadeform.complexes import PElement, TotElement, _linear_extend, tot_diff
 from gwadeform.core import (
     GwaParams,
     LEG_ID,
     LegMap,
+    LinComb,
     TensorElement,
     _accumulate,
     basis_triples,
@@ -308,6 +310,42 @@ def test_determine_F_zero_datum():
         u = random_element(rng, a, 4)
         v = random_element(rng, a, 4)
         assert F(u, v).is_zero()
+
+
+def test_determine_F_builds_one_element_per_value(monkeypatch):
+    # evaluating F_2 wraps each new value once: the recursion and the stage
+    # target work on term dicts, so the elements built are at most the
+    # values memoized by F_2 and by the F_1 its target reads
+    given = []
+
+    def recording(params, target_b, *datum):
+        given.append([(v, dict(v.terms)) for v in datum])
+        return determine_F(params, target_b, *datum)
+
+    monkeypatch.setattr(deform, "determine_F", recording)
+    built = [0]
+    init = LinComb.__init__
+
+    def counting(self, algebra, terms):
+        built[0] += 1
+        init(self, algebra, terms)
+
+    for a in (GwaParams(2, 0, Z**2 - ONE), GwaParams(1, 1, Z**2)):
+        given.clear()
+        sp = build_star(a, 2)
+        F1, F2 = sp.cochains
+        window = 2 * a.l + 8
+        built[0] = 0
+        monkeypatch.setattr(LinComb, "__init__", counting)
+        for t1 in basis_window(a, window):
+            for t2 in basis_window(a, window - a.weight(*t1)):
+                F2.evaluate_into({}, {t1: 1}, {t2: 1})
+        monkeypatch.setattr(LinComb, "__init__", init)
+        assert F2._memo and built[0] <= len(F1._memo) + len(F2._memo), a
+        # the generator values are memo values themselves, never summed into
+        assert len(given) == 2
+        for v, terms in (pair for datum in given for pair in datum):
+            assert v.terms == terms, a
 
 
 def test_gamma_preservation():

@@ -21,6 +21,14 @@ from gwadeform.scalars import (
     sylvester_resultant,
 )
 
+# Imported here, not inside the first timed hypothesis example: the import
+# alone takes longer than the default deadline.
+try:
+    import sympy
+except ImportError:
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="sympy is not installed")
+
 Z = Poly.z()
 
 small_fracs = st.builds(
@@ -274,7 +282,6 @@ def test_resultant_power_map_root_multiset():
 
 
 def _to_sympy(p: Poly):
-    sympy = pytest.importorskip("sympy")
     z = sympy.Symbol("z")
     return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
                        for c in reversed(p.coeffs)] or [0], z, domain="QQ")
@@ -284,6 +291,7 @@ def _from_sympy(p) -> Poly:
     return Poly([Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())])
 
 
+@needs_sympy
 @given(small_polys, small_polys.filter(bool))
 def test_divmod_matches_sympy(f, g):
     q, r = divmod(f, g)
@@ -291,6 +299,7 @@ def test_divmod_matches_sympy(f, g):
     assert (q, r) == (_from_sympy(sq), _from_sympy(sr))
 
 
+@needs_sympy
 @given(small_polys, small_polys)
 def test_gcd_matches_sympy(f, g):
     if f.is_zero() and g.is_zero():
