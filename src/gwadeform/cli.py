@@ -3,7 +3,9 @@
 Reports are JSON-friendly dictionaries with exact rational strings; the
 process exits 0 exactly when every check in the invoked suite passed.
 Random sweeps are driven by a seeded generator and the seed is echoed in
-the report.
+the report.  ``--json`` prints exactly the bytes of
+``json.dumps(report, indent=2)``, through one writer, ``json_text``; a
+report never holds a float, and the writer raises TypeError on one.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import sys
 import time
 from functools import partial
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .complexes import c_diff, c_element, verify_hdc
@@ -235,6 +238,46 @@ def cmd_deform_verify(params, args, rng):
 # Driver
 # ---------------------------------------------------------------------------
 
+def json_text(obj, indent: str = "\n") -> str:
+    """The bytes of ``json.dumps(obj, indent=2)``, for report values only.
+
+    Reports hold dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else (a float, a Fraction, a set, a non-str key) raises
+    TypeError.  ``indent`` is the newline and indentation of the current
+    level.  The stdlib encoder has no C path for ``indent`` and falls back
+    to a pure-Python generator chain; this one recursion writes the same
+    text with the same C string quoting, in well under half the time.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for k, v in obj.items():
+            if not isinstance(k, str):
+                raise TypeError(f"report keys must be str, not "
+                                f"{type(k).__name__}")
+            items.append(_quote(k) + ": " + json_text(v, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; flags left out stay None until ``_read_env``."""
     parser = argparse.ArgumentParser(
@@ -336,7 +379,7 @@ def run(argv=None) -> int:
         "timing_ms": int((time.monotonic() - started) * 1000),
     }
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json_text(report))
     else:
         print(f"gwadeform {report['command']} "
               f"[{label or 'lambda=' + rat_str(params.lam)}]")

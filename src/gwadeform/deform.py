@@ -279,13 +279,16 @@ def obstruction_residuals(sp: StarProduct, n: int, window: int):
         out: dict = {}
         for j in range(n + 1):
             # F_{n-j}(a, w) for each term c a of F_j(u, v), and F_{n-j}(u, b)
-            # for each term c b of F_j(v, w), read from the pair table
+            # for each term c b of F_j(v, w), read from the pair table; most
+            # of these values are empty and are skipped
             for a, c in uv[j].items():
-                vals = pairs.get((a, t3)) or compute(a, t3)
-                _accumulate(out, vals[n - j], c)
+                val = (pairs.get((a, t3)) or compute(a, t3))[n - j]
+                if val:
+                    _accumulate(out, val, c)
             for b, c in vw[j].items():
-                vals = pairs.get((t1, b)) or compute(t1, b)
-                _accumulate(out, vals[n - j], -c)
+                val = (pairs.get((t1, b)) or compute(t1, b))[n - j]
+                if val:
+                    _accumulate(out, val, -c)
         yield (t1, t2, t3), out
 
 

@@ -282,14 +282,10 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
     * (g^{n-1}, g, v):  F(g^n, v) = g^{n-1} F(g, v) + F(g^{n-1}, g v) - tb
 
     Each value is summed in one term dict (tb added in place, products
-    through ``_multiply_into``) and wrapped once, as the one element per key
-    that the returned cochain's memo also holds.  The given values are memo
-    values themselves and are never summed into.
+    through ``_multiply_into``) and wrapped once.  The recursion reads
+    through the returned cochain's ``eval_basis``, so its memo is the only
+    one; the given values are seeded into it and are never summed into.
     """
-    zero = params.zero()
-    # F(g, z) and F(g, h) are the given elements themselves
-    memo: dict[tuple[int, int, int], GwaElement] = {
-        (1, 1, 0): vxz, (1, 0, -1): vxy, (-1, 1, 0): vyz, (-1, 0, 1): vyx}
     mul = partial(_multiply_into, params)
 
     def tb(out, u, v, w, c=None):
@@ -304,34 +300,33 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
         return {(p, 0): c for p, c in enumerate(h.coeffs) if c}
 
     def val(q, i, j):
-        if q == 0 or (i == 0 and (j == 0 or (j > 0) == (q > 0))):
-            return zero
-        key = (q, i, j)
-        got = memo.get(key)
-        if got is not None:
-            return got
+        """F(x_q, z^i x_j) on a nontrivial pair that the memo lacks."""
         s = 1 if q > 0 else -1
         g = (0, s)
         if q != s:  # F(g^n, z^i x_j), n >= 2
-            out = mul({}, {(0, q - s): _ONE}, val(s, i, j).terms)
+            out = mul({}, {(0, q - s): _ONE}, F(s, i, j).terms)
             for (a, b), c in params._mono_mul(0, s, i, j).items():  # g z^i x_j
-                _accumulate(out, val(q - s, a, b).terms, c)
+                _accumulate(out, F(q - s, a, b).terms, c)
             tb(out, (0, q - s), g, (i, j), _MINUS_ONE)
         elif j == 0:  # F(g, z^i), i >= 2
             out = tb({}, g, (1, 0), (i - 1, 0))
-            mul(out, sigma_col(1, s), val(s, i - 1, 0).terms)
-            mul(out, val(s, 1, 0).terms, {(i - 1, 0): _ONE})
+            mul(out, sigma_col(1, s), F(s, i - 1, 0).terms)
+            mul(out, F(s, 1, 0).terms, {(i - 1, 0): _ONE})
         elif i == 0:  # F(g, h^J), J >= 2
             out = tb({}, g, (0, -s), (0, j + s))
-            mul(out, val(s, 0, -s).terms, {(0, j + s): _ONE})
+            mul(out, F(s, 0, -s).terms, {(0, j + s): _ONE})
         else:  # F(g, z^i x_j), i >= 1
             out = tb({}, g, (i, 0), (0, j))
-            mul(out, sigma_col(i, s), val(s, 0, j).terms)
-            mul(out, val(s, i, 0).terms, {(0, j): _ONE})
-        memo[key] = got = GwaElement(params, out)
-        return got
+            mul(out, sigma_col(i, s), F(s, 0, j).terms)
+            mul(out, F(s, i, 0).terms, {(0, j): _ONE})
+        return GwaElement(params, out)
 
-    return Cochain2(params, val)
+    cochain = Cochain2(params, val)
+    F = cochain.eval_basis
+    # F(g, z) and F(g, h) are the given elements themselves
+    cochain._memo.update({(1, 1, 0): vxz, (1, 0, -1): vxy,
+                          (-1, 1, 0): vyz, (-1, 0, 1): vyx})
+    return cochain
 
 
 def preserves_gamma(F: Cochain2, window: int) -> bool:

@@ -1,11 +1,14 @@
+import ast
 import json
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from gwadeform.cli import load_config, run
+import gwadeform
+from gwadeform.cli import json_text, load_config, run
 from gwadeform.core import GwaElement, module_nu, module_plain
 from gwadeform.errors import MultipleRootError
 from gwadeform.percomplex import PerCochain, f_map, per_diff
@@ -334,3 +337,53 @@ def test_no_float_in_any_report(capsys):
             assert _floats(report) == [], (path.name, tail[:2])
             reports += 1
     assert len(CORPUS) == 11 and reports > 150
+
+
+# report-shaped values: strings with quotes, backslashes, control and
+# non-ASCII characters, ints beyond 64 bits, and empty containers at depth
+json_leaves = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=8),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "\u00e9\u2028\U0001f600"]),
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.booleans(),
+    st.none(),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+@example({"a": [[], {}, ()], "": {"b": [{}]}, "c": -2**65})
+def test_json_text_matches_stdlib_indent_2(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("value, name", [
+    (0.5, "float"), (Fraction(1, 3), "Fraction"), ({1, 2}, "set"),
+    ({1: "int key"}, "int"), ([{"ok": [1, 2.0]}], "float"),
+], ids=["float", "fraction", "set", "int-key", "nested-float"])
+def test_json_text_rejects_non_report_values(value, name):
+    # a report carries exact rationals as strings, so these are bugs
+    with pytest.raises(TypeError, match=rf"\b{name}\b"):
+        json_text(value)
+
+
+def test_reports_have_one_encoder():
+    # every report goes through json_text: a json.dumps call in the package
+    # would be a second, slower encoding path
+    found = []
+    for path in sorted(Path(gwadeform.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("dumps", "dump"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json" \
+                    and any(a.name in ("dumps", "dump") for a in node.names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

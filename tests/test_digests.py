@@ -3,7 +3,9 @@
 The jobs of ``perfbench/jobs.py`` (all three workloads at seed 0) run
 through ``cli.run`` in process, and each report's digest (the report
 without ``timing_ms``) must equal the one in ``perfbench/digests.json``.
-A refactor that changes any report fails here, without a benchmark run.
+Each printed report must also be, byte for byte, the
+``json.dumps(report, indent=2)`` text of what it parses to.  A refactor
+that changes any report fails here, without a benchmark run.
 The test only reads ``perfbench/``.
 """
 import contextlib
@@ -38,5 +40,7 @@ def test_reports_match_recorded_digests(workload):
                 contextlib.redirect_stderr(io.StringIO()):
             code = cli.run(job.argv)
         assert code == 0, job.label
-        got = jobs.digest(json.loads(out.getvalue()))
-        assert got == recorded[job.key], (job.key, job.label)
+        text = out.getvalue()
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=2) + "\n", job.label
+        assert jobs.digest(report) == recorded[job.key], (job.key, job.label)
