@@ -60,18 +60,27 @@ def load_config(path: str) -> tuple[GwaParams, str]:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"config must be a JSON object, got {data!r}")
-    return GwaParams.from_json(data), data.get("label", "")
+    label = data.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"config label must be a string, got {label!r}")
+    return GwaParams.from_json(data), label
 
 
 def parse_element(params: GwaParams, text: str) -> GwaElement:
     return GwaElement.from_json(params, json.loads(text))
 
 
-def parse_cochain(params: GwaParams, text: str) -> PerCochain:
+def _module(params: GwaParams, name: str | None):
+    return module_nu(params) if name == "nu" else module_plain(params)
+
+
+def parse_cochain(params: GwaParams, text: str, flag=None) -> PerCochain:
+    """A cochain payload; ``flag`` (--module, or None) names the module of a
+    payload without one, and must give the payload's own (nu may be id)."""
     data = json.loads(text)
     if not isinstance(data, dict) or not isinstance(data.get("components"), list):
         raise ValueError("a cochain is an object with a 'components' list")
-    mod = data.get("module", "plain")
+    mod = data.get("module", flag or "plain")
     if isinstance(mod, dict):
         # the form written by PerCochain.to_json
         if mod.get("left", "id") != "id":
@@ -80,7 +89,10 @@ def parse_cochain(params: GwaParams, text: str) -> PerCochain:
         mod = "plain" if right == "id" else right
     if mod not in ("plain", "nu"):
         raise ValueError(f"unknown module {mod!r}; use 'plain' or 'nu'")
-    module = module_nu(params) if mod == "nu" else module_plain(params)
+    module = _module(params, mod)
+    if flag is not None and _module(params, flag) != module:
+        raise ValueError(f"--module {flag} disagrees with the payload's "
+                         f"module {mod}")
     degree = data["degree"]
     if type(degree) is not int:
         raise ValueError(f"cochain degree must be an int, got {degree!r}")
@@ -156,13 +168,12 @@ def cmd_cohomology(params, args, rng):
     sub = args.operation
     if sub == "f":
         m = parse_element(params, args.payload)
-        module = module_nu(params) if args.module == "nu" else module_plain(params)
-        out = f_map(m, params, module)
+        out = f_map(m, params, _module(params, args.module))
         ok = is_cocycle(out)
         return [{"check": "f", "cochain": out.to_json(),
                  "is_cocycle": ok, "pass": ok}]
     if sub == "diff":
-        c = parse_cochain(params, args.payload)
+        c = parse_cochain(params, args.payload, args.module)
         return [{"check": "diff", "cochain": per_diff(c).to_json(),
                  "pass": True}]
     try:
@@ -171,7 +182,7 @@ def cmd_cohomology(params, args, rng):
         raise MultipleRootError(
             f"{exc}; this operation needs phi(z) with no multiple roots") \
             from exc
-    c = parse_cochain(params, args.payload)
+    c = parse_cochain(params, args.payload, args.module)
     if sub == "g":
         out = g_map(c, bez)
         return [{"check": "g", "value": out.to_json(), "pass": True}]
@@ -306,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operation",
                    choices=["f", "g", "contract3", "split2", "diff"])
     p.add_argument("payload")
-    p.add_argument("--module", choices=["plain", "nu"], default="plain")
+    p.add_argument("--module", choices=["plain", "nu"])
     sub.add_parser("h0")
     sub.add_parser("deform-verify")
     return parser

@@ -23,6 +23,9 @@ window w' is the span at w plus the pairs with w < ||a|| + ||m|| <= w'.
 Closed-form predictions: the classical case keeps z^0 .. z^{l-2}; the
 quantum case keeps z^{xi(i)} for i <= l - R together with a periodic
 family z^{j+1} x_k governed by the multiplicative order e of lambda.
+R counts the distinct e-th powers of the nonzero roots of phi: it is the
+degree of the squarefree part of `scalars.root_power_poly(phi, e)`, whose
+roots are those powers, less one if 0 is among them.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .core import (
 )
 from .errors import CommutativeAlgebraError, MixedCaseError
 from .linalg import Echelon
-from .scalars import Poly, rat, resultant_power_map, squarefree_part
+from .scalars import Poly, rat, root_power_poly, squarefree_part
 
 
 class TruncatedSubspace:
@@ -143,7 +146,7 @@ def compute_R(phi: Poly, e: int) -> int:
         # z_i^0 = 1 for every nonzero root: R = 1 iff a nonzero root exists.
         s = squarefree_part(phi)
         return 0 if s in (Poly.one(), Poly.z()) else 1
-    n = squarefree_part(resultant_power_map(phi, e))
+    n = squarefree_part(root_power_poly(phi, e))
     if n.degree <= 0:
         return 0
     return n.degree - (1 if n(0) == 0 else 0)

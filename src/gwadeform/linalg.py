@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: one sparse row reducer for solves,
-incremental spans and determinants.
+"""Exact rational linear algebra: one sparse row reducer for solves and
+incremental spans.
 
 Everything comes in sparse.  A sparse vector is a dict {key: scalar},
 the scalar an int or a Fraction as in `scalars`, that never stores a zero
@@ -11,14 +11,13 @@ smallest key they touch) and zero at every other row's pivot.  `_reduce`
 subtracts from a row its components along the table; `_insert` adds the
 remainder as a new table row and back-substitutes it into the old ones, so
 the table stays fully reduced and one pass of `_reduce` always suffices.
-`Echelon`, `solve_many` and `determinant` are all written on these two
-helpers.
+`Echelon` and `solve_many` are both written on these two helpers.
 
-Key order.  Keys that become pivots must be mutually comparable: those of
-`Echelon` vectors, whose order fixes the basis in `Echelon.rows`, and the
-columns of `determinant`.  `solve_many` numbers its unknowns by their
-position in the list of images, and that order fixes the solution; its
-row keys need only be hashable, since the row order changes nothing.
+Key order.  The keys of `Echelon` vectors become pivots, so they must be
+mutually comparable; their order fixes the basis in `Echelon.rows`.
+`solve_many` numbers its unknowns by their position in the list of
+images, and that order fixes the solution; its row keys need only be
+hashable, since the row order changes nothing.
 
 Which solution `solve_many` returns.  The pivot columns of a row space's
 reduced echelon basis are unique: they are the leading columns of its
@@ -33,8 +32,6 @@ right-hand side with a key that no image touches: its row has no
 unknowns.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .scalars import div
 
@@ -62,12 +59,11 @@ def _reduce(row: dict, table: dict) -> dict:
     return out
 
 
-def _insert(table: dict, row: dict):
-    """Reduce a row into the table; return (pivot, pivot value before
-    normalization) if it enlarged the span, else None."""
+def _insert(table: dict, row: dict) -> bool:
+    """Reduce a row into the table; return True if it enlarged the span."""
     v = _reduce(row, table)
     if not v:
-        return None
+        return False
     p = min(v)
     lead = v[p]
     v = {c: div(a, lead) for c, a in v.items()}
@@ -76,7 +72,7 @@ def _insert(table: dict, row: dict):
         if p in r:
             table[q] = _reduce(r, single)
     table[p] = v
-    return p, lead
+    return True
 
 
 def solve_many(columns: list[dict], rhss: list[dict]):
@@ -111,28 +107,6 @@ def solve_many(columns: list[dict], rhss: list[dict]):
     return results
 
 
-def determinant(rows: list[dict]) -> int | Fraction:
-    """Determinant of a square matrix given by sparse rows {column: value}.
-
-    Row i reduces, against the rows before it, to a remainder that is zero
-    at their pivots p_1 .. p_{i-1} and before its own pivot p_i.  Taking
-    the columns in the order p_1 .. p_n makes the remainders upper
-    triangular, and subtracting earlier rows keeps the determinant, so it
-    is the sign of i -> p_i times the product of the pivot values.
-    """
-    table: dict[int, dict] = {}
-    pivots = []
-    det = 1
-    for row in rows:
-        got = _insert(table, row)
-        if got is None:
-            return _ZERO
-        pivots.append(got[0])
-        det *= got[1]
-    inversions = sum(1 for i, p in enumerate(pivots) for q in pivots[i + 1:] if p > q)
-    return -det if inversions % 2 else det
-
-
 class Echelon:
     """An incrementally built reduced echelon basis of a span of sparse
     vectors, kept as the table ``rows`` {pivot key: normalized row}."""
@@ -142,7 +116,7 @@ class Echelon:
 
     def add(self, vec: dict) -> bool:
         """Insert a vector; return True if it enlarged the span."""
-        return _insert(self.rows, vec) is not None
+        return _insert(self.rows, vec)
 
     def copy(self) -> "Echelon":
         """An independent copy: table rows are replaced, never mutated, so

@@ -324,55 +324,23 @@ def squarefree_part(h: Poly) -> Poly:
     return h.exact_quo(g).monic()
 
 
-def sylvester_resultant(f: Poly, g: Poly) -> int | Fraction:
-    """Resultant of f and g via the Sylvester matrix determinant."""
-    from .linalg import determinant  # linalg divides through this module
-
-    if f.is_zero() or g.is_zero():
-        return _ZERO
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.lead**n
-    if n == 0:
-        return g.lead**m
-    fc = [f[m - k] for k in range(m + 1)]
-    gc = [g[n - k] for k in range(n + 1)]
-    rows = [{i + k: c for k, c in enumerate(fc) if c} for i in range(n)]
-    rows += [{i + k: c for k, c in enumerate(gc) if c} for i in range(m)]
-    return determinant(rows)
-
-
-def resultant_power_map(phi: Poly, e: int) -> Poly:
-    """A polynomial whose roots are the e-th powers of the roots of phi.
-
-    Computed as N(w) = Res_z(phi(z), w - z^e), sampled at deg(phi)+1 points
-    and recovered by Lagrange interpolation.
-    """
+def root_power_poly(phi: Poly, e: int) -> Poly:
+    """The monic polynomial prod (w - z_i^e) over the roots z_i of phi,
+    counted with multiplicity.  Newton's identities give the power sums s_k
+    of the roots from phi's monic coefficients; the e-th powers have the
+    power sums s_{e k}, and the identities solved the other way give the
+    coefficients."""
     if phi.is_zero():
         raise ZeroPhiError("phi = 0")
     if e < 1:
         raise ValueError("e must be >= 1")
     l = phi.degree
-    if l == 0:
-        return Poly.one()
-    points = []
-    for c in range(l + 1):
-        g = Poly.monomial(e, -1) + Poly.constant(c)
-        points.append((c, sylvester_resultant(phi, g)))
-    return _lagrange(points)
-
-
-def _lagrange(points: list[tuple]) -> Poly:
-    result = Poly.zero()
-    for i, (xi, yi) in enumerate(points):
-        if yi == 0:
-            continue
-        num = Poly.constant(yi)
-        den = _ONE
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            num = num * Poly([-xj, 1])
-            den *= xi - xj
-        result = result + num.over(den)
-    return result
+    c = phi.monic().coeffs
+    s = [l]  # s[k] is the k-th power sum of the roots
+    for k in range(1, e * l + 1):
+        s.append(-sum(c[l - j] * s[k - j] for j in range(1, min(k, l + 1)))
+                 - (k * c[l - k] if k <= l else _ZERO))
+    b = [_ONE]  # b[k] is the coefficient of w^(l-k)
+    for k in range(1, l + 1):
+        b.append(div(-sum(b[j] * s[e * (k - j)] for j in range(k)), k))
+    return Poly(b[::-1])

@@ -86,6 +86,68 @@ def test_cohomology_multiple_root_message(tmp_path, capsys):
     assert "no multiple roots" in err
 
 
+BARE_COCHAIN = {"degree": 0, "components": [[{"p": 1, "q": 0, "c": "1"}]]}
+
+
+def test_cohomology_module_flag_names_a_bare_payload(tmp_path, capsys):
+    # a payload without "module" is a cochain of the --module module
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    out = {}
+    for flag in ((), ("--module", "plain"), ("--module", "nu")):
+        code, report = run_json(
+            capsys, ["--config", cfg, "--json", "cohomology", "diff",
+                     json.dumps(BARE_COCHAIN), *flag])
+        assert code == 0
+        out[flag] = report["results"][0]["cochain"]
+    assert out[()] == out[("--module", "plain")]
+    assert out[()]["module"]["right"] == "id"
+    assert out[("--module", "nu")]["module"]["right"] == "nu"
+    assert out[("--module", "nu")]["components"] != out[()]["components"]
+
+
+@pytest.mark.parametrize("algebra, flag, mod, right", [
+    (("2", "0", ["0", "1"]), "plain", "plain", "id"),
+    (("2", "0", ["0", "1"]), "nu", "nu", "nu"),
+    (("2", "0", ["0", "1"]), "nu", {"left": "id", "right": "nu"}, "nu"),
+    # nu is the identity on the classical phi = 1, so A^nu is plain there
+    (("1", "1", ["1"]), "nu", "plain", "id"),
+])
+def test_cohomology_module_flag_agreeing_with_payload(tmp_path, capsys,
+                                                      algebra, flag, mod,
+                                                      right):
+    cfg = write_config(tmp_path, *algebra)
+    payload = json.dumps({**BARE_COCHAIN, "module": mod})
+    code, report = run_json(capsys, ["--config", cfg, "--json", "cohomology",
+                                     "diff", payload, "--module", flag])
+    assert code == 0
+    assert report["results"][0]["cochain"]["module"]["right"] == right
+
+
+@pytest.mark.parametrize("op", ["diff", "g"])
+@pytest.mark.parametrize("flag, mod", [("nu", "plain"), ("plain", "nu")])
+def test_cohomology_module_flag_disagreeing_with_payload_exits_2(
+        tmp_path, capsys, op, flag, mod):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    payload = json.dumps({**BARE_COCHAIN, "module": mod})
+    code = run(["--config", cfg, "--json", "cohomology", op, payload,
+                "--module", flag])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--module {flag}" in captured.err
+    assert f"payload's module {mod}" in captured.err
+
+
+@pytest.mark.parametrize("label", [1.5, ["a"]])
+def test_non_string_label_exits_2(tmp_path, capsys, label):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"], label)
+    with pytest.raises(ValueError):
+        load_config(cfg)
+    code = run(["--config", cfg, "--json", "h0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "label" in captured.err
+
+
 def test_h0_examples(tmp_path, capsys):
     def survivors(lam, eta, phi):
         cfg = write_config(tmp_path, lam, eta, phi)

@@ -1,8 +1,7 @@
 """The sparse eliminator of `linalg` against the dense code it replaced.
 
-`dense_solve_many`, `DenseEchelon` and `dense_sylvester_determinant` are
-the former dense Gauss-Jordan solve, the former dense incremental echelon
-basis and the former inline Sylvester determinant, kept as references;
+`dense_solve_many` and `DenseEchelon` are the former dense Gauss-Jordan
+solve and the former dense incremental echelon basis, kept as references;
 `dense_per_solve_preimage` and `dense_c_solve_preimage` are the former
 preimage searches, which built dense columns over an explicit target basis.
 The sparse preimage search of the complex C, `c_solve_preimage`, is a test
@@ -13,18 +12,16 @@ ones, and the preimage searches the very same preimages.
 """
 import random
 from fractions import Fraction
-from itertools import permutations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from gwadeform import linalg
 from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
 from gwadeform.core import GwaElement, _accumulate, basis_window, module_nu, module_plain
-from gwadeform.linalg import Echelon, determinant, solve_many
+from gwadeform.linalg import Echelon, solve_many
 from gwadeform.deform import _defining_cocycle
 from gwadeform.percomplex import PerCochain, per_diff, per_solve_preimage
-from gwadeform.scalars import Poly, sylvester_resultant
+from gwadeform.scalars import Poly
 
 from conftest import (
     _c_index_set,
@@ -119,42 +116,6 @@ class DenseEchelon:
     @property
     def rank(self):
         return len(self.rows)
-
-
-def dense_sylvester_determinant(f, g):
-    """Reference: the former inline determinant of `sylvester_resultant`."""
-    if f.is_zero() or g.is_zero():
-        return _ZERO
-    m, n = f.degree, g.degree
-    if m == 0:
-        return f.lead**n
-    if n == 0:
-        return g.lead**m
-    size = m + n
-    rows = []
-    fc = [f[m - k] for k in range(m + 1)]
-    gc = [g[n - k] for k in range(n + 1)]
-    for i in range(n):
-        rows.append([_ZERO] * i + fc + [_ZERO] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([_ZERO] * i + gc + [_ZERO] * (size - n - 1 - i))
-    det = _ONE
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
-        if piv is None:
-            return _ZERO
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col] == 0:
-                continue
-            factor = Fraction(rows[r][col]) / inv
-            for c in range(col, size):
-                rows[r][c] -= factor * rows[col][c]
-    return det
 
 
 def matvec(matrix, x):
@@ -418,57 +379,3 @@ def test_copy_leaves_the_original_alone():
     assert (ech.rank, copy.rank) == (1, 2)
     assert not ech.contains({1: _ONE})
     assert ech.rows == {0: {0: _ONE, 1: _ONE}}
-
-
-# ---------------------------------------------------------------------------
-# Determinant and resultant
-# ---------------------------------------------------------------------------
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_determinant_matches_permutation_expansion(data):
-    n = data.draw(st.integers(1, 4))
-    m = [[data.draw(st.one_of(st.just(_ZERO), rationals)) for _ in range(n)]
-         for _ in range(n)]
-    expected = _ZERO
-    for perm in permutations(range(n)):
-        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
-                         if perm[i] > perm[j])
-        term = Fraction(-1) ** inversions
-        for i, c in enumerate(perm):
-            term *= m[i][c]
-        expected += term
-    assert determinant([sparse(row) for row in m]) == expected
-
-
-polys = st.lists(rationals, min_size=1, max_size=5).map(Poly)
-
-
-@settings(max_examples=100, deadline=None)
-@given(polys, polys)
-def test_resultant_matches_dense_determinant(f, g):
-    assert sylvester_resultant(f, g) == dense_sylvester_determinant(f, g)
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys, polys)
-def test_resultant_matches_sympy(f, g):
-    sympy = pytest.importorskip("sympy")
-    from sympy.polys.subresultants_qq_zz import sylvester
-
-    if f.is_zero() or g.is_zero():
-        return
-    z = sympy.Symbol("z")
-    fs, gs = (sum(sympy.Rational(c.numerator, c.denominator) * z**k
-                  for k, c in enumerate(p.coeffs)) for p in (f, g))
-    got = sylvester_resultant(f, g)
-    # sympy's own Sylvester matrix and determinant
-    assert got == Fraction(str(sylvester(fs, gs, z).det()))
-    # sympy.resultant (1.14) drops the sign (-1)^(mn) when deg f < deg g:
-    # resultant(z + 1, z**3) is 1 there, while g(-1) = -1.  Res(f, g) =
-    # (-1)^(mn) Res(g, f), so the larger degree goes first.
-    if f.degree >= g.degree:
-        expected = sympy.resultant(fs, gs, z)
-    else:
-        expected = (-1) ** (f.degree * g.degree) * sympy.resultant(gs, fs, z)
-    assert got == Fraction(str(expected))

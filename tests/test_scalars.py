@@ -16,9 +16,8 @@ from gwadeform.scalars import (
     poly_ext_gcd,
     rat,
     rat_str,
-    resultant_power_map,
+    root_power_poly,
     squarefree_part,
-    sylvester_resultant,
 )
 
 # Imported here, not inside the first timed hypothesis example: the import
@@ -104,6 +103,19 @@ def test_only_scalars_div_divides():
                 found.append((f"{path.name}:{node.lineno}", node in allowed))
     assert [where for where, ok in found if not ok] == []
     assert [ok for _, ok in found] == [True]
+
+
+def test_scalars_imports_only_errors():
+    # the bottom layer: every other module may divide through scalars, so
+    # scalars reaches into the package for its exceptions only
+    tree = ast.parse((Path(gwadeform.__file__).parent / "scalars.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gwadeform")):
+            found.add((node.level, node.module))
+        elif isinstance(node, ast.Import):
+            found.update((0, a.name) for a in node.names if a.name.startswith("gwadeform"))
+    assert found == {(1, "errors")}
 
 
 def test_poly_basics():
@@ -237,26 +249,13 @@ def _roots_brute(p, bound=10):
     return out
 
 
-def test_resultant_vs_product_of_root_differences():
-    f = (Z - Poly.one()) * (Z - Poly.constant(3))
-    g = (Z - Poly.constant(2)) * (Z + Poly.one())
-    # Res(f, g) = prod over roots f, roots g of (rf - rg), both monic.
-    expected = Fraction(1)
-    for rf in (1, 3):
-        for rg in (2, -1):
-            expected *= rf - rg
-    assert sylvester_resultant(f, g) == expected
-    assert sylvester_resultant(f, Poly.constant(5)) == 25
-    assert sylvester_resultant(f, Poly.zero()) == 0
-
-
 def test_resultant_power_map_examples():
-    n = resultant_power_map(Z**2 - Poly.one(), 2)
+    n = root_power_poly(Z**2 - Poly.one(), 2)
     assert n.monic() == (Z - Poly.one()) ** 2
-    assert resultant_power_map(Z, 3).monic() == Z
+    assert root_power_poly(Z, 3).monic() == Z
     p = (Z - Poly.constant(2)) * (Z - Poly.constant(3))
-    assert resultant_power_map(p, 1).monic() == p.monic()
-    assert resultant_power_map(Poly.constant(4), 2) == Poly.one()
+    assert root_power_poly(p, 1).monic() == p.monic()
+    assert root_power_poly(Poly.constant(4), 2) == Poly.one()
 
 
 def test_resultant_power_map_root_multiset():
@@ -267,7 +266,7 @@ def test_resultant_power_map_root_multiset():
         for c in roots:
             phi = phi * (Z - Poly.constant(c))
         for e in (1, 2, 3):
-            n = resultant_power_map(phi, e)
+            n = root_power_poly(phi, e)
             expect = sorted(c**e for c in roots)
             got = []
             for c in set(expect):
@@ -279,6 +278,25 @@ def test_resultant_power_map_root_multiset():
             # no stray rational roots beyond the expected ones
             for c in _roots_brute(n):
                 assert c in expect
+
+
+def test_root_power_poly_input_checks():
+    with pytest.raises(ZeroPhiError):
+        root_power_poly(Poly.zero(), 2)
+    with pytest.raises(ValueError):
+        root_power_poly(Z, 0)
+
+
+@needs_sympy
+@given(st.lists(small_fracs, min_size=1, max_size=6).map(Poly).filter(bool),
+       st.integers(1, 4))
+def test_root_power_poly_matches_sympy_resultant(phi, e):
+    # Res_z(phi(z), w - z^e) is lead(phi)^e prod (w - z_i^e) up to sign
+    z, w = sympy.symbols("z w")
+    phi_z = sum(sympy.Rational(c.numerator, c.denominator) * z**k
+                for k, c in enumerate(phi.coeffs))
+    res = sympy.Poly(sympy.resultant(phi_z, w - z**e, z), w, domain="QQ")
+    assert root_power_poly(phi, e) == _from_sympy(res.monic())
 
 
 def _to_sympy(p: Poly):
