@@ -22,12 +22,24 @@ over A or A (x) A, or a short tuple of such combinations:
   components, truncated tau-series) componentwise zero test, negation,
   sum and difference; their equality is the dataclass one.
 * ``_accumulate(out, terms, c)`` adds c * terms into the term dict ``out``
-  in place, storing integral values as ints.  Summing loops use it
-  instead of rebuilding an element per term; it must only be given a dict
-  that the caller owns.
-  ``_multiply_into(alg, out, u, v, c)`` is the product loop written the
-  same way (out += c * u v on term dicts); ``multiply`` wraps it.
+  in place.  Its contract: a falsy value is never stored (a key that
+  cancels is deleted), and an integral value is stored as an int.
+  Summing loops use it instead of rebuilding an element per term; it must
+  only be given a dict that the caller owns.
+  ``_multiply_into(alg, out, u, v, c)`` (out += c * u v on term dicts;
+  ``multiply`` wraps it) and ``hochschild.Cochain2.evaluate_into`` keep
+  the same contract, but add each basis value inline rather than through
+  one ``_accumulate`` call per pair of terms.
 * ``basis_window`` builds each window once per l + 1; callers get copies.
+
+Basis products.  ``GwaParams._mono_mul(p, q, i, j)`` memoizes
+(z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j as a term dict; the memo
+values are shared and never mutated.  A miss builds no Poly.  When q = 0,
+or i = 0 and no pair cancels, it is the key shift {(p + i, q + j): 1}.
+Otherwise sigma^q(z) = c z + d, and (c z + d)^i comes from the binomial
+theorem (one term when d = 0).  When q j < 0 it is multiplied by the
+factor that the m = min(|q|, |j|) cancelled pairs leave, which is memoized
+per (q, m) and built from (q, m - 1).  Integral values are stored as ints.
 """
 from __future__ import annotations
 
@@ -35,9 +47,10 @@ import operator
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import ZeroPhiError
-from .scalars import Poly, div, rat, rat_str
+from .scalars import Poly, convolve, div, rat, rat_str
 
 _ZERO = 0
 _ONE = 1
@@ -163,6 +176,7 @@ class GwaParams:
         self._sigma_z: dict[int, Poly] = {}
         self._sigma_cache: dict[tuple[Poly, int], Poly] = {}
         self._mono_cache: dict[tuple[int, int, int, int], dict] = {}
+        self._pair_cache: dict[tuple[int, int], tuple] = {}
         self._delta_cache: dict[tuple[LegMap, LegMap, Poly], dict] = {}
         self.phi_bar = self.sigma_pow(phi, 1)
 
@@ -255,19 +269,46 @@ class GwaParams:
     def weight(self, p: int, q: int) -> int:
         return p + (self.l + 1) * abs(q)
 
+    def _pair_factor(self, q: int, m: int) -> tuple:
+        """prod_{k=1..m} sigma^{q - s k + [s > 0]}(phi) with s = sign(q).
+
+        Cancelled pair k (x y or y x) of x_q x_j leaves the k-th factor.
+        Coefficients, memoized per (q, m) and built from (q, m - 1).
+        """
+        if m == 0:
+            return (_ONE,)
+        key = (q, m)
+        out = self._pair_cache.get(key)
+        if out is None:
+            s = 1 if q > 0 else -1
+            out = tuple(map(rat, convolve(
+                self._pair_factor(q, m - 1),
+                self.sigma_pow(self.phi, q - s * m + (s > 0)).coeffs)))
+            self._pair_cache[key] = out
+        return out
+
     def _mono_mul(self, p: int, q: int, i: int, j: int) -> dict:
-        """(z^p x_q)(z^i x_j) as a term dict."""
+        """(z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j as a term dict.
+
+        A key shift when q = 0, or when i = 0 and no pair cancels.
+        Otherwise sigma^q(z)^i = (c z + d)^i by the binomial theorem, times
+        the factor of the min(|q|, |j|) cancelled pairs when q j < 0.
+        """
         key = (p, q, i, j)
         cached = self._mono_cache.get(key)
         if cached is not None:
             return cached
-        b = self.sigma_pow(Poly.monomial(i), q) if i else Poly.one()
-        if q * j < 0:
-            s = 1 if q > 0 else -1
-            # cancelled pair k (x y or y x) leaves sigma^{q - s k + [s > 0]}(phi)
-            for k in range(1, min(s * q, -s * j) + 1):
-                b = b * self.sigma_pow(self.phi, q - s * k + (s > 0))
-        terms = {(p + d, q + j): c for d, c in enumerate(b.coeffs) if c != 0}
+        if q == 0 or (i == 0 and q * j >= 0):
+            terms = {(p + i, q + j): _ONE}
+        else:
+            d, c = self.sigma_z(q).coeffs
+            if d:
+                b = [comb(i, k) * c**k * d ** (i - k) for k in range(i + 1)]
+            else:  # (c z)^i = c^i z^i: one term
+                p, b = p + i, [c**i]
+            if q * j < 0:
+                b = convolve(b, self._pair_factor(q, min(abs(q), abs(j))))
+            terms = {(p + e, q + j): rat(v) for e, v in enumerate(b) if v}
         self._mono_cache[key] = terms
         return terms
 
@@ -339,12 +380,23 @@ class GwaElement(LinComb):
 def _multiply_into(alg: GwaParams, out: dict, u_terms: dict, v_terms: dict,
                    c=None) -> dict:
     """out += c * (u v) on term dicts of ``alg``, in place (c = None means 1)."""
-    mono = alg._mono_mul
+    cache, mono, get = alg._mono_cache, alg._mono_mul, out.get
     for (p, q), cu in u_terms.items():
         if c is not None:
             cu = c * cu
         for (i, j), cv in v_terms.items():
-            _accumulate(out, mono(p, q, i, j), cu * cv)
+            terms = cache.get((p, q, i, j)) or mono(p, q, i, j)
+            w = cu * cv
+            for k, v in terms.items():  # _accumulate(out, terms, w), inline
+                v = w * v
+                old = get(k)
+                if old is not None:
+                    v = old + v
+                if v:
+                    out[k] = (v.numerator if type(v) is Fraction
+                              and v.denominator == 1 else v)
+                elif old is not None:
+                    del out[k]
     return out
 
 

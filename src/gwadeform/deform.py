@@ -50,11 +50,10 @@ from .hochschild import (
     Cochain2,
     circle,
     determine_F,
-    hochschild_b,
     theta2_pullback,
 )
-from .percomplex import PerCochain, contract3, f_map, per_solve_preimage
-from .scalars import Poly, bezout_for_phi, div, rat
+from .percomplex import PerCochain, f_map, per_solve_preimage
+from .scalars import Poly, div, rat
 
 # The largest order build_star accepts; orders 12 and 16 pass deform-verify
 # on quantum and classical algebras.
@@ -335,41 +334,6 @@ def check_local_finiteness(sp: StarProduct, window: int) -> dict:
         checked += 1
     return {"window": window, "pairs": checked,
             "failures": failures, "pass": not failures}
-
-
-def discover_f2(params: GwaParams, sample_window: int = 6) -> dict:
-    """Re-derive the stage-2 generator values from the obstruction cocycle.
-
-    The circle square of F_1 is assembled into a degree-3 cocycle,
-    contracted to a degree-2 preimage (n1, n2, n3, n4), and the system
-    forced by unit normalization and z-left-linearity is solved:
-    F_2(x,z) = -n1, F_2(y,z) = -n2, F_2(y,x) = n3, F_2(x,y) = n4.
-    Requires phi without multiple roots (the contraction needs it).
-    """
-    from .hochschild import thetaprime3
-
-    F1 = build_f1(params)
-    obstruction = thetaprime3(circle(F1, F1))
-    bez = bezout_for_phi(params.phi)
-    n1, n2, n3, n4 = contract3(obstruction, bez).components
-    derived = {"vxz": -n1, "vyz": -n2, "vyx": n3, "vxy": n4}
-    tz, txy, tyz, tyx = _closed_form_datum(params, 2)
-    closed_form = {"vxz": tz, "vxy": txy, "vyz": tyz, "vyx": tyx}
-    F2 = determine_F(params, circle(F1, F1), derived["vxz"], derived["vxy"],
-                     derived["vyz"], derived["vyx"])
-    target = circle(F1, F1)
-    bF2 = hochschild_b(F2)
-    consistent = all(
-        (bF2(params.monomial(*t1), params.monomial(*t2), params.monomial(*t3))
-         - target(params.monomial(*t1), params.monomial(*t2),
-                  params.monomial(*t3))).is_zero()
-        for t1, t2, t3 in basis_triples(params, sample_window))
-    return {
-        "derived": {k: v.to_json() for k, v in derived.items()},
-        "closed_form": {k: v.to_json() for k, v in closed_form.items()},
-        "matches_closed_form": all(derived[k] == closed_form[k] for k in derived),
-        "coboundary_consistent": consistent,
-    }
 
 
 def f1_noncoboundary_evidence(params: GwaParams, window: int | None = None) -> dict:

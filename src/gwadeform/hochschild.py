@@ -28,6 +28,8 @@ a term dict in place; ``evaluate`` builds one element at the end.
 """
 from __future__ import annotations
 
+import weakref
+from fractions import Fraction
 from functools import partial
 
 from .core import (
@@ -73,7 +75,12 @@ class Cochain2:
 
     def evaluate_into(self, out: dict, u_terms: dict, v_terms: dict,
                       c=None) -> dict:
-        """out += c * F(u, v) on term dicts, in place (c = None means 1)."""
+        """out += c * F(u, v) on term dicts, in place (c = None means 1).
+
+        Every value is read through ``eval_basis``; each is added inline as
+        ``_accumulate`` would, shifted by z^p since z^p (z^e x_k) = z^{p+e} x_k.
+        """
+        ev, get = self.eval_basis, out.get
         for (p, q), cu in u_terms.items():
             if q == 0:
                 # F(z^p, v) = z^p F(1, v) = 0 by unit normalization
@@ -81,13 +88,22 @@ class Cochain2:
             if c is not None:
                 cu = c * cu
             for (i, j), cv in v_terms.items():
-                terms = self.eval_basis(q, i, j).terms
+                terms = ev(q, i, j).terms
                 if not terms:
                     continue
-                if p:
-                    # z^p (z^e x_k) = z^{p+e} x_k
-                    terms = {(p + e, k): w for (e, k), w in terms.items()}
-                _accumulate(out, terms, cu * cv)
+                w = cu * cv
+                for key, v in terms.items():
+                    if p:
+                        key = (p + key[0], key[1])
+                    v = w * v
+                    old = get(key)
+                    if old is not None:
+                        v = old + v
+                    if v:
+                        out[key] = (v.numerator if type(v) is Fraction
+                                    and v.denominator == 1 else v)
+                    elif old is not None:
+                        del out[key]
         return out
 
     def evaluate(self, u: GwaElement, v: GwaElement) -> GwaElement:
@@ -301,6 +317,7 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
 
     def val(q, i, j):
         """F(x_q, z^i x_j) on a nontrivial pair that the memo lacks."""
+        F = ref.eval_basis
         s = 1 if q > 0 else -1
         g = (0, s)
         if q != s:  # F(g^n, z^i x_j), n >= 2
@@ -322,7 +339,10 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
         return GwaElement(params, out)
 
     cochain = Cochain2(params, val)
-    F = cochain.eval_basis
+    # val reads the cochain through a proxy: a strong reference would make
+    # a cycle cochain -> val -> cochain that keeps params and its caches
+    # alive until the cyclic garbage collector runs
+    ref = weakref.proxy(cochain)
     # F(g, z) and F(g, h) are the given elements themselves
     cochain._memo.update({(1, 1, 0): vxz, (1, 0, -1): vxy,
                           (-1, 1, 0): vyz, (-1, 0, 1): vyx})

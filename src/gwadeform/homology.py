@@ -35,10 +35,12 @@ from .core import (
     BimoduleSpec,
     GwaElement,
     GwaParams,
-    basis_window,
+    _MINUS_ONE,
+    _ONE,
+    _multiply_into,
     apply_automorphism,
+    basis_window,
     module_nu,
-    multiply,
 )
 from .errors import CommutativeAlgebraError, MixedCaseError
 from .linalg import Echelon
@@ -114,15 +116,16 @@ def commutator_span(params: GwaParams, module: BimoduleSpec, window: int,
         if wg > window:
             continue
         g = params.monomial(*pq_g)
-        left = apply_automorphism(module.left_twist, g)
-        right = apply_automorphism(module.right_twist, g)
+        left = apply_automorphism(module.left_twist, g).terms
+        right = apply_automorphism(module.right_twist, g).terms
         for pq_m in basis_window(params, window - wg):
             if params.weight(*pq_m) + wg <= done:
                 continue
-            m = params.monomial(*pq_m)
-            c = multiply(left, m) - multiply(m, right)
-            if not c.is_zero():
-                span.add(c)
+            m = {pq_m: _ONE}
+            c = _multiply_into(params, {}, left, m)  # f(g) m - m g'(g)
+            _multiply_into(params, c, m, right, _MINUS_ONE)
+            if c:
+                span.add(GwaElement(params, c))
     return span
 
 

@@ -68,6 +68,19 @@ _ZERO = 0
 _ONE = 1
 
 
+def convolve(a, b) -> list:
+    """Coefficients of the product of two polynomials given by coefficient
+    sequences (constant term first); empty if either is empty."""
+    if not a or not b:
+        return []
+    out = [_ZERO] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+    return out
+
+
 class Poly:
     """A dense polynomial over the rationals.
 
@@ -152,15 +165,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Poly(out)
+            return Poly(convolve(self.coeffs, other.coeffs))
         c = rat(other)
         return Poly([c * a for a in self.coeffs])
 

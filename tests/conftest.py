@@ -54,6 +54,46 @@ def random_element(rng: random.Random, params: GwaParams, window: int,
     return el
 
 
+def reference_mono_mul(params, p, q, i, j):
+    """(z^p x_q)(z^i x_j) by the Poly formula of the former _mono_mul miss path.
+
+    sigma^q(z^i) as a Poly, times sigma^{q - s k + [s > 0]}(phi) for each
+    cancelled pair k (x y or y x), s = sign(q).
+    """
+    b = params.sigma_pow(Poly.monomial(i), q) if i else Poly.one()
+    if q * j < 0:
+        s = 1 if q > 0 else -1
+        for k in range(1, min(s * q, -s * j) + 1):
+            b = b * params.sigma_pow(params.phi, q - s * k + (s > 0))
+    return {(p + d, q + j): c for d, c in enumerate(b.coeffs) if c != 0}
+
+
+def reference_multiply_into(params, out, u_terms, v_terms, c=None):
+    """_multiply_into as it was: one _accumulate call per pair of terms."""
+    for (p, q), cu in u_terms.items():
+        if c is not None:
+            cu = c * cu
+        for (i, j), cv in v_terms.items():
+            _accumulate(out, reference_mono_mul(params, p, q, i, j), cu * cv)
+    return out
+
+
+def reference_evaluate_into(F, out, u_terms, v_terms, c=None):
+    """Cochain2.evaluate_into as it was: a shifted dict and one _accumulate
+    call per pair of terms."""
+    for (p, q), cu in u_terms.items():
+        if q == 0:
+            continue
+        if c is not None:
+            cu = c * cu
+        for (i, j), cv in v_terms.items():
+            terms = F.eval_basis(q, i, j).terms
+            if p:
+                terms = {(p + e, k): w for (e, k), w in terms.items()}
+            _accumulate(out, terms, cu * cv)
+    return out
+
+
 def reference_circle(F, G):
     """circle(F, G) as it was written on elements: F(G(u,v),w) - F(u,G(v,w))."""
     return lambda u, v, w: F(G(u, v), w) - F(u, G(v, w))

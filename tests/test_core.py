@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,9 @@ from gwadeform.core import (
     GwaParams,
     LEG_ID,
     LegMap,
+    _MINUS_ONE,
     _accumulate,
+    _multiply_into,
     apply_automorphism,
     basis_window,
     bimodule_act,
@@ -27,9 +30,19 @@ from gwadeform.core import (
     twisted_delta,
 )
 from gwadeform.errors import ZeroPhiError
+from gwadeform.hochschild import Cochain2
 from gwadeform.scalars import Poly, div, rat
 
-from conftest import act_left, act_right, delta_nu, full_corpus, random_element
+from conftest import (
+    act_left,
+    act_right,
+    delta_nu,
+    full_corpus,
+    random_element,
+    reference_evaluate_into,
+    reference_mono_mul,
+    reference_multiply_into,
+)
 from free_oracle import oracle_multiply, oracle_normalize
 
 Z = Poly.z()
@@ -476,3 +489,59 @@ def test_lincomb_stores_integral_values_as_ints(t1, t2, c):
     for w in (u.scale(c), c * u, u + v, u - v, u.scale(c) - v.scale(c)):
         assert stores_no_integral_fraction(w), w.terms
     assert u.scale(c) == GwaElement(a, {k: c * x for k, x in t1.items()})
+
+
+# lambda = -1, 1/3, 2 and 1 against eta = 0, 1 and rational eta: quantum,
+# classical, commutative and the mixed case lambda != 1 with eta != 0
+random_algebras = st.builds(
+    GwaParams,
+    st.sampled_from([-1, Fraction(1, 3), 2, 1]),
+    st.sampled_from([0, 1, Fraction(2, 3), Fraction(-1, 2)]),
+    st.lists(st.one_of(st.integers(-2, 2), st.fractions(max_denominator=3)),
+             min_size=1, max_size=4)
+    .filter(any).map(Poly))
+mono_keys = st.lists(st.tuples(st.integers(0, 2), st.integers(-3, 3),
+                               st.integers(0, 4), st.integers(-3, 3)),
+                     min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_algebras, mono_keys)
+def test_mono_mul_matches_poly_formula_and_free_oracle(a, keys):
+    for p, q, i, j in keys:
+        got = a._mono_mul(p, q, i, j)
+        assert got == reference_mono_mul(a, p, q, i, j), (a, p, q, i, j)
+        assert GwaElement(a, got) == oracle_multiply(a, (p, q), (i, j))
+        assert a._mono_mul(p, q, i, j) is got
+    assert all(type(v) is not Fraction or v.denominator != 1
+               for t in a._mono_cache.values() for v in t.values())
+
+
+INLINE_ALGEBRAS = [CORPUS[3], CORPUS[5], CORPUS[9],
+                   GwaParams(Fraction(1, 3), Fraction(1, 2), Z**2 - ONE)]
+nonzero_terms = term_dicts.map(lambda t: {k: v for k, v in t.items() if v})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(INLINE_ALGEBRAS), nonzero_terms, nonzero_terms,
+       nonzero_terms, st.sampled_from([None, 0, 1, -1, Fraction(3, 2)]))
+def test_inline_product_and_evaluation_match_accumulate(a, out, u, v, c):
+    # _multiply_into and evaluate_into add each basis value inline; they
+    # must leave the same dict, key order included, as one _accumulate per
+    # pair of terms, into a shared out and down to cancellation
+    F = Cochain2(a, lambda q, i, j: GwaElement(
+        a, {(i, q + j): Fraction(q, 2) + i, (i + 1, j): 1 - j}))
+    pairs = ((partial(_multiply_into, a), partial(reference_multiply_into, a)),
+             (F.evaluate_into, partial(reference_evaluate_into, F)))
+    for fast, slow in pairs:
+        want = slow(dict(out), u, v, c)
+        got = fast(dict(out), u, v, c)
+        assert got == want and list(got) == list(want)
+        assert all(got.values())
+        assert all(type(w) is not Fraction or w.denominator != 1
+                   for w in got.values())
+        # out holding -c u v cancels to nothing
+        minus = _MINUS_ONE if c is None else -c
+        assert fast(slow({}, u, v, minus), u, v, c) == {}
+        if c == 0:
+            assert got == out and list(got) == list(out)

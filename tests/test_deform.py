@@ -1,6 +1,8 @@
 import copy
+import gc
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,12 +11,13 @@ from gwadeform.core import GwaElement, GwaParams, _accumulate, basis_triples
 from gwadeform.deform import (
     StarProduct,
     TruncatedElement,
+    _closed_form_datum,
+    build_f1,
     build_star,
     check_assoc,
     check_obstruction,
     check_local_finiteness,
     check_relations,
-    discover_f2,
     f1_noncoboundary_evidence,
     lift,
     obstruction_residuals,
@@ -22,8 +25,15 @@ from gwadeform.deform import (
     star_mul,
 )
 from gwadeform.errors import CommutativeAlgebraError, MixedCaseError
-from gwadeform.hochschild import Cochain2
-from gwadeform.scalars import Poly
+from gwadeform.hochschild import (
+    Cochain2,
+    circle,
+    determine_F,
+    hochschild_b,
+    thetaprime3,
+)
+from gwadeform.percomplex import contract3
+from gwadeform.scalars import Poly, bezout_for_phi
 
 from conftest import (
     cochain2_sum,
@@ -199,6 +209,58 @@ def test_star_mul_against_scalar_expansion():
         lhs = star_mul(sp, lift(a, u, 3).tau_times([0, 1]), lift(a, v, 3))
         rhs = star(sp, u, v).tau_times([0, 1])
         assert lhs == rhs
+
+
+def discover_f2(params: GwaParams, sample_window: int = 6) -> dict:
+    """Stage-2 contraction oracle: the stage-2 generator values re-derived
+    from the obstruction cocycle.
+
+    The circle square of F_1 is assembled into a degree-3 cocycle,
+    contracted to a degree-2 preimage (n1, n2, n3, n4), and the system
+    forced by unit normalization and z-left-linearity is solved:
+    F_2(x,z) = -n1, F_2(y,z) = -n2, F_2(y,x) = n3, F_2(x,y) = n4.
+    Requires phi without multiple roots (the contraction needs it).
+    """
+    F1 = build_f1(params)
+    obstruction = thetaprime3(circle(F1, F1))
+    bez = bezout_for_phi(params.phi)
+    n1, n2, n3, n4 = contract3(obstruction, bez).components
+    derived = {"vxz": -n1, "vyz": -n2, "vyx": n3, "vxy": n4}
+    tz, txy, tyz, tyx = _closed_form_datum(params, 2)
+    closed_form = {"vxz": tz, "vxy": txy, "vyz": tyz, "vyx": tyx}
+    F2 = determine_F(params, circle(F1, F1), derived["vxz"], derived["vxy"],
+                     derived["vyz"], derived["vyx"])
+    target = circle(F1, F1)
+    bF2 = hochschild_b(F2)
+    consistent = all(
+        (bF2(params.monomial(*t1), params.monomial(*t2), params.monomial(*t3))
+         - target(params.monomial(*t1), params.monomial(*t2),
+                  params.monomial(*t3))).is_zero()
+        for t1, t2, t3 in basis_triples(params, sample_window))
+    return {
+        "derived": {k: v.to_json() for k, v in derived.items()},
+        "closed_form": {k: v.to_json() for k, v in closed_form.items()},
+        "matches_closed_form": all(derived[k] == closed_form[k] for k in derived),
+        "coboundary_consistent": consistent,
+    }
+
+
+def test_star_product_leaves_no_reference_cycle():
+    # determine_F's recursion reaches its cochain through a weak proxy, so
+    # dropping the star product frees the algebra and its caches at once,
+    # without waiting for the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        for lam, eta, phi in ((2, 0, Z**2 - ONE), (1, 1, Z * (Z - ONE))):
+            a = GwaParams(lam, eta, phi)
+            sp = build_star(a, 3)
+            assert star(sp, a.x(), a.y() * a.z()).order == 3
+            ref = weakref.ref(a)
+            del a, sp
+            assert ref() is None, (lam, eta, phi)
+    finally:
+        gc.enable()
 
 
 def test_discovery_mode():

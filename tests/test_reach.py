@@ -24,8 +24,12 @@ ALLOWED = {
                    "theta2 pullback and the chain-map identity in tests",
     "preserves_gamma": "the filtration check that the acceptance criteria "
                        "call",
-    "discover_f2": "the stage-2 derivation that a general extension of "
-                   "every degree-2 class is to replace",
+    "hochschild_b": "the Hochschild coboundary, which the acceptance "
+                    "criteria and the stage-2 contraction oracle in tests "
+                    "apply",
+    "thetaprime3": "the degree-3 comparison map, the reference for the "
+                   "chain-map identity and the stage-2 contraction oracle "
+                   "in tests",
 }
 
 
