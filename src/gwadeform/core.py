@@ -244,8 +244,9 @@ class GwaParams:
         return GwaElement(self, {(0, 0): _ONE})
 
     def monomial(self, p: int, q: int, c=1) -> "GwaElement":
-        if type(p) is not int or p < 0:
-            raise ValueError(f"z-exponent must be an int >= 0, got {p!r}")
+        if type(p) is not int or type(q) is not int or p < 0:
+            raise ValueError(f"monomial z^p x_q needs ints p >= 0 and q, "
+                             f"got p={p!r}, q={q!r}")
         c = rat(c)
         if c == 0:
             return self.zero()
@@ -255,7 +256,7 @@ class GwaParams:
         return self.monomial(0, n)
 
     def y(self, n: int = 1) -> "GwaElement":
-        return self.monomial(0, -n)
+        return self.monomial(0, -n if type(n) is int else n)
 
     def z(self, n: int = 1) -> "GwaElement":
         return self.monomial(n, 0)

@@ -11,14 +11,15 @@ table of generator images that defines d on T.
 
 Also provided: the explicit degree-2 cocycle family f, its one-sided
 inverse g, the constructive degree-3 contraction, and the splitting of a
-degree-2 cocycle into a coboundary plus f-image.
+degree-2 cocycle into a coboundary plus f-image.  Each is a table like
+``tot_images``, a row of A (x) A tensors per output slot, read by ``_pair``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import linalg
-from .complexes import tot_images
+from .complexes import _linear_extend, tot_images
 from .core import (
     BimoduleSpec,
     DirectSum,
@@ -28,10 +29,9 @@ from .core import (
     LegMap,
     TensorElement,
     _accumulate,
-    apply_automorphism,
     basis_window,
-    multiply,
     tensor_act,
+    tensor_from_pair,
     twisted_delta,
 )
 from .errors import NotCocycleError
@@ -70,29 +70,6 @@ class PerCochain(DirectSum):
         }
 
 
-class _Ops:
-    """One-sided actions and constants of the explicit maps f, g and contractions."""
-
-    def __init__(self, params: GwaParams, module: BimoduleSpec):
-        self.a = params
-        self.mod = module
-        a = params
-        self.x, self.y = a.x(), a.y()
-        self.lam = a.lam
-        self.il = div(1, a.lam)
-        self.delta_ss = twisted_delta(a, _SIG, _SIG, a.phi)
-
-    # a . m . 1 = f(a) m and 1 . m . a = m g(a): no product by g(1) = f(1) = 1
-    def l(self, a: GwaElement, m: GwaElement) -> GwaElement:
-        return multiply(apply_automorphism(self.mod.left_twist, a), m)
-
-    def r(self, m: GwaElement, a: GwaElement) -> GwaElement:
-        return multiply(m, apply_automorphism(self.mod.right_twist, a))
-
-    def act(self, T: TensorElement, m: GwaElement) -> GwaElement:
-        return tensor_act(T, self.mod, m)
-
-
 def _pair(images, module: BimoduleSpec, comps) -> tuple:
     """(c o d)_t = sum_s images[t][s] . c_s for the cochain with components comps."""
     params = comps[0].algebra
@@ -100,7 +77,7 @@ def _pair(images, module: BimoduleSpec, comps) -> tuple:
     for row in images:
         acc: dict = {}
         for T, m in zip(row, comps):
-            if m:
+            if m and T:
                 _accumulate(acc, tensor_act(T, module, m).terms)
         out.append(GwaElement(params, acc))
     return tuple(out)
@@ -117,35 +94,42 @@ def is_cocycle(c: PerCochain) -> bool:
     return per_diff(c).is_zero()
 
 
+def _then(T: TensorElement, H: TensorElement) -> TensorElement:
+    """T o h for H = 1 (x) h: each right leg R becomes R h.
+
+    (T o h) . m = (T . m) g(h), since g is an algebra map.
+    """
+    return _linear_extend(T.algebra, [H], [[T]])[0]
+
+
 def f_map(m: GwaElement, params: GwaParams, module: BimoduleSpec) -> PerCochain:
     """The degree-2 cocycle f(m) = (lam*m*x, -y*m, 0, -lam*(sDs(phi)).m)."""
-    ops = _Ops(params, module)
-    return PerCochain(params, module, 2, (
-        ops.lam * ops.r(m, ops.x),
-        -ops.l(ops.y, m),
-        params.zero(),
-        -ops.lam * ops.act(ops.delta_ss, m),
-    ))
+    one, lam = params.one(), params.lam
+    table = [[lam * tensor_from_pair(one, params.x())],
+             [-tensor_from_pair(params.y(), one)],
+             [TensorElement(params, {})],
+             [-lam * twisted_delta(params, _SIG, _SIG, params.phi)]]
+    return PerCochain(params, module, 2, _pair(table, module, (m,)))
 
 
-def _alpha_beta(params: GwaParams, bez: BezoutPair):
-    alpha = params.from_poly(bez.alpha)
-    beta = params.from_poly(bez.beta)
-    sbeta = params.from_poly(params.sigma_pow(bez.beta, 1))
-    return alpha, beta, sbeta
+def _right_legs(params: GwaParams, bez: BezoutPair) -> tuple:
+    """m -> m g(h) as the tensor 1 (x) h, for h = alpha y, beta and sigma(beta)."""
+    one = params.one()
+    return tuple(tensor_from_pair(one, params.from_poly(h, q)) for h, q in (
+        (bez.alpha, -1), (bez.beta, 0), (params.sigma_pow(bez.beta, 1), 0)))
 
 
-def _g(ops: _Ops, c: PerCochain, alpha, beta, sbeta) -> GwaElement:
-    m1, _, m3, m4 = c.components
-    return (ops.il * ops.r(m1, alpha * ops.y)
-            + ops.r(m3, beta) - ops.il * ops.r(m4, sbeta))
+def _g_row(params: GwaParams, ay, beta, sbeta) -> list:
+    il = div(1, params.lam)
+    return [il * ay, TensorElement(params, {}), beta, -il * sbeta]
 
 
 def g_map(c: PerCochain, bez: BezoutPair) -> GwaElement:
     """g(m1, m2, m3, m4) = lam^{-1} m1 alpha y + m3 beta - lam^{-1} m4 sigma(beta)."""
     if c.degree != 2 or not is_cocycle(c):
         raise NotCocycleError("g is defined on degree-2 cocycles")
-    return _g(_Ops(c.params, c.module), c, *_alpha_beta(c.params, bez))
+    g_row = _g_row(c.params, *_right_legs(c.params, bez))
+    return _pair([g_row], c.module, c.components)[0]
 
 
 def contract3(c: PerCochain, bez: BezoutPair) -> PerCochain:
@@ -154,18 +138,16 @@ def contract3(c: PerCochain, bez: BezoutPair) -> PerCochain:
         raise ValueError("contract3 expects a degree-3 cochain")
     if not is_cocycle(c):
         raise NotCocycleError("not a degree-3 cocycle")
-    params, mod = c.params, c.module
-    ops = _Ops(params, mod)
-    alpha, beta, sbeta = _alpha_beta(params, bez)
+    params = c.params
+    ay, beta, sbeta = _right_legs(params, bez)
+    il, zero = div(1, params.lam), TensorElement(params, {})
     dD = twisted_delta(params, LEG_ID, _D, params.phi)
     dsD = twisted_delta(params, _SIG, _SIG_D, params.phi)
-    m1, m2, m3, m4 = c.components
-    n1 = -ops.r(m3, beta)
-    n2 = -ops.il * ops.r(m1, alpha * ops.y) - ops.il * ops.r(m4, sbeta)
-    n3 = -ops.r(ops.act(dD, m1), beta)
-    n4 = (-ops.r(m3, alpha * ops.y)
-          - ops.lam * ops.r(ops.act(dsD, m2), sbeta))
-    return PerCochain(params, mod, 2, (n1, n2, n3, n4))
+    table = [[zero, zero, -beta, zero],
+             [-il * ay, zero, zero, -il * sbeta],
+             [-_then(dD, beta), zero, zero, zero],
+             [zero, -params.lam * _then(dsD, sbeta), -ay, zero]]
+    return PerCochain(params, c.module, 2, _pair(table, c.module, c.components))
 
 
 def split2(c: PerCochain, bez: BezoutPair):
@@ -174,19 +156,17 @@ def split2(c: PerCochain, bez: BezoutPair):
         raise ValueError("split2 expects a degree-2 cochain")
     if not is_cocycle(c):
         raise NotCocycleError("not a degree-2 cocycle")
-    params, mod = c.params, c.module
-    ops = _Ops(params, mod)
-    alpha, beta, sbeta = _alpha_beta(params, bez)
+    params = c.params
+    ay, beta, sbeta = _right_legs(params, bez)
+    zero = TensorElement(params, {})
     dsD_l = twisted_delta(params, _SIG, _D, params.phi)   # sigma left, D right
     d_sD = twisted_delta(params, LEG_ID, _SIG_D, params.phi)
-    m1, m2, m3, m4 = c.components
-    n1 = -ops.r(m3, beta)
-    n3 = -ops.r(ops.act(dsD_l, m1), beta)
-    n4 = (ops.r(m3, alpha * ops.y)
-          - ops.lam * ops.r(ops.act(d_sD, m2), sbeta))
-    n2 = _g(ops, c, alpha, beta, sbeta)
-    u = PerCochain(params, mod, 1, (n1, n3, n4))
-    return u, n2
+    table = [[zero, zero, -beta, zero],
+             [-_then(dsD_l, beta), zero, zero, zero],
+             [zero, -params.lam * _then(d_sD, sbeta), ay, zero],
+             _g_row(params, ay, beta, sbeta)]
+    n1, n3, n4, n2 = _pair(table, c.module, c.components)
+    return PerCochain(params, c.module, 1, (n1, n3, n4)), n2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,15 +8,20 @@ from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
 from gwadeform.core import (
     GwaElement,
     GwaParams,
+    LEG_ID,
     TensorElement,
     _MINUS_ONE,
     _accumulate,
+    apply_automorphism,
     basis_window,
     multiply,
+    tensor_act,
     tensor_from_pair,
+    twisted_delta,
 )
-from gwadeform.errors import UnsupportedPatternError
+from gwadeform.errors import NotCocycleError, UnsupportedPatternError
 from gwadeform.hochschild import Cochain2, _sigma_poly_elem
+from gwadeform.percomplex import PerCochain, _D, _SIG, _SIG_D, is_cocycle
 from gwadeform.scalars import Poly, div
 
 Z = Poly.z()
@@ -41,6 +47,16 @@ def full_corpus():
 @pytest.fixture(params=range(11), ids=lambda i: f"alg{i}")
 def corpus_algebra(request):
     return full_corpus()[request.param]
+
+
+def random_algebra(rng: random.Random) -> GwaParams:
+    """A random algebra: quantum, classical, commutative or lambda != 1 with
+    eta != 0, and phi of degree 0 to 3 with small rational coefficients."""
+    lam = rng.choice([-1, Fraction(1, 3), 2, 1])
+    eta = rng.choice([0, 1, Fraction(2, 3), Fraction(-1, 2)])
+    coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+              for _ in range(rng.randint(0, 3))] + [rng.choice([-1, 1, 2])]
+    return GwaParams(lam, eta, Poly(coeffs))
 
 
 def random_element(rng: random.Random, params: GwaParams, window: int,
@@ -353,3 +369,101 @@ def reference_determine_F(params, target_b, vxz, vxy, vyz, vyx):
         return out
 
     return Cochain2(params, val)
+
+
+class OneSidedOps:
+    """One-sided actions and constants of the explicit maps f, g and contractions.
+
+    The former ``percomplex._Ops``: each map applied one product at a time.
+    """
+
+    def __init__(self, params, module):
+        self.a = params
+        self.mod = module
+        a = params
+        self.x, self.y = a.x(), a.y()
+        self.lam = a.lam
+        self.il = div(1, a.lam)
+        self.delta_ss = twisted_delta(a, _SIG, _SIG, a.phi)
+
+    # a . m . 1 = f(a) m and 1 . m . a = m g(a): no product by g(1) = f(1) = 1
+    def l(self, a, m):
+        return multiply(apply_automorphism(self.mod.left_twist, a), m)
+
+    def r(self, m, a):
+        return multiply(m, apply_automorphism(self.mod.right_twist, a))
+
+    def act(self, T, m):
+        return tensor_act(T, self.mod, m)
+
+
+def reference_f_map(m, params, module, ops=OneSidedOps):
+    """f_map as it was written with one-sided actions."""
+    ops = ops(params, module)
+    return PerCochain(params, module, 2, (
+        ops.lam * ops.r(m, ops.x),
+        -ops.l(ops.y, m),
+        params.zero(),
+        -ops.lam * ops.act(ops.delta_ss, m),
+    ))
+
+
+def _alpha_beta(params, bez):
+    alpha = params.from_poly(bez.alpha)
+    beta = params.from_poly(bez.beta)
+    sbeta = params.from_poly(params.sigma_pow(bez.beta, 1))
+    return alpha, beta, sbeta
+
+
+def _g(ops, c, alpha, beta, sbeta):
+    m1, _, m3, m4 = c.components
+    return (ops.il * ops.r(m1, alpha * ops.y)
+            + ops.r(m3, beta) - ops.il * ops.r(m4, sbeta))
+
+
+def reference_g_map(c, bez, ops=OneSidedOps):
+    """g_map as it was written with one-sided actions."""
+    if c.degree != 2 or not is_cocycle(c):
+        raise NotCocycleError("g is defined on degree-2 cocycles")
+    return _g(ops(c.params, c.module), c, *_alpha_beta(c.params, bez))
+
+
+def reference_contract3(c, bez, ops=OneSidedOps):
+    """contract3 as it was written with one-sided actions."""
+    if c.degree != 3:
+        raise ValueError("contract3 expects a degree-3 cochain")
+    if not is_cocycle(c):
+        raise NotCocycleError("not a degree-3 cocycle")
+    params, mod = c.params, c.module
+    ops = ops(params, mod)
+    alpha, beta, sbeta = _alpha_beta(params, bez)
+    dD = twisted_delta(params, LEG_ID, _D, params.phi)
+    dsD = twisted_delta(params, _SIG, _SIG_D, params.phi)
+    m1, m2, m3, m4 = c.components
+    n1 = -ops.r(m3, beta)
+    n2 = -ops.il * ops.r(m1, alpha * ops.y) - ops.il * ops.r(m4, sbeta)
+    n3 = -ops.r(ops.act(dD, m1), beta)
+    n4 = (-ops.r(m3, alpha * ops.y)
+          - ops.lam * ops.r(ops.act(dsD, m2), sbeta))
+    return PerCochain(params, mod, 2, (n1, n2, n3, n4))
+
+
+def reference_split2(c, bez, ops=OneSidedOps):
+    """split2 as it was written with one-sided actions."""
+    if c.degree != 2:
+        raise ValueError("split2 expects a degree-2 cochain")
+    if not is_cocycle(c):
+        raise NotCocycleError("not a degree-2 cocycle")
+    params, mod = c.params, c.module
+    ops = ops(params, mod)
+    alpha, beta, sbeta = _alpha_beta(params, bez)
+    dsD_l = twisted_delta(params, _SIG, _D, params.phi)   # sigma left, D right
+    d_sD = twisted_delta(params, LEG_ID, _SIG_D, params.phi)
+    m1, m2, m3, m4 = c.components
+    n1 = -ops.r(m3, beta)
+    n3 = -ops.r(ops.act(dsD_l, m1), beta)
+    n4 = (ops.r(m3, alpha * ops.y)
+          - ops.lam * ops.r(ops.act(d_sD, m2), sbeta))
+    n2 = _g(ops, c, alpha, beta, sbeta)
+    u = PerCochain(params, mod, 1, (n1, n3, n4))
+    return u, n2

@@ -4,7 +4,9 @@ Malformed input must fail loudly instead of giving a silently wrong
 algebra or element; elements of different algebras never mix.
 """
 import json
+import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -74,6 +76,16 @@ def test_monomial_needs_nonnegative_int_exponent(p):
         with pytest.raises(ValueError):
             a.z(p)
     assert a.monomial(0, -2) == a.y(2) and a.z(0) == a.one()
+
+
+@pytest.mark.parametrize("q", [1.5, 1.0, True, Fraction(1)],
+                         ids=["float", "integral-float", "bool", "fraction"])
+def test_monomial_needs_int_x_exponent(q):
+    # the basis product reads q as a count of x or y factors
+    a = GwaParams(2, 0, Z)
+    for build in (partial(a.monomial, 0), a.x, a.y):
+        with pytest.raises(ValueError, match=re.escape(f"q={q!r}")):
+            build(q)
 
 
 def test_equal_algebras_hash_equal():

@@ -31,6 +31,7 @@ from gwadeform.core import (
 )
 from gwadeform.errors import ZeroPhiError
 from gwadeform.hochschild import Cochain2
+from gwadeform.percomplex import _then
 from gwadeform.scalars import Poly, div, rat
 
 from conftest import (
@@ -452,6 +453,27 @@ def test_tensor_act_matches_reference():
             m = random_element(rng, a, 4)
             assert tensor_act(T, spec, m) == reference_tensor_act(T, spec, m), a
             assert tensor_act(T, spec, a.zero()).is_zero()
+
+
+def test_right_leg_composition():
+    # (T o h) . m = (T . m) g(h): replacing each right leg R by R h is the
+    # right action by h, since g is an algebra map
+    rng = random.Random(61)
+    a2 = GwaParams(2, 0, Z)
+    rho = Automorphism(a2, 2, 3, Poly([0, 6]))
+    cases = [(a2, BimoduleSpec(rho, inverse(rho)))]
+    for a in full_corpus():
+        cases += [(a, module_plain(a)), (a, module_nu(a))]
+    for a, spec in cases:
+        for _ in range(3):
+            T = tensor_from_pair(a.one() + random_element(rng, a, 3),
+                                 a.one() + random_element(rng, a, 3))
+            T = T + twisted_delta(a, LegMap(1, 0), LEG_D, Z**3)
+            h = random_element(rng, a, 3) + a.one()
+            m = random_element(rng, a, 4)
+            got = tensor_act(_then(T, tensor_from_pair(a.one(), h)), spec, m)
+            expect = tensor_act(T, spec, m) * apply_automorphism(spec.right_twist, h)
+            assert got == expect, (a, spec)
 
 
 def test_tensor_algebra_ops():
