@@ -89,8 +89,9 @@ def parse_cochain(params: GwaParams, text: str, flag=None) -> PerCochain:
         mod = "plain" if right == "id" else right
     if mod not in ("plain", "nu"):
         raise ValueError(f"unknown module {mod!r}; use 'plain' or 'nu'")
+    # a second spec only for a flag naming another module; nu = id at lambda 1
     module = _module(params, mod)
-    if flag is not None and _module(params, flag) != module:
+    if flag is not None and flag != mod and _module(params, flag) != module:
         raise ValueError(f"--module {flag} disagrees with the payload's "
                          f"module {mod}")
     degree = data["degree"]
@@ -273,7 +274,8 @@ def json_text(obj, indent: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        items = [json_text(v, inner) for v in obj]
+        items = [_quote(v) if type(v) is str else int.__repr__(v)
+                 if type(v) is int else json_text(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -283,7 +285,9 @@ def json_text(obj, indent: str = "\n") -> str:
             if not isinstance(k, str):
                 raise TypeError(f"report keys must be str, not "
                                 f"{type(k).__name__}")
-            items.append(_quote(k) + ": " + json_text(v, inner))
+            items.append(_quote(k) + ": " + (
+                _quote(v) if type(v) is str else int.__repr__(v)
+                if type(v) is int else json_text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"Object of type {type(obj).__name__} "
                     "is not JSON serializable")

@@ -21,6 +21,7 @@ from .core import (
     LegMap,
     LinComb,
     TensorElement,
+    _MINUS_ONE,
     _accumulate,
     multiply,
     tensor_from_pair,
@@ -164,95 +165,102 @@ def p_generators(params: GwaParams, p: int, q: int):
     return gens
 
 
-def _linear_extend(params: GwaParams, components, gen_images) -> tuple:
+def _linear_extend(params: GwaParams, components, gen_images) -> list:
     """Extend generator images (list per source slot) bimodule-linearly.
 
-    A term c L (x) R of slot s sends each term u (x) v of an image in
-    gen_images[s] to c (L u) (x) (v R), on basis products.
+    Components, images and the returned slots are term dicts {(L, R): c}
+    of A (x) A.  A term c L (x) R of slot s sends each term u (x) v of an
+    image in gen_images[s] to c (L u) (x) (v R), on basis products.
     """
     mono = params._mono_mul
     out = [{} for _ in gen_images[0]]
     for s, comp in enumerate(components):
-        for (L, R), c in comp.terms.items():
+        for (L, R), c in comp.items():
             for t, img in enumerate(gen_images[s]):
-                for (u, v), w in img.terms.items():
+                for (u, v), w in img.items():
                     right = mono(*v, *R)
                     for pq, cl in mono(*L, *u).items():
                         terms = {(pq, pr): cr for pr, cr in right.items()}
                         _accumulate(out[t], terms, c * w * cl)
-    return tuple(TensorElement(params, t) for t in out)
+    return out
+
+
+def _extended(e: PElement, p: int, q: int, gen_images) -> PElement:
+    """The element of P_{p,q} that e is sent to by extending gen_images."""
+    a = e.algebra
+    out = _linear_extend(a, [c.terms for c in e.components], gen_images)
+    return PElement(p, q, tuple(TensorElement(a, t) for t in out))
+
+
+# Generator tables: a row per source generator, a term dict per target slot
+_1, _X, _Y = (0, 0), (0, 1), (0, -1)
 
 
 def _dv_gens(a: GwaParams, p: int) -> list:
     """d^v on the generators of P_{p,1}, per slot of P_{p,0}."""
-    one, z = a.one(), a.z()
 
     def dv(j):  # sigma^j(z) (x) 1 - 1 (x) z
-        return (tensor_from_pair(a.from_poly(a.sigma_z(j)), one)
-                - tensor_from_pair(one, z))
+        terms = {((e, 0), _1): c
+                 for e, c in enumerate(a.sigma_z(j).coeffs) if c}
+        terms[(_1, (1, 0))] = _MINUS_ONE
+        return terms
 
     if p == 0:
         return [[dv(0)]]
     j = p % 2  # odd columns twist by sigma and sigma^{-1}
-    zero_t = TensorElement(a, {})
-    return [[dv(j), zero_t], [zero_t, dv(-j)]]
+    return [[dv(j), {}], [{}, dv(-j)]]
 
 
 def _dh_gens(a: GwaParams, p: int, q: int) -> list:
     """d^h on the generators of P_{p,q}, per slot of P_{p-1,q}."""
-    one, x, y = a.one(), a.x(), a.y()
-    sign, nx, ny = 1, x, y
-    if q == 1:  # row 0 negated, with nu (x -> lam x, y -> y / lam) on the right leg
-        sign, nx, ny = -1, a.lam * x, div(1, a.lam) * y
-
-    def t(u, v):
-        return sign * tensor_from_pair(u, v)
-
+    # q = 1: negated, with nu (x -> lam x, y -> y / lam) on the right leg;
+    # cx and cy are the coefficients of 1 (x) x and 1 (x) y where they occur
+    sign, cx, cy = (-1, -a.lam, -div(1, a.lam)) if q == 1 else (1, 1, 1)
     if p == 1:
-        return [[t(x, one) - t(one, nx)], [t(y, one) - t(one, ny)]]
+        return [[{(_X, _1): sign, (_1, _X): -cx}],
+                [{(_Y, _1): sign, (_1, _Y): -cy}]]
     if p % 2 == 0:
-        return [[t(y, one), t(one, nx)], [t(one, ny), t(x, one)]]
-    return [[t(x, one), -t(one, nx)], [-t(one, ny), t(y, one)]]
+        return [[{(_Y, _1): sign}, {(_1, _X): cx}],
+                [{(_1, _Y): cy}, {(_X, _1): sign}]]
+    return [[{(_X, _1): sign}, {(_1, _X): -cx}],
+            [{(_1, _Y): -cy}, {(_Y, _1): sign}]]
+
+
+def _delta_phi(a: GwaParams, f: LegMap, g: LegMap, c) -> dict:
+    """c (f (x) g) Delta_0(phi) as a term dict."""
+    return _accumulate({}, twisted_delta(a, f, g, a.phi).terms, c)
 
 
 def _r_gens(a: GwaParams, p: int) -> list:
     """r on the generators of P_{p,0}, per slot of P_{p-2,1} (p >= 2)."""
-    lam = a.lam
-    sL, sR = LegMap(1, 0), LegMap(1, 0)
-    d = twisted_delta(a, LEG_ID, LEG_ID, a.phi)
-    ds_s = twisted_delta(a, sL, sR, a.phi).scale(lam)
-    sd = twisted_delta(a, sL, LEG_ID, a.phi)
-    d_s = twisted_delta(a, LEG_ID, sR, a.phi).scale(lam)
-    zero_t = TensorElement(a, {})
-    if p == 2:
-        return [[-d], [-ds_s]]
+    sig = LegMap(1, 0)
     if p % 2 == 1:
-        return [[-sd, zero_t], [zero_t, -d_s]]
-    return [[-d, zero_t], [zero_t, -ds_s]]
+        return [[_delta_phi(a, sig, LEG_ID, _MINUS_ONE), {}],
+                [{}, _delta_phi(a, LEG_ID, sig, -a.lam)]]
+    d = _delta_phi(a, LEG_ID, LEG_ID, _MINUS_ONE)
+    ds_s = _delta_phi(a, sig, sig, -a.lam)
+    return [[d], [ds_s]] if p == 2 else [[d, {}], [{}, ds_s]]
 
 
 def p_dv(p: int, e: PElement) -> PElement:
     """Vertical map P_{p,1} -> P_{p,0}."""
     if e.q != 1 or e.p != p:
         raise ValueError("shape mismatch")
-    a = e.algebra
-    return PElement(p, 0, _linear_extend(a, e.components, _dv_gens(a, p)))
+    return _extended(e, p, 0, _dv_gens(e.algebra, p))
 
 
 def p_dh(p: int, q: int, e: PElement) -> PElement:
     """Horizontal map P_{p,q} -> P_{p-1,q}."""
     if p < 1 or (e.p, e.q) != (p, q):
         raise ValueError("shape mismatch")
-    a = e.algebra
-    return PElement(p - 1, q, _linear_extend(a, e.components, _dh_gens(a, p, q)))
+    return _extended(e, p - 1, q, _dh_gens(e.algebra, p, q))
 
 
 def p_r(p: int, e: PElement) -> PElement:
     """Homotopy-like map P_{p,0} -> P_{p-2,1} for p >= 2."""
     if p < 2 or (e.p, e.q) != (p, 0):
         raise ValueError("shape mismatch")
-    a = e.algebra
-    return PElement(p - 2, 1, _linear_extend(a, e.components, _r_gens(a, p)))
+    return _extended(e, p - 2, 1, _r_gens(e.algebra, p))
 
 
 def verify_hdc(params: GwaParams, max_p: int) -> list[dict]:
@@ -310,15 +318,15 @@ def tot_generators(params: GwaParams, n: int) -> list[TotElement]:
     return out
 
 
-def tot_images(params: GwaParams, n: int) -> list[list[TensorElement]]:
+def tot_images(params: GwaParams, n: int) -> list[list[dict]]:
     """d of each generator of T_n, written on the generators of T_{n-1}.
 
     Row t is d(generator t of T_n) and its entry s the A (x) A coefficient
-    of generator s of T_{n-1}; generators are ordered as in
-    ``tot_generators`` (P_{k-1,1} first, then P_{k,0}).  This table is the
-    only definition of the total differential: ``tot_diff`` extends it
-    bimodule-linearly and the cochain differential of ``percomplex`` is
-    its dual.
+    of generator s of T_{n-1}, as a term dict {(L, R): c}; generators are
+    ordered as in ``tot_generators`` (P_{k-1,1} first, then P_{k,0}).
+    This table is the only definition of the total differential:
+    ``tot_diff`` extends it bimodule-linearly and the cochain differential
+    of ``percomplex`` is its dual.
     """
     if n < 1:
         raise ValueError(f"T_n has a differential only for n >= 1, got {n}")
@@ -334,8 +342,9 @@ def tot_diff(n: int, e: TotElement) -> TotElement:
     if n < 1 or e.degree != n:
         raise ValueError("degree mismatch")
     params = e.algebra
-    comps = [c for part in e.parts for c in part.components]
-    out = _linear_extend(params, comps, tot_images(params, n))
+    comps = [c.terms for part in e.parts for c in part.components]
+    out = tuple(TensorElement(params, t)
+                for t in _linear_extend(params, comps, tot_images(params, n)))
     if n == 1:
         return TotElement(0, (PElement(0, 0, out),))
     k = 1 if n == 2 else 2  # generators of P_{n-2,1}

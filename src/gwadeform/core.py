@@ -30,6 +30,11 @@ over A or A (x) A, or a short tuple of such combinations:
   ``multiply`` wraps it) and ``hochschild.Cochain2.evaluate_into`` keep
   the same contract, but add each basis value inline rather than through
   one ``_accumulate`` call per pair of terms.
+* ``tensor_act(T, spec, m, out)`` adds T . m = sum c f(L) m g(R) into
+  ``out`` in place, under the same contract.  A twist that fixes z (the
+  identity, nu) sends a basis leg z^p x_q to x_scale^q or y_scale^(-q)
+  times itself, so it only scales c: no leg element, no
+  ``apply_automorphism`` call.  Other twists take that path.
 * ``basis_window`` builds each window once per l + 1; callers get copies.
 
 Basis products.  ``GwaParams._mono_mul(p, q, i, j)`` memoizes
@@ -605,21 +610,34 @@ def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
     return TensorElement(params, out)
 
 
-def tensor_act(T: TensorElement, spec: BimoduleSpec, m: GwaElement) -> GwaElement:
-    """(a1 (x) a2) . m = f(a1) (m g(a2)); no product by a unit leg, f(1) = g(1) = 1."""
-    alg = _same_algebra(T, m)
-    out: dict = {}
-    for (L, R), c in T.terms.items():
+def _twisted_leg(rho: Automorphism, alg: GwaParams, pq, c) -> tuple:
+    """c rho(z^p x_q) as (terms, c'): a z-fixing rho only scales c."""
+    if rho.z_image.coeffs != (0, 1):
+        return apply_automorphism(rho, GwaElement(alg, {pq: _ONE})).terms, c
+    s = rho.x_scale ** pq[1] if pq[1] >= 0 else rho.y_scale ** -pq[1]
+    return {pq: _ONE}, c if s == 1 else c * s
+
+
+def tensor_act(T, spec: BimoduleSpec, m: GwaElement, out: dict | None = None):
+    """(a1 (x) a2) . m = f(a1) (m g(a2)); no product by a unit leg, f(1) = g(1) = 1.
+
+    T may be a term dict over m's algebra; with ``out``, T . m is added
+    into it in place and ``out`` is returned, else a new element.
+    """
+    alg, T = ((_same_algebra(T, m), T.terms) if isinstance(T, TensorElement)
+              else (m.algebra, T))
+    acc = {} if out is None else out
+    for (L, R), c in T.items():
         v = m.terms
         if R != (0, 0):
-            g = apply_automorphism(spec.right_twist, T._leg(R)).terms
+            g, c = _twisted_leg(spec.right_twist, alg, R, c)
             if L == (0, 0):
-                _multiply_into(alg, out, v, g, c)
+                _multiply_into(alg, acc, v, g, c)
                 continue
             v = _multiply_into(alg, {}, v, g)
         if L == (0, 0):
-            _accumulate(out, v, c)
+            _accumulate(acc, v, c)
         else:
-            f = apply_automorphism(spec.left_twist, T._leg(L)).terms
-            _multiply_into(alg, out, f, v, c)
-    return GwaElement(alg, out)
+            f, c = _twisted_leg(spec.left_twist, alg, L, c)
+            _multiply_into(alg, acc, f, v, c)
+    return acc if out is not None else GwaElement(alg, acc)

@@ -35,7 +35,6 @@ from functools import partial
 from .core import (
     GwaElement,
     GwaParams,
-    TensorElement,
     _MINUS_ONE,
     _ONE,
     _accumulate,
@@ -43,7 +42,6 @@ from .core import (
     basis_window,
     filtration_degree,
     module_plain,
-    tensor_from_pair,
 )
 from .errors import UnsupportedPatternError
 from .percomplex import PerCochain, _pair
@@ -166,7 +164,7 @@ def hochschild_b(F: Cochain2) -> Cochain3:
 
 def theta2(params: GwaParams, left: tuple[int, int],
            right: tuple[int, int]) -> tuple:
-    """Image of 1|z^p x_q|z^i x_j|1 as a 4-tuple in the degree-2 columns.
+    """Image of 1|z^p x_q|z^i x_j|1 as 4 term dicts in the degree-2 columns.
 
     One formula serves both generators, by the mirror rule of the module
     docstring; g against z^i h^J adds the single tensor to the chain.
@@ -176,27 +174,28 @@ def theta2(params: GwaParams, left: tuple[int, int],
     i, j = right
     slots: list[dict] = [{} for _ in range(4)]
     if q == 0:
-        return tuple(TensorElement(params, t) for t in slots)
+        return tuple(slots)
     s = 1 if q > 0 else -1
     opposite = s * j < 0
     if opposite and q != s:
         raise UnsupportedPatternError(
             f"no displayed image for x_({q}) against z^{i} x_({j})")
     lam_s = params.lam if s > 0 else div(1, params.lam)
-    zp = Poly.monomial(p)
+    chain = slots[(1 - s) // 2]
     for k in range(1, i + 1):
-        lz = zp * params.sigma_pow(Poly.monomial(i - k), q)
+        lz = params.sigma_pow(Poly.monomial(i - k), q).coeffs  # times z^p
         for t in range(1, s * q + 1):
-            lhs = params.from_poly(lz, q - s * t)
-            rz = params.sigma_pow(Poly.monomial(k - 1), s * (t - 1))
-            rhs = lam_s ** (t - 1) * params.from_poly(rz, s * (t - 1) + j)
-            _accumulate(slots[(1 - s) // 2], tensor_from_pair(lhs, rhs).terms,
-                        _MINUS_ONE)
+            ql, qr = q - s * t, s * (t - 1) + j
+            rz = params.sigma_pow(Poly.monomial(k - 1), s * (t - 1)).coeffs
+            _accumulate(chain, {((p + el, ql), (er, qr)): cl * cr
+                                for el, cl in enumerate(lz) if cl
+                                for er, cr in enumerate(rz) if cr},
+                        -(lam_s ** (t - 1)))
     if opposite:
-        slots[(5 + s) // 2] = tensor_from_pair(
-            params.from_poly(zp * params.sigma_pow(Poly.monomial(i), s)),
-            params.monomial(0, j + s)).terms
-    return tuple(TensorElement(params, t) for t in slots)
+        lz = params.sigma_pow(Poly.monomial(i), s).coeffs
+        slots[(5 + s) // 2] = {((p + el, 0), (0, j + s)): cl
+                               for el, cl in enumerate(lz) if cl}
+    return tuple(slots)
 
 
 def theta2_pullback(c: PerCochain) -> Cochain2:

@@ -12,14 +12,14 @@ table of generator images that defines d on T.
 Also provided: the explicit degree-2 cocycle family f, its one-sided
 inverse g, the constructive degree-3 contraction, and the splitting of a
 degree-2 cocycle into a coboundary plus f-image.  Each is a table like
-``tot_images``, a row of A (x) A tensors per output slot, read by ``_pair``.
+``tot_images``, a row of A (x) A term dicts per output slot, read by ``_pair``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from . import linalg
-from .complexes import _linear_extend, tot_images
+from .complexes import _1, _X, _Y, _delta_phi, _linear_extend, tot_images
 from .core import (
     BimoduleSpec,
     DirectSum,
@@ -27,12 +27,10 @@ from .core import (
     GwaParams,
     LEG_ID,
     LegMap,
-    TensorElement,
+    _MINUS_ONE,
     _accumulate,
     basis_window,
     tensor_act,
-    tensor_from_pair,
-    twisted_delta,
 )
 from .errors import NotCocycleError
 from .scalars import BezoutPair, div
@@ -78,7 +76,7 @@ def _pair(images, module: BimoduleSpec, comps) -> tuple:
         acc: dict = {}
         for T, m in zip(row, comps):
             if m and T:
-                _accumulate(acc, tensor_act(T, module, m).terms)
+                tensor_act(T, module, m, acc)
         out.append(GwaElement(params, acc))
     return tuple(out)
 
@@ -94,34 +92,36 @@ def is_cocycle(c: PerCochain) -> bool:
     return per_diff(c).is_zero()
 
 
-def _then(T: TensorElement, H: TensorElement) -> TensorElement:
+def _then(params: GwaParams, T: dict, H: dict) -> dict:
     """T o h for H = 1 (x) h: each right leg R becomes R h.
 
     (T o h) . m = (T . m) g(h), since g is an algebra map.
     """
-    return _linear_extend(T.algebra, [H], [[T]])[0]
+    return _linear_extend(params, [H], [[T]])[0]
+
+
+def _f_table(params: GwaParams) -> list:
+    """f as a one-column table: m -> (lam m x, -y m, 0, -lam (sDs(phi)) . m)."""
+    lam = params.lam
+    return [[{(_1, _X): lam}], [{(_Y, _1): _MINUS_ONE}], [{}],
+            [_delta_phi(params, _SIG, _SIG, -lam)]]
 
 
 def f_map(m: GwaElement, params: GwaParams, module: BimoduleSpec) -> PerCochain:
     """The degree-2 cocycle f(m) = (lam*m*x, -y*m, 0, -lam*(sDs(phi)).m)."""
-    one, lam = params.one(), params.lam
-    table = [[lam * tensor_from_pair(one, params.x())],
-             [-tensor_from_pair(params.y(), one)],
-             [TensorElement(params, {})],
-             [-lam * twisted_delta(params, _SIG, _SIG, params.phi)]]
-    return PerCochain(params, module, 2, _pair(table, module, (m,)))
+    return PerCochain(params, module, 2, _pair(_f_table(params), module, (m,)))
 
 
 def _right_legs(params: GwaParams, bez: BezoutPair) -> tuple:
     """m -> m g(h) as the tensor 1 (x) h, for h = alpha y, beta and sigma(beta)."""
-    one = params.one()
-    return tuple(tensor_from_pair(one, params.from_poly(h, q)) for h, q in (
-        (bez.alpha, -1), (bez.beta, 0), (params.sigma_pow(bez.beta, 1), 0)))
+    return tuple({(_1, (p, q)): c for p, c in enumerate(h.coeffs) if c}
+                 for h, q in ((bez.alpha, -1), (bez.beta, 0),
+                              (params.sigma_pow(bez.beta, 1), 0)))
 
 
 def _g_row(params: GwaParams, ay, beta, sbeta) -> list:
     il = div(1, params.lam)
-    return [il * ay, TensorElement(params, {}), beta, -il * sbeta]
+    return [_accumulate({}, ay, il), {}, beta, _accumulate({}, sbeta, -il)]
 
 
 def g_map(c: PerCochain, bez: BezoutPair) -> GwaElement:
@@ -140,13 +140,13 @@ def contract3(c: PerCochain, bez: BezoutPair) -> PerCochain:
         raise NotCocycleError("not a degree-3 cocycle")
     params = c.params
     ay, beta, sbeta = _right_legs(params, bez)
-    il, zero = div(1, params.lam), TensorElement(params, {})
-    dD = twisted_delta(params, LEG_ID, _D, params.phi)
-    dsD = twisted_delta(params, _SIG, _SIG_D, params.phi)
-    table = [[zero, zero, -beta, zero],
-             [-il * ay, zero, zero, -il * sbeta],
-             [-_then(dD, beta), zero, zero, zero],
-             [zero, -params.lam * _then(dsD, sbeta), -ay, zero]]
+    il = div(1, params.lam)
+    dD = _delta_phi(params, LEG_ID, _D, _MINUS_ONE)
+    dsD = _delta_phi(params, _SIG, _SIG_D, -params.lam)
+    table = [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
+             [_accumulate({}, ay, -il), {}, {}, _accumulate({}, sbeta, -il)],
+             [_then(params, dD, beta), {}, {}, {}],
+             [{}, _then(params, dsD, sbeta), _accumulate({}, ay, _MINUS_ONE), {}]]
     return PerCochain(params, c.module, 2, _pair(table, c.module, c.components))
 
 
@@ -158,12 +158,11 @@ def split2(c: PerCochain, bez: BezoutPair):
         raise NotCocycleError("not a degree-2 cocycle")
     params = c.params
     ay, beta, sbeta = _right_legs(params, bez)
-    zero = TensorElement(params, {})
-    dsD_l = twisted_delta(params, _SIG, _D, params.phi)   # sigma left, D right
-    d_sD = twisted_delta(params, LEG_ID, _SIG_D, params.phi)
-    table = [[zero, zero, -beta, zero],
-             [-_then(dsD_l, beta), zero, zero, zero],
-             [zero, -params.lam * _then(d_sD, sbeta), ay, zero],
+    dsD_l = _delta_phi(params, _SIG, _D, _MINUS_ONE)   # sigma left, D right
+    d_sD = _delta_phi(params, LEG_ID, _SIG_D, -params.lam)
+    table = [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
+             [_then(params, dsD_l, beta), {}, {}, {}],
+             [{}, _then(params, d_sD, sbeta), ay, {}],
              _g_row(params, ay, beta, sbeta)]
     n1, n3, n4, n2 = _pair(table, c.module, c.components)
     return PerCochain(params, c.module, 1, (n1, n3, n4)), n2

@@ -3,21 +3,28 @@
 A scalar is an ``int`` when it is integral and a ``fractions.Fraction``
 (in lowest terms) otherwise; it is never a float or a bool.  ``rat`` is
 the entry point: it keeps ints, turns an integral Fraction or string
-into an int, and refuses floats.  Every division goes through ``div``,
-which keeps that form, so that no ``/`` between two ints can make a
-float.  Arithmetic on two Fractions may still give an integral Fraction;
-it compares and hashes equal to the int, and ``rat``, ``div`` and the
-term-dict sums of ``core`` turn it back into one.
+into an int, and refuses floats; it reads the canonical "n" and "n/d"
+that ``rat_str`` writes with ``int``, and any other string with
+Fraction's slower parser, to the same result or error.  Every division
+goes through ``div``, which keeps that form, so that no ``/`` between two
+ints can make a float.  Arithmetic on two Fractions may still give an
+integral Fraction; it compares and hashes equal to the int, and ``rat``,
+``div`` and the term-dict sums of ``core`` turn it back into one.
 
 A polynomial in z is stored as a tuple of such scalars indexed by degree;
 the zero polynomial has an empty tuple and degree -1.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MultipleRootError, ZeroPhiError
+
+
+# rat_str's "n" and "n/d": ASCII digits, d > 0 without a leading zero
+_CANONICAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def rat(value) -> int | Fraction:
@@ -29,6 +36,9 @@ def rat(value) -> int | Fraction:
     """
     if type(value) is int:
         return value
+    if type(value) is str and (canonical := _CANONICAL.fullmatch(value)):
+        num, den = canonical.groups()
+        return int(num) if den is None else rat(Fraction(int(num), int(den)))
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, (bool, float)):

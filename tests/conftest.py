@@ -9,6 +9,7 @@ from gwadeform.core import (
     GwaElement,
     GwaParams,
     LEG_ID,
+    LegMap,
     TensorElement,
     _MINUS_ONE,
     _accumulate,
@@ -467,3 +468,86 @@ def reference_split2(c, bez, ops=OneSidedOps):
     n2 = _g(ops, c, alpha, beta, sbeta)
     u = PerCochain(params, mod, 1, (n1, n3, n4))
     return u, n2
+
+
+# ---------------------------------------------------------------------------
+# Generator tables as they were built on elements, through tensor_from_pair,
+# from_poly and element arithmetic: == references for the term-dict tables
+# ---------------------------------------------------------------------------
+
+def table_terms(table):
+    """A table of TensorElements as the table of their term dicts."""
+    return [[t.terms for t in row] for row in table]
+
+
+def reference_dv_gens(a, p):
+    """d^v on the generators of P_{p,1}, per slot of P_{p,0}."""
+    one, z = a.one(), a.z()
+
+    def dv(j):  # sigma^j(z) (x) 1 - 1 (x) z
+        return (tensor_from_pair(a.from_poly(a.sigma_z(j)), one)
+                - tensor_from_pair(one, z))
+
+    if p == 0:
+        return [[dv(0)]]
+    j = p % 2
+    zero_t = TensorElement(a, {})
+    return [[dv(j), zero_t], [zero_t, dv(-j)]]
+
+
+def reference_dh_gens(a, p, q):
+    """d^h on the generators of P_{p,q}, per slot of P_{p-1,q}."""
+    one, x, y = a.one(), a.x(), a.y()
+    sign, nx, ny = 1, x, y
+    if q == 1:
+        sign, nx, ny = -1, a.lam * x, div(1, a.lam) * y
+
+    def t(u, v):
+        return sign * tensor_from_pair(u, v)
+
+    if p == 1:
+        return [[t(x, one) - t(one, nx)], [t(y, one) - t(one, ny)]]
+    if p % 2 == 0:
+        return [[t(y, one), t(one, nx)], [t(one, ny), t(x, one)]]
+    return [[t(x, one), -t(one, nx)], [-t(one, ny), t(y, one)]]
+
+
+def reference_r_gens(a, p):
+    """r on the generators of P_{p,0}, per slot of P_{p-2,1} (p >= 2)."""
+    lam = a.lam
+    sL, sR = LegMap(1, 0), LegMap(1, 0)
+    d = twisted_delta(a, LEG_ID, LEG_ID, a.phi)
+    ds_s = twisted_delta(a, sL, sR, a.phi).scale(lam)
+    sd = twisted_delta(a, sL, LEG_ID, a.phi)
+    d_s = twisted_delta(a, LEG_ID, sR, a.phi).scale(lam)
+    zero_t = TensorElement(a, {})
+    if p == 2:
+        return [[-d], [-ds_s]]
+    if p % 2 == 1:
+        return [[-sd, zero_t], [zero_t, -d_s]]
+    return [[-d, zero_t], [zero_t, -ds_s]]
+
+
+def reference_tot_images(params, n):
+    """tot_images assembled from the element-built generator tables."""
+    dv, dh0 = reference_dv_gens(params, n - 1), reference_dh_gens(params, n, 0)
+    if n == 1:
+        return dv + dh0
+    return ([h + v for h, v in zip(reference_dh_gens(params, n - 1, 1), dv)]
+            + [r + h for r, h in zip(reference_r_gens(params, n), dh0)])
+
+
+def reference_f_table(params):
+    """The one-column table of f_map."""
+    one, lam = params.one(), params.lam
+    return [[lam * tensor_from_pair(one, params.x())],
+            [-tensor_from_pair(params.y(), one)],
+            [TensorElement(params, {})],
+            [-lam * twisted_delta(params, _SIG, _SIG, params.phi)]]
+
+
+def reference_right_legs(params, bez):
+    """1 (x) h for h = alpha y, beta and sigma(beta)."""
+    one = params.one()
+    return tuple(tensor_from_pair(one, params.from_poly(h, q)) for h, q in (
+        (bez.alpha, -1), (bez.beta, 0), (params.sigma_pow(bez.beta, 1), 0)))

@@ -1,6 +1,7 @@
 import ast
 import json
 import random
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,10 +10,10 @@ from hypothesis import example, given, strategies as st
 
 import gwadeform
 from gwadeform.cli import json_text, load_config, run
-from gwadeform.core import GwaElement, module_nu, module_plain
+from gwadeform.core import GwaElement, GwaParams, module_nu, module_plain
 from gwadeform.errors import MultipleRootError
 from gwadeform.percomplex import PerCochain, f_map, per_diff
-from gwadeform.scalars import bezout_for_phi
+from gwadeform.scalars import Poly, bezout_for_phi
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent
                  / "perfbench" / "corpus").glob("alg*.json"))
@@ -121,6 +122,29 @@ def test_cohomology_module_flag_agreeing_with_payload(tmp_path, capsys,
                                      "diff", payload, "--module", flag])
     assert code == 0
     assert report["results"][0]["cochain"]["module"]["right"] == right
+
+
+@pytest.mark.parametrize("mod, flag, specs", [
+    (None, None, 1), (None, "nu", 1), ("nu", "nu", 1),
+    ({"left": "id", "right": "nu"}, "nu", 1), ("plain", None, 1),
+    ("plain", "nu", 2),
+])
+def test_parse_cochain_builds_one_module_per_request(monkeypatch, mod, flag,
+                                                     specs):
+    # every BimoduleSpec checks its twists' relations when it is built, so
+    # a request builds a second one only for a flag naming another module
+    # (here equal to the first: nu is plain when lambda = 1)
+    params = GwaParams(1, 1, Poly([1]))
+    real, built = gwadeform.cli._module, []
+
+    def counted(params, name):
+        built.append(name)
+        return real(params, name)
+
+    monkeypatch.setattr(gwadeform.cli, "_module", counted)
+    payload = BARE_COCHAIN if mod is None else {**BARE_COCHAIN, "module": mod}
+    c = gwadeform.cli.parse_cochain(params, json.dumps(payload), flag)
+    assert c.module == module_plain(params) and len(built) == specs
 
 
 @pytest.mark.parametrize("op", ["diff", "g"])
@@ -421,8 +445,22 @@ json_values = st.recursive(
 )
 
 
+class Level(IntEnum):
+    HIGH = 7
+
+
+class Label(str):
+    pass
+
+
 @given(json_values)
 @example({"a": [[], {}, ()], "": {"b": [{}]}, "c": -2**65})
+# the inline str and int members of lists and dicts leave these to the
+# recursion: bools and None, an IntEnum member, a str subclass (value or key)
+@example([True, False, None, 0, "x", [None]])
+@example({"t": True, "f": False, "n": None, "i": -1, "s": ""})
+@example([Level.HIGH, Label("lab\u00e9l"), {"v": Level.HIGH, "w": Label("\n")}])
+@example({Label("key"): [Label("v")], "k": Label("")})
 def test_json_text_matches_stdlib_indent_2(obj):
     assert json_text(obj) == json.dumps(obj, indent=2)
 

@@ -7,7 +7,10 @@ from gwadeform.complexes import (
     CElement,
     PElement,
     StandardTensor,
+    _dh_gens,
+    _dv_gens,
     _linear_extend,
+    _r_gens,
     c_diff,
     c_element,
     p_dh,
@@ -40,7 +43,13 @@ from conftest import (
     act_right,
     c_solve_preimage,
     full_corpus,
+    random_algebra,
     random_element,
+    reference_dh_gens,
+    reference_dv_gens,
+    reference_r_gens,
+    reference_tot_images,
+    table_terms,
 )
 
 Z = Poly.z()
@@ -270,7 +279,9 @@ def test_tot_images_shape():
         images = tot_images(a, n)
         assert len(images) == len(tot_generators(a, n))
         assert {len(row) for row in images} == {len(tot_generators(a, n - 1))}
-        assert all(isinstance(t, TensorElement) for row in images for t in row)
+        # term dicts {(L, R): c} that store no zero
+        assert all(type(t) is dict and all(t.values())
+                   for row in images for t in row)
     for n in (0, -1):
         with pytest.raises(ValueError):
             tot_images(a, n)
@@ -278,15 +289,16 @@ def test_tot_images_shape():
 
 def reference_linear_extend(params, components, gen_images):
     """_linear_extend on elements: each term c L (x) R acts on an image
-    through act_left by c L and then act_right by R."""
+    (a term dict) through act_left by c L and then act_right by R."""
     out = [{} for _ in gen_images[0]]
     for s, comp in enumerate(components):
         for (L, R), c in comp.terms.items():
             a = GwaElement(params, {L: c})
             b = GwaElement(params, {R: 1})
             for t, img in enumerate(gen_images[s]):
+                img = TensorElement(params, img)
                 _accumulate(out[t], act_right(act_left(img, a), b).terms)
-    return tuple(TensorElement(params, t) for t in out)
+    return out
 
 
 def test_linear_extend_matches_element_reference():
@@ -301,8 +313,25 @@ def test_linear_extend_matches_element_reference():
                          + tensor_from_pair(random_element(rng, a, 2, 2),
                                             random_element(rng, a, 2, 2))
                          for _ in images]
-                assert (_linear_extend(a, comps, images)
-                        == reference_linear_extend(a, comps, images)), (a, n)
+                got = _linear_extend(a, [c.terms for c in comps], images)
+                assert got == reference_linear_extend(a, comps, images), (a, n)
+
+
+def test_generator_tables_match_element_reference():
+    # the term-dict tables against the same tables built on elements, on
+    # the corpus and on random algebras
+    rng = random.Random(67)
+    for a in full_corpus() + [random_algebra(rng) for _ in range(12)]:
+        for n in range(1, 6):
+            assert (tot_images(a, n)
+                    == table_terms(reference_tot_images(a, n))), (a, n)
+        for p in range(6):
+            assert _dv_gens(a, p) == table_terms(reference_dv_gens(a, p)), a
+            for q in (0, 1) if p >= 1 else ():
+                assert (_dh_gens(a, p, q)
+                        == table_terms(reference_dh_gens(a, p, q))), a
+            if p >= 2:
+                assert _r_gens(a, p) == table_terms(reference_r_gens(a, p)), a
 
 
 def test_augmentation_tot():

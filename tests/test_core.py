@@ -455,6 +455,54 @@ def test_tensor_act_matches_reference():
             assert tensor_act(T, spec, a.zero()).is_zero()
 
 
+def test_tensor_act_adds_into_out_in_place(monkeypatch):
+    # with out, T . m is added into out and out is returned; T may be a
+    # term dict.  Twists that fix z act on a leg as a scalar, with no call
+    # to apply_automorphism; the general twist x -> 2x, y -> 3y, z -> 6z
+    # still goes through it.
+    rng = random.Random(71)
+    a2 = GwaParams(2, 0, Z)
+    rho = Automorphism(a2, 2, 3, Poly([0, 6]))
+    cases = [(a2, BimoduleSpec(rho, inverse(rho)), True)]
+    for a in full_corpus():
+        cases += [(a, module_plain(a), False), (a, module_nu(a), False)]
+    twisted = []
+    real = core.apply_automorphism
+
+    def counted(rho, u):
+        twisted.append(rho)
+        return real(rho, u)
+
+    monkeypatch.setattr(core, "apply_automorphism", counted)
+    for a, spec, general in cases:
+        for _ in range(3):
+            T = tensor_from_pair(a.one() + random_element(rng, a, 3),
+                                 a.one() + random_element(rng, a, 3))
+            U = tensor_from_pair(random_element(rng, a, 3),
+                                 a.one() + random_element(rng, a, 2))
+            m, n = random_element(rng, a, 4), random_element(rng, a, 3)
+            expect = {}
+            for S, e in ((T, m), (U, n)):
+                for (L, R), c in S.terms.items():
+                    _accumulate(expect, bimodule_act(
+                        spec, GwaElement(a, {L: c}), e,
+                        GwaElement(a, {R: 1})).terms)
+            twisted.clear()
+            out = {}
+            assert tensor_act(T.terms, spec, m, out) is out
+            assert tensor_act(U, spec, n, out) is out
+            assert out == expect, (a, spec)
+            assert bool(twisted) == general, (a, spec)
+            # T . m and (-T) . m cancel down to an empty dict
+            out = {}
+            tensor_act(T, spec, m, out)
+            tensor_act((-T).terms, spec, m, out)
+            assert out == {}, (a, spec)
+    a3 = GwaParams(3, 0, Z)
+    with pytest.raises(ValueError):
+        tensor_act(tensor_from_pair(a2.x(), a2.y()), module_plain(a2), a3.z(), {})
+
+
 def test_right_leg_composition():
     # (T o h) . m = (T . m) g(h): replacing each right leg R by R h is the
     # right action by h, since g is an algebra map
@@ -471,7 +519,8 @@ def test_right_leg_composition():
             T = T + twisted_delta(a, LegMap(1, 0), LEG_D, Z**3)
             h = random_element(rng, a, 3) + a.one()
             m = random_element(rng, a, 4)
-            got = tensor_act(_then(T, tensor_from_pair(a.one(), h)), spec, m)
+            H = tensor_from_pair(a.one(), h)
+            got = tensor_act(_then(a, T.terms, H.terms), spec, m)
             expect = tensor_act(T, spec, m) * apply_automorphism(spec.right_twist, h)
             assert got == expect, (a, spec)
 

@@ -40,6 +40,7 @@ from conftest import (
     delta_nu,
     full_corpus,
     non_cocycle,
+    random_algebra,
     random_element,
     reference_circle,
     reference_determine_F,
@@ -72,7 +73,13 @@ def theta1(params, pattern):
 
 def outer(params, t, a, b):
     """a . t . b for outer factors a, b of A."""
-    return _linear_extend(params, [tensor_from_pair(a, b)], [[t]])[0]
+    return TensorElement(params, _linear_extend(
+        params, [tensor_from_pair(a, b).terms], [[t.terms]])[0])
+
+
+def theta2_elements(params, left, right):
+    """theta2 with each slot as a TensorElement."""
+    return tuple(TensorElement(params, t) for t in theta2(params, left, right))
 
 
 def theta1_tot(params, u, a, b):
@@ -88,7 +95,7 @@ def theta1_tot(params, u, a, b):
 
 
 def theta2_tot(params, left, right):
-    slots = theta2(params, left, right)
+    slots = theta2_elements(params, left, right)
     return TotElement(2, (PElement(1, 1, (slots[0], slots[1])),
                           PElement(2, 0, (slots[2], slots[3]))))
 
@@ -128,10 +135,10 @@ def test_theta2_is_chain_map():
 def test_theta2_zero_and_display_cases():
     a = GwaParams(2, 0, Z**2 - ONE)
     # pure z-power on the left is sent to zero
-    assert all(t.is_zero() for t in theta2(a, (3, 0), (2, 1)))
+    assert theta2(a, (3, 0), (2, 1)) == ({}, {}, {}, {})
     # x against z^i y^j matches the twisted-coproduct form
     p, i, j = 1, 2, 2
-    slots = theta2(a, (p, 1), (i, -j))
+    slots = theta2_elements(a, (p, 1), (i, -j))
     want0 = -outer(a, twisted_delta(a, LegMap(1, 0), LEG_ID, Poly.monomial(i)),
                    a.z(p), a.y(j))
     assert slots[0] == want0
@@ -147,12 +154,12 @@ def test_theta2_y_branch_is_exact():
         a = GwaParams(lam, 0, Z)
         slots = theta2(a, (0, -2), (1, 0))
         inv = Fraction(1, lam)
-        assert slots[1] == -(tensor_from_pair(a.y(), a.one())
-                             + inv * tensor_from_pair(a.one(), a.y()))
-        coeff = slots[1].terms[((0, 0), (0, -1))]
+        assert slots[1] == (-(tensor_from_pair(a.y(), a.one())
+                              + inv * tensor_from_pair(a.one(), a.y()))).terms
+        coeff = slots[1][((0, 0), (0, -1))]
         assert coeff == -inv and type(coeff) is (Fraction if lam == 2 else int)
         for slot in theta2(a, (1, -3), (2, -1)):
-            assert not any(isinstance(c, float) for c in slot.terms.values())
+            assert not any(isinstance(c, float) for c in slot.values())
 
 
 def mirror_algebras():
@@ -162,8 +169,12 @@ def mirror_algebras():
 
 
 def test_theta2_matches_two_branch_reference():
-    # one formula read by s = sign(q) against the x branch and its mirror
-    for a in mirror_algebras():
+    # the term-dict theta2, one formula read by s = sign(q), against the
+    # element-built x branch and its mirror, on the corpus and on random
+    # algebras: both signs of q, the opposite patterns and the unsupported
+    rng = random.Random(73)
+    seen = set()
+    for a in mirror_algebras() + [random_algebra(rng) for _ in range(8)]:
         window = 3 * a.l + 8
         for left in basis_window(a, window):
             for right in basis_window(a, window - a.weight(*left)):
@@ -173,8 +184,14 @@ def test_theta2_matches_two_branch_reference():
                     with pytest.raises(UnsupportedPatternError) as got:
                         theta2(a, left, right)
                     assert str(got.value) == str(exc)
+                    seen.add("unsupported")
                     continue
-                assert theta2(a, left, right) == want, (a, left, right)
+                got = theta2(a, left, right)
+                assert got == tuple(t.terms for t in want), (a, left, right)
+                if left[1]:
+                    seen.add((left[1] > 0, left[1] * right[1] < 0))
+    assert seen == {"unsupported", (True, False), (True, True),
+                    (False, False), (False, True)}
 
 
 def test_theta2_unsupported():

@@ -38,7 +38,10 @@ from conftest import (
     reference_contract3,
     reference_f_map,
     reference_g_map,
+    reference_f_table,
+    reference_right_legs,
     reference_split2,
+    table_terms,
 )
 
 Z = Poly.z()
@@ -384,8 +387,9 @@ def test_serialization():
 
 
 def test_connecting_deltas_built_once_per_algebra(monkeypatch):
-    # every per_diff call asks for four twisted deltas; each is computed
-    # once per algebra, whatever the module and however many calls
+    # the per_diff calls of degrees 2 and 3 ask for four twisted deltas
+    # between them; each is computed once per algebra, whatever the module
+    # and however many calls
     a = GwaParams(2, 0, Z**2 - ONE)
     rng = random.Random(5)
     cochains = [PerCochain(a, make(a), degree, tuple(
@@ -404,6 +408,19 @@ def test_connecting_deltas_built_once_per_algebra(monkeypatch):
     assert built > 0 and len(a._delta_cache) == 4
     assert [per_diff(c) for c in cochains] == first
     assert len(applied) == built
+
+
+def test_f_table_and_right_legs_match_element_reference():
+    # the term-dict f table and right legs 1 (x) h against the same tensors
+    # built on elements, on the corpus and on random algebras
+    rng = random.Random(79)
+    for a in full_corpus() + [random_algebra(rng) for _ in range(12)]:
+        assert percomplex._f_table(a) == table_terms(reference_f_table(a)), a
+        if bezout_is_ok(a):
+            bez = bezout_for_phi(a.phi)
+            want = reference_right_legs(a, bez)
+            assert (percomplex._right_legs(a, bez)
+                    == tuple(t.terms for t in want)), a
 
 
 class ReferenceOps(OneSidedOps):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import gwadeform
 from gwadeform.errors import MultipleRootError, ZeroPhiError
@@ -65,6 +65,56 @@ def test_rat_is_int_when_integral(value):
     got = rat(value)
     assert _is_normal_scalar(got), (value, got)
     assert got == Fraction(value)
+
+
+def reference_rat_str(text):
+    """rat on a string through Fraction's parser alone."""
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+    return value.numerator if value.denominator == 1 else value
+
+
+# canonical "n" and "n/d" (leading zeros on n included), and the forms
+# next to them that only Fraction's parser accepts or rejects: whitespace,
+# "+", underscores, zero denominators, decimals, exponents and non-ASCII
+# digits
+canonical_rat_strings = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-10**12, 10**12),
+              st.integers(1, 10**6)),
+    st.from_regex(r"\A-?0[0-9]{0,3}(/[1-9][0-9]{0,2})?\Z"),
+)
+noisy_rat_strings = st.builds(
+    lambda *parts: "".join(parts),
+    st.sampled_from(["", " ", "\t", "\n "]),
+    st.sampled_from(["", "-", "+", "--"]),
+    st.one_of(st.from_regex(r"\A0*[0-9]{0,4}(_[0-9]{1,2})?\Z"),
+              st.sampled_from(["", "\u0663", "1\u0663", "\uff11", "\u00b2"])),
+    st.one_of(st.just(""), st.from_regex(
+        r"\A/(0|00|-3|\+2|0*[0-9]{1,4}(_[0-9])?|\u0663| 2)?\Z")),
+    st.sampled_from(["", "", ".5", ".", "e3", "E-2", "1.0e1"]),
+    st.sampled_from(["", " ", "\n"]),
+)
+rat_strings = st.one_of(canonical_rat_strings, noisy_rat_strings)
+
+
+@given(rat_strings)
+@example("3/00")
+@example("-0/7")
+@example("12/8")
+@example("-12/6")
+def test_rat_string_fast_path_matches_fraction_parser(text):
+    try:
+        want = reference_rat_str(text)
+    except ValueError as exc:
+        with pytest.raises(Exception) as got:
+            rat(text)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    got = rat(text)
+    assert got == want and type(got) is type(want), text
 
 
 def test_rat_normal_forms():
