@@ -259,24 +259,10 @@ def json_text(obj, indent: str = "\n") -> str:
     level.  The stdlib encoder has no C path for ``indent`` and falls back
     to a pure-Python generator chain; this one recursion writes the same
     text with the same C string quoting, in well under half the time.
+    Dicts (term records above all) and lists are tested first, and their
+    str and int members are written inline.
     """
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
     inner = indent + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_quote(v) if type(v) is str else int.__repr__(v)
-                 if type(v) is int else json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -289,6 +275,22 @@ def json_text(obj, indent: str = "\n") -> str:
                 _quote(v) if type(v) is str else int.__repr__(v)
                 if type(v) is int else json_text(v, inner)))
         return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_quote(v) if type(v) is str else int.__repr__(v)
+                 if type(v) is int else json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} "
                     "is not JSON serializable")
 

@@ -23,9 +23,9 @@ from .core import (
     TensorElement,
     _MINUS_ONE,
     _accumulate,
+    _delta_terms,
     multiply,
     tensor_from_pair,
-    twisted_delta,
 )
 from .scalars import Poly, div
 
@@ -228,7 +228,7 @@ def _dh_gens(a: GwaParams, p: int, q: int) -> list:
 
 def _delta_phi(a: GwaParams, f: LegMap, g: LegMap, c) -> dict:
     """c (f (x) g) Delta_0(phi) as a term dict."""
-    return _accumulate({}, twisted_delta(a, f, g, a.phi).terms, c)
+    return _accumulate({}, _delta_terms(a, f, g, a.phi), c)
 
 
 def _r_gens(a: GwaParams, p: int) -> list:

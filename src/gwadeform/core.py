@@ -41,10 +41,13 @@ Basis products.  ``GwaParams._mono_mul(p, q, i, j)`` memoizes
 (z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j as a term dict; the memo
 values are shared and never mutated.  A miss builds no Poly.  When q = 0,
 or i = 0 and no pair cancels, it is the key shift {(p + i, q + j): 1}.
-Otherwise sigma^q(z) = c z + d, and (c z + d)^i comes from the binomial
-theorem (one term when d = 0).  When q j < 0 it is multiplied by the
-factor that the m = min(|q|, |j|) cancelled pairs leave, which is memoized
-per (q, m) and built from (q, m - 1).  Integral values are stored as ints.
+Otherwise it is the row R(q, i, m) shifted by z^p into column q + j, where
+m = min(|q|, |j|) pairs cancel when q j < 0 and none otherwise.  The row
+is sigma^q(z)^i = (c z + d)^i (binomial theorem; c^i z^i when d = 0)
+times the factor that the m cancelled pairs leave (memoized per (q, m)
+and built from (q, m - 1)).  ``_row`` keeps it per algebra as (z-offset,
+coefficients), normalized once, so misses at other p and j reuse it.
+Integral values are stored as ints.
 """
 from __future__ import annotations
 
@@ -182,6 +185,7 @@ class GwaParams:
         self._sigma_cache: dict[tuple[Poly, int], Poly] = {}
         self._mono_cache: dict[tuple[int, int, int, int], dict] = {}
         self._pair_cache: dict[tuple[int, int], tuple] = {}
+        self._row_cache: dict[tuple[int, int, int], tuple] = {}
         self._delta_cache: dict[tuple[LegMap, LegMap, Poly], dict] = {}
         self.phi_bar = self.sigma_pow(phi, 1)
 
@@ -293,12 +297,35 @@ class GwaParams:
             self._pair_cache[key] = out
         return out
 
+    def _row(self, q: int, i: int, m: int) -> tuple:
+        """sigma^q(z)^i times ``_pair_factor(q, m)`` as (z-offset, coefficients).
+
+        sigma^q(z) = c z + d; (c z + d)^i comes from the binomial theorem,
+        or is c^i z^i (offset i) when d = 0.  Memoized per (q, i, m); the
+        coefficients are normalized by ``rat`` and shared, never mutated.
+        They are a list, not a tuple: tuples freed with the algebra stay on
+        CPython's tuple free lists, which raised perfbench's peak RSS.
+        """
+        key = (q, i, m)
+        row = self._row_cache.get(key)
+        if row is None:
+            d, c = self.sigma_z(q).coeffs
+            if d:
+                off, b = 0, [comb(i, k) * c**k * d ** (i - k) for k in range(i + 1)]
+            else:
+                off, b = i, [c**i]
+            if m:
+                b = convolve(b, self._pair_factor(q, m))
+            row = (off, [*map(rat, b)])
+            self._row_cache[key] = row
+        return row
+
     def _mono_mul(self, p: int, q: int, i: int, j: int) -> dict:
         """(z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j as a term dict.
 
         A key shift when q = 0, or when i = 0 and no pair cancels.
-        Otherwise sigma^q(z)^i = (c z + d)^i by the binomial theorem, times
-        the factor of the min(|q|, |j|) cancelled pairs when q j < 0.
+        Otherwise the row of (q, i, m) shifted by z^p, where m = min(|q|, |j|)
+        pairs cancel when q j < 0 and none otherwise.
         """
         key = (p, q, i, j)
         cached = self._mono_cache.get(key)
@@ -307,14 +334,9 @@ class GwaParams:
         if q == 0 or (i == 0 and q * j >= 0):
             terms = {(p + i, q + j): _ONE}
         else:
-            d, c = self.sigma_z(q).coeffs
-            if d:
-                b = [comb(i, k) * c**k * d ** (i - k) for k in range(i + 1)]
-            else:  # (c z)^i = c^i z^i: one term
-                p, b = p + i, [c**i]
-            if q * j < 0:
-                b = convolve(b, self._pair_factor(q, min(abs(q), abs(j))))
-            terms = {(p + e, q + j): rat(v) for e, v in enumerate(b) if v}
+            off, row = self._row(q, i, min(abs(q), abs(j)) if q * j < 0 else 0)
+            p, qj = p + off, q + j
+            terms = {(p + e, qj): v for e, v in enumerate(row) if v}
         self._mono_cache[key] = terms
         return terms
 
@@ -580,17 +602,19 @@ class LegMap:
 LEG_ID = LegMap(0, 0)
 
 
-def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
-                  h: Poly) -> TensorElement:
-    """(iota (x) iota) o (f (x) g) o Delta_0 applied to h (memoized per algebra).
+def _delta_terms(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
+                 h: Poly) -> dict:
+    """The terms of ``twisted_delta``, memoized per algebra; never mutate them.
 
     The memo holds plain term dicts: an element in it would refer back to
     the algebra and keep it alive until the cyclic garbage collector runs.
+    They may hold zeros and integral Fractions: ``_accumulate`` drops the
+    one and normalizes the other, the ``LinComb`` constructor drops zeros.
     """
     key = (f_spec, g_spec, h)
     out = params._delta_cache.get(key)
     if out is not None:
-        return TensorElement(params, out)
+        return out
     out = {}
     for k, c in enumerate(h.coeffs):
         if c == 0:
@@ -607,7 +631,13 @@ def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
                     t = ((pL, 0), (pR, 0))
                     out[t] = out.get(t, _ZERO) + c * cL * cR
     params._delta_cache[key] = out
-    return TensorElement(params, out)
+    return out
+
+
+def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
+                  h: Poly) -> TensorElement:
+    """(iota (x) iota) o (f (x) g) o Delta_0 applied to h, as a new element."""
+    return TensorElement(params, _delta_terms(params, f_spec, g_spec, h))
 
 
 def _twisted_leg(rho: Automorphism, alg: GwaParams, pq, c) -> tuple:

@@ -36,7 +36,6 @@ from .core import (
     DirectSum,
     GwaElement,
     GwaParams,
-    LegMap,
     _MINUS_ONE,
     _ONE,
     _accumulate,
@@ -125,14 +124,20 @@ class StarProduct:
 
 
 def _closed_form_datum(params: GwaParams, n: int):
-    """Generator values of the stage-n cochain from the closed forms."""
-    c = div((-1) ** n, math.factorial(n))
-    dn_phi_bar = LegMap(0, n).apply(params, params.phi_bar)
+    """Generator values of the stage-n cochain from the closed forms.
+
+    With phi_bar = sum b_k z^k, the n-th derivative over n! times (-1)^n
+    is sum_{k >= n} (-1)^n binom(k, n) b_k z^(k - n), zero once n > l;
+    the quantum case multiplies it by z^n and pairs it with y z.
+    """
+    shift = 0 if params.is_quantum else n
+    vxy = GwaElement(params, {
+        (k - shift, 0): rat((-1) ** n * math.comb(k, n) * b)
+        for k, b in enumerate(params.phi_bar.coeffs[n:], n) if b})
+    zero = params.zero()
     if params.is_quantum:
-        vxy = params.from_poly(Poly.monomial(n, c) * dn_phi_bar)
-        return (params.zero(), vxy, params.y() * params.z(), params.zero())
-    vxy = c * params.from_poly(dn_phi_bar)
-    return (params.zero(), vxy, params.zero(), params.zero())
+        return (zero, vxy, GwaElement(params, params._mono_mul(0, -1, 1, 0)), zero)
+    return (zero, vxy, zero, zero)
 
 
 def _defining_cocycle(params: GwaParams) -> PerCochain:

@@ -35,9 +35,7 @@ from .core import (
     BimoduleSpec,
     GwaElement,
     GwaParams,
-    _MINUS_ONE,
-    _ONE,
-    _multiply_into,
+    _accumulate,
     apply_automorphism,
     basis_window,
     module_nu,
@@ -105,25 +103,32 @@ def commutator_span(params: GwaParams, module: BimoduleSpec, window: int,
 
     Built from the generators b in {z, x, y} only (see the generator
     lemma in the module docstring).  Given the span ``base`` at a window w <= ``window``, the
-    result extends a copy of it by the pairs with ||b|| + ||m|| > w.
+    result extends a copy of it by the pairs with ||b|| + ||m|| > w.  Each
+    [b, m] is summed straight from the memoized basis products a m and m a'
+    over the terms a of f(b) and a' of g(b), one term each unless the twist
+    moves z.
     """
     if base is None:
         span, done = TruncatedSubspace(params, window), -1
     else:
         span, done = base.copy(window), base.window
+    cache, mono = params._mono_cache, params._mono_mul
     for pq_g in ((1, 0), (0, 1), (0, -1)):
         wg = params.weight(*pq_g)
         if wg > window:
             continue
         g = params.monomial(*pq_g)
-        left = apply_automorphism(module.left_twist, g).terms
-        right = apply_automorphism(module.right_twist, g).terms
-        for pq_m in basis_window(params, window - wg):
-            if params.weight(*pq_m) + wg <= done:
+        left = apply_automorphism(module.left_twist, g).terms.items()
+        right = [(b, -s) for b, s in
+                 apply_automorphism(module.right_twist, g).terms.items()]
+        for p, q in basis_window(params, window - wg):
+            if params.weight(p, q) + wg <= done:
                 continue
-            m = {pq_m: _ONE}
-            c = _multiply_into(params, {}, left, m)  # f(g) m - m g'(g)
-            _multiply_into(params, c, m, right, _MINUS_ONE)
+            c: dict = {}  # f(g) m - m g'(g) = sum s_a (a m) - sum s_b (m b)
+            for (ap, aq), s in left:
+                _accumulate(c, cache.get((ap, aq, p, q)) or mono(ap, aq, p, q), s)
+            for (bp, bq), s in right:
+                _accumulate(c, cache.get((p, q, bp, bq)) or mono(p, q, bp, bq), s)
             if c:
                 span.add(GwaElement(params, c))
     return span

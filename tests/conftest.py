@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -69,6 +70,18 @@ def random_element(rng: random.Random, params: GwaParams, window: int,
         p, q = rng.choice(basis)
         el = el + params.monomial(p, q, rng.randint(-3, 3))
     return el
+
+
+def reference_closed_form_datum(params, n):
+    """deform._closed_form_datum as it was: d^n phi_bar through LegMap(0, n)
+    and y z through multiply."""
+    c = div((-1) ** n, math.factorial(n))
+    dn_phi_bar = LegMap(0, n).apply(params, params.phi_bar)
+    if params.is_quantum:
+        vxy = params.from_poly(Poly.monomial(n, c) * dn_phi_bar)
+        return (params.zero(), vxy, params.y() * params.z(), params.zero())
+    vxy = c * params.from_poly(dn_phi_bar)
+    return (params.zero(), vxy, params.zero(), params.zero())
 
 
 def reference_mono_mul(params, p, q, i, j):

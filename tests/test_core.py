@@ -588,6 +588,51 @@ def test_mono_mul_matches_poly_formula_and_free_oracle(a, keys):
                for t in a._mono_cache.values() for v in t.values())
 
 
+@pytest.mark.parametrize("a", [GwaParams(1, 1, Z**2 - ONE),
+                               GwaParams(2, 0, Z**2 - ONE)],
+                         ids=["classical", "quantum"])
+def test_mono_mul_row_built_once_and_shared(a):
+    # sigma^2(z)^3 times the factor of the two pairs that cancel in x^2 y^2
+    # and in x^2 y^3: one row for both, at every shift z^p
+    def miss(p, q, i, j):
+        assert a._mono_mul(p, q, i, j) == reference_mono_mul(a, p, q, i, j)
+
+    miss(0, 2, 3, -2)
+    row = a._row_cache[(2, 3, 2)]
+    miss(4, 2, 3, -3)
+    miss(1, 2, 3, -2)
+    assert list(a._row_cache) == [(2, 3, 2)] and a._row_cache[(2, 3, 2)] is row
+    assert len(a._mono_cache) == 3
+    # nothing cancels for j >= 0: the row of m = 0, whatever j is
+    miss(0, 2, 3, 0)
+    miss(2, 2, 3, 5)
+    assert list(a._row_cache) == [(2, 3, 2), (2, 3, 0)]
+    # a key shift needs no row
+    miss(0, 0, 3, -2)
+    miss(1, 2, 0, 1)
+    assert len(a._row_cache) == 2 and len(a._mono_cache) == 7
+
+
+@pytest.mark.parametrize("lam", [-1, Fraction(1, 3), 2, 1])
+@pytest.mark.parametrize("eta", [0, Fraction(2, 3), Fraction(-1, 2)])
+def test_mono_mul_rows_match_reference(lam, eta):
+    # every row serves several misses (other p, other j with the same m);
+    # sigma^q(z) has no constant term when eta = 0 (and for even q when
+    # lambda = -1), and then its row starts at z^i
+    a = GwaParams(lam, eta, Poly([Fraction(1, 2), 0, 2]))
+    for p in range(3):
+        for q in range(-3, 4):
+            for i in range(4):
+                for j in range(-3, 4):
+                    assert a._mono_mul(p, q, i, j) == \
+                        reference_mono_mul(a, p, q, i, j), (p, q, i, j)
+    assert len(a._mono_cache) == 3 * 7 * 4 * 7
+    assert 0 < len(a._row_cache) < len(a._mono_cache) // 3
+    assert any(off for off, _ in a._row_cache.values()) == (eta == 0 or lam == -1)
+    assert all(type(v) is not Fraction or v.denominator != 1
+               for _, row in a._row_cache.values() for v in row)
+
+
 INLINE_ALGEBRAS = [CORPUS[3], CORPUS[5], CORPUS[9],
                    GwaParams(Fraction(1, 3), Fraction(1, 2), Z**2 - ONE)]
 nonzero_terms = term_dicts.map(lambda t: {k: v for k, v in t.items() if v})

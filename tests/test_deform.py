@@ -9,6 +9,7 @@ import pytest
 
 from gwadeform.core import GwaElement, GwaParams, _accumulate, basis_triples
 from gwadeform.deform import (
+    MAX_ORDER,
     StarProduct,
     TruncatedElement,
     _closed_form_datum,
@@ -39,8 +40,10 @@ from conftest import (
     cochain2_sum,
     full_corpus,
     non_cocycle,
+    random_algebra,
     random_element,
     reference_circle,
+    reference_closed_form_datum,
     reference_hochschild_b,
 )
 
@@ -50,6 +53,21 @@ ONE = Poly.one()
 
 def noncommutative_corpus():
     return [a for a in full_corpus() if a.is_noncommutative]
+
+
+def test_closed_form_datum_matches_legmap_form():
+    # quantum, classical, commutative and mixed algebras with l = 0..3;
+    # every n from 1 to MAX_ORDER, so d^n phi_bar = 0 is met for n > l
+    rng = random.Random(19)
+    algebras = [random_algebra(rng) for _ in range(24)] + full_corpus()
+    assert {a.is_quantum for a in algebras} == {True, False}
+    for a in algebras:
+        for n in range(1, MAX_ORDER + 1):
+            got = _closed_form_datum(a, n)
+            want = reference_closed_form_datum(a, n)
+            assert got == want, (a, n)
+            assert all(type(v) is not Fraction or v.denominator != 1
+                       for u in got for v in u.terms.values()), (a, n)
 
 
 def test_build_star_errors():

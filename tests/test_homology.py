@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gwadeform.core import GwaElement, GwaParams, basis_window, bimodule_act, \
-    module_nu, module_plain, nakayama, apply_automorphism
+from gwadeform.core import Automorphism, BimoduleSpec, GwaElement, GwaParams, \
+    basis_window, bimodule_act, identity_auto, module_nu, module_plain, nakayama, \
+    apply_automorphism
 from gwadeform.errors import CommutativeAlgebraError, MixedCaseError
 from gwadeform.homology import (
     TruncatedSubspace,
@@ -18,14 +19,18 @@ from gwadeform.homology import (
 )
 from gwadeform.scalars import Poly
 
-from conftest import full_corpus
+from conftest import full_corpus, reference_multiply_into
 
 Z = Poly.z()
 ONE = Poly.one()
 
 
-def all_pairs_span(params, module, window):
-    """Reference: b.m - m.b over every basis pair with ||b|| + ||m|| <= window."""
+def all_pairs_span(params, module, window, independent=False):
+    """Reference: b.m - m.b over every basis pair with ||b|| + ||m|| <= window.
+
+    With ``independent``, every product comes from the Poly formula of
+    ``reference_multiply_into``, not from the algebra's product memo.
+    """
     span = TruncatedSubspace(params, window)
     one = params.one()
     for pq_b in basis_window(params, window):
@@ -33,7 +38,16 @@ def all_pairs_span(params, module, window):
         wb = params.weight(*pq_b)
         for pq_m in basis_window(params, window - wb):
             m = params.monomial(*pq_m)
-            c = bimodule_act(module, b, m, one) - bimodule_act(module, one, m, b)
+            if independent:
+                c = reference_multiply_into(
+                    params, {}, apply_automorphism(module.left_twist, b).terms,
+                    m.terms)
+                reference_multiply_into(
+                    params, c, m.terms,
+                    apply_automorphism(module.right_twist, b).terms, -1)
+                c = GwaElement(params, c)
+            else:
+                c = bimodule_act(module, b, m, one) - bimodule_act(module, one, m, b)
             if not c.is_zero():
                 span.add(c)
     return span
@@ -195,6 +209,30 @@ def test_generator_span_equals_all_pairs(corpus_algebra, twist):
     for w in range(11):
         assert same_span(commutator_span(corpus_algebra, mod, w),
                          all_pairs_span(corpus_algebra, mod, w)), w
+
+
+def _z_moving_twists():
+    # z -> z + 3 on the Weyl algebra makes f(z) = z + 3 two terms; on
+    # lambda = 2, eta = 0, phi = z^2 - 1 the twist z -> -z meets products
+    # whose sigma^q(z) has no constant term and cancelled pairs that leave
+    # a factor other than 1
+    weyl = GwaParams(1, 1, ONE)
+    quantum = GwaParams(2, 0, Z**2 - ONE)
+    return [Automorphism(weyl, 2, Fraction(1, 2), Z + Poly.constant(3)),
+            Automorphism(quantum, 3, Fraction(1, 3), -Z)]
+
+
+@pytest.mark.parametrize("rho", _z_moving_twists(), ids=["weyl", "quantum"])
+@pytest.mark.parametrize("both_sides", [False, True], ids=["right", "both"])
+def test_generator_span_equals_all_pairs_under_z_moving_twist(rho, both_sides):
+    a = rho.params
+    mod = BimoduleSpec(rho if both_sides else identity_auto(a), rho)
+    g = apply_automorphism(mod.right_twist, a.z())
+    assert len(g.terms) == (2 if a.lam == 1 else 1)
+    for w in range(9):
+        span = commutator_span(a, mod, w)
+        assert same_span(span, all_pairs_span(a, mod, w)), w
+        assert same_span(span, all_pairs_span(a, mod, w, independent=True)), w
 
 
 def test_widened_span_equals_fresh_span():
