@@ -22,9 +22,12 @@ the circle products, those with i = 0 or j = 0 make up -b F_n.  Both the
 inner values F_j(u,v), F_j(v,w) and the outer values F_i(a,w), F_i(u,b) on
 their basis terms a, b are read from one table of basis-pair values per
 star product; since each F_n preserves the filtration, the outer pairs stay
-inside the triple's window.  ``check_assoc``
-is the same stage sum over all n <= N on whole elements, with F_j(u,v) and
-F_j(v,w) computed once and each tau^n coefficient summed into one term dict.
+inside the triple's window.  One sweep of the triples checks every stage:
+each outer value is looked up once and feeds every stage n >= max(j, 2)
+through its index n - j, and each stage stops at its own fifth failure.
+``check_assoc`` is the same stage sum over all n <= N on whole elements,
+with F_j(u,v) and F_j(v,w) computed once and each tau^n coefficient summed
+into one term dict.
 """
 from __future__ import annotations
 
@@ -103,6 +106,9 @@ class StarProduct:
     cochains: list  # F_1 .. F_N
     _pairs: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    # window -> _obstruction_scan(self, window), read by check_obstruction
+    _obstructions: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     def f_n(self, n: int) -> Cochain2:
         return self.cochains[n - 1]
@@ -266,53 +272,97 @@ def check_relations(sp: StarProduct) -> dict:
     return out
 
 
-def obstruction_residuals(sp: StarProduct, n: int, window: int):
-    """Yield (triple, terms) for each of ``basis_triples(params, window)``.
+class _NonemptyValues(dict):
+    """(t1, t2) -> [(i, F_i(t1, t2)) for the nonempty ``pair_values``].
 
-    terms is the term dict of sum_{i+j=n} F_i(F_j(u,v), w) - F_i(u, F_j(v,w))
-    on the basis triple (u, v, w), with F_0 the product; it is empty
-    exactly when the stage-n identity holds there.  Every value, inner and
-    outer, is a ``pair_values`` entry.
+    Filled on first lookup; most F_i vanish on a basis pair, so a sweep
+    that reads only these entries skips them without testing each one.
     """
-    if not 2 <= n <= sp.order:
-        raise ValueError("n must lie between 2 and the truncation order")
-    pairs, compute = sp._pairs, sp.pair_values
+
+    def __init__(self, sp: StarProduct):
+        super().__init__()
+        self.pair_values = sp.pair_values
+
+    def __missing__(self, key):
+        vals = self[key] = [(i, v) for i, v in
+                            enumerate(self.pair_values(*key)) if v]
+        return vals
+
+
+def obstruction_residuals(sp: StarProduct, window: int):
+    """Yield (triple, residuals) once for each of ``basis_triples(params, window)``.
+
+    residuals[n - 2] is the term dict of
+    sum_{i+j=n} F_i(F_j(u,v), w) - F_i(u, F_j(v,w)) on the basis triple
+    (u, v, w), F_0 the product, for every stage n = 2..N; it is empty
+    exactly when the stage-n identity holds there.  Every value, inner and
+    outer, is a ``pair_values`` entry, and one outer lookup per term of
+    F_j(u,v) or F_j(v,w) feeds every stage n >= max(j, 2) through its
+    index n - j.
+    """
+    N = sp.order
+    nonempty = _NonemptyValues(sp)
+    # F_j and an outer F_i meet in stage n = i + j, residuals[i + j - 2],
+    # for max(j, 2) - j <= i <= N - j
+    plan = [(j - 2, max(j, 2) - j, N - j) for j in range(N + 1)]
     for t1, t2, t3 in basis_triples(sp.params, window):
-        uv = pairs.get((t1, t2)) or compute(t1, t2)
-        vw = pairs.get((t2, t3)) or compute(t2, t3)
-        out: dict = {}
-        for j in range(n + 1):
-            # F_{n-j}(a, w) for each term c a of F_j(u, v), and F_{n-j}(u, b)
-            # for each term c b of F_j(v, w), read from the pair table; most
-            # of these values are empty and are skipped
-            for a, c in uv[j].items():
-                val = (pairs.get((a, t3)) or compute(a, t3))[n - j]
-                if val:
-                    _accumulate(out, val, c)
-            for b, c in vw[j].items():
-                val = (pairs.get((t1, b)) or compute(t1, b))[n - j]
-                if val:
-                    _accumulate(out, val, -c)
+        out = [{} for _ in range(N - 1)]
+        # F_i(a, w) for each term c a of F_j(u, v) ...
+        for j, uvj in nonempty[t1, t2]:
+            shift, lo, hi = plan[j]
+            for a, c in uvj.items():
+                for i, val in nonempty[a, t3]:
+                    if lo <= i <= hi:
+                        _accumulate(out[i + shift], val, c)
+        # ... less F_i(u, b) for each term c b of F_j(v, w)
+        for j, vwj in nonempty[t2, t3]:
+            shift, lo, hi = plan[j]
+            for b, c in vwj.items():
+                c = -c
+                for i, val in nonempty[t1, b]:
+                    if lo <= i <= hi:
+                        _accumulate(out[i + shift], val, c)
         yield (t1, t2, t3), out
+
+
+def _obstruction_scan(sp: StarProduct, window: int) -> tuple[int, list]:
+    """(triples swept, [(index, triple) of each failure] per stage 2..N).
+
+    Each stage keeps its first five failures, numbering triples from 1; the
+    sweep ends once every stage has five or the triples run out.
+    """
+    fails = [[] for _ in range(2, sp.order + 1)]
+    running = len(fails)
+    k = 0
+    for k, (triple, residuals) in enumerate(obstruction_residuals(sp, window), 1):
+        for found, residual in zip(fails, residuals):
+            if residual and len(found) < 5:
+                found.append((k, triple))
+                running -= len(found) == 5
+        if not running:
+            break
+    return k, fails
 
 
 def check_obstruction(sp: StarProduct, n: int, window: int) -> dict:
     """Stage-n identity sum_{i+j=n} circle(F_i, F_j) = 0, F_0 the product.
 
     Equivalently, the circle products of F_1 .. F_{n-1} sum to b F_n.
-    The scan stops at the fifth failure; ``triples`` counts every triple
-    checked, the one that stopped it included.
+    Stage n stops at its own fifth failure; ``triples`` counts every
+    triple it checked, the one that stopped it included.  All stages of a
+    window come from one sweep of the triples (``obstruction_residuals``),
+    memoized on the star product; each call returns a new report.
     """
-    checked = 0
-    failures = []
-    for triple, residual in obstruction_residuals(sp, n, window):
-        checked += 1
-        if residual:
-            failures.append({"triple": list(triple)})
-            if len(failures) >= 5:
-                break
-    return {"n": n, "window": window, "triples": checked,
-            "failures": failures, "pass": not failures}
+    if not 2 <= n <= sp.order:
+        raise ValueError("n must lie between 2 and the truncation order")
+    if window not in sp._obstructions:
+        sp._obstructions[window] = _obstruction_scan(sp, window)
+    swept, stages = sp._obstructions[window]
+    fails = stages[n - 2]
+    return {"n": n, "window": window,
+            "triples": fails[-1][0] if len(fails) == 5 else swept,
+            "failures": [{"triple": list(t)} for _, t in fails],
+            "pass": not fails}
 
 
 def check_local_finiteness(sp: StarProduct, window: int) -> dict:

@@ -60,16 +60,21 @@ class TruncatedSubspace:
             self.columns[q] = ech
         return ech
 
-    def _split(self, u: GwaElement) -> dict[int, dict]:
-        """The x-columns of u as sparse z-coefficient vectors {p: c}."""
+    def _split(self, u: GwaElement | dict) -> dict[int, dict]:
+        """The x-columns of u as sparse z-coefficient vectors {p: c}.
+
+        u is an element or a term dict, as in ``core.tensor_act``; a term
+        outside the window raises ``ValueError``.
+        """
         parts: dict[int, dict] = {}
-        for (p, q), c in u.terms.items():
+        terms = u.terms if isinstance(u, GwaElement) else u
+        for (p, q), c in terms.items():
             if self.params.weight(p, q) > self.window:
                 raise ValueError("element outside the window")
             parts.setdefault(q, {})[p] = c
         return parts
 
-    def add(self, u: GwaElement) -> bool:
+    def add(self, u: GwaElement | dict) -> bool:
         grew = False
         for q, vec in self._split(u).items():
             if self._column(q).add(vec):
@@ -130,7 +135,7 @@ def commutator_span(params: GwaParams, module: BimoduleSpec, window: int,
             for (bp, bq), s in right:
                 _accumulate(c, cache.get((p, q, bp, bq)) or mono(p, q, bp, bq), s)
             if c:
-                span.add(GwaElement(params, c))
+                span.add(c)
     return span
 
 

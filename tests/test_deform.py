@@ -388,19 +388,54 @@ def test_obstruction_counts_the_triple_that_stops_it():
 
 
 def test_obstruction_residual_elements():
+    # one sweep yields every triple once, in basis_triples order, with the
+    # residual of every stage 2..N
     a = GwaParams(2, 0, Z**2 - ONE)
     sp = broken_star(a)
-    for n in (2, 3, 4):
-        lhs, rhs = reference_stage_cochains(sp, n)
-        triples = list(basis_triples(a, 2 * a.l + 4))
-        seen = nonzero = 0
-        for (t1, t2, t3), terms in obstruction_residuals(sp, n, 2 * a.l + 4):
-            assert (t1, t2, t3) == triples[seen]
-            u, v, w = a.monomial(*t1), a.monomial(*t2), a.monomial(*t3)
-            assert GwaElement(a, terms) == lhs(u, v, w) - rhs(u, v, w)
-            seen += 1
-            nonzero += bool(terms)
-        assert seen == len(triples) and (nonzero > 0) == (n > 2), n
+    stages = {n: reference_stage_cochains(sp, n) for n in (2, 3, 4)}
+    triples = list(basis_triples(a, 2 * a.l + 4))
+    seen = 0
+    nonzero = dict.fromkeys(stages, 0)
+    for (t1, t2, t3), residuals in obstruction_residuals(sp, 2 * a.l + 4):
+        assert (t1, t2, t3) == triples[seen]
+        assert len(residuals) == len(stages)
+        u, v, w = a.monomial(*t1), a.monomial(*t2), a.monomial(*t3)
+        for (n, (lhs, rhs)), terms in zip(stages.items(), residuals):
+            assert GwaElement(a, terms) == lhs(u, v, w) - rhs(u, v, w), n
+            nonzero[n] += bool(terms)
+        seen += 1
+    assert seen == len(triples)
+    assert {n: k > 0 for n, k in nonzero.items()} == {2: False, 3: True, 4: True}
+
+
+def test_obstruction_stages_stop_at_their_own_triples():
+    # each stage stops at its own fifth failure while the others run on:
+    # a broken F_4 stops stage 4 only, a broken F_2 stops stages 2, 3 and 4
+    # at three different triples
+    for a, k, broken in ((GwaParams(2, 0, Z**2 - ONE), 4, {4}),
+                         (GwaParams(1, 1, Z * (Z - ONE)), 2, {2, 3, 4})):
+        cochains = build_star(a, 4).cochains
+        cochains[k - 1] = cochain2_sum(cochains[k - 1], non_cocycle(a))
+        window = 3 * a.l + 6
+        total = len(list(basis_triples(a, window)))
+        reports = {}
+        for order in ((2, 3, 4), (4, 3, 2)):
+            sp = StarProduct(a, 4, cochains)
+            for n in order:
+                rep = check_obstruction(sp, n, window)
+                assert rep == reference_check_obstruction(sp, n, window), (a, n)
+                assert reports.setdefault(n, rep) == rep, (a, n)
+        for n, rep in reports.items():
+            if n in broken:
+                assert len(rep["failures"]) == 5 and rep["triples"] < total
+            else:
+                assert rep["pass"] and rep["triples"] == total, (a, n)
+        assert len({reports[n]["triples"] for n in broken}) == len(broken)
+        # a report is the caller's own: mutating it leaves the memo intact
+        rep = check_obstruction(sp, k, window)
+        rep["failures"].clear()
+        rep["triples"] = 0
+        assert check_obstruction(sp, k, window) == reports[k]
 
 
 def test_pair_values_are_memoized():

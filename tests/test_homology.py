@@ -19,7 +19,7 @@ from gwadeform.homology import (
 )
 from gwadeform.scalars import Poly
 
-from conftest import full_corpus, reference_multiply_into
+from conftest import full_corpus, random_element, reference_multiply_into
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -256,6 +256,25 @@ def test_copy_into_wider_window():
     assert subset_of(span, wide) and subset_of(wide, span.copy(9))
     wide.add(a.monomial(9, 0))
     assert not span.copy(9).contains(a.monomial(9, 0))
+
+
+def test_add_takes_elements_and_term_dicts():
+    # commutator_span hands add its term dicts; an element gives the same
+    # span, and the window check holds on both
+    a = GwaParams(2, 0, Z**2 - ONE)
+    by_element, by_dict = TruncatedSubspace(a, 6), TruncatedSubspace(a, 6)
+    rng = random.Random(5)
+    for _ in range(12):
+        u = random_element(rng, a, 6, nterms=3)
+        terms = dict(u.terms)
+        assert by_element.add(u) == by_dict.add(terms)
+        assert terms == u.terms  # add leaves the dict as it was
+    assert by_element.rank == by_dict.rank > 0 and same_span(by_element, by_dict)
+    for space in (by_element, by_dict):
+        with pytest.raises(ValueError):
+            space.add({(7, 0): 1})
+        with pytest.raises(ValueError):
+            space.add(a.monomial(7, 0))
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
