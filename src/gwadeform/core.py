@@ -434,14 +434,6 @@ def multiply(u: GwaElement, v: GwaElement) -> GwaElement:
     return GwaElement(alg, _multiply_into(alg, {}, u.terms, v.terms))
 
 
-def filtration_degree(u: GwaElement) -> int:
-    """Max of p + (l+1)|q| over the support; -1 for the zero element."""
-    if u.is_zero():
-        return -1
-    alg = u.algebra
-    return max(alg.weight(p, q) for (p, q) in u.terms)
-
-
 @lru_cache(maxsize=1024)
 def _window_cells(w: int, n: int) -> tuple[tuple[int, int], ...]:
     qmax = n // w

@@ -6,6 +6,11 @@ the quantum case, f(1) in the classical case) and each higher F_n is
 reconstructed from the closed-form generator values together with the
 stage coboundary sum circle(F_1, F_{n-1}) + ... + circle(F_{n-1}, F_1).
 
+One routine, ``_series_into``, computes the tau-bilinear product
+sum F_m(U_a, V_b) tau^(a+b+m) of two tau-series of term dicts, F_0 the
+product; ``star``, ``star_mul``, ``check_assoc`` and the basis-pair table
+``StarProduct.pair_values`` are all calls of it.
+
 Verification helpers re-check what the construction promises:
 associativity of the truncated product, the four presentation relations
 of the deformed algebra (with the right-hand series obtained by direct
@@ -25,15 +30,15 @@ star product; since each F_n preserves the filtration, the outer pairs stay
 inside the triple's window.  One sweep of the triples checks every stage:
 each outer value is looked up once and feeds every stage n >= max(j, 2)
 through its index n - j, and each stage stops at its own fifth failure.
-``check_assoc`` is the same stage sum over all n <= N on whole elements,
-with F_j(u,v) and F_j(v,w) computed once and each tau^n coefficient summed
-into one term dict.
+``check_assoc`` is the same sum over all n <= N on whole elements: the
+series product (u * v) * w less u * (v * w), the second summed into the
+first in place.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 from .core import (
     DirectSum,
@@ -95,6 +100,8 @@ def _from_terms(params: GwaParams, coefficients: list) -> TruncatedElement:
 
 
 def lift(params: GwaParams, u: GwaElement, order: int) -> TruncatedElement:
+    if u.algebra != params:
+        raise ValueError("operands belong to different algebras")
     return TruncatedElement(params, (u,) + tuple(params.zero()
                                                  for _ in range(order)))
 
@@ -113,6 +120,12 @@ class StarProduct:
     def f_n(self, n: int) -> Cochain2:
         return self.cochains[n - 1]
 
+    @cached_property
+    def _maps(self) -> list:
+        """F_0 = product, F_1, ..., F_N as maps into(out, u, v, c) on term dicts."""
+        return ([partial(_multiply_into, self.params)]
+                + [self.f_n(m).evaluate_into for m in range(1, self.order + 1)])
+
     def pair_values(self, t1: tuple, t2: tuple) -> tuple:
         """(F_0, F_1, ..., F_N) on the basis pair (t1, t2) as term dicts.
 
@@ -121,12 +134,29 @@ class StarProduct:
         """
         vals = self._pairs.get((t1, t2))
         if vals is None:
-            u, v = {t1: _ONE}, {t2: _ONE}
-            vals = (_multiply_into(self.params, {}, u, v),) + tuple(
-                self.f_n(n).evaluate_into({}, u, v)
-                for n in range(1, self.order + 1))
-            self._pairs[(t1, t2)] = vals
+            vals = self._pairs[(t1, t2)] = tuple(
+                _series_into(self, [{t1: _ONE}], [{t2: _ONE}]))
         return vals
+
+
+def _series_into(sp: StarProduct, U: list, V: list, out: list | None = None,
+                 c=None) -> list:
+    """out[a + b + m] += c * F_m(U[a], V[b]) for a + b + m <= N, in place.
+
+    U, V and out are tau-series as lists of term dicts (out defaults to N + 1
+    empty ones, c = None means 1); F_0 is the product.
+    """
+    if out is None:
+        out = [{} for _ in range(sp.order + 1)]
+    maps = sp._maps
+    for a, ua in enumerate(U):
+        if ua:
+            # k = a + b; maps[m] adds into out[k + m] while k + m <= N
+            for k, vb in enumerate(V, a):
+                if vb:
+                    for into, acc in zip(maps, out[k:]):
+                        into(acc, ua, vb, c)
+    return out
 
 
 def _closed_form_datum(params: GwaParams, n: int):
@@ -178,34 +208,19 @@ def build_star(params: GwaParams, order: int = 4) -> StarProduct:
     return StarProduct(params, order, cochains)
 
 
-def star(sp: StarProduct, u: GwaElement, v: GwaElement,
-         order: int | None = None) -> TruncatedElement:
-    """u * v up to tau^order (default: the truncation order of sp)."""
-    if order is None:
-        order = sp.order
-    elif not 0 <= order <= sp.order:
-        raise ValueError("order must lie between 0 and the truncation order")
-    coeffs = [u * v]
-    for n in range(1, order + 1):
-        coeffs.append(sp.f_n(n).evaluate(u, v))
-    return TruncatedElement(sp.params, tuple(coeffs))
+def star(sp: StarProduct, u: GwaElement, v: GwaElement) -> TruncatedElement:
+    """u * v up to tau^N, N the truncation order of sp."""
+    return star_mul(sp, lift(sp.params, u, 0), lift(sp.params, v, 0))
 
 
 def star_mul(sp: StarProduct, U: TruncatedElement,
              V: TruncatedElement) -> TruncatedElement:
     """The tau-bilinear extension of the star product to truncated elements."""
-    N = sp.order
-    out = [{} for _ in range(N + 1)]
-    for a, ua in enumerate(U.coefficients):
-        if ua.is_zero():
-            continue
-        for b, vb in enumerate(V.coefficients):
-            if vb.is_zero() or a + b > N:
-                continue
-            prod = star(sp, ua, vb, N - a - b)
-            for m, w in enumerate(prod.coefficients):
-                _accumulate(out[a + b + m], w.terms)
-    return _from_terms(sp.params, out)
+    if not U.algebra == V.algebra == sp.params:
+        raise ValueError("operands belong to different algebras")
+    return _from_terms(sp.params, _series_into(
+        sp, [u.terms for u in U.coefficients],
+        [v.terms for v in V.coefficients]))
 
 
 def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
@@ -213,17 +228,10 @@ def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
     """(u * v) * w - u * (v * w); zero iff the truncated product associates."""
     if not u.algebra == v.algebra == w.algebra == sp.params:
         raise ValueError("operands belong to different algebras")
-    # F_0 = product, F_1, ..., F_N as maps into(out, u, v, c) on term dicts
-    maps = ([partial(_multiply_into, sp.params)]
-            + [sp.f_n(i).evaluate_into for i in range(1, sp.order + 1)])
-    uv = [into({}, u.terms, v.terms) for into in maps]
-    vw = [into({}, v.terms, w.terms) for into in maps]
-    out = [{} for _ in maps]
-    for n, acc in enumerate(out):
-        for i in range(n + 1):
-            maps[i](acc, uv[n - i], w.terms)
-            maps[i](acc, u.terms, vw[n - i], _MINUS_ONE)
-    return _from_terms(sp.params, out)
+    U, V, W = [u.terms], [v.terms], [w.terms]
+    out = _series_into(sp, _series_into(sp, U, V), W)
+    return _from_terms(sp.params, _series_into(sp, U, _series_into(sp, V, W),
+                                               out, _MINUS_ONE))
 
 
 def _binomial_shift_series(params: GwaParams, order: int,
@@ -260,13 +268,12 @@ def check_relations(sp: StarProduct) -> dict:
                      - star(sp, z, y).tau_times([div(1, lam)]))
         out["f3"] = star(sp, x, y) - _binomial_shift_series(a, N, True)
     else:
-        eta = a.eta
-        zp = lift(a, a.from_poly(Poly([eta, 1])), N)
-        zm = lift(a, a.from_poly(Poly([-eta, 1])), N)
-        tau_one = TruncatedElement(a, tuple(
-            a.one() if n == 1 else a.zero() for n in range(N + 1)))
-        out["f1"] = star(sp, x, z) - star_mul(sp, zp - tau_one, lift(a, x, N))
-        out["f2"] = star(sp, y, z) - star_mul(sp, zm + tau_one, lift(a, y, N))
+        # F_n(1, g) = 0, so (z +- (eta - tau)) * g = z * g +- (eta - tau) g
+        eta_tau = [a.eta, -1]
+        out["f1"] = (star(sp, x, z) - star(sp, z, x)
+                     - lift(a, x, N).tau_times(eta_tau))
+        out["f2"] = (star(sp, y, z) - star(sp, z, y)
+                     + lift(a, y, N).tau_times(eta_tau))
         out["f3"] = star(sp, x, y) - _binomial_shift_series(a, N, False)
     out["f4"] = star(sp, y, x) - lift(a, a.from_poly(a.phi), N)
     return out
@@ -391,14 +398,13 @@ def check_local_finiteness(sp: StarProduct, window: int) -> dict:
             "failures": failures, "pass": not failures}
 
 
-def f1_noncoboundary_evidence(params: GwaParams, window: int | None = None) -> dict:
-    """Windowed search for a degree-1 preimage of the defining cocycle.
+def f1_noncoboundary_evidence(params: GwaParams) -> dict:
+    """Search for a degree-1 preimage of the defining cocycle on window 2l+8.
 
     Finding none is one-sided evidence that the first-order deformation
     is nontrivial; a finite window cannot prove it outright.
     """
-    if window is None:
-        window = 2 * params.l + 8
+    window = 2 * params.l + 8
     found = per_solve_preimage(_defining_cocycle(params), window)
     return {"window": window, "preimage_found": found is not None,
             "one_sided": True, "pass": found is None}

@@ -39,8 +39,6 @@ from .core import (
     _ONE,
     _accumulate,
     _multiply_into,
-    basis_window,
-    filtration_degree,
     module_plain,
 )
 from .errors import UnsupportedPatternError
@@ -346,15 +344,3 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
     cochain._memo.update({(1, 1, 0): vxz, (1, 0, -1): vxy,
                           (-1, 1, 0): vyz, (-1, 0, 1): vyx})
     return cochain
-
-
-def preserves_gamma(F: Cochain2, window: int) -> bool:
-    """Filtration bound F(b1, b2) in Gamma^{||b1|| + ||b2||} on a window."""
-    params = F.params
-    for pq1 in basis_window(params, window):
-        w1 = params.weight(*pq1)
-        for pq2 in basis_window(params, window - w1):
-            val = F.evaluate(params.monomial(*pq1), params.monomial(*pq2))
-            if filtration_degree(val) > w1 + params.weight(*pq2):
-                return False
-    return True

@@ -21,6 +21,7 @@ from gwadeform.core import (
     tensor_from_pair,
     twisted_delta,
 )
+from gwadeform.deform import TruncatedElement
 from gwadeform.errors import NotCocycleError, UnsupportedPatternError
 from gwadeform.hochschild import Cochain2, _sigma_poly_elem
 from gwadeform.percomplex import PerCochain, _D, _SIG, _SIG_D, is_cocycle
@@ -133,6 +134,21 @@ def reference_hochschild_b(F):
     """b F as it was written on elements: u F(v,w) - F(uv,w) + F(u,vw) - F(u,v) w."""
     return lambda u, v, w: (u * F(v, w) - F(u * v, w)
                             + F(u, v * w) - F(u, v) * w)
+
+
+def reference_star(sp, u, v):
+    """deform.star as it was written on elements: u v, then F_n(u, v) for
+    each order n = 1..N through Cochain2.evaluate."""
+    coeffs = [u * v] + [sp.f_n(n).evaluate(u, v)
+                        for n in range(1, sp.order + 1)]
+    return TruncatedElement(sp.params, tuple(coeffs))
+
+
+def filtration_degree(u):
+    """Max of p + (l+1)|q| over the support of u; -1 for the zero element."""
+    if u.is_zero():
+        return -1
+    return max(u.algebra.weight(p, q) for (p, q) in u.terms)
 
 
 def non_cocycle(a):

@@ -14,7 +14,7 @@ from gwadeform.cli import parse_cochain, run
 from gwadeform.complexes import c_element
 from gwadeform.core import GwaElement, GwaParams, basis_window, module_nu, \
     module_plain, tensor_act, tensor_from_pair
-from gwadeform.deform import build_star, check_assoc, lift
+from gwadeform.deform import build_star, check_assoc, lift, star, star_mul
 from gwadeform.scalars import Poly, rat
 
 Z = Poly.z()
@@ -173,6 +173,25 @@ def test_term_dict_checks_reject_another_algebra():
         check_assoc(build_star(a3, 2), a2.x(), a2.y(), a2.x())
     with pytest.raises(ValueError):
         tensor_act(tensor_from_pair(a2.x(), a2.y()), module_plain(a2), a3.z())
+
+
+def test_star_products_reject_another_algebra():
+    # the series product reads term dicts, so star, star_mul and lift check
+    # that every operand belongs to the star product's algebra
+    a2, a3 = GwaParams(2, 0, Z), GwaParams(3, 0, Z)
+    sp = build_star(a3, 2)
+    for u, v in [(a2.x(), a2.y()), (a2.x(), a3.y()), (a3.x(), a2.y())]:
+        with pytest.raises(ValueError, match="different algebras"):
+            star(sp, u, v)
+    with pytest.raises(ValueError, match="different algebras"):
+        lift(a3, a2.x(), 2)
+    for U, V in [(lift(a2, a2.x(), 2), lift(a3, a3.y(), 2)),
+                 (lift(a3, a3.x(), 2), lift(a2, a2.y(), 2))]:
+        with pytest.raises(ValueError, match="different algebras"):
+            star_mul(sp, U, V)
+    # an equal algebra built separately is the same algebra
+    b3 = GwaParams(3, 0, Z)
+    assert star(sp, b3.x(), b3.y()) == star(sp, a3.x(), a3.y())
 
 
 def test_direct_sum_shapes_must_agree():

@@ -19,7 +19,6 @@ from gwadeform.core import (
     apply_automorphism,
     basis_window,
     bimodule_act,
-    filtration_degree,
     identity_auto,
     module_nu,
     module_plain,
@@ -38,6 +37,7 @@ from conftest import (
     act_left,
     act_right,
     delta_nu,
+    filtration_degree,
     full_corpus,
     random_element,
     reference_evaluate_into,

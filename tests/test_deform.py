@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from gwadeform.core import GwaElement, GwaParams, _accumulate, basis_triples
+from gwadeform.core import (
+    GwaElement,
+    GwaParams,
+    _accumulate,
+    basis_triples,
+    basis_window,
+)
 from gwadeform.deform import (
     MAX_ORDER,
     StarProduct,
@@ -45,6 +51,7 @@ from conftest import (
     reference_circle,
     reference_closed_form_datum,
     reference_hochschild_b,
+    reference_star,
 )
 
 Z = Poly.z()
@@ -186,7 +193,7 @@ def test_local_finiteness_stops_at_five_failures(monkeypatch):
     class Escaping:
         """An F_n whose value on every pair lies far above the filtration."""
 
-        def evaluate_into(self, out, u, v):
+        def evaluate_into(self, out, u, v, c=None):
             return _accumulate(out, {(100, 0): 1})
 
     monkeypatch.setattr(StarProduct, "f_n", lambda self, n: Escaping())
@@ -448,6 +455,18 @@ def test_pair_values_are_memoized():
     assert [GwaElement(a, t) for t in vals] == list(star(sp, u, v).coefficients)
 
 
+def test_pair_values_match_reference_star():
+    # each pair table entry is the series product of two unit elements
+    for a in noncommutative_corpus():
+        sp = build_star(a, 3)
+        window = 2 * a.l + 2
+        for t1 in basis_window(a, window):
+            for t2 in basis_window(a, window - a.weight(*t1)):
+                want = reference_star(sp, a.monomial(*t1), a.monomial(*t2))
+                got = [GwaElement(a, t) for t in sp.pair_values(t1, t2)]
+                assert got == list(want.coefficients), (a, t1, t2)
+
+
 def test_pair_table_contract(monkeypatch):
     # the stage sweep reads its inner and outer values from the pair table:
     # the table stays inside the window that local finiteness fills, its
@@ -480,7 +499,7 @@ def test_pair_table_contract(monkeypatch):
                    for key, vals in after_stage_2.items()), a
         assert all(a.weight(*t1) + a.weight(*t2) <= window
                    for t1, t2 in sp._pairs), a
-    assert "pair_values" in callers
+    assert "_series_into" in callers
     assert "obstruction_residuals" not in callers
 
 
@@ -489,7 +508,8 @@ def test_pair_table_contract(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def reference_star_mul(sp, U, V):
-    """star_mul as it was: every order of star, then drop those above N."""
+    """star_mul as it was: every order of the element-level star, then drop
+    those above N."""
     N = sp.order
     out = [{} for _ in range(N + 1)]
     for a, ua in enumerate(U.coefficients):
@@ -498,7 +518,7 @@ def reference_star_mul(sp, U, V):
         for b, vb in enumerate(V.coefficients):
             if vb.is_zero() or a + b > N:
                 continue
-            for m, w in enumerate(star(sp, ua, vb).coefficients):
+            for m, w in enumerate(reference_star(sp, ua, vb).coefficients):
                 if a + b + m <= N:
                     _accumulate(out[a + b + m], w.terms)
     return TruncatedElement(sp.params, tuple(GwaElement(sp.params, t)
@@ -512,20 +532,19 @@ def random_truncated(rng, a, order, window):
 
 
 def test_star_truncated_prefix():
+    # the order-k star product is the first k + 1 terms of the order-4 one,
+    # and each equals the element-level reference
     rng = random.Random(17)
     for a in (GwaParams(2, 0, Z**2 - ONE), GwaParams(1, 1, Z * (Z - ONE))):
-        sp = build_star(a, 4)
+        stars = {k: build_star(a, k) for k in range(1, 5)}
         for _ in range(3):
             u = random_element(rng, a, 2 * a.l + 2)
             v = random_element(rng, a, 2 * a.l + 2)
-            full = star(sp, u, v).coefficients
-            assert star(sp, u, v, 4).coefficients == full
-            for k in range(5):
-                assert star(sp, u, v, k).coefficients == full[:k + 1]
-        with pytest.raises(ValueError):
-            star(sp, a.x(), a.y(), 5)
-        with pytest.raises(ValueError):
-            star(sp, a.x(), a.y(), -1)
+            full = star(stars[4], u, v).coefficients
+            for k, sp in stars.items():
+                got = star(sp, u, v)
+                assert got == reference_star(sp, u, v), (a, k)
+                assert got.coefficients == full[:k + 1], (a, k)
 
 
 def test_star_mul_matches_full_then_drop():
@@ -543,9 +562,11 @@ def test_star_mul_matches_full_then_drop():
 # ---------------------------------------------------------------------------
 
 def reference_check_assoc(sp, u, v, w):
-    """check_assoc as it was: (u * v) * w - u * (v * w) through star_mul."""
-    left = star_mul(sp, star(sp, u, v), lift(sp.params, w, sp.order))
-    right = star_mul(sp, lift(sp.params, u, sp.order), star(sp, v, w))
+    """check_assoc as it was: (u * v) * w - u * (v * w) through star_mul,
+    both on the element-level star."""
+    N = sp.order
+    left = reference_star_mul(sp, reference_star(sp, u, v), lift(sp.params, w, N))
+    right = reference_star_mul(sp, lift(sp.params, u, N), reference_star(sp, v, w))
     return left - right
 
 

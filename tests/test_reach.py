@@ -22,8 +22,6 @@ ALLOWED = {
                       "reference in tests",
     "thetaprime2": "the degree-2 comparison map, the reference for the "
                    "theta2 pullback and the chain-map identity in tests",
-    "preserves_gamma": "the filtration check that the acceptance criteria "
-                       "call",
     "hochschild_b": "the Hochschild coboundary, which the acceptance "
                     "criteria and the stage-2 contraction oracle in tests "
                     "apply",
