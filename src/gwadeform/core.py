@@ -37,17 +37,21 @@ over A or A (x) A, or a short tuple of such combinations:
   ``apply_automorphism`` call.  Other twists take that path.
 * ``basis_window`` builds each window once per l + 1; callers get copies.
 
-Basis products.  ``GwaParams._mono_mul(p, q, i, j)`` memoizes
-(z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j as a term dict; the memo
-values are shared and never mutated.  A miss builds no Poly.  When q = 0,
-or i = 0 and no pair cancels, it is the key shift {(p + i, q + j): 1}.
+Basis products.  (z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j.  When
+q = 0, or i = 0 and no pair cancels, it is the key shift z^(p+i) x_(q+j).
 Otherwise it is the row R(q, i, m) shifted by z^p into column q + j, where
 m = min(|q|, |j|) pairs cancel when q j < 0 and none otherwise.  The row
 is sigma^q(z)^i = (c z + d)^i (binomial theorem; c^i z^i when d = 0)
 times the factor that the m cancelled pairs leave (memoized per (q, m)
 and built from (q, m - 1)).  ``_row`` keeps it per algebra as (z-offset,
-coefficients), normalized once, so misses at other p and j reuse it.
-Integral values are stored as ints.
+coefficients), normalized once (integral values as ints), shared and
+never mutated.  ``_multiply_into`` adds every pair of terms by this rule:
+a key shift inline, any other product from the row, with no product memo
+in between.  ``GwaParams._mono_mul(p, q, i, j)`` spells out the same rule
+as a term dict memoized per (p, q, i, j), for callers that want one
+basis product as a dict: the h0 commutator span, the linear extensions
+of ``complexes``, ``hochschild.determine_F`` (g z^i x_j) and
+``deform._closed_form_datum``.
 """
 from __future__ import annotations
 
@@ -301,8 +305,10 @@ class GwaParams:
         """sigma^q(z)^i times ``_pair_factor(q, m)`` as (z-offset, coefficients).
 
         sigma^q(z) = c z + d; (c z + d)^i comes from the binomial theorem,
-        or is c^i z^i (offset i) when d = 0.  Memoized per (q, i, m); the
-        coefficients are normalized by ``rat`` and shared, never mutated.
+        or is c^i z^i (offset i) when d = 0.  Memoized per (q, i, m): this
+        is the only memo that ``_multiply_into`` reads, at every p and j
+        with the same m.  The coefficients are normalized by ``rat`` and
+        shared, never mutated.
         They are a list, not a tuple: tuples freed with the algebra stay on
         CPython's tuple free lists, which raised perfbench's peak RSS.
         """
@@ -407,16 +413,37 @@ class GwaElement(LinComb):
 
 def _multiply_into(alg: GwaParams, out: dict, u_terms: dict, v_terms: dict,
                    c=None) -> dict:
-    """out += c * (u v) on term dicts of ``alg``, in place (c = None means 1)."""
-    cache, mono, get = alg._mono_cache, alg._mono_mul, out.get
+    """out += c * (u v) on term dicts of ``alg``, in place (c = None means 1).
+
+    Each pair of terms (z^p x_q)(z^i x_j) is added by the rule of
+    ``_mono_mul`` without its memo: a key shift is added inline, any other
+    product straight from the shared row ``alg._row(q, i, m)``.  Every add
+    keeps the ``_accumulate`` contract.
+    """
+    rows, row_of, get = alg._row_cache, alg._row, out.get
     for (p, q), cu in u_terms.items():
         if c is not None:
             cu = c * cu
         for (i, j), cv in v_terms.items():
-            terms = cache.get((p, q, i, j)) or mono(p, q, i, j)
             w = cu * cv
-            for k, v in terms.items():  # _accumulate(out, terms, w), inline
-                v = w * v
+            if q == 0 or (i == 0 and q * j >= 0):  # w z^(p+i) x_(q+j)
+                k = (p + i, q + j)
+                old = get(k)
+                v = w if old is None else old + w
+                if v:
+                    out[k] = (v.numerator if type(v) is Fraction
+                              and v.denominator == 1 else v)
+                elif old is not None:
+                    del out[k]
+                continue
+            m = min(abs(q), abs(j)) if q * j < 0 else 0
+            off, row = rows.get((q, i, m)) or row_of(q, i, m)
+            s, qj = p + off, q + j
+            for e, r in enumerate(row):
+                if not r:
+                    continue
+                k = (s + e, qj)
+                v = w * r
                 old = get(k)
                 if old is not None:
                     v = old + v

@@ -207,8 +207,9 @@ def test_deform_verify(tmp_path, capsys):
 
 def test_check_algebra_associativity_sweep_detects_a_wrong_product(
         capsys, monkeypatch):
-    # one wrong cached monomial product, z x = 2 z x, makes (z z) x differ
-    # from z (z x); the sweep must report it over the same number of triples
+    # one wrong cached coefficient row, sigma(z)^1 = 3 z instead of 2 z,
+    # makes x z = 3 z x, so (x z) z differs from x (z z); the sweep must
+    # report it over the same number of triples
     from gwadeform import cli
 
     argv = ["--config", str(CORPUS[4]), "--json", "--seed", "3",
@@ -224,7 +225,7 @@ def test_check_algebra_associativity_sweep_detects_a_wrong_product(
 
     def poisoned(path):
         params, label = load_config(path)
-        params._mono_cache[(1, 0, 0, 1)] = {(1, 1): 2}
+        params._row_cache[(1, 1, 0)] = (1, [3])
         return params, label
 
     monkeypatch.setattr(cli, "load_config", poisoned)

@@ -661,3 +661,46 @@ def test_inline_product_and_evaluation_match_accumulate(a, out, u, v, c):
         assert fast(slow({}, u, v, minus), u, v, c) == {}
         if c == 0:
             assert got == out and list(got) == list(out)
+
+
+# phi = z^2 - 1 has a zero coefficient, so some rows hold a zero
+KERNEL_ALGEBRAS = {
+    **{f"lam{lam}-eta{eta}".replace("/", "_"): GwaParams(lam, eta, Z**2 - ONE)
+       for lam in (2, -1, Fraction(1, 3)) for eta in (0, Fraction(2, 3))},
+    **{f"alg{k}": a for k, a in enumerate(CORPUS)}}
+
+
+@pytest.mark.parametrize("a", KERNEL_ALGEBRAS.values(), ids=KERNEL_ALGEBRAS)
+def test_multiply_into_matches_reference_without_the_memo(a):
+    # _multiply_into spells out the row rule of _mono_mul: on one-term
+    # operands it equals the memoized product, and a key shift (q = 0, or
+    # i = 0 with no cancelled pair) reads no row
+    cells = [(p, q) for q in range(-3, 4) for p in range(3)]
+    for p, q in cells:
+        for i, j in cells:
+            rows = len(a._row_cache)
+            got = _multiply_into(a, {}, {(p, q): 1}, {(i, j): 1})
+            assert got == a._mono_mul(p, q, i, j) \
+                == reference_mono_mul(a, p, q, i, j), (p, q, i, j)
+            if q == 0 or (i == 0 and q * j >= 0):
+                assert got == {(p + i, q + j): 1}
+                assert len(a._row_cache) == rows, (p, q, i, j)
+    # multi-term operands, into a fresh, a pre-filled and a cancelling out
+    rng = random.Random(7)
+
+    def terms(n):
+        return {rng.choice(cells): div(rng.choice([-3, -1, 1, 2, 5]),
+                                       rng.choice([1, 1, 2, 3]))
+                for _ in range(n)}
+
+    for _ in range(20):
+        u, v, out = terms(4), terms(4), terms(3)
+        for c in (None, 3, Fraction(-2, 3)):
+            want = reference_multiply_into(a, dict(out), u, v, c)
+            got = _multiply_into(a, dict(out), u, v, c)
+            assert got == want and list(got) == list(want)
+            assert all(type(w) is not Fraction or w.denominator != 1
+                       for w in got.values())
+            minus = _MINUS_ONE if c is None else -c
+            assert _multiply_into(
+                a, reference_multiply_into(a, {}, u, v, minus), u, v, c) == {}

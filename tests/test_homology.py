@@ -212,17 +212,18 @@ def test_generator_span_equals_all_pairs(corpus_algebra, twist):
 
 
 def _z_moving_twists():
-    # z -> z + 3 on the Weyl algebra makes f(z) = z + 3 two terms; on
-    # lambda = 2, eta = 0, phi = z^2 - 1 the twist z -> -z meets products
-    # whose sigma^q(z) has no constant term and cancelled pairs that leave
-    # a factor other than 1
-    weyl = GwaParams(1, 1, ONE)
+    # z -> z + 3 on lambda = 1, eta = 1, phi = 1 (the skew Laurent ring
+    # k[z][x^{+-1}; sigma], not the Weyl algebra) makes f(z) = z + 3 two
+    # terms; on lambda = 2, eta = 0, phi = z^2 - 1 the twist z -> -z meets
+    # products whose sigma^q(z) has no constant term and cancelled pairs
+    # that leave a factor other than 1
+    laurent = GwaParams(1, 1, ONE)
     quantum = GwaParams(2, 0, Z**2 - ONE)
-    return [Automorphism(weyl, 2, Fraction(1, 2), Z + Poly.constant(3)),
+    return [Automorphism(laurent, 2, Fraction(1, 2), Z + Poly.constant(3)),
             Automorphism(quantum, 3, Fraction(1, 3), -Z)]
 
 
-@pytest.mark.parametrize("rho", _z_moving_twists(), ids=["weyl", "quantum"])
+@pytest.mark.parametrize("rho", _z_moving_twists(), ids=["laurent", "quantum"])
 @pytest.mark.parametrize("both_sides", [False, True], ids=["right", "both"])
 def test_generator_span_equals_all_pairs_under_z_moving_twist(rho, both_sides):
     a = rho.params
