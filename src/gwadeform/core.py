@@ -599,12 +599,6 @@ class TensorElement(LinComb):
         return "Tensor(" + " + ".join(bits) + ")"
 
 
-def tensor_from_pair(a: GwaElement, b: GwaElement) -> TensorElement:
-    return TensorElement(_same_algebra(a, b),
-                         {(L, R): cl * cr for L, cl in a.terms.items()
-                          for R, cr in b.terms.items()})
-
-
 @dataclass(frozen=True)
 class LegMap:
     """h |-> sigma^j(d^d h / dz^d): derivative first, then sigma^j."""

@@ -1,13 +1,14 @@
 """The periodic cochain complex computing Hochschild cohomology H*(A, M).
 
 Coefficients are twisted bimodules M given by a BimoduleSpec.  A degree-n
-cochain is a short tuple of module elements: (m) in degree 0,
-(m; m1, m2) in degree 1, and (m1, m2; m3, m4) in degree n >= 2, where the
-first pair sits in the odd column and the second in the even column of the
-two-row grid.  It is a map in Hom_{A^e}(T_n, M), given by its values on
-the generators of the total complex T of ``complexes``, so the
-differential is c -> c o d, read from ``complexes.tot_images``: the same
-table of generator images that defines d on T.
+cochain is a map in Hom_{A^e}(T_n, M), kept as its values on the
+generators of the total complex T of ``complexes``, in the order of
+``complexes.tot_images``: (m) in degree 0, (m; m1, m2) in degree 1 and
+(m1, m2; m3, m4) in degree n >= 2, where the part before the semicolon
+is the value on the generators of P_{n-1,1} (row q = 1) and the rest on
+those of P_{n,0} (row q = 0).  The differential is c -> c o d, read from
+``complexes.tot_images``: the same table of generator images that is d
+on T.
 
 Also provided: the explicit degree-2 cocycle family f, its one-sided
 inverse g, the constructive degree-3 contraction, and the splitting of a

@@ -12,10 +12,12 @@ import pytest
 
 from gwadeform.cli import parse_cochain, run
 from gwadeform.complexes import c_element
-from gwadeform.core import GwaElement, GwaParams, basis_window, module_nu, \
-    module_plain, tensor_act, tensor_from_pair
+from gwadeform.core import GwaElement, GwaParams, TensorElement, basis_window, \
+    module_nu, module_plain, tensor_act
 from gwadeform.deform import build_star, check_assoc, lift, star, star_mul
 from gwadeform.scalars import Poly, rat
+
+from conftest import tensor_from_pair
 
 Z = Poly.z()
 
@@ -155,7 +157,7 @@ def test_algebra_is_part_of_element_identity():
         with pytest.raises(ValueError):
             op(a2.x(), a3.x())
     with pytest.raises(ValueError):
-        tensor_from_pair(a2.one(), a3.one())
+        TensorElement(a2, {((0, 0), (0, 0)): 1}) + TensorElement(a3, {})
     with pytest.raises(ValueError):
         lift(a2, a2.x(), 2) + lift(a3, a3.x(), 2)
     assert a2.x() + GwaParams(2, 0, Z).x() == 2 * a2.x()

@@ -3,26 +3,19 @@ from fractions import Fraction
 
 import pytest
 
+from gwadeform import complexes
 from gwadeform.complexes import (
     CElement,
-    PElement,
     StandardTensor,
+    _compose,
     _dh_gens,
     _dv_gens,
     _linear_extend,
     _r_gens,
     c_diff,
     c_element,
-    p_dh,
-    p_dv,
-    p_generators,
-    p_r,
-    p_zero,
     standardize,
-    tot_diff,
-    tot_generators,
     tot_images,
-    TotElement,
     verify_hdc,
 )
 from gwadeform.core import (
@@ -31,25 +24,26 @@ from gwadeform.core import (
     TensorElement,
     LEG_ID,
     LegMap,
+    _MINUS_ONE,
     _accumulate,
     multiply,
-    tensor_from_pair,
     twisted_delta,
 )
 from gwadeform.scalars import Poly
 
 from conftest import (
-    act_left,
-    act_right,
     c_solve_preimage,
     full_corpus,
     random_algebra,
     random_element,
     reference_dh_gens,
     reference_dv_gens,
+    reference_linear_extend,
     reference_r_gens,
     reference_tot_images,
+    reference_verify_hdc,
     table_terms,
+    tensor_from_pair,
 )
 
 Z = Poly.z()
@@ -168,46 +162,36 @@ def test_c_solve_rejects_non_cycle():
 
 
 def test_p_dv_examples():
+    # d^v as table rows: row t is the image of generator t of P_{p,1}
     a = GwaParams(2, 0, Z**2 - ONE)
     one, z = a.one(), a.z()
     sz = a.from_poly(a.sigma_z(1))
     siz = a.from_poly(a.sigma_z(-1))
-    g0 = p_generators(a, 0, 1)[0]
-    assert p_dv(0, g0).components[0] == (tensor_from_pair(z, one)
-                                         - tensor_from_pair(one, z))
-    g10, g11 = p_generators(a, 1, 1)
-    out = p_dv(1, g10)
-    assert out.components[0] == (tensor_from_pair(sz, one)
-                                 - tensor_from_pair(one, z))
-    assert out.components[1].is_zero()
-    out = p_dv(1, g11)
-    assert out.components[0].is_zero()
-    assert out.components[1] == (tensor_from_pair(siz, one)
-                                 - tensor_from_pair(one, z))
-    assert p_dv(2, p_zero(a, 2, 1)).is_zero()
+    assert _dv_gens(a, 0) == [[(tensor_from_pair(z, one)
+                                - tensor_from_pair(one, z)).terms]]
+    g10, g11 = _dv_gens(a, 1)
+    assert g10 == [(tensor_from_pair(sz, one) - tensor_from_pair(one, z)).terms, {}]
+    assert g11 == [{}, (tensor_from_pair(siz, one) - tensor_from_pair(one, z)).terms]
+    # the zero chain of P_{2,1} goes to zero
+    assert _linear_extend(a, [{}, {}], _dv_gens(a, 2)) == [{}, {}]
 
 
 def test_p_dh_examples():
     a = GwaParams(2, 0, Z**2 - ONE)
     one, x, y = a.one(), a.x(), a.y()
-    out = p_dh(1, 1, p_generators(a, 1, 1)[1])
-    assert out.components[0] == (-tensor_from_pair(y, one)
-                                 + tensor_from_pair(Fraction(1, 2) * one, y))
-    out = p_dh(2, 1, p_generators(a, 2, 1)[0])
-    assert out.components[0] == -tensor_from_pair(y, one)
-    assert out.components[1] == -tensor_from_pair(2 * one, x)
-    out = p_dh(1, 0, p_generators(a, 1, 0)[0])
-    assert out.components[0] == tensor_from_pair(x, one) - tensor_from_pair(one, x)
+    assert _dh_gens(a, 1, 1)[1] == [(-tensor_from_pair(y, one)
+                                     + tensor_from_pair(Fraction(1, 2) * one, y)).terms]
+    assert _dh_gens(a, 2, 1)[0] == [(-tensor_from_pair(y, one)).terms,
+                                    (-tensor_from_pair(2 * one, x)).terms]
+    assert _dh_gens(a, 1, 0)[0] == [(tensor_from_pair(x, one)
+                                     - tensor_from_pair(one, x)).terms]
 
 
 def test_p_r_examples():
     a = GwaParams(2, 0, Z**2 - ONE)
     s = LegMap(1, 0)
-    out = p_r(2, p_generators(a, 2, 0)[1])
-    assert out.components[0] == twisted_delta(a, s, s, a.phi).scale(-a.lam)
-    out = p_r(3, p_generators(a, 3, 0)[0])
-    assert out.components[0] == -twisted_delta(a, s, LEG_ID, a.phi)
-    assert out.components[1].is_zero()
+    assert _r_gens(a, 2)[1] == [twisted_delta(a, s, s, a.phi).scale(-a.lam).terms]
+    assert _r_gens(a, 3)[0] == [(-twisted_delta(a, s, LEG_ID, a.phi)).terms, {}]
 
 
 def test_verify_hdc_corpus():
@@ -216,69 +200,74 @@ def test_verify_hdc_corpus():
         assert report and all(r["pass"] for r in report), a
 
 
+def test_verify_hdc_matches_element_reference():
+    # the composed term-dict tables against the element-built tables
+    # composed through act_left/act_right: same records, same order
+    rng = random.Random(71)
+    for a in full_corpus() + [random_algebra(rng) for _ in range(12)]:
+        assert verify_hdc(a, 6) == reference_verify_hdc(a, 6), a
+
+
+@pytest.mark.parametrize("p0, k", [(2, 0), (2, 1), (3, 0), (4, 1), (5, 0)])
+def test_verify_hdc_reports_a_negated_r_row(monkeypatch, p0, k):
+    # negate row k of r on P_{p0,0}: exactly the records that read that row
+    # fail, namely generator k of the identities with r(p0), and each
+    # generator of P_{p0+1,0} whose d^h row reaches slot k before r(p0)
+    a = GwaParams(2, 0, Z**2 - ONE)
+    honest = complexes._r_gens
+
+    def poisoned(params, p):
+        rows = honest(params, p)
+        if p == p0:
+            rows[k] = [_accumulate({}, t, _MINUS_ONE) for t in rows[k]]
+        return rows
+
+    monkeypatch.setattr(complexes, "_r_gens", poisoned)
+    report = verify_hdc(a, 6)
+    failed = {(rec["identity"], rec["position"], rec["generator"])
+              for rec in report if not rec["pass"]}
+    want = {("dh.dh+dv.r", (p0, 0), k), ("dh.dh+r.dv", (p0, 1), k)}
+    if p0 >= 3:
+        want.add(("dh.r+r.dh", (p0, 0), k))
+    want |= {("dh.r+r.dh", (p0 + 1, 0), t)
+             for t, row in enumerate(_dh_gens(a, p0 + 1, 0)) if row[k]}
+    assert failed == want
+    assert all(rec["pass"] for rec in report
+               if rec["identity"] == "dh.dv+dv.dh")
+
+
 def test_tot_diff_degree2_display():
+    # rows of tot_images(a, 2) on T_1 = P_{0,1} + P_{1,0}
     a = GwaParams(2, 0, Z**2 - ONE)
     one, x, y, z = a.one(), a.x(), a.y(), a.z()
     sz = a.from_poly(a.sigma_z(1))
-    s = LegMap(1, 0)
-    gens = tot_generators(a, 2)
+    images = tot_images(a, 2)
     # generator in the q=1 row, first slot
-    out = tot_diff(2, gens[0])
-    assert out.parts[0].components[0] == (-tensor_from_pair(x, one)
-                                          + tensor_from_pair(2 * one, x))
-    assert out.parts[1].components[0] == (tensor_from_pair(sz, one)
-                                          - tensor_from_pair(one, z))
-    assert out.parts[1].components[1].is_zero()
+    assert images[0] == [(-tensor_from_pair(x, one) + tensor_from_pair(2 * one, x)).terms,
+                         (tensor_from_pair(sz, one) - tensor_from_pair(one, z)).terms,
+                         {}]
     # generator in the q=0 row, first slot
-    out = tot_diff(2, gens[2])
-    assert out.parts[0].components[0] == -twisted_delta(a, LEG_ID, LEG_ID, a.phi)
-    assert out.parts[1].components[0] == tensor_from_pair(y, one)
-    assert out.parts[1].components[1] == tensor_from_pair(one, x)
+    assert images[2] == [(-twisted_delta(a, LEG_ID, LEG_ID, a.phi)).terms,
+                         tensor_from_pair(y, one).terms,
+                         tensor_from_pair(one, x).terms]
 
 
 def test_tot_diff_squared_zero():
+    # d o d = 0 on T: the composed table of d_{n-1} after d_n is zero
     for a in small_corpus():
         for n in range(2, 7):
-            for g in tot_generators(a, n):
-                assert tot_diff(n - 1, tot_diff(n, g)).is_zero(), (a, n)
-
-
-def reference_tot_diff(n, e):
-    """The former componentwise assembly of d = d^v + d^h + r on T_n."""
-    if n == 1:
-        part01, part10 = e.parts
-        return TotElement(0, (p_dv(0, part01) + p_dh(1, 0, part10),))
-    up, right = e.parts  # up in P_{n-1,1}, right in P_{n,0}
-    q1 = p_dh(n - 1, 1, up) + p_r(n, right)
-    q0 = p_dv(n - 1, up) + p_dh(n, 0, right)
-    return TotElement(n - 1, (q1, q0))
-
-
-def random_tot_element(rng, a, n):
-    def part(p, q):
-        return PElement(p, q, tuple(
-            tensor_from_pair(random_element(rng, a, 2), random_element(rng, a, 2))
-            for _ in p_zero(a, p, q).components))
-    return TotElement(n, (part(n - 1, 1), part(n, 0)))
-
-
-def test_tot_diff_matches_componentwise_assembly():
-    rng = random.Random(53)
-    for a in full_corpus():
-        for n in range(1, 7):
-            for g in tot_generators(a, n):
-                assert tot_diff(n, g) == reference_tot_diff(n, g), (a, n)
-            for _ in range(2):
-                e = random_tot_element(rng, a, n)
-                assert tot_diff(n, e) == reference_tot_diff(n, e), (a, n)
+            twice = _compose(a, tot_images(a, n), tot_images(a, n - 1))
+            assert all(not t for row in twice for t in row), (a, n)
 
 
 def test_tot_images_shape():
+    # T_0 has 1 generator, T_1 has 3 and T_n has 4 for n >= 2
     a = GwaParams(2, 0, Z**2 - ONE)
+    rank = [1, 3, 4, 4, 4, 4]
     for n in range(1, 6):
         images = tot_images(a, n)
-        assert len(images) == len(tot_generators(a, n))
-        assert {len(row) for row in images} == {len(tot_generators(a, n - 1))}
+        assert len(images) == rank[n]
+        assert {len(row) for row in images} == {rank[n - 1]}
         # term dicts {(L, R): c} that store no zero
         assert all(type(t) is dict and all(t.values())
                    for row in images for t in row)
@@ -287,26 +276,13 @@ def test_tot_images_shape():
             tot_images(a, n)
 
 
-def reference_linear_extend(params, components, gen_images):
-    """_linear_extend on elements: each term c L (x) R acts on an image
-    (a term dict) through act_left by c L and then act_right by R."""
-    out = [{} for _ in gen_images[0]]
-    for s, comp in enumerate(components):
-        for (L, R), c in comp.terms.items():
-            a = GwaElement(params, {L: c})
-            b = GwaElement(params, {R: 1})
-            for t, img in enumerate(gen_images[s]):
-                img = TensorElement(params, img)
-                _accumulate(out[t], act_right(act_left(img, a), b).terms)
-    return out
-
-
 def test_linear_extend_matches_element_reference():
     # every table of the total differential, on random multi-term tensors
     rng = random.Random(59)
     for a in full_corpus():
         for n in range(1, 7):
             images = tot_images(a, n)
+            elements = [[TensorElement(a, t) for t in row] for row in images]
             for _ in range(2):
                 comps = [tensor_from_pair(random_element(rng, a, 3, 2),
                                           random_element(rng, a, 3, 2))
@@ -314,7 +290,8 @@ def test_linear_extend_matches_element_reference():
                                             random_element(rng, a, 2, 2))
                          for _ in images]
                 got = _linear_extend(a, [c.terms for c in comps], images)
-                assert got == reference_linear_extend(a, comps, images), (a, n)
+                want = reference_linear_extend(a, comps, elements)
+                assert got == [t.terms for t in want], (a, n)
 
 
 def test_generator_tables_match_element_reference():
@@ -337,10 +314,8 @@ def test_generator_tables_match_element_reference():
 def test_augmentation_tot():
     # multiplication map after the degree-1 total differential is zero
     for a in small_corpus():
-        for g in tot_generators(a, 1):
-            out = tot_diff(1, g)
+        for row in tot_images(a, 1):
             total = a.zero()
-            for (L, R), c in out.parts[0].components[0].terms.items():
-                from gwadeform.core import GwaElement
-                total = total + GwaElement(a, {L: c}) * GwaElement(a, {R: Fraction(1)})
+            for (L, R), c in row[0].items():
+                total = total + GwaElement(a, {L: c}) * GwaElement(a, {R: 1})
             assert total.is_zero()

@@ -25,7 +25,6 @@ from gwadeform.core import (
     multiply,
     nakayama,
     tensor_act,
-    tensor_from_pair,
     twisted_delta,
 )
 from gwadeform.errors import ZeroPhiError
@@ -43,6 +42,7 @@ from conftest import (
     reference_evaluate_into,
     reference_mono_mul,
     reference_multiply_into,
+    tensor_from_pair,
 )
 from free_oracle import oracle_multiply, oracle_normalize
 

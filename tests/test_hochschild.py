@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gwadeform import deform
-from gwadeform.complexes import PElement, TotElement, _linear_extend, tot_diff
+from gwadeform.complexes import _linear_extend, tot_images
 from gwadeform.core import (
     GwaParams,
     LEG_ID,
@@ -16,7 +16,6 @@ from gwadeform.core import (
     basis_window,
     module_plain,
     tensor_act,
-    tensor_from_pair,
     twisted_delta,
 )
 from gwadeform.deform import build_f1, build_star, check_local_finiteness
@@ -45,6 +44,7 @@ from conftest import (
     reference_determine_F,
     reference_hochschild_b,
     reference_theta2,
+    tensor_from_pair,
 )
 
 Z = Poly.z()
@@ -81,22 +81,14 @@ def theta2_elements(params, left, right):
     return tuple(TensorElement(params, t) for t in theta2(params, left, right))
 
 
-def theta1_tot(params, u, a, b):
-    """theta1 extended over outer factors a|u|b, as a total-complex element."""
-    zero3 = [t.scale(0) for t in theta1(params, (0, 0))]
-    acc = zero3
+def theta1_slots(params, u, a, b):
+    """theta1 extended over outer factors a|u|b, as the three term dicts on
+    the generators of T_1 (P_{0,1}, then the two of P_{1,0})."""
+    acc = [{}, {}, {}]
     for (i, j), c in u.terms.items():
-        slots = theta1(params, (i, j))
-        acc = [s0 + outer(params, s1, a, b).scale(c)
-               for s0, s1 in zip(acc, slots)]
-    return TotElement(1, (PElement(0, 1, (acc[0],)),
-                          PElement(1, 0, (acc[1], acc[2]))))
-
-
-def theta2_tot(params, left, right):
-    slots = theta2_elements(params, left, right)
-    return TotElement(2, (PElement(1, 1, (slots[0], slots[1])),
-                          PElement(2, 0, (slots[2], slots[3]))))
+        for s0, s1 in zip(acc, theta1(params, (i, j))):
+            _accumulate(s0, outer(params, s1, a, b).terms, c)
+    return acc
 
 
 def pattern_supported(q, j):
@@ -104,17 +96,18 @@ def pattern_supported(q, j):
 
 
 def test_theta1_is_chain_map():
-    # tot_diff composed with theta1 reproduces u|1 - 1|u
+    # d_1 applied to theta1(u) reproduces u|1 - 1|u
     for a in full_corpus()[:4]:
         for (i, j) in [(0, 0), (2, 0), (1, 2), (0, -1), (2, -2), (3, 1)]:
             u = a.monomial(i, j)
-            out = tot_diff(1, theta1_tot(a, u, a.one(), a.one()))
+            slots = theta1_slots(a, u, a.one(), a.one())
+            out = _linear_extend(a, slots, tot_images(a, 1))
             want = tensor_from_pair(u, a.one()) - tensor_from_pair(a.one(), u)
-            assert out.parts[0].components[0] == want, (a, i, j)
+            assert out == [want.terms], (a, i, j)
 
 
 def test_theta2_is_chain_map():
-    # tot_diff(theta2(u,v)) = theta1(u|v|1) - theta1(1|uv|1) + theta1(1|u|v)
+    # d_2(theta2(u,v)) = theta1(u|v|1) - theta1(1|uv|1) + theta1(1|u|v)
     pats = [(0, 0), (1, 0), (0, 1), (2, 1), (0, -1), (1, -2), (0, 2)]
     for a in full_corpus():
         for (p, q) in pats:
@@ -122,13 +115,14 @@ def test_theta2_is_chain_map():
                 if not pattern_supported(q, j):
                     continue
                 u, v = a.monomial(p, q), a.monomial(i, j)
-                lhs = tot_diff(2, theta2_tot(a, (p, q), (i, j)))
-                rhs = theta1_tot(a, v, u, a.one())
-                mid = theta1_tot(a, u * v, a.one(), a.one())
-                last = theta1_tot(a, u, a.one(), v)
-                for s in range(2):
-                    want = rhs.parts[s] - mid.parts[s] + last.parts[s]
-                    assert lhs.parts[s] == want, (a, (p, q), (i, j), s)
+                lhs = _linear_extend(a, theta2(a, (p, q), (i, j)),
+                                     tot_images(a, 2))
+                want = theta1_slots(a, v, u, a.one())
+                for s, t in zip(want, theta1_slots(a, u * v, a.one(), a.one())):
+                    _accumulate(s, t, -1)
+                for s, t in zip(want, theta1_slots(a, u, a.one(), v)):
+                    _accumulate(s, t)
+                assert lhs == want, (a, (p, q), (i, j))
 
 
 def test_theta2_zero_and_display_cases():

@@ -16,10 +16,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "gwadeform"
 
 # name -> why it stays in src/ although nothing in src/ reads it
 ALLOWED = {
-    "tot_diff": "the total differential as a map, the reference that "
-                "tests check tot_images and the theta maps against",
-    "tot_generators": "the generators of T_n, the inputs of the tot_diff "
-                      "reference in tests",
     "thetaprime2": "the degree-2 comparison map, the reference for the "
                    "theta2 pullback and the chain-map identity in tests",
     "hochschild_b": "the Hochschild coboundary, which the acceptance "
