@@ -31,13 +31,14 @@ from .core import (
     module_plain,
 )
 from .deform import (
+    _deformed_mul,
+    _require_deformable,
     build_star,
     check_assoc,
     check_local_finiteness,
     check_obstruction,
     check_relations,
     f1_noncoboundary_evidence,
-    star,
 )
 from .errors import GwadeformError, MultipleRootError
 from .homology import compare_h0
@@ -158,11 +159,15 @@ def cmd_mul(params, args, rng):
 
 
 def cmd_star(params, args, rng):
-    sp = build_star(params, args.order)
+    """u * v as the product of A_tau, equal to ``deform.star`` on
+    ``build_star(params, order)`` and built without the cochains."""
+    _require_deformable(params, args.order)
     u = parse_element(params, args.left)
     v = parse_element(params, args.right)
+    series = _deformed_mul(params, args.order, u.terms, v.terms)
     return [{"check": "star", "order": args.order,
-             "series": star(sp, u, v).to_json(), "pass": True}]
+             "series": [GwaElement(params, t).to_json() for t in series],
+             "pass": True}]
 
 
 def cmd_cohomology(params, args, rng):

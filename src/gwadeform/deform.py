@@ -11,12 +11,28 @@ sum F_m(U_a, V_b) tau^(a+b+m) of two tau-series of term dicts, F_0 the
 product; ``star``, ``star_mul``, ``check_assoc`` and the basis-pair table
 ``StarProduct.pair_values`` are all calls of it.
 
+The star product is the deformed GWA.  Over R = k[tau]/(tau^{N+1}) let
+A_tau = k[z; lambda_tau, eta_tau, phi], with lambda_tau = lambda (1 - tau)
+and eta_tau = 0 in the quantum case, lambda_tau = 1 and eta_tau = eta - tau
+in the classical case; it has the R-basis z^p x_q of A.  Then
+``star(build_star(params, N), u, v)`` is the product u v in A_tau, proved
+by uniqueness in ``determine_F``, checked on windows.  Both products, read
+as sum F_n tau^n, are unit-normalized and z-left-linear and vanish on
+(x^q, x^j) for q j >= 0; they have the same generator values F_n(x, z),
+F_n(x, y), F_n(y, z), F_n(y, x), those of ``build_f1`` and
+``_closed_form_datum``; and both satisfy every stage identity below (A_tau
+is associative).  So F_n is determined by F_1 .. F_{n-1} for both, and
+they agree stage by stage.  ``_deformed_mul`` computes the product of
+A_tau directly, from rows of sigma_tau as ``core._multiply_into`` does
+from rows of sigma: the CLI answers ``star`` with it, and tests compare it
+with ``pair_values`` and ``star``.
+
 Verification helpers re-check what the construction promises:
 associativity of the truncated product, the four presentation relations
-of the deformed algebra (with the right-hand series obtained by direct
-polynomial substitution, independently of the cochains), the stagewise
-obstruction identity, and preservation of the filtration (local
-finiteness), read from the basis-pair values of ``StarProduct.pair_values``.
+of the deformed algebra (f3 compares x * y with phi(sigma_tau(z)), the
+product x y of A_tau), the stagewise obstruction identity, and
+preservation of the filtration (local finiteness), read from the
+basis-pair values of ``StarProduct.pair_values``.
 
 The stage-n identity is checked as the vanishing, on basis triples, of
 
@@ -189,7 +205,8 @@ def build_f1(params: GwaParams) -> Cochain2:
     return determine_F(params, None, P(x, z), P(x, y), P(y, z), P(y, x))
 
 
-def build_star(params: GwaParams, order: int = 4) -> StarProduct:
+def _require_deformable(params: GwaParams, order: int) -> None:
+    """Refuse what ``build_star`` and ``_deformed_mul`` do not construct."""
     if not params.is_noncommutative:
         raise CommutativeAlgebraError("the commutative case has no "
                                       "distinguished deformation here")
@@ -198,6 +215,10 @@ def build_star(params: GwaParams, order: int = 4) -> StarProduct:
                              "normalize to the quantum form first")
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}")
+
+
+def build_star(params: GwaParams, order: int = 4) -> StarProduct:
+    _require_deformable(params, order)
     cochains = [build_f1(params)]
     for n in range(2, order + 1):
         target = circle(cochains[0], cochains[n - 2])
@@ -234,28 +255,125 @@ def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
                                                out, _MINUS_ONE))
 
 
-def _binomial_shift_series(params: GwaParams, order: int,
-                           scale_z: bool) -> TruncatedElement:
-    """Taylor coefficients of phi_bar((1-tau) z) or phi_bar(z - tau).
+def _bimul(f: dict, g: dict) -> dict:
+    """The product of two polynomials {(z-degree, t-degree): c}."""
+    out = {}
+    for (d1, e1), c1 in f.items():
+        for (d2, e2), c2 in g.items():
+            k = (d1 + d2, e1 + e2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
 
-    Computed by direct binomial expansion of the shifted argument, with
-    no reference to the star-product cochains.
+
+class _DeformedRows(dict):
+    """(q, i, m) -> the row R_tau(q, i, m) of A_tau, filled on first lookup.
+
+    R_tau(q, i, m) = sigma_tau^q(z)^i prod_{k <= m} sigma_tau^{r_k}(phi) is
+    the row of ``GwaParams._row`` with sigma_tau in place of sigma, r_k as
+    in ``_pair_factor``.  It is built as a polynomial {(d, e): c} in z and
+    the deformed parameter t, where sigma_tau^r(z) = t^r z with
+    t = lambda_tau = lambda (1 - tau) (quantum) and sigma_tau^r(z) = z + r t
+    with t = eta_tau = eta - tau (classical); then each t^e is expanded in
+    tau.  A row is (z-offset, one list of z-coefficients per tau^n), cut
+    at tau^N and normalized by ``rat``.  Memoized per product only.
     """
-    coeffs = []
-    pb = params.phi_bar
-    for n in range(order + 1):
-        acc = Poly.zero()
-        for k, bk in enumerate(pb.coeffs):
-            if bk == 0 or k < n:
-                continue
-            c = bk * math.comb(k, n) * (-1) ** n
-            acc = acc + Poly.monomial(k if scale_z else k - n, c)
-        coeffs.append(params.from_poly(acc))
-    return TruncatedElement(params, tuple(coeffs))
+
+    def __init__(self, params: GwaParams, order: int):
+        super().__init__()
+        self.params, self.order = params, order
+        self._factors = {}   # (q, m) -> prod_{k <= m} sigma_tau^{r_k}(phi)
+        self._t_powers = {}  # e -> tau-coefficients of t^e
+
+    def _sigma(self, r: int, h: Poly) -> dict:
+        """sigma_tau^r(h) in z and t, by Horner in sigma_tau^r(z)."""
+        lin = ({(1, r): _ONE} if self.params.is_quantum
+               else {(1, 0): _ONE, (0, 1): r})
+        out = {}
+        for c in reversed(h.coeffs):
+            out = _bimul(out, lin)
+            if c:
+                out[0, 0] = out.get((0, 0), 0) + c
+        return out
+
+    def _factor(self, q: int, m: int) -> dict:
+        """prod_{k <= m} sigma_tau^{r_k}(phi), built from (q, m - 1)."""
+        if m == 0:
+            return {(0, 0): _ONE}
+        out = self._factors.get((q, m))
+        if out is None:
+            s = 1 if q > 0 else -1
+            out = self._factors[q, m] = _bimul(
+                self._factor(q, m - 1),
+                self._sigma(q - s * m + (s > 0), self.params.phi))
+        return out
+
+    def _t_power(self, e: int) -> list:
+        """The tau-coefficients of t^e up to tau^N; e < 0 only when quantum."""
+        out = self._t_powers.get(e)
+        if out is None:
+            a, N = self.params, self.order
+            if e < 0:  # (lambda (1 - tau))^(-k) = lambda^(-k) sum C(k+n-1, n) tau^n
+                k = -e
+                lk = div(1, a.lam ** k)
+                out = [math.comb(k + n - 1, n) * lk for n in range(N + 1)]
+            else:  # (c - d tau)^e = sum C(e, n) c^(e-n) (-d)^n tau^n
+                c, d = (a.lam, a.lam) if a.is_quantum else (a.eta, 1)
+                out = [math.comb(e, n) * c ** (e - n) * (-d) ** n
+                       for n in range(min(e, N) + 1)]
+            self._t_powers[e] = out
+        return out
+
+    def __missing__(self, key):
+        q, i, m = key
+        poly = _bimul(self._sigma(q, Poly.monomial(i)), self._factor(q, m))
+        off = min(d for d, _ in poly)
+        table = [[0] * (max(d for d, _ in poly) - off + 1)
+                 for _ in range(self.order + 1)]
+        for (d, e), c in poly.items():
+            if c:
+                for n, t in enumerate(self._t_power(e)):
+                    table[n][d - off] += c * t
+        while len(table) > 1 and not any(table[-1]):
+            table.pop()
+        row = self[key] = (off, [[*map(rat, r)] for r in table])
+        return row
+
+
+def _deformed_mul(params: GwaParams, order: int, u_terms: dict,
+                  v_terms: dict) -> list:
+    """u v in A_tau = k[z; lambda_tau, eta_tau, phi] over k[tau]/(tau^{N+1}).
+
+    u and v are term dicts of A, N = order; returns the N + 1
+    tau-coefficients of the product as term dicts, each under the
+    ``_accumulate`` contract.  A pair of terms (z^p x_q)(z^i x_j) is a key
+    shift when q = 0, or i = 0 and no pair cancels, else the row
+    ``_DeformedRows``[q, i, m] shifted by z^p into column q + j, as in
+    ``GwaParams._mono_mul``.  This equals ``star`` on ``build_star(params,
+    order)`` (module docstring).
+    """
+    _require_deformable(params, order)
+    rows = _DeformedRows(params, order)
+    out = [{} for _ in range(order + 1)]
+    for (p, q), cu in u_terms.items():
+        for (i, j), cv in v_terms.items():
+            if q == 0 or (i == 0 and q * j >= 0):  # z^(p+i) x_(q+j)
+                off, table = i, [[_ONE]]
+            else:
+                off, table = rows[q, i, min(abs(q), abs(j)) if q * j < 0 else 0]
+            s, qj, w = p + off, q + j, cu * cv
+            for acc, coeffs in zip(out, table):
+                _accumulate(acc, {(e, qj): r for e, r in enumerate(coeffs, s)
+                                  if r}, w)
+    return out
 
 
 def check_relations(sp: StarProduct) -> dict:
-    """Residuals of the four defining relations of the deformed presentation."""
+    """Residuals of the four defining relations of the deformed presentation.
+
+    f3 compares x * y with phi(sigma_tau(z)), the product x y of A_tau
+    from ``_deformed_mul``; f1, f2 and f4 scale star products by
+    polynomials in tau.
+    """
     a = sp.params
     x, y, z = a.x(), a.y(), a.z()
     N = sp.order
@@ -266,7 +384,6 @@ def check_relations(sp: StarProduct) -> dict:
         # (1 - tau) (y * z) = lambda^{-1} (z * y), the cleared form of f2
         out["f2"] = (star(sp, y, z).tau_times([1, -1])
                      - star(sp, z, y).tau_times([div(1, lam)]))
-        out["f3"] = star(sp, x, y) - _binomial_shift_series(a, N, True)
     else:
         # F_n(1, g) = 0, so (z +- (eta - tau)) * g = z * g +- (eta - tau) g
         eta_tau = [a.eta, -1]
@@ -274,7 +391,8 @@ def check_relations(sp: StarProduct) -> dict:
                      - lift(a, x, N).tau_times(eta_tau))
         out["f2"] = (star(sp, y, z) - star(sp, z, y)
                      + lift(a, y, N).tau_times(eta_tau))
-        out["f3"] = star(sp, x, y) - _binomial_shift_series(a, N, False)
+    out["f3"] = star(sp, x, y) - _from_terms(
+        a, _deformed_mul(a, N, x.terms, y.terms))
     out["f4"] = star(sp, y, x) - lift(a, a.from_poly(a.phi), N)
     return out
 

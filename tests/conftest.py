@@ -145,6 +145,18 @@ def reference_star(sp, u, v):
     return TruncatedElement(sp.params, tuple(coeffs))
 
 
+def reference_shift_series(params, order):
+    """phi(sigma_tau(z)) = phi_bar((1-tau) z) (quantum) or phi_bar(z - tau)
+    (classical) by binomial expansion: the tau^n coefficient of
+    b_k ((1-tau) z)^k is (-1)^n C(k, n) b_k z^k, that of b_k (z - tau)^k is
+    (-1)^n C(k, n) b_k z^(k-n).  One element per tau^n, n = 0..order."""
+    shift = 0 if params.is_quantum else 1
+    return [params.from_poly(sum(
+        (Poly.monomial(k - shift * n, (-1) ** n * math.comb(k, n) * b)
+         for k, b in enumerate(params.phi_bar.coeffs) if k >= n),
+        Poly.zero())) for n in range(order + 1)]
+
+
 def filtration_degree(u):
     """Max of p + (l+1)|q| over the support of u; -1 for the zero element."""
     if u.is_zero():

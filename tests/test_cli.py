@@ -9,8 +9,11 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import gwadeform
+import gwadeform.deform
+import gwadeform.hochschild
 from gwadeform.cli import json_text, load_config, run
 from gwadeform.core import GwaElement, GwaParams, module_nu, module_plain
+from gwadeform.deform import build_star, star
 from gwadeform.errors import MultipleRootError
 from gwadeform.percomplex import PerCochain, f_map, per_diff
 from gwadeform.scalars import Poly, bezout_for_phi
@@ -57,6 +60,48 @@ def test_mul_and_star(tmp_path, capsys):
     assert series[0] == [{"p": 1, "q": 1, "c": "2"}]
     assert series[1] == [{"p": 1, "q": 1, "c": "-2"}]
     assert series[2] == []
+
+
+@pytest.mark.parametrize("lam, eta, order", [
+    ("2", "0", "0"), ("2", "0", "17"), ("1", "0", "2"), ("2", "1", "2")],
+    ids=["order-0", "order-17", "commutative", "mixed"])
+def test_star_refusals_match_deform_verify(tmp_path, capsys, lam, eta, order):
+    # star refuses before it parses its operands, with deform-verify's message
+    cfg = write_config(tmp_path, lam, eta, ["0", "1"])
+    assert run(["--config", cfg, "--order", order, "deform-verify"]) == 2
+    want = capsys.readouterr().err
+    assert want.startswith("error: ")
+    for operand in ('[{"p":0,"q":1,"c":"1"}]', "not json"):
+        assert run(["--config", cfg, "--order", order, "star", operand,
+                    operand]) == 2
+        assert capsys.readouterr().err == want
+
+
+def test_star_is_the_cochain_star_without_determine_F(tmp_path, capsys,
+                                                      monkeypatch):
+    # every corpus algebra: the report's series is star(build_star(...)), and
+    # answering it reconstructs no cochain
+    rng = random.Random(7)
+    wanted = []
+    for path in CORPUS:
+        params, _ = load_config(str(path))
+        sp = build_star(params, 5)
+        u, v = (GwaElement(params, {
+            (rng.randint(0, 2), rng.randint(-2, 2)): Fraction(
+                rng.choice([1, -2, 3]), rng.choice([1, 2]))
+            for _ in range(3)}) for _ in range(2))
+        wanted.append((path, u, v, star(sp, u, v).to_json()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("star reconstructed a cochain")
+
+    monkeypatch.setattr(gwadeform.deform, "determine_F", refuse)
+    monkeypatch.setattr(gwadeform.hochschild, "determine_F", refuse)
+    for path, u, v, want in wanted:
+        code, report = run_json(capsys, [
+            "--config", str(path), "--json", "--order", "5", "star",
+            json.dumps(u.to_json()), json.dumps(v.to_json())])
+        assert code == 0 and report["results"][0]["series"] == want, path
 
 
 def test_cohomology_roundtrips(tmp_path, capsys):

@@ -19,6 +19,7 @@ from gwadeform.deform import (
     StarProduct,
     TruncatedElement,
     _closed_form_datum,
+    _deformed_mul,
     build_f1,
     build_star,
     check_assoc,
@@ -51,6 +52,7 @@ from conftest import (
     reference_circle,
     reference_closed_form_datum,
     reference_hochschild_b,
+    reference_shift_series,
     reference_star,
 )
 
@@ -203,10 +205,22 @@ def test_local_finiteness_stops_at_five_failures(monkeypatch):
 
 
 def test_taylor_series_identity():
-    # x * y agrees with the shifted-argument series computed by substitution
+    # x * y agrees with phi(sigma_tau(z)), the A_tau product that f3 reads,
+    # and that product with the series computed by substitution
     for a in noncommutative_corpus():
         sp = build_star(a, 4)
         assert check_relations(sp)["f3"].is_zero(), a
+        xy = _deformed_mul(a, 4, a.x().terms, a.y().terms)
+        assert [GwaElement(a, t) for t in xy] == reference_shift_series(a, 4), a
+
+
+def test_relation_f3_sees_a_poisoned_f1():
+    # f3 compares the cochains with A_tau: a wrong F_1(x, y) shows there
+    for a in noncommutative_corpus():
+        sp = build_star(a, 3)
+        F1 = sp.f_n(1)
+        F1._memo[1, 0, -1] = F1.eval_basis(1, 0, -1) + a.one()
+        assert not check_relations(sp)["f3"].is_zero(), a
 
 
 def test_truncated_element_ops():
@@ -599,3 +613,72 @@ def test_check_assoc_matches_reference_when_not_associative():
             assert got == [reference_check_assoc(sp, u, v, w)
                            for u, v, w in triples], (a, order)
             assert not got[0].coefficients[1].is_zero(), (a, order)
+
+
+# ---------------------------------------------------------------------------
+# The product of A_tau against the cochain star product
+# ---------------------------------------------------------------------------
+
+def assert_pair_values_equal(a, order, window):
+    """_deformed_mul == pair_values on every basis pair of the window, and
+    its values hold no zero and no integral Fraction."""
+    sp = build_star(a, order)
+    pairs = 0
+    for t1 in basis_window(a, window):
+        for t2 in basis_window(a, window - a.weight(*t1)):
+            got = _deformed_mul(a, order, {t1: 1}, {t2: 1})
+            assert got == list(sp.pair_values(t1, t2)), (a, order, t1, t2)
+            assert all(v and (type(v) is not Fraction or v.denominator != 1)
+                       for t in got for v in t.values()), (a, order, t1, t2)
+            pairs += 1
+    return pairs
+
+
+def test_deformed_mul_matches_pair_values_on_corpus():
+    for a in noncommutative_corpus():
+        assert assert_pair_values_equal(a, 8, 2 * a.l + 4) > 0
+
+
+def deformable_random_algebras(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = random_algebra(rng)
+        if a.is_quantum or a.is_classical:
+            out.append(a)
+    assert {a.is_quantum for a in out} == {True, False}
+    return out
+
+
+def test_deformed_mul_matches_pair_values_on_random_algebras():
+    for a in deformable_random_algebras(41, 8):
+        for order in (1, 4):
+            assert_pair_values_equal(a, order, 2 * a.l + 4)
+        assert_pair_values_equal(a, MAX_ORDER, a.l + 4)
+
+
+def test_deformed_mul_matches_reference_star():
+    rng = random.Random(43)
+    algebras = noncommutative_corpus() + deformable_random_algebras(47, 6)
+    for a in algebras:
+        for order in (1, 3, 6):
+            sp = build_star(a, order)
+            for _ in range(3):
+                u, v = (random_element(rng, a, a.l + 3, nterms=4)
+                        for _ in range(2))
+                got = _deformed_mul(a, order, u.terms, v.terms)
+                want = reference_star(sp, u, v)
+                assert [GwaElement(a, t) for t in got] == list(
+                    want.coefficients), (a, order)
+                assert all(type(c) is not Fraction or c.denominator != 1
+                           for t in got for c in t.values()), (a, order)
+
+
+def test_deformed_mul_refuses_what_build_star_refuses():
+    for a, order in ((GwaParams(1, 0, Z), 2), (GwaParams(2, 1, Z), 2),
+                     (GwaParams(2, 0, Z), 0), (GwaParams(1, 1, Z), 17)):
+        with pytest.raises(Exception) as built:
+            build_star(a, order)
+        with pytest.raises(type(built.value)) as multiplied:
+            _deformed_mul(a, order, a.x().terms, a.y().terms)
+        assert str(multiplied.value) == str(built.value)
