@@ -1,8 +1,5 @@
 """Two resolutions of the algebra by bimodules, with identity checks.
 
-* The periodic chain complex C with C_0 = A (x)_B A, odd degrees
-  (A^s (x)_B A) + (A (x)_B ^s A), even positive degrees two untwisted
-  copies.  Elements are kept in the standard form sum x_i (x) b_{ij} x_j.
 * The bigraded family P (two rows q = 0, 1) with maps d^v, d^h, r, and
   its total complex T.  Each map is its table of generator images (a row
   per source generator, an A (x) A term dict per target slot), and
@@ -10,6 +7,12 @@
   checks the homotopy-double-complex identities on composed tables;
   ``tot_images`` gathers the tables into d on T, and the cochain
   differential of Hom(T, M) in ``percomplex`` is read from that table.
+* The periodic chain complex C with C_0 = A (x)_B A, odd degrees
+  (A^s (x)_B A) + (A (x)_B ^s A), even positive degrees two untwisted
+  copies.  Its differential d_i is d^h's table on row q = 0 of P, read in
+  the balanced tensor: ``_linear_extend`` applies it on A (x) A, and
+  ``_standardize`` brings each slot to the standard form
+  sum x_q (x) z^m x_j, a ``TensorElement`` with keys ((0, q), (m, j)).
 """
 from __future__ import annotations
 
@@ -18,116 +21,16 @@ from functools import partial
 
 from .core import (
     DirectSum,
-    GwaElement,
     GwaParams,
     LEG_ID,
     LegMap,
-    LinComb,
+    TensorElement,
     _MINUS_ONE,
     _accumulate,
     _delta_terms,
-    multiply,
+    _same_algebra,
 )
-from .scalars import Poly, div
-
-
-# ---------------------------------------------------------------------------
-# The complex C
-# ---------------------------------------------------------------------------
-
-def _push_for(degree: int, summand: int) -> int:
-    """sigma-power moved across the balanced tensor when standardizing.
-
-    In A (x)_B A a middle b passes unchanged; in A^s (x)_B A (left leg,
-    odd degrees, summand 0) it passes as sigma^{-1}(b); in A (x)_B ^s A
-    (summand 1) as sigma(b).
-    """
-    if degree == 0 or degree % 2 == 0:
-        return 0
-    return -1 if summand == 0 else 1
-
-
-class StandardTensor(LinComb):
-    """sum over (i, j) of x_i (x) b_{ij}(z) x_j with b_{ij} nonzero."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        bits = [f"x_{i}(x){b!r}x_{j}" for (i, j), b in sorted(self.terms.items())]
-        return "Std(" + (" + ".join(bits) or "0") + ")"
-
-
-def standardize(params: GwaParams, u: GwaElement, v: GwaElement,
-                push: int) -> StandardTensor:
-    """Standard form of u (x) v over the B-balanced tensor with twist push."""
-    out: dict = {}
-    for (p, q), c in u.terms.items():
-        # z^p x_q = x_q * sigma^{-q}(z^p); the middle factor crosses as
-        # sigma^{push} of itself.
-        b = params.sigma_pow(Poly.monomial(p, c), -q + push)
-        w = multiply(params.from_poly(b), v)
-        # several (m, j) land on the same key (q, j): add them one by one
-        for (m, j), cw in w.terms.items():
-            _accumulate(out, {(q, j): Poly.monomial(m, cw)})
-    return StandardTensor(params, out)
-
-
-@dataclass
-class CElement(DirectSum):
-    degree: int
-    components: tuple  # one StandardTensor (degree 0) or a pair
-
-    def __post_init__(self):
-        want = 1 if self.degree == 0 else 2
-        if len(self.components) != want:
-            raise ValueError("component count does not match the degree")
-
-    @property
-    def algebra(self) -> GwaParams:
-        return self.components[0].algebra
-
-
-def c_element(params: GwaParams, degree: int, *summands) -> CElement:
-    """Build a CElement from lists of (u, v) GwaElement pairs per summand."""
-    comps = []
-    for s, pairs in enumerate(summands):
-        acc: dict = {}
-        for u, v in pairs:
-            _accumulate(acc, standardize(params, u, v, _push_for(degree, s)).terms)
-        comps.append(StandardTensor(params, acc))
-    return CElement(degree, tuple(comps))
-
-
-def _c_generator_images(params: GwaParams, i: int):
-    """d_i on the two generators, as pairs-of-(u, v)-lists per target summand."""
-    one, x, y = params.one(), params.x(), params.y()
-    if i == 1:
-        return ([[(x, one), (-1 * one, x)]],
-                [[(y, one), (-1 * one, y)]])
-    if i % 2 == 0:
-        return ([[(y, one)], [(one, x)]],
-                [[(one, y)], [(x, one)]])
-    return ([[(x, one)], [(-1 * one, x)]],
-            [[(-1 * one, y)], [(y, one)]])
-
-
-def c_diff(i: int, e: CElement) -> CElement:
-    """The differential d_i : C_i -> C_{i-1}, extended bimodule-linearly."""
-    if i < 1 or e.degree != i:
-        raise ValueError("degree mismatch")
-    params = e.algebra
-    gens = _c_generator_images(params, i)
-    out = [{} for _ in range(1 if i == 1 else 2)]
-    for s, comp in enumerate(e.components):
-        for (q, j), b in comp.terms.items():
-            left = params.monomial(0, q)
-            right = multiply(params.from_poly(b), params.monomial(0, j))
-            for t, pairs in enumerate(gens[s]):
-                for u, v in pairs:
-                    _accumulate(out[t], standardize(params, multiply(left, u),
-                                                    multiply(v, right),
-                                                    _push_for(i - 1, t)).terms)
-    return CElement(i - 1, tuple(StandardTensor(params, t) for t in out))
+from .scalars import div
 
 
 # ---------------------------------------------------------------------------
@@ -262,3 +165,79 @@ def tot_images(params: GwaParams, n: int) -> list[list[dict]]:
         return dv + dh0
     return ([h + v for h, v in zip(_dh_gens(params, n - 1, 1), dv)]
             + [r + h for r, h in zip(_r_gens(params, n), dh0)])
+
+
+# ---------------------------------------------------------------------------
+# The complex C
+# ---------------------------------------------------------------------------
+
+def _push_for(degree: int, summand: int) -> int:
+    """sigma-power moved across the balanced tensor when standardizing.
+
+    In A (x)_B A a middle b passes unchanged; in A^s (x)_B A (left leg,
+    odd degrees, summand 0) it passes as sigma^{-1}(b); in A (x)_B ^s A
+    (summand 1) as sigma(b).
+    """
+    if degree == 0 or degree % 2 == 0:
+        return 0
+    return -1 if summand == 0 else 1
+
+
+def _standardize(params: GwaParams, terms: dict, push: int) -> dict:
+    """Standard form of an A (x) A term dict over the B-balanced tensor.
+
+    z^p x_q (x) v = x_q (x) sigma^{push - q}(z)^p v: z^p x_q is
+    x_q sigma^{-q}(z)^p, and the middle factor crosses as sigma^{push} of
+    itself.  The row sigma^{push - q}(z)^p times z^i x_j is a key shift.
+    """
+    out: dict = {}
+    for ((p, q), (i, j)), c in terms.items():
+        off, row = params._row(push - q, p, 0)
+        _accumulate(out, {((0, q), (i + off + e, j)): r
+                          for e, r in enumerate(row) if r}, c)
+    return out
+
+
+@dataclass
+class CElement(DirectSum):
+    degree: int
+    components: tuple  # one TensorElement (degree 0) or a pair, standard form
+
+    def __post_init__(self):
+        want = 1 if self.degree == 0 else 2
+        if len(self.components) != want:
+            raise ValueError("component count does not match the degree")
+        for c in self.components[1:]:
+            _same_algebra(self.components[0], c)
+
+    @property
+    def algebra(self) -> GwaParams:
+        return self.components[0].algebra
+
+
+def c_element(params: GwaParams, degree: int, *summands) -> CElement:
+    """Build a CElement from lists of (u, v) GwaElement pairs per summand."""
+    comps = []
+    for s, pairs in enumerate(summands):
+        uv: dict = {}
+        for u, v in pairs:
+            if _same_algebra(u, v) != params:
+                raise ValueError("operands belong to different algebras")
+            for L, cl in u.terms.items():
+                _accumulate(uv, {(L, R): cr for R, cr in v.terms.items()}, cl)
+        comps.append(TensorElement(
+            params, _standardize(params, uv, _push_for(degree, s))))
+    return CElement(degree, tuple(comps))
+
+
+def c_diff(i: int, e: CElement) -> CElement:
+    """The differential d_i : C_i -> C_{i-1}: d^h's table on row q = 0 of P,
+    extended bimodule-linearly, then brought to standard form."""
+    if i < 1 or e.degree != i:
+        raise ValueError("degree mismatch")
+    params = e.algebra
+    slots = _linear_extend(params, [c.terms for c in e.components],
+                           _dh_gens(params, i, 0))
+    return CElement(i - 1, tuple(
+        TensorElement(params, _standardize(params, terms, _push_for(i - 1, t)))
+        for t, terms in enumerate(slots)))

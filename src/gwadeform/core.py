@@ -14,10 +14,11 @@ over A or A (x) A, or a short tuple of such combinations:
 
 * ``LinComb`` is a combination {key: coefficient} over one algebra, with
   scalar coefficients (an int when integral, else a Fraction; see
-  ``scalars``) or Poly ones; a falsy coefficient means zero and is never
-  stored.  It gives equality (the algebra is part of it), negation,
-  sum, difference and scaling.  ``GwaElement``, ``TensorElement`` and the
-  standard tensors of ``complexes`` subclass it.
+  ``scalars``); a falsy coefficient means zero and is never stored.  It
+  gives equality (the algebra is part of it), negation, sum, difference
+  and scaling.  ``GwaElement`` and ``TensorElement`` subclass it; the
+  chains of the complex C in ``complexes`` are tensor elements in
+  standard form.
 * ``DirectSum`` gives the tuple dataclasses (chain and cochain
   components, truncated tau-series) componentwise zero test, negation,
   sum and difference; their equality is the dataclass one.
@@ -45,13 +46,14 @@ is sigma^q(z)^i = (c z + d)^i (binomial theorem; c^i z^i when d = 0)
 times the factor that the m cancelled pairs leave (memoized per (q, m)
 and built from (q, m - 1)).  ``_row`` keeps it per algebra as (z-offset,
 coefficients), normalized once (integral values as ints), shared and
-never mutated.  ``_multiply_into`` adds every pair of terms by this rule:
-a key shift inline, any other product from the row, with no product memo
-in between.  ``GwaParams._mono_mul(p, q, i, j)`` spells out the same rule
-as a term dict memoized per (p, q, i, j), for callers that want one
-basis product as a dict: the h0 commutator span, the linear extensions
-of ``complexes``, ``hochschild.determine_F`` (g z^i x_j) and
-``deform._closed_form_datum``.
+never mutated; ``complexes._standardize`` reads its m = 0 rows to move
+z^p across the balanced tensor.  ``_multiply_into`` adds every pair of
+terms by this rule: a key shift inline, any other product from the row,
+with no product memo in between.  ``GwaParams._mono_mul(p, q, i, j)``
+spells out the same rule as a term dict memoized per (p, q, i, j), for
+callers that want one basis product as a dict: the h0 commutator span,
+the linear extensions of ``complexes``, ``hochschild.determine_F``
+(g z^i x_j) and ``deform._closed_form_datum``.
 """
 from __future__ import annotations
 

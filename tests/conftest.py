@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from gwadeform import linalg
-from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
+from gwadeform.complexes import CElement, _push_for, c_diff
 from gwadeform.core import (
     GwaElement,
     GwaParams,
@@ -230,8 +230,14 @@ def _c_index_set(params, degree, window):
 
 def _c_terms(e):
     return {(s, q, m, j): c for s, comp in enumerate(e.components)
-            for (q, j), b in comp.terms.items()
-            for m, c in enumerate(b.coeffs) if c}
+            for ((_, q), (m, j)), c in comp.terms.items()}
+
+
+def c_standard_monomial(params, degree, s, q, m, j):
+    """x_q (x) z^m x_j in summand s of C_degree, zero in the other one."""
+    comps = [TensorElement(params, {}) for _ in range(1 if degree == 0 else 2)]
+    comps[s] = TensorElement(params, {((0, q), (m, j)): 1})
+    return CElement(degree, tuple(comps))
 
 
 def c_solve_preimage(i, target, window):
@@ -244,20 +250,87 @@ def c_solve_preimage(i, target, window):
     if i >= 1 and not c_diff(i, target).is_zero():
         raise ValueError("target is not a cycle")
     src_index = _c_index_set(params, i + 1, window + params.l + 1)
-    zero = c_element(params, i + 1, [], []).components
-    columns = []
-    for (s, q, m, j) in src_index:
-        comps = list(zero)
-        comps[s] = StandardTensor(params, {(q, j): Poly.monomial(m)})
-        columns.append(_c_terms(c_diff(i + 1, CElement(i + 1, tuple(comps)))))
+    columns = [_c_terms(c_diff(i + 1, c_standard_monomial(params, i + 1, *k)))
+               for k in src_index]
     sol = linalg.solve_many(columns, [_c_terms(target)])[0]
     if sol is None:
         return None
-    comps = [{} for _ in zero]
+    comps = [{}, {}]
     for (s, q, m, j), c in zip(src_index, sol):
         if c:
-            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
-    return CElement(i + 1, tuple(StandardTensor(params, t) for t in comps))
+            comps[s][((0, q), (m, j))] = c
+    return CElement(i + 1, tuple(TensorElement(params, t) for t in comps))
+
+
+# ---------------------------------------------------------------------------
+# The complex C as it was: its own generator images, and standard tensors
+# x_q (x) b(z) x_j kept as {(q, j): b} with Poly coefficients
+# ---------------------------------------------------------------------------
+
+def reference_standardize(params, u, v, push):
+    """complexes.standardize as it was: u (x) v over the B-balanced tensor
+    with twist push, as {(q, j): b}, through one element product per term
+    of u."""
+    out = {}
+    for (p, q), c in u.terms.items():
+        # z^p x_q = x_q * sigma^{-q}(z^p); the middle factor crosses as
+        # sigma^{push} of itself
+        b = params.sigma_pow(Poly.monomial(p, c), -q + push)
+        w = multiply(params.from_poly(b), v)
+        for (m, j), cw in w.terms.items():
+            _accumulate(out, {(q, j): Poly.monomial(m, cw)})
+    return out
+
+
+def reference_c_generator_images(params, i):
+    """d_i on the two generators of C_i as it was written by hand: lists of
+    (u, v) pairs per target summand."""
+    one, x, y = params.one(), params.x(), params.y()
+    if i == 1:
+        return ([[(x, one), (-1 * one, x)]],
+                [[(y, one), (-1 * one, y)]])
+    if i % 2 == 0:
+        return ([[(y, one)], [(one, x)]],
+                [[(one, y)], [(x, one)]])
+    return ([[(x, one)], [(-1 * one, x)]],
+            [[(-1 * one, y)], [(y, one)]])
+
+
+def reference_c_diff(params, i, comps):
+    """complexes.c_diff as it was, on components {(q, j): b}: each image
+    pair (u, v) of the generator sends x_q (x) b x_j to the standard form of
+    (x_q u) (x) (v b x_j), through element products."""
+    gens = reference_c_generator_images(params, i)
+    out = [{} for _ in range(1 if i == 1 else 2)]
+    for s, comp in enumerate(comps):
+        for (q, j), b in comp.items():
+            left = params.monomial(0, q)
+            right = multiply(params.from_poly(b), params.monomial(0, j))
+            for t, pairs in enumerate(gens[s]):
+                for u, v in pairs:
+                    _accumulate(out[t], reference_standardize(
+                        params, multiply(left, u), multiply(v, right),
+                        _push_for(i - 1, t)))
+    return out
+
+
+def c_to_reference(e):
+    """The components of a CElement as {(q, j): b}."""
+    out = []
+    for comp in e.components:
+        terms = {}
+        for ((_, q), (m, j)), c in comp.terms.items():
+            _accumulate(terms, {(q, j): Poly.monomial(m, c)})
+        out.append(terms)
+    return out
+
+
+def c_from_reference(params, degree, comps):
+    """The CElement whose components are given as {(q, j): b}."""
+    return CElement(degree, tuple(
+        TensorElement(params, {((0, q), (m, j)): c for (q, j), b in comp.items()
+                               for m, c in enumerate(b.coeffs) if c})
+        for comp in comps))
 
 
 def reference_theta2(params, left, right):

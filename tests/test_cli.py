@@ -279,6 +279,30 @@ def test_check_algebra_associativity_sweep_detects_a_wrong_product(
     assert broken["triples"] == clean["triples"] > 200
 
 
+@pytest.mark.parametrize("p0", range(2, 8))
+def test_check_algebra_c_and_p_share_the_dh_table(capsys, monkeypatch, p0):
+    # C's differential is d^h's table on row q = 0 of P, so one wrong sign
+    # in that table (slot 1 of generator 0 of P_{p0,0}) fails both checks;
+    # p0 = 7 fails only c_diff, since verify_hdc stops at p = 6
+    from gwadeform import complexes
+
+    honest = complexes._dh_gens
+
+    def poisoned(params, p, q):
+        rows = honest(params, p, q)
+        if (p, q) == (p0, 0):
+            rows[0][1] = {k: -c for k, c in rows[0][1].items()}
+        return rows
+
+    monkeypatch.setattr(complexes, "_dh_gens", poisoned)
+    code, report = run_json(
+        capsys, ["--config", str(CORPUS[1]), "--json", "check-algebra"])
+    failed = {r["check"] for r in report["results"] if not r["pass"]}
+    assert code == 1 and report["pass"] is False
+    assert failed == ({"c_diff.c_diff = 0"} if p0 == 7 else
+                      {"homotopy-double-complex", "c_diff.c_diff = 0"})
+
+
 def test_json_report_deterministic(tmp_path, capsys):
     cfg = write_config(tmp_path, "2", "0", ["0", "1"])
     argv = ["--config", cfg, "--json", "--seed", "7", "check-algebra"]

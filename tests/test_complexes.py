@@ -6,15 +6,14 @@ import pytest
 from gwadeform import complexes
 from gwadeform.complexes import (
     CElement,
-    StandardTensor,
     _compose,
     _dh_gens,
     _dv_gens,
     _linear_extend,
     _r_gens,
+    _standardize,
     c_diff,
     c_element,
-    standardize,
     tot_images,
     verify_hdc,
 )
@@ -32,14 +31,19 @@ from gwadeform.core import (
 from gwadeform.scalars import Poly
 
 from conftest import (
+    c_from_reference,
     c_solve_preimage,
+    c_to_reference,
     full_corpus,
     random_algebra,
     random_element,
+    reference_c_diff,
+    reference_c_generator_images,
     reference_dh_gens,
     reference_dv_gens,
     reference_linear_extend,
     reference_r_gens,
+    reference_standardize,
     reference_tot_images,
     reference_verify_hdc,
     table_terms,
@@ -56,23 +60,25 @@ def small_corpus():
             GwaParams(1, 1, Z)]
 
 
-def random_c_element(rng, params, degree, window, nterms=2):
+def random_c_element(rng, params, degree, window, nterms=2, reach=1):
+    """nterms random standard monomials c x_q (x) z^m x_j per summand, with
+    |q|, |j| <= reach and m <= window."""
     comps = []
     for _ in range(1 if degree == 0 else 2):
         terms = {}
         for _ in range(nterms):
-            q = rng.randint(-1, 1)
-            j = rng.randint(-1, 1)
+            q = rng.randint(-reach, reach)
+            j = rng.randint(-reach, reach)
             m = rng.randint(0, window)
             c = Fraction(rng.randint(-3, 3))
-            cur = terms.get((q, j), Poly.zero())
-            terms[(q, j)] = cur + Poly.monomial(m, c)
-        comps.append(StandardTensor(params, terms))
+            _accumulate(terms, {((0, q), (m, j)): c})
+        comps.append(TensorElement(params, terms))
     return CElement(degree, tuple(comps))
 
 
 def test_standardize_balanced():
-    # ub (x) v and u (x) sigma^{push}(b) v standardize identically
+    # ub (x) v and u (x) sigma^{push}(b) v standardize identically, into
+    # the standard form x_q (x) z^m x_j
     rng = random.Random(2)
     for a in small_corpus():
         for push in (-1, 0, 1):
@@ -82,9 +88,51 @@ def test_standardize_balanced():
                 b = Poly([rng.randint(-2, 2) for _ in range(3)])
                 if b.is_zero():
                     continue
-                lhs = standardize(a, u * a.from_poly(b), v, push)
-                rhs = standardize(a, u, a.from_poly(a.sigma_pow(b, push)) * v, push)
+                lhs = _standardize(a, tensor_from_pair(u * a.from_poly(b), v).terms,
+                                   push)
+                rhs = _standardize(a, tensor_from_pair(
+                    u, a.from_poly(a.sigma_pow(b, push)) * v).terms, push)
                 assert lhs == rhs
+                assert all(L[0] == 0 for L, _ in lhs)
+
+
+def test_standardize_matches_reference():
+    # _standardize against the former standardize, through element products
+    rng = random.Random(3)
+    for a in full_corpus() + [random_algebra(rng) for _ in range(12)]:
+        for push in (-1, 0, 1):
+            u = random_element(rng, a, 4)
+            v = random_element(rng, a, 4)
+            got = _standardize(a, tensor_from_pair(u, v).terms, push)
+            want = reference_standardize(a, u, v, push)
+            assert (c_to_reference(CElement(0, (TensorElement(a, got),)))
+                    == [want]), (a, push)
+
+
+def test_c_images_are_dh_row_zero():
+    # the hand-written images of the former c_diff are d^h's table on the
+    # q = 0 row of P
+    rng = random.Random(5)
+    for a in full_corpus() + [random_algebra(rng) for _ in range(12)]:
+        for i in range(1, 8):
+            want = [[sum((tensor_from_pair(u, v) for u, v in pairs),
+                         TensorElement(a, {})).terms for pairs in row]
+                    for row in reference_c_generator_images(a, i)]
+            assert _dh_gens(a, i, 0) == want, (a, i)
+
+
+def test_c_diff_matches_reference():
+    # random multi-term elements of degrees 1..7 against the former c_diff
+    rng = random.Random(11)
+    count = 0
+    for a in full_corpus() + [random_algebra(rng) for _ in range(12)]:
+        for i in [*range(1, 8)] * 3:
+            e = random_c_element(rng, a, i, 3, nterms=3, reach=2)
+            want = reference_c_diff(a, i, c_to_reference(e))
+            got = c_diff(i, e)
+            assert got == c_from_reference(a, i - 1, want), (a, i)
+            count += not got.is_zero()
+    assert count > 400
 
 
 def test_c_diff_generators():
@@ -123,10 +171,9 @@ def c_augment(e):
         raise ValueError("augmentation is defined in degree 0 only")
     params = e.algebra
     out: dict = {}
-    for (q, j), b in e.components[0].terms.items():
-        _accumulate(out, multiply(params.monomial(0, q),
-                                  multiply(params.from_poly(b),
-                                           params.monomial(0, j))).terms)
+    for ((p, q), (m, j)), c in e.components[0].terms.items():
+        _accumulate(out, multiply(params.monomial(p, q),
+                                  params.monomial(m, j)).terms, c)
     return GwaElement(params, out)
 
 

@@ -16,16 +16,17 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gwadeform import linalg
-from gwadeform.complexes import CElement, StandardTensor, c_diff, c_element
-from gwadeform.core import GwaElement, _accumulate, basis_window, module_nu, module_plain
+from gwadeform.complexes import CElement, c_diff, c_element
+from gwadeform.core import (GwaElement, TensorElement, _accumulate, basis_window,
+                            module_nu, module_plain)
 from gwadeform.linalg import Echelon, solve_many
 from gwadeform.deform import _defining_cocycle
 from gwadeform.percomplex import PerCochain, per_diff, per_solve_preimage
-from gwadeform.scalars import Poly
 
 from conftest import (
     _c_index_set,
     c_solve_preimage,
+    c_standard_monomial,
     full_corpus,
     random_element,
 )
@@ -197,15 +198,11 @@ def dense_c_solve_preimage(i, target, window):
 
     def to_vector(e):
         terms = {(s, q, m, j): c for s, comp in enumerate(e.components)
-                 for (q, j), b in comp.terms.items()
-                 for m, c in enumerate(b.coeffs) if c}
+                 for ((_, q), (m, j)), c in comp.terms.items()}
         return dense_vector(terms, tgt_index)
 
-    cols = []
-    for (s, q, m, j) in src_index:
-        comps = list(c_element(params, i + 1, [], []).components)
-        comps[s] = StandardTensor(params, {(q, j): Poly.monomial(m)})
-        cols.append(to_vector(c_diff(i + 1, CElement(i + 1, tuple(comps)))))
+    cols = [to_vector(c_diff(i + 1, c_standard_monomial(params, i + 1, *k)))
+            for k in src_index]
     matrix = [[col[r] for col in cols] for r in range(len(tgt_index))]
     sol = dense_solve_many(matrix, [to_vector(target)])[0]
     if sol is None:
@@ -213,8 +210,8 @@ def dense_c_solve_preimage(i, target, window):
     comps = [{}, {}]
     for (s, q, m, j), c in zip(src_index, sol):
         if c:
-            _accumulate(comps[s], {(q, j): Poly.monomial(m, c)})
-    return CElement(i + 1, tuple(StandardTensor(params, t) for t in comps))
+            _accumulate(comps[s], {((0, q), (m, j)): c})
+    return CElement(i + 1, tuple(TensorElement(params, t) for t in comps))
 
 
 # ---------------------------------------------------------------------------
