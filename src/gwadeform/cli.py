@@ -20,7 +20,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .complexes import c_diff, c_element, verify_hdc
+from .complexes import c_diff, verify_hdc
 from .core import (
     GwaElement,
     GwaParams,
@@ -117,7 +117,7 @@ def _random_element(rng, params, window, nterms=3):
 
 def cmd_check_algebra(params, args, rng):
     results = []
-    one, x, y, z = params.one(), params.x(), params.y(), params.z()
+    x, y, z = params.x(), params.y(), params.z()
     sz = params.from_poly(params.sigma_z(1))
     siz = params.from_poly(params.sigma_z(-1))
     relations = {
@@ -144,9 +144,8 @@ def cmd_check_algebra(params, args, rng):
     ok = True
     for i in range(1, 7):
         for s in range(2):
-            summands = [[(one, one)] if t == s else [] for t in range(2)]
-            g = c_element(params, i + 1, *summands)
-            if not c_diff(i, c_diff(i + 1, g)).is_zero():
+            g = [{((0, 0), (0, 0)): 1} if t == s else {} for t in range(2)]
+            if any(c_diff(params, i, c_diff(params, i + 1, g))):
                 ok = False
     results.append({"check": "c_diff.c_diff = 0", "pass": ok})
     return results

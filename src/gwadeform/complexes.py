@@ -9,26 +9,23 @@
   differential of Hom(T, M) in ``percomplex`` is read from that table.
 * The periodic chain complex C with C_0 = A (x)_B A, odd degrees
   (A^s (x)_B A) + (A (x)_B ^s A), even positive degrees two untwisted
-  copies.  Its differential d_i is d^h's table on row q = 0 of P, read in
-  the balanced tensor: ``_linear_extend`` applies it on A (x) A, and
-  ``_standardize`` brings each slot to the standard form
-  sum x_q (x) z^m x_j, a ``TensorElement`` with keys ((0, q), (m, j)).
+  copies.  A chain of C_i is, like a chain of T, one A (x) A term dict
+  per slot (one slot for C_0, two above).  ``c_diff`` is d^h's table on
+  row q = 0 of P, read in the balanced tensor: ``_linear_extend`` applies
+  it, and ``_standardize`` brings each slot to the standard form
+  sum x_q (x) z^m x_j, with keys ((0, q), (m, j)).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .core import (
-    DirectSum,
     GwaParams,
     LEG_ID,
     LegMap,
-    TensorElement,
     _MINUS_ONE,
     _accumulate,
     _delta_terms,
-    _same_algebra,
 )
 from .scalars import div
 
@@ -178,7 +175,7 @@ def _push_for(degree: int, summand: int) -> int:
     odd degrees, summand 0) it passes as sigma^{-1}(b); in A (x)_B ^s A
     (summand 1) as sigma(b).
     """
-    if degree == 0 or degree % 2 == 0:
+    if degree % 2 == 0:
         return 0
     return -1 if summand == 0 else 1
 
@@ -198,46 +195,14 @@ def _standardize(params: GwaParams, terms: dict, push: int) -> dict:
     return out
 
 
-@dataclass
-class CElement(DirectSum):
-    degree: int
-    components: tuple  # one TensorElement (degree 0) or a pair, standard form
-
-    def __post_init__(self):
-        want = 1 if self.degree == 0 else 2
-        if len(self.components) != want:
-            raise ValueError("component count does not match the degree")
-        for c in self.components[1:]:
-            _same_algebra(self.components[0], c)
-
-    @property
-    def algebra(self) -> GwaParams:
-        return self.components[0].algebra
-
-
-def c_element(params: GwaParams, degree: int, *summands) -> CElement:
-    """Build a CElement from lists of (u, v) GwaElement pairs per summand."""
-    comps = []
-    for s, pairs in enumerate(summands):
-        uv: dict = {}
-        for u, v in pairs:
-            if _same_algebra(u, v) != params:
-                raise ValueError("operands belong to different algebras")
-            for L, cl in u.terms.items():
-                _accumulate(uv, {(L, R): cr for R, cr in v.terms.items()}, cl)
-        comps.append(TensorElement(
-            params, _standardize(params, uv, _push_for(degree, s))))
-    return CElement(degree, tuple(comps))
-
-
-def c_diff(i: int, e: CElement) -> CElement:
-    """The differential d_i : C_i -> C_{i-1}: d^h's table on row q = 0 of P,
-    extended bimodule-linearly, then brought to standard form."""
-    if i < 1 or e.degree != i:
-        raise ValueError("degree mismatch")
-    params = e.algebra
-    slots = _linear_extend(params, [c.terms for c in e.components],
-                           _dh_gens(params, i, 0))
-    return CElement(i - 1, tuple(
-        TensorElement(params, _standardize(params, terms, _push_for(i - 1, t)))
-        for t, terms in enumerate(slots)))
+def c_diff(params: GwaParams, i: int, slots: list) -> list:
+    """The differential d_i : C_i -> C_{i-1} on a chain given as one A (x) A
+    term dict per slot: d^h's table on row q = 0 of P, extended
+    bimodule-linearly, then each target slot brought to standard form."""
+    if i < 1:
+        raise ValueError(f"C_i has a differential only for i >= 1, got {i}")
+    gens = _dh_gens(params, i, 0)
+    if len(slots) != len(gens):
+        raise ValueError(f"C_{i} has {len(gens)} slots, got {len(slots)}")
+    return [_standardize(params, terms, _push_for(i - 1, t))
+            for t, terms in enumerate(_linear_extend(params, slots, gens))]

@@ -16,12 +16,12 @@ over A or A (x) A, or a short tuple of such combinations:
   scalar coefficients (an int when integral, else a Fraction; see
   ``scalars``); a falsy coefficient means zero and is never stored.  It
   gives equality (the algebra is part of it), negation, sum, difference
-  and scaling.  ``GwaElement`` and ``TensorElement`` subclass it; the
-  chains of the complex C in ``complexes`` are tensor elements in
-  standard form.
-* ``DirectSum`` gives the tuple dataclasses (chain and cochain
-  components, truncated tau-series) componentwise zero test, negation,
-  sum and difference; their equality is the dataclass one.
+  and scaling.  ``GwaElement`` and ``TensorElement`` subclass it.  The
+  chains of T and C in ``complexes`` are plain lists of term dicts, one
+  per slot, and carry no algebra.
+* ``DirectSum`` gives the tuple dataclasses (cochain components,
+  truncated tau-series) componentwise zero test, negation, sum and
+  difference; their equality is the dataclass one.
 * ``_accumulate(out, terms, c)`` adds c * terms into the term dict ``out``
   in place.  Its contract: a falsy value is never stored (a key that
   cancels is deleted), and an integral value is stored as an int.
@@ -364,9 +364,6 @@ class GwaElement(LinComb):
     """A finite combination sum c_{p,q} z^p x_q over a fixed algebra."""
 
     __slots__ = ()
-
-    def coeff(self, p: int, q: int) -> int | Fraction:
-        return self.terms.get((p, q), _ZERO)
 
     def __mul__(self, other):
         if isinstance(other, GwaElement):

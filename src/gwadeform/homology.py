@@ -25,7 +25,12 @@ quantum case keeps z^{xi(i)} for i <= l - R together with a periodic
 family z^{j+1} x_k governed by the multiplicative order e of lambda.
 R counts the distinct e-th powers of the nonzero roots of phi: it is the
 degree of the squarefree part of `scalars.root_power_poly(phi, e)`, whose
-roots are those powers, less one if 0 is among them.
+roots are those powers, less one if 0 is among them.  When lambda is not
+a root of unity (e = 0) and l >= 2, the q = 0 column of the span is
+(sigma - lambda)(phi k[z]), and sigma - lambda kills only z, so it keeps
+exactly l classes: the cut is max(R, 1), since R = 0 there means
+phi = c z^l.  The rule for lambda = -1 when 0 is a multiple root of phi
+is not derived, and the prediction fails there.
 """
 from __future__ import annotations
 
@@ -225,7 +230,9 @@ def predict_h0(params: GwaParams) -> H0Prediction:
         raise MixedCaseError("lambda != 1 with eta != 0 is not normalized here")
     e = compute_e(params.lam)
     R = compute_R(params.phi, e)
-    finite = [xi(i, e) for i in range(1, params.l - R + 1)]
+    # e = 0 keeps l classes in column q = 0 once l >= 2 (module docstring)
+    cut = max(R, 1) if e == 0 and params.l >= 2 else R
+    finite = [xi(i, e) for i in range(1, params.l - cut + 1)]
     return H0Prediction("quantum", e, R, finite, True)
 
 

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from gwadeform import linalg
-from gwadeform.complexes import CElement, _push_for, c_diff
+from gwadeform.complexes import _push_for, _standardize, c_diff
 from gwadeform.core import (
     GwaElement,
     GwaParams,
@@ -228,38 +228,51 @@ def _c_index_set(params, degree, window):
     return out
 
 
-def _c_terms(e):
-    return {(s, q, m, j): c for s, comp in enumerate(e.components)
-            for ((_, q), (m, j)), c in comp.terms.items()}
+def _c_terms(slots):
+    return {(s, q, m, j): c for s, comp in enumerate(slots)
+            for ((_, q), (m, j)), c in comp.items()}
 
 
-def c_standard_monomial(params, degree, s, q, m, j):
-    """x_q (x) z^m x_j in summand s of C_degree, zero in the other one."""
-    comps = [TensorElement(params, {}) for _ in range(1 if degree == 0 else 2)]
-    comps[s] = TensorElement(params, {((0, q), (m, j)): 1})
-    return CElement(degree, tuple(comps))
+def c_chain(params, degree, *summands):
+    """The chain of C_degree whose slot s is the standard form of the sum of
+    u (x) v over the (u, v) GwaElement pairs of summands[s]."""
+    slots = []
+    for s, pairs in enumerate(summands):
+        uv: dict = {}
+        for u, v in pairs:
+            if _same_algebra(u, v) != params:
+                raise ValueError("operands belong to different algebras")
+            _accumulate(uv, tensor_from_pair(u, v).terms)
+        slots.append(_standardize(params, uv, _push_for(degree, s)))
+    return slots
 
 
-def c_solve_preimage(i, target, window):
+def c_standard_monomial(degree, s, q, m, j):
+    """x_q (x) z^m x_j in slot s of C_degree, zero in the other one."""
+    slots = [{} for _ in range(1 if degree == 0 else 2)]
+    slots[s] = {((0, q), (m, j)): 1}
+    return slots
+
+
+def c_solve_preimage(params, i, target, window):
     """Find e in C_{i+1} with d_{i+1}(e) = target by an exact windowed solve.
 
     The unknowns are the standard monomials of C_{i+1} in the window plus
     l + 1.  Returns None when the truncated system is inconsistent.
     """
-    params = target.algebra
-    if i >= 1 and not c_diff(i, target).is_zero():
+    if i >= 1 and any(c_diff(params, i, target)):
         raise ValueError("target is not a cycle")
     src_index = _c_index_set(params, i + 1, window + params.l + 1)
-    columns = [_c_terms(c_diff(i + 1, c_standard_monomial(params, i + 1, *k)))
+    columns = [_c_terms(c_diff(params, i + 1, c_standard_monomial(i + 1, *k)))
                for k in src_index]
     sol = linalg.solve_many(columns, [_c_terms(target)])[0]
     if sol is None:
         return None
-    comps = [{}, {}]
+    slots = [{}, {}]
     for (s, q, m, j), c in zip(src_index, sol):
         if c:
-            comps[s][((0, q), (m, j))] = c
-    return CElement(i + 1, tuple(TensorElement(params, t) for t in comps))
+            slots[s][((0, q), (m, j))] = c
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -314,23 +327,22 @@ def reference_c_diff(params, i, comps):
     return out
 
 
-def c_to_reference(e):
-    """The components of a CElement as {(q, j): b}."""
+def c_to_reference(slots):
+    """The slots of a chain of C as {(q, j): b}."""
     out = []
-    for comp in e.components:
+    for comp in slots:
         terms = {}
-        for ((_, q), (m, j)), c in comp.terms.items():
+        for ((_, q), (m, j)), c in comp.items():
             _accumulate(terms, {(q, j): Poly.monomial(m, c)})
         out.append(terms)
     return out
 
 
-def c_from_reference(params, degree, comps):
-    """The CElement whose components are given as {(q, j): b}."""
-    return CElement(degree, tuple(
-        TensorElement(params, {((0, q), (m, j)): c for (q, j), b in comp.items()
-                               for m, c in enumerate(b.coeffs) if c})
-        for comp in comps))
+def c_from_reference(comps):
+    """The slots of the chain of C given as {(q, j): b}."""
+    return [{((0, q), (m, j)): c for (q, j), b in comp.items()
+             for m, c in enumerate(b.coeffs) if c}
+            for comp in comps]
 
 
 def reference_theta2(params, left, right):

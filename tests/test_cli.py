@@ -228,6 +228,8 @@ def test_h0_examples(tmp_path, capsys):
     assert survivors("1", "1", ["0", "0", "1"]) == {(0, 0)}
     assert survivors("1", "1", ["0", "1"]) == set()
     assert survivors("2", "0", ["0", "1"]) == {(0, 0), (1, 0)}
+    # phi = z^2 has no nonzero root, and column q = 0 still keeps l classes
+    assert survivors("2", "0", ["0", "0", "1"]) == {(0, 0), (1, 0)}
 
 
 def test_deform_verify(tmp_path, capsys):

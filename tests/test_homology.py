@@ -19,7 +19,8 @@ from gwadeform.homology import (
 )
 from gwadeform.scalars import Poly
 
-from conftest import full_corpus, random_element, reference_multiply_into
+from conftest import full_corpus, random_algebra, random_element, \
+    reference_multiply_into
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -191,6 +192,38 @@ def test_compare_h0_quantum_e0():
     assert rep["pass"]
     surv = [(s["monomial"]["p"], s["monomial"]["q"]) for s in rep["survivors"]]
     assert surv == [(0, 0), (1, 0)]
+
+
+# phi with 0 as a multiple root; z^2 + 1 and z^2 (z - 1) were right before
+MULTIPLE_ZERO_PHIS = [Z**2, Z**3, Poly.constant(2) * Z**4, Z**2 * (Z - ONE),
+                      Z**2 + ONE]
+
+
+def test_compare_h0_e0_keeps_l_classes_in_column_zero():
+    # lambda not a root of unity: sigma - lambda kills only z, so column
+    # q = 0 keeps l classes once l >= 2, also for phi = c z^l (R = 0)
+    rng = random.Random(17)
+    algebras = [GwaParams(lam, 0, phi) for lam in (2, Fraction(1, 3))
+                for phi in MULTIPLE_ZERO_PHIS]
+    for _ in range(48):
+        lam = rng.choice([2, Fraction(1, 3), 3, Fraction(-2, 5)])
+        phi = random_algebra(rng).phi * Z ** rng.randint(0, 2)
+        algebras.append(GwaParams(lam, 0, phi))
+    for a in algebras:
+        rep = compare_h0(a)
+        assert rep["pass"], a
+        assert rep["prediction"]["R"] == compute_R(a.phi, 0)
+        column0 = [s for s in rep["survivors"] if s["monomial"]["q"] == 0]
+        if a.l >= 2:
+            assert len(column0) == a.l, a
+
+
+@pytest.mark.xfail(strict=True, reason="the lambda = -1 rule for a multiple "
+                   "root 0 of phi is not derived; predict_h0 keeps too many")
+@pytest.mark.parametrize("phi", MULTIPLE_ZERO_PHIS[:4],
+                         ids=["z2", "z3", "2z4", "z2(z-1)"])
+def test_compare_h0_e2_multiple_root_at_zero(phi):
+    assert compare_h0(GwaParams(-1, 0, phi))["pass"]
 
 
 def test_compare_h0_quantum_e2():

@@ -16,8 +16,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from gwadeform import linalg
-from gwadeform.complexes import CElement, c_diff, c_element
-from gwadeform.core import (GwaElement, TensorElement, _accumulate, basis_window,
+from gwadeform.complexes import c_diff
+from gwadeform.core import (GwaElement, _accumulate, basis_window,
                             module_nu, module_plain)
 from gwadeform.linalg import Echelon, solve_many
 from gwadeform.deform import _defining_cocycle
@@ -25,6 +25,7 @@ from gwadeform.percomplex import PerCochain, per_diff, per_solve_preimage
 
 from conftest import (
     _c_index_set,
+    c_chain,
     c_solve_preimage,
     c_standard_monomial,
     full_corpus,
@@ -188,30 +189,29 @@ def dense_per_solve_preimage(target, window):
                       tuple(GwaElement(params, t) for t in comps))
 
 
-def dense_c_solve_preimage(i, target, window):
+def dense_c_solve_preimage(params, i, target, window):
     """Reference: the former c_solve_preimage, dense columns over the
     standard basis of C_i at the source window + 2(l + 1)."""
-    params = target.algebra
     src_window = window + params.l + 1
     src_index = _c_index_set(params, i + 1, src_window)
     tgt_index = _c_index_set(params, i, src_window + 2 * (params.l + 1))
 
-    def to_vector(e):
-        terms = {(s, q, m, j): c for s, comp in enumerate(e.components)
-                 for ((_, q), (m, j)), c in comp.terms.items()}
+    def to_vector(slots):
+        terms = {(s, q, m, j): c for s, comp in enumerate(slots)
+                 for ((_, q), (m, j)), c in comp.items()}
         return dense_vector(terms, tgt_index)
 
-    cols = [to_vector(c_diff(i + 1, c_standard_monomial(params, i + 1, *k)))
+    cols = [to_vector(c_diff(params, i + 1, c_standard_monomial(i + 1, *k)))
             for k in src_index]
     matrix = [[col[r] for col in cols] for r in range(len(tgt_index))]
     sol = dense_solve_many(matrix, [to_vector(target)])[0]
     if sol is None:
         return None
-    comps = [{}, {}]
+    slots = [{}, {}]
     for (s, q, m, j), c in zip(src_index, sol):
         if c:
-            _accumulate(comps[s], {((0, q), (m, j)): c})
-    return CElement(i + 1, tuple(TensorElement(params, t) for t in comps))
+            _accumulate(slots[s], {((0, q), (m, j)): c})
+    return slots
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def c_targets(a, rng):
     for i in (1, 2, 3):
         pairs = [[(random_element(rng, a, 2, 1), random_element(rng, a, 2, 1))]
                  for _ in range(2)]
-        yield i, c_diff(i + 1, c_element(a, i + 1, *pairs))
+        yield i, c_diff(a, i + 1, c_chain(a, i + 1, *pairs))
 
 
 def corpus_solves(a, rng):
@@ -254,7 +254,7 @@ def corpus_solves(a, rng):
     for target, window in per_targets(a, rng):
         yield per_solve_preimage, dense_per_solve_preimage, (target, window)
     for i, target in c_targets(a, rng):
-        yield c_solve_preimage, dense_c_solve_preimage, (i, target, 2)
+        yield c_solve_preimage, dense_c_solve_preimage, (a, i, target, 2)
 
 
 def test_corpus_systems_match_dense(monkeypatch):

@@ -1,11 +1,13 @@
 """``src/`` holds only code that the program runs.
 
-Every name defined at module or class level in ``src/gwadeform`` must be
-read somewhere in ``src/`` (as a name or an attribute), be a span that
-``perfbench/tracer.py`` wraps, or be listed in ``ALLOWED`` with its
-reason.  Oracles and fixtures that only tests use live in ``tests/``.
-The scan is by name, so a name read anywhere in ``src/`` counts as
-reached wherever it is defined.
+Every name defined at module level in ``src/gwadeform`` must be read
+somewhere in ``src/`` (as a name or an attribute), and every name defined
+at class level must be read there as an attribute (``.name``), so that a
+local variable of the same name does not count.  A name that is not read
+must be a span that ``perfbench/tracer.py`` wraps, or be listed in
+``ALLOWED`` with its reason.  Oracles and fixtures that only tests use
+live in ``tests/``.  The scan is by name, so a name read anywhere in
+``src/`` counts as reached wherever it is defined.
 """
 import ast
 from pathlib import Path
@@ -28,6 +30,7 @@ ALLOWED = {
 
 
 def _defined_names(tree):
+    """(name, at class level) for each name a module defines."""
     def targets(node):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return [node.name]
@@ -38,24 +41,26 @@ def _defined_names(tree):
         return []
 
     for node in tree.body:
-        yield from targets(node)
+        yield from ((n, False) for n in targets(node))
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                yield from targets(sub)
+                yield from ((n, True) for n in targets(sub))
 
 
 def unreached_names():
-    defined, loaded = set(), set()
+    """Names defined in src/ and not read there as the docstring asks."""
+    defined, names, attrs = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        defined.update(n for n in _defined_names(tree)
-                       if not (n.startswith("__") and n.endswith("__")))
+        defined.update(d for d in _defined_names(tree)
+                       if not (d[0].startswith("__") and d[0].endswith("__")))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                loaded.add(node.attr)
-    return defined - loaded
+                attrs.add(node.attr)
+    return {n for n, in_class in defined
+            if n not in attrs and (in_class or n not in names)}
 
 
 def test_src_defines_only_reached_names():
