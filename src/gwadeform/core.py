@@ -52,8 +52,8 @@ terms by this rule: a key shift inline, any other product from the row,
 with no product memo in between.  ``GwaParams._mono_mul(p, q, i, j)``
 spells out the same rule as a term dict memoized per (p, q, i, j), for
 callers that want one basis product as a dict: the h0 commutator span,
-the linear extensions of ``complexes``, ``hochschild.determine_F``
-(g z^i x_j) and ``deform._closed_form_datum``.
+the linear extensions of ``complexes`` and ``hochschild.determine_F``
+(g z^i x_j).
 """
 from __future__ import annotations
 

@@ -3,8 +3,9 @@
 The product u * v = uv + F_1(u,v) tau + F_2(u,v) tau^2 + ... is cut off at
 a fixed order N.  F_1 is pulled back from the degree-2 cocycle (f(z) in
 the quantum case, f(1) in the classical case) and each higher F_n is
-reconstructed from the closed-form generator values together with the
-stage coboundary sum circle(F_1, F_{n-1}) + ... + circle(F_{n-1}, F_1).
+reconstructed from its generator values, the tau^n coefficients of x z,
+x y, y z and y x in A_tau (below), together with the stage coboundary sum
+circle(F_1, F_{n-1}) + ... + circle(F_{n-1}, F_1).
 
 One routine, ``_series_into``, computes the tau-bilinear product
 sum F_m(U_a, V_b) tau^(a+b+m) of two tau-series of term dicts, F_0 the
@@ -19,20 +20,23 @@ in the classical case; it has the R-basis z^p x_q of A.  Then
 by uniqueness in ``determine_F``, checked on windows.  Both products, read
 as sum F_n tau^n, are unit-normalized and z-left-linear and vanish on
 (x^q, x^j) for q j >= 0; they have the same generator values F_n(x, z),
-F_n(x, y), F_n(y, z), F_n(y, x), those of ``build_f1`` and
-``_closed_form_datum``; and both satisfy every stage identity below (A_tau
-is associative).  So F_n is determined by F_1 .. F_{n-1} for both, and
-they agree stage by stage.  ``_deformed_mul`` computes the product of
+F_n(x, y), F_n(y, z), F_n(y, x): for n = 1 those of ``build_f1``, which
+``check_relations`` compares with A_tau's, and for n >= 2 A_tau's own,
+read off by ``build_star``; and both satisfy every stage identity below
+(A_tau is associative).  So F_n is determined by F_1 .. F_{n-1} for both,
+and they agree stage by stage.  ``_deformed_mul`` computes the product of
 A_tau directly, from rows of sigma_tau as ``core._multiply_into`` does
-from rows of sigma: the CLI answers ``star`` with it, and tests compare it
-with ``pair_values`` and ``star``.
+from rows of sigma, and is the only code that knows lambda_tau and
+eta_tau: ``build_star`` and ``check_relations`` read A_tau through it, the
+CLI answers ``star`` with it, and tests compare it with ``pair_values`` and
+``star``.
 
 Verification helpers re-check what the construction promises:
 associativity of the truncated product, the four presentation relations
-of the deformed algebra (f3 compares x * y with phi(sigma_tau(z)), the
-product x y of A_tau), the stagewise obstruction identity, and
-preservation of the filtration (local finiteness), read from the
-basis-pair values of ``StarProduct.pair_values``.
+of the deformed algebra (u * v against the product u v of A_tau on the
+generator pairs), the stagewise obstruction identity, and preservation of
+the filtration (local finiteness), read from the basis-pair values of
+``StarProduct.pair_values``.
 
 The stage-n identity is checked as the vanishing, on basis triples, of
 
@@ -93,18 +97,6 @@ class TruncatedElement(DirectSum):
     @property
     def order(self) -> int:
         return len(self.coefficients) - 1
-
-    def tau_times(self, tau_poly) -> "TruncatedElement":
-        """Multiply by a polynomial in tau (list of scalar coefficients)."""
-        out = [{} for _ in self.coefficients]
-        for k, ck in enumerate(tau_poly):
-            ck = rat(ck)
-            if ck == 0:
-                continue
-            for n, un in enumerate(self.coefficients):
-                if k + n <= self.order:
-                    _accumulate(out[k + n], un.terms, ck)
-        return _from_terms(self.algebra, out)
 
     def to_json(self) -> list:
         return [c.to_json() for c in self.coefficients]
@@ -175,23 +167,6 @@ def _series_into(sp: StarProduct, U: list, V: list, out: list | None = None,
     return out
 
 
-def _closed_form_datum(params: GwaParams, n: int):
-    """Generator values of the stage-n cochain from the closed forms.
-
-    With phi_bar = sum b_k z^k, the n-th derivative over n! times (-1)^n
-    is sum_{k >= n} (-1)^n binom(k, n) b_k z^(k - n), zero once n > l;
-    the quantum case multiplies it by z^n and pairs it with y z.
-    """
-    shift = 0 if params.is_quantum else n
-    vxy = GwaElement(params, {
-        (k - shift, 0): rat((-1) ** n * math.comb(k, n) * b)
-        for k, b in enumerate(params.phi_bar.coeffs[n:], n) if b})
-    zero = params.zero()
-    if params.is_quantum:
-        return (zero, vxy, GwaElement(params, params._mono_mul(0, -1, 1, 0)), zero)
-    return (zero, vxy, zero, zero)
-
-
 def _defining_cocycle(params: GwaParams) -> PerCochain:
     """The degree-2 cocycle f(z) (quantum case) or f(1) (classical case)."""
     seed = params.z() if params.is_quantum else params.one()
@@ -220,12 +195,17 @@ def _require_deformable(params: GwaParams, order: int) -> None:
 def build_star(params: GwaParams, order: int = 4) -> StarProduct:
     _require_deformable(params, order)
     cochains = [build_f1(params)]
+    # F_n on (x, z), (x, y), (y, z), (y, x): the tau^n coefficient of the
+    # product in A_tau
+    x, y, z = (0, 1), (0, -1), (1, 0)
+    datum = [_deformed_mul(params, order, {g: _ONE}, {h: _ONE})
+             for g, h in ((x, z), (x, y), (y, z), (y, x))]
     for n in range(2, order + 1):
         target = circle(cochains[0], cochains[n - 2])
         for i in range(2, n):
             target = target + circle(cochains[i - 1], cochains[n - i - 1])
-        vxz, vxy, vyz, vyx = _closed_form_datum(params, n)
-        cochains.append(determine_F(params, target, vxz, vxy, vyz, vyx))
+        cochains.append(determine_F(params, target, *(
+            GwaElement(params, series[n]) for series in datum)))
     return StarProduct(params, order, cochains)
 
 
@@ -368,33 +348,18 @@ def _deformed_mul(params: GwaParams, order: int, u_terms: dict,
 
 
 def check_relations(sp: StarProduct) -> dict:
-    """Residuals of the four defining relations of the deformed presentation.
+    """Residuals u * v - u v of the four defining relations, u v in A_tau.
 
-    f3 compares x * y with phi(sigma_tau(z)), the product x y of A_tau
-    from ``_deformed_mul``; f1, f2 and f4 scale star products by
-    polynomials in tau.
+    f1..f4 are the pairs (x, z), (y, z), (x, y), (y, x), with u v from
+    ``_deformed_mul``; each residual is zero exactly when the star product
+    satisfies the corresponding relation of A_tau's presentation.
     """
-    a = sp.params
+    a, N = sp.params, sp.order
     x, y, z = a.x(), a.y(), a.z()
-    N = sp.order
-    out = {}
-    if a.is_quantum:
-        lam = a.lam
-        out["f1"] = star(sp, x, z) - star(sp, z, x).tau_times([lam, -lam])
-        # (1 - tau) (y * z) = lambda^{-1} (z * y), the cleared form of f2
-        out["f2"] = (star(sp, y, z).tau_times([1, -1])
-                     - star(sp, z, y).tau_times([div(1, lam)]))
-    else:
-        # F_n(1, g) = 0, so (z +- (eta - tau)) * g = z * g +- (eta - tau) g
-        eta_tau = [a.eta, -1]
-        out["f1"] = (star(sp, x, z) - star(sp, z, x)
-                     - lift(a, x, N).tau_times(eta_tau))
-        out["f2"] = (star(sp, y, z) - star(sp, z, y)
-                     + lift(a, y, N).tau_times(eta_tau))
-    out["f3"] = star(sp, x, y) - _from_terms(
-        a, _deformed_mul(a, N, x.terms, y.terms))
-    out["f4"] = star(sp, y, x) - lift(a, a.from_poly(a.phi), N)
-    return out
+    return {name: star(sp, u, v) - _from_terms(
+                a, _deformed_mul(a, N, u.terms, v.terms))
+            for name, u, v in (("f1", x, z), ("f2", y, z), ("f3", x, y),
+                               ("f4", y, x))}
 
 
 class _NonemptyValues(dict):

@@ -133,22 +133,27 @@ def g_map(c: PerCochain, bez: BezoutPair) -> GwaElement:
     return _pair([g_row], c.module, c.components)[0]
 
 
+def _h_table(params: GwaParams, bez: BezoutPair) -> list:
+    """The homotopy h : T_2 -> T_3 that ``contract3`` pairs with, one row per
+    generator of T_2; d_3 h d_3 = d_3 on T_3 when phi is squarefree."""
+    ay, beta, sbeta = _right_legs(params, bez)
+    il = div(1, params.lam)
+    dD = _delta_phi(params, LEG_ID, _D, _MINUS_ONE)
+    dsD = _delta_phi(params, _SIG, _SIG_D, -params.lam)
+    return [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
+            [_accumulate({}, ay, -il), {}, {}, _accumulate({}, sbeta, -il)],
+            [_then(params, dD, beta), {}, {}, {}],
+            [{}, _then(params, dsD, sbeta), _accumulate({}, ay, _MINUS_ONE), {}]]
+
+
 def contract3(c: PerCochain, bez: BezoutPair) -> PerCochain:
     """A degree-2 preimage of a degree-3 cocycle under the differential."""
     if c.degree != 3:
         raise ValueError("contract3 expects a degree-3 cochain")
     if not is_cocycle(c):
         raise NotCocycleError("not a degree-3 cocycle")
-    params = c.params
-    ay, beta, sbeta = _right_legs(params, bez)
-    il = div(1, params.lam)
-    dD = _delta_phi(params, LEG_ID, _D, _MINUS_ONE)
-    dsD = _delta_phi(params, _SIG, _SIG_D, -params.lam)
-    table = [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
-             [_accumulate({}, ay, -il), {}, {}, _accumulate({}, sbeta, -il)],
-             [_then(params, dD, beta), {}, {}, {}],
-             [{}, _then(params, dsD, sbeta), _accumulate({}, ay, _MINUS_ONE), {}]]
-    return PerCochain(params, c.module, 2, _pair(table, c.module, c.components))
+    return PerCochain(c.params, c.module, 2,
+                      _pair(_h_table(c.params, bez), c.module, c.components))
 
 
 def split2(c: PerCochain, bez: BezoutPair):

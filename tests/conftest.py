@@ -22,11 +22,11 @@ from gwadeform.core import (
     tensor_act,
     twisted_delta,
 )
-from gwadeform.deform import TruncatedElement
+from gwadeform.deform import TruncatedElement, _deformed_mul, lift, star
 from gwadeform.errors import NotCocycleError, UnsupportedPatternError
 from gwadeform.hochschild import Cochain2, _sigma_poly_elem
 from gwadeform.percomplex import PerCochain, _D, _SIG, _SIG_D, is_cocycle
-from gwadeform.scalars import Poly, div
+from gwadeform.scalars import Poly, div, rat
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -74,9 +74,26 @@ def random_element(rng: random.Random, params: GwaParams, window: int,
     return el
 
 
+def closed_form_datum(params, n):
+    """F_n(x, z), F_n(x, y), F_n(y, z), F_n(y, x) for n >= 2, from closed forms.
+
+    With phi_bar = sum b_k z^k, the n-th derivative over n! times (-1)^n
+    is sum_{k >= n} (-1)^n binom(k, n) b_k z^(k - n), zero once n > l;
+    the quantum case multiplies it by z^n and pairs it with y z.
+    """
+    shift = 0 if params.is_quantum else n
+    vxy = GwaElement(params, {
+        (k - shift, 0): rat((-1) ** n * math.comb(k, n) * b)
+        for k, b in enumerate(params.phi_bar.coeffs[n:], n) if b})
+    zero = params.zero()
+    if params.is_quantum:
+        return (zero, vxy, GwaElement(params, params._mono_mul(0, -1, 1, 0)), zero)
+    return (zero, vxy, zero, zero)
+
+
 def reference_closed_form_datum(params, n):
-    """deform._closed_form_datum as it was: d^n phi_bar through LegMap(0, n)
-    and y z through multiply."""
+    """closed_form_datum as it was first written: d^n phi_bar through
+    LegMap(0, n) and y z through multiply."""
     c = div((-1) ** n, math.factorial(n))
     dn_phi_bar = LegMap(0, n).apply(params, params.phi_bar)
     if params.is_quantum:
@@ -143,6 +160,48 @@ def reference_star(sp, u, v):
     coeffs = [u * v] + [sp.f_n(n).evaluate(u, v)
                         for n in range(1, sp.order + 1)]
     return TruncatedElement(sp.params, tuple(coeffs))
+
+
+def reference_tau_times(U, tau_poly):
+    """U times a polynomial in tau (a list of scalar coefficients), cut at
+    U's order: the former ``TruncatedElement.tau_times``."""
+    out = [{} for _ in U.coefficients]
+    for k, ck in enumerate(tau_poly):
+        ck = rat(ck)
+        if ck == 0:
+            continue
+        for n, un in enumerate(U.coefficients):
+            if k + n <= U.order:
+                _accumulate(out[k + n], un.terms, ck)
+    return TruncatedElement(U.algebra, tuple(GwaElement(U.algebra, t)
+                                             for t in out))
+
+
+def reference_check_relations(sp):
+    """deform.check_relations as it was: lambda_tau = lambda (1 - tau) and
+    eta_tau = eta - tau written out by hand, one branch per case."""
+    a = sp.params
+    x, y, z = a.x(), a.y(), a.z()
+    N = sp.order
+    out = {}
+    if a.is_quantum:
+        lam = a.lam
+        out["f1"] = star(sp, x, z) - reference_tau_times(star(sp, z, x),
+                                                         [lam, -lam])
+        # (1 - tau) (y * z) = lambda^{-1} (z * y), the cleared form of f2
+        out["f2"] = (reference_tau_times(star(sp, y, z), [1, -1])
+                     - reference_tau_times(star(sp, z, y), [div(1, lam)]))
+    else:
+        # F_n(1, g) = 0, so (z +- (eta - tau)) * g = z * g +- (eta - tau) g
+        eta_tau = [a.eta, -1]
+        out["f1"] = (star(sp, x, z) - star(sp, z, x)
+                     - reference_tau_times(lift(a, x, N), eta_tau))
+        out["f2"] = (star(sp, y, z) - star(sp, z, y)
+                     + reference_tau_times(lift(a, y, N), eta_tau))
+    out["f3"] = star(sp, x, y) - TruncatedElement(a, tuple(
+        GwaElement(a, t) for t in _deformed_mul(a, N, x.terms, y.terms)))
+    out["f4"] = star(sp, y, x) - lift(a, a.from_poly(a.phi), N)
+    return out
 
 
 def reference_shift_series(params, order):

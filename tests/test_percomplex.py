@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gwadeform import percomplex
+from gwadeform.complexes import _compose, tot_images
 from gwadeform.core import (
     GwaParams,
     LEG_ID,
@@ -20,6 +21,7 @@ from gwadeform.errors import NotCocycleError
 from gwadeform.homology import commutator_span
 from gwadeform.percomplex import (
     PerCochain,
+    _h_table,
     contract3,
     f_map,
     g_map,
@@ -310,6 +312,31 @@ def test_contract3_rejects_non_cocycle():
     bad = PerCochain(a, mod, 3, (a.one(), a.zero(), a.zero(), a.zero()))
     with pytest.raises(NotCocycleError):
         contract3(bad, bezout_for_phi(a.phi))
+
+
+def test_smoothness_identity():
+    # the table h that contract3 pairs with splits d_3 exactly: d_3 h d_3
+    # = d_3 on T_3 when phi is squarefree, and T is 2-periodic from T_3 on;
+    # negating any one nonzero entry of h breaks the identity
+    rng = random.Random(7)
+    algebras = squarefree_corpus()
+    count = len(algebras) + 30
+    while len(algebras) < count:
+        a = random_algebra(rng)
+        if bezout_is_ok(a):
+            algebras.append(a)
+    for a in algebras:
+        d3 = tot_images(a, 3)
+        h = _h_table(a, bezout_for_phi(a.phi))
+        assert _compose(a, _compose(a, d3, h), d3) == d3, a
+        for n in range(5, 9):
+            assert tot_images(a, n) == tot_images(a, n - 2), (a, n)
+        for t, row in enumerate(h):
+            for s, entry in enumerate(row):
+                if entry:
+                    bad = [list(r) for r in h]
+                    bad[t][s] = {k: -c for k, c in entry.items()}
+                    assert _compose(a, _compose(a, d3, bad), d3) != d3, (a, t, s)
 
 
 def test_split2():
