@@ -24,6 +24,7 @@ from .complexes import c_diff, verify_hdc
 from .core import (
     GwaElement,
     GwaParams,
+    _field,
     _multiply_into,
     basis_triples,
     basis_window,
@@ -95,7 +96,7 @@ def parse_cochain(params: GwaParams, text: str, flag=None) -> PerCochain:
     if flag is not None and flag != mod and _module(params, flag) != module:
         raise ValueError(f"--module {flag} disagrees with the payload's "
                          f"module {mod}")
-    degree = data["degree"]
+    degree = _field(data, "degree", "a cochain")
     if type(degree) is not int:
         raise ValueError(f"cochain degree must be an int, got {degree!r}")
     comps = tuple(GwaElement.from_json(params, c) for c in data["components"])

@@ -90,6 +90,15 @@ def _accumulate(out: dict, terms: dict, c=None) -> dict:
     return out
 
 
+def _field(record: dict, key: str, what: str):
+    """record[key]; a missing key is a ValueError naming it and the record."""
+    try:
+        return record[key]
+    except KeyError:
+        raise ValueError(f"{what} needs the key {key!r}, got {record!r}") \
+            from None
+
+
 def _same_algebra(u, v) -> GwaParams:
     if u.algebra is not v.algebra and u.algebra != v.algebra:
         raise ValueError("operands belong to different algebras")
@@ -356,8 +365,9 @@ class GwaParams:
 
     @staticmethod
     def from_json(data) -> "GwaParams":
-        return GwaParams(rat(data["lambda"]), rat(data["eta"]),
-                         Poly.from_json(data["phi"]))
+        lam, eta, phi = (_field(data, k, "an algebra")
+                         for k in ("lambda", "eta", "phi"))
+        return GwaParams(rat(lam), rat(eta), Poly.from_json(phi))
 
 
 class GwaElement(LinComb):
@@ -400,13 +410,13 @@ class GwaElement(LinComb):
         for rec in data:
             if not isinstance(rec, dict):
                 raise ValueError(f"a term is a record {{p, q, c}}, got {rec!r}")
-            p, q = rec["p"], rec["q"]
+            p, q, c = (_field(rec, k, "a term") for k in ("p", "q", "c"))
             if type(p) is not int or type(q) is not int or p < 0:
                 raise ValueError(f"monomial z^p x_q needs ints p >= 0 and q, "
                                  f"got p={p!r}, q={q!r}")
             if (p, q) in terms:
                 raise ValueError(f"monomial (p, q) = ({p}, {q}) given twice")
-            terms[(p, q)] = rat(rec["c"])
+            terms[(p, q)] = rat(c)
         return GwaElement(algebra, terms)
 
 

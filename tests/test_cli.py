@@ -337,6 +337,25 @@ def test_missing_config_and_bad_input(tmp_path, capsys):
     assert run(["--config", cfg, "mul", "not json", "[]"]) == 2
 
 
+@pytest.mark.parametrize("config, request_, message", [
+    ({"lambda": "2", "eta": "0", "phi": ["0", "1"]},
+     ["mul", '[{"p":0,"q":1}]', "[]"],
+     "a term needs the key 'c', got {'p': 0, 'q': 1}"),
+    ({"lambda": "2", "eta": "0"}, ["mul", "[]", "[]"],
+     "an algebra needs the key 'phi', got {'lambda': '2', 'eta': '0'}"),
+    ({"lambda": "2", "eta": "0", "phi": ["0", "1"]},
+     ["cohomology", "diff", '{"components": []}'],
+     "a cochain needs the key 'degree', got {'components': []}"),
+])
+def test_missing_key_is_named_with_its_record(tmp_path, capsys, config,
+                                              request_, message):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(config))
+    assert run(["--config", str(path), *request_]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_mixed_case_rejected_at_build(tmp_path, capsys):
     cfg = write_config(tmp_path, "2", "1", ["0", "1"])
     code = run(["--config", cfg, "--order", "2", "deform-verify"])

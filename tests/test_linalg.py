@@ -292,7 +292,7 @@ rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 
 
 @st.composite
-def sparse_matrix(draw, max_rows=7, max_cols=7):
+def _summand(draw, max_rows, max_cols):
     nrows = draw(st.integers(1, max_rows))
     ncols = draw(st.integers(1, max_cols))
     cell = st.one_of(st.just(_ZERO), st.just(_ZERO), rationals)
@@ -304,23 +304,77 @@ def sparse_matrix(draw, max_rows=7, max_cols=7):
     return rows
 
 
+@st.composite
+def sparse_matrix(draw, max_rows=7, max_cols=7):
+    """A dense matrix and the blocks (row indices, column indices) that a
+    right-hand side may lie on.  Sometimes the matrix is the direct sum of
+    two, its rows and columns shuffled; then either summand is a block, as
+    is the whole matrix."""
+    if draw(st.booleans()):
+        rows = draw(_summand(max_rows, max_cols))
+        return rows, [(range(len(rows)), range(len(rows[0])))]
+    parts = [draw(_summand(max_rows // 2, max_cols // 2)) for _ in range(2)]
+    nrows = sum(len(m) for m in parts)
+    ncols = sum(len(m[0]) for m in parts)
+    row_at = draw(st.permutations(range(nrows)))
+    col_at = draw(st.permutations(range(ncols)))
+    rows = [[_ZERO] * ncols for _ in range(nrows)]
+    blocks = [(range(nrows), range(ncols))]
+    for m in parts:
+        rs, row_at = row_at[:len(m)], row_at[len(m):]
+        cs, col_at = col_at[:len(m[0])], col_at[len(m[0]):]
+        for r, row in zip(rs, m):
+            for c, a in zip(cs, row):
+                rows[r][c] = a
+        blocks.append((rs, cs))
+    return rows, blocks
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_random_systems_match_dense(data):
-    matrix = data.draw(sparse_matrix())
+    matrix, blocks = data.draw(sparse_matrix())
     nrows, ncols = len(matrix), len(matrix[0])
     rhss = []
     for _ in range(data.draw(st.integers(1, 4))):
+        on_rows, on_cols = data.draw(st.sampled_from(blocks))
         if data.draw(st.booleans()):
             x0 = data.draw(st.lists(rationals, min_size=ncols, max_size=ncols))
+            x0 = [a if c in on_cols else _ZERO for c, a in enumerate(x0)]
             rhss.append(matvec(matrix, x0))
         else:
-            rhss.append(data.draw(st.lists(rationals, min_size=nrows, max_size=nrows)))
+            b = data.draw(st.lists(rationals, min_size=nrows, max_size=nrows))
+            rhss.append([a if r in on_rows else _ZERO for r, a in enumerate(b)])
     got = solve_many(sparse_columns(matrix), [sparse(b) for b in rhss])
     assert got == dense_solve_many(matrix, rhss)
     for b, x in zip(rhss, got):
         if x is not None:
             assert matvec(matrix, x) == b
+
+
+def test_rows_no_right_hand_side_reaches_are_not_eliminated(monkeypatch):
+    # the direct sum of two blocks, disjoint in row keys and in unknowns,
+    # with the right-hand side on the first block
+    two, three = Fraction(2), Fraction(3)
+    matrix = [[_ONE, two, _ZERO, _ZERO],
+              [three, _ONE, _ZERO, _ZERO],
+              [_ZERO, _ZERO, _ONE, _ONE],
+              [_ZERO, _ZERO, two, three]]
+    rhs = [three, two, _ZERO, _ZERO]
+    inserted = []
+    real = linalg._insert
+
+    def record(table, row):
+        inserted.append(dict(row))
+        return real(table, row)
+
+    monkeypatch.setattr(linalg, "_insert", record)
+    got = solve_many(sparse_columns(matrix), [sparse(rhs)])
+    monkeypatch.undo()
+    assert inserted and not any(row.keys() & {2, 3} for row in inserted)
+    # the unknowns of the other block get the zeros of the RREF solution
+    assert got == dense_solve_many(matrix, [rhs])
+    assert got == [[Fraction(1, 5), Fraction(7, 5), _ZERO, _ZERO]]
 
 
 def test_inconsistent_and_consistent_rhs_together():

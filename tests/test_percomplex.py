@@ -391,6 +391,17 @@ def test_per_solve_preimage():
     c = twisted_commutator(a, a.x(), a.z())
     found = per_solve_preimage(f_map(c, a, mod), 5)
     assert found is not None and per_diff(found) == f_map(c, a, mod)
+    # a target over two x-degrees (x counts +1, y -1): the coboundary system
+    # splits into one block per x-degree, and both blocks are solved
+    zero = a.zero()
+    u = (PerCochain(a, mod, 1, (a.monomial(1, 1), zero, zero))
+         + PerCochain(a, mod, 1, (a.monomial(0, -2), zero, zero)))
+    target = per_diff(u)
+    found = per_solve_preimage(target, 4)
+    assert found is not None and per_diff(found) == target
+    # a term in a third block, which no unknown of the window reaches
+    far = PerCochain(a, mod, 2, (a.monomial(0, 6), zero, zero, zero))
+    assert per_solve_preimage(target + far, 4) is None
 
 
 def test_per_solve_preimage_target_beyond_the_window():
