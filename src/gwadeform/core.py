@@ -19,9 +19,9 @@ over A or A (x) A, or a short tuple of such combinations:
   and scaling.  ``GwaElement`` and ``TensorElement`` subclass it.  The
   chains of T and C in ``complexes`` are plain lists of term dicts, one
   per slot, and carry no algebra.
-* ``DirectSum`` gives the tuple dataclasses (cochain components,
-  truncated tau-series) componentwise zero test, negation, sum and
-  difference; their equality is the dataclass one.
+* ``DirectSum`` gives the records whose last field is a tuple (cochain
+  components, truncated tau-series) componentwise zero test, negation,
+  sum and difference; their equality is the ``scalars.Record`` one.
 * ``_accumulate(out, terms, c)`` adds c * terms into the term dict ``out``
   in place.  Its contract: a falsy value is never stored (a key that
   cancels is deleted), and an integral value is stored as an int.
@@ -58,13 +58,12 @@ the linear extensions of ``complexes`` and ``hochschild.determine_F``
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import ZeroPhiError
-from .scalars import Poly, convolve, div, rat, rat_str
+from .scalars import Poly, Record, convolve, div, rat, rat_str
 
 _ZERO = 0
 _ONE = 1
@@ -148,32 +147,29 @@ class LinComb:
     __rmul__ = scale
 
 
-class DirectSum:
-    """Componentwise arithmetic for a dataclass whose last field is a tuple.
+class DirectSum(Record):
+    """Componentwise arithmetic for a record whose last field is a tuple.
 
     The other fields fix the shape (degree, position, algebra, module);
     both operands of a sum must agree on them.
     """
 
-    def _summands(self) -> tuple:
-        return getattr(self, fields(self)[-1].name)
-
-    def _with(self, parts) -> "DirectSum":
-        return replace(self, **{fields(self)[-1].name: tuple(parts)})
+    __slots__ = ()
 
     def _combine(self, other, op):
         if type(other) is not type(self):
             return NotImplemented
-        head = [f.name for f in fields(self)[:-1]]
-        if any(getattr(self, n) != getattr(other, n) for n in head):
+        (*head, mine), (*shape, theirs) = self._key(self), self._key(other)
+        if head != shape:
             raise ValueError(f"{type(self).__name__} operands differ in shape")
-        return self._with(map(op, self._summands(), other._summands()))
+        return type(self)(*head, tuple(map(op, mine, theirs)))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self._summands())
+        return all(c.is_zero() for c in self._key(self)[-1])
 
     def __neg__(self):
-        return self._with(-c for c in self._summands())
+        *head, summands = self._key(self)
+        return type(self)(*head, tuple(-c for c in summands))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -495,8 +491,7 @@ def basis_triples(params: GwaParams, window: int):
                 yield t1, t2, t3
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(Record):
     """A diagonal algebra automorphism x -> a x, y -> b y, z -> c z + d.
 
     Validity (the images satisfy the four defining relations) is checked
@@ -516,23 +511,19 @@ class Automorphism:
     per relation.
     """
 
-    params: GwaParams
-    x_scale: int | Fraction
-    y_scale: int | Fraction
-    z_image: Poly
+    __slots__ = ("params", "x_scale", "y_scale", "z_image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_scale", rat(self.x_scale))
-        object.__setattr__(self, "y_scale", rat(self.y_scale))
-        a = self.params
-        if self.z_image.degree != 1 or self.x_scale == 0 or self.y_scale == 0:
+    def __init__(self, params: GwaParams, x_scale, y_scale, z_image: Poly):
+        x_scale, y_scale, a = rat(x_scale), rat(y_scale), params
+        if z_image.degree != 1 or x_scale == 0 or y_scale == 0:
             raise ValueError("automorphism must be invertible")
-        d, c = self.z_image.coeffs
-        ab = self.x_scale * self.y_scale
+        d, c = z_image.coeffs
+        ab = x_scale * y_scale
         if (c * a.eta + d != a.lam * d + a.eta
                 or a.phi * ab != a.phi.affine(c, d)
                 or a.phi_bar * ab != a.phi_bar.affine(c, d)):
             raise ValueError("images do not satisfy the defining relations")
+        Record.__init__(self, params, x_scale, y_scale, z_image)
 
     def is_identity(self) -> bool:
         return (self.x_scale == 1 and self.y_scale == 1
@@ -567,12 +558,10 @@ def apply_automorphism(rho: Automorphism, u: GwaElement) -> GwaElement:
     return GwaElement(alg, out)
 
 
-@dataclass(frozen=True)
-class BimoduleSpec:
+class BimoduleSpec(Record):
     """An A-bimodule structure on A itself: a.m.b = f(a) m g(b)."""
 
-    left_twist: Automorphism
-    right_twist: Automorphism
+    __slots__ = ("left_twist", "right_twist")
 
 
 def module_plain(params: GwaParams) -> BimoduleSpec:
@@ -608,12 +597,10 @@ class TensorElement(LinComb):
         return "Tensor(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
-class LegMap:
+class LegMap(Record):
     """h |-> sigma^j(d^d h / dz^d): derivative first, then sigma^j."""
 
-    j: int = 0
-    d: int = 0
+    __slots__ = ("j", "d")
 
     def apply(self, params: GwaParams, h: Poly) -> Poly:
         for _ in range(self.d):

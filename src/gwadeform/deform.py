@@ -57,7 +57,6 @@ first in place.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 from .core import (
@@ -87,12 +86,10 @@ from .scalars import Poly, div, rat
 MAX_ORDER = 16
 
 
-@dataclass
 class TruncatedElement(DirectSum):
     """An element of A[tau]/(tau^{N+1}): one coefficient per tau-power."""
 
-    algebra: GwaParams
-    coefficients: tuple
+    __slots__ = ("algebra", "coefficients")
 
     @property
     def order(self) -> int:
@@ -114,16 +111,14 @@ def lift(params: GwaParams, u: GwaElement, order: int) -> TruncatedElement:
                                                  for _ in range(order)))
 
 
-@dataclass
 class StarProduct:
-    params: GwaParams
-    order: int
-    cochains: list  # F_1 .. F_N
-    _pairs: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
-    # window -> _obstruction_scan(self, window), read by check_obstruction
-    _obstructions: dict = field(default_factory=dict, init=False, repr=False,
-                                compare=False)
+    def __init__(self, params: GwaParams, order: int, cochains: list):
+        self.params = params
+        self.order = order
+        self.cochains = cochains  # F_1 .. F_N
+        self._pairs: dict = {}
+        # window -> _obstruction_scan(self, window), read by check_obstruction
+        self._obstructions: dict = {}
 
     def f_n(self, n: int) -> Cochain2:
         return self.cochains[n - 1]

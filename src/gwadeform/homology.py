@@ -34,8 +34,6 @@ is not derived, and the prediction fails there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     BimoduleSpec,
     GwaElement,
@@ -47,7 +45,7 @@ from .core import (
 )
 from .errors import CommutativeAlgebraError, MixedCaseError
 from .linalg import Echelon
-from .scalars import Poly, rat, root_power_poly, squarefree_part
+from .scalars import Poly, Record, rat, root_power_poly, squarefree_part
 
 
 class TruncatedSubspace:
@@ -185,13 +183,10 @@ def xi(i: int, e: int) -> int:
     return k * e + c
 
 
-@dataclass
-class H0Prediction:
-    kind: str  # "quantum" | "classical"
-    e: int
-    R: int
-    finite_basis: list[int]  # z-exponents
-    periodic: bool
+class H0Prediction(Record):
+    """kind is "quantum" or "classical"; finite_basis lists z-exponents."""
+
+    __slots__ = ("kind", "e", "R", "finite_basis", "periodic")
 
     def survivors_in_window(self, params: GwaParams, window: int):
         out = [(i, 0) for i in self.finite_basis if i <= window]

@@ -17,8 +17,6 @@ degree-2 cocycle into a coboundary plus f-image.  Each is a table like
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .complexes import _1, _X, _Y, _delta_phi, _linear_extend, tot_images
 from .core import (
@@ -31,42 +29,44 @@ from .core import (
     _MINUS_ONE,
     _accumulate,
     basis_window,
+    nakayama,
     tensor_act,
 )
 from .errors import NotCocycleError
-from .scalars import BezoutPair, div
+from .scalars import BezoutPair, Record, div
 
 _SIG = LegMap(1, 0)
 _SIG_D = LegMap(1, 1)  # derivative, then sigma
 _D = LegMap(0, 1)
 
 
-@dataclass
 class PerCochain(DirectSum):
-    params: GwaParams
-    module: BimoduleSpec
-    degree: int
-    components: tuple
+    """A degree-n cochain with values in the bimodule ``module``."""
+
+    __slots__ = ("params", "module", "degree", "components")
+
+    def __init__(self, params: GwaParams, module: BimoduleSpec, degree: int,
+                 components: tuple):
+        if degree < 0:
+            raise ValueError(f"cochain degree must be >= 0, got {degree}")
+        if len(components) != self.slots(degree):
+            raise ValueError("component count does not match the degree")
+        Record.__init__(self, params, module, degree, components)
 
     @staticmethod
     def slots(degree: int) -> int:
         """Number of module components of a degree-n cochain."""
         return {0: 1, 1: 3}.get(degree, 4)
 
-    def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError(f"cochain degree must be >= 0, got {self.degree}")
-        if len(self.components) != self.slots(self.degree):
-            raise ValueError("component count does not match the degree")
-
     def to_json(self) -> dict:
-        names = {True: "nu", False: "id"}
-        return {
-            "degree": self.degree,
-            "module": {"left": "id",
-                       "right": names[not self.module.right_twist.is_identity()]},
-            "components": [c.to_json() for c in self.components],
-        }
+        """The cochain as JSON; only the modules A and A^nu have a name."""
+        f, g = self.module.left_twist, self.module.right_twist
+        right = ("id" if g.is_identity() else
+                 "nu" if g == nakayama(self.params) else None)
+        if right is None or not f.is_identity():
+            raise ValueError(f"no JSON name for the module {self.module!r}")
+        return {"degree": self.degree, "module": {"left": "id", "right": right},
+                "components": [c.to_json() for c in self.components]}
 
 
 def _pair(images, module: BimoduleSpec, comps) -> tuple:

@@ -16,8 +16,8 @@ the zero polynomial has an empty tuple and degree -1.
 """
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MultipleRootError, ZeroPhiError
@@ -76,6 +76,40 @@ def rat_str(value) -> str:
 
 _ZERO = 0
 _ONE = 1
+
+
+class Record:
+    """A frozen value record whose fields are its ``__slots__``, given
+    positionally; records of one type are equal when their fields are."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._key = operator.attrgetter(*cls.__slots__)
+            cls._setters = tuple(cls.__dict__[n].__set__ for n in cls.__slots__)
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError(f"wrong number of fields for {type(self).__name__}")
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return type(self).__name__ + repr(self._key(self))
 
 
 def convolve(a, b) -> list:
@@ -307,17 +341,15 @@ def poly_ext_gcd(h1: Poly, h2: Poly) -> tuple[Poly, Poly, Poly]:
     return r0.over(lead), s0.over(lead), t0.over(lead)
 
 
-@dataclass(frozen=True)
-class BezoutPair:
+class BezoutPair(Record):
     """Polynomials with alpha*phi + beta*phi' = 1 (checked on construction)."""
 
-    alpha: Poly
-    beta: Poly
-    phi: Poly
+    __slots__ = ("alpha", "beta", "phi")
 
-    def __post_init__(self):
-        if self.alpha * self.phi + self.beta * self.phi.derivative() != Poly.one():
+    def __init__(self, alpha: Poly, beta: Poly, phi: Poly):
+        if alpha * phi + beta * phi.derivative() != Poly.one():
             raise ValueError("alpha*phi + beta*phi' != 1")
+        Record.__init__(self, alpha, beta, phi)
 
 
 def bezout_for_phi(phi: Poly) -> BezoutPair:
