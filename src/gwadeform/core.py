@@ -38,22 +38,23 @@ over A or A (x) A, or a short tuple of such combinations:
   ``apply_automorphism`` call.  Other twists take that path.
 * ``basis_window`` builds each window once per l + 1; callers get copies.
 
-Basis products.  (z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j.  When
-q = 0, or i = 0 and no pair cancels, it is the key shift z^(p+i) x_(q+j).
-Otherwise it is the row R(q, i, m) shifted by z^p into column q + j, where
-m = min(|q|, |j|) pairs cancel when q j < 0 and none otherwise.  The row
-is sigma^q(z)^i = (c z + d)^i (binomial theorem; c^i z^i when d = 0)
-times the factor that the m cancelled pairs leave (memoized per (q, m)
-and built from (q, m - 1)).  ``_row`` keeps it per algebra as (z-offset,
-coefficients), normalized once (integral values as ints), shared and
-never mutated; ``complexes._standardize`` reads its m = 0 rows to move
-z^p across the balanced tensor.  ``_multiply_into`` adds every pair of
-terms by this rule: a key shift inline, any other product from the row,
-with no product memo in between.  ``GwaParams._mono_mul(p, q, i, j)``
-spells out the same rule as a term dict memoized per (p, q, i, j), for
-callers that want one basis product as a dict: the h0 commutator span,
-the linear extensions of ``complexes`` and ``hochschild.determine_F``
-(g z^i x_j).
+Basis products (also in ``deform``'s formal algebras, whose lambda or eta
+is a ``scalars.Laurent``).  (z^p x_q)(z^i x_j) = z^p sigma^q(z)^i x_q x_j.
+When q = 0, or i = 0 and no pair cancels, it is the key shift
+z^(p+i) x_(q+j).  Otherwise it is the row R(q, i, m) shifted by z^p into
+column q + j, where m = min(|q|, |j|) pairs cancel when q j < 0 and none
+otherwise.  The row is sigma^q(z)^i = (c z + d)^i (binomial theorem;
+c^i z^i when d = 0) times the factor that the m cancelled pairs leave
+(memoized per (q, m) and built from (q, m - 1)).  ``_row`` keeps it per
+algebra as (z-offset, coefficients), normalized once (integral values as
+ints), shared and never mutated; ``complexes._standardize`` reads its
+m = 0 rows to move z^p across the balanced tensor.  ``_multiply_into``
+adds every pair of terms by this rule: a key shift inline, any other
+product from the row, with no product memo in between.
+``GwaParams._mono_mul(p, q, i, j)`` spells out the same rule as a term
+dict memoized per (p, q, i, j), for callers that want one basis product
+as a dict: the h0 commutator span, the linear extensions of ``complexes``
+and ``hochschild.determine_F`` (g z^i x_j).
 """
 from __future__ import annotations
 
@@ -150,17 +151,24 @@ class LinComb:
 class DirectSum(Record):
     """Componentwise arithmetic for a record whose last field is a tuple.
 
-    The other fields fix the shape (degree, position, algebra, module);
-    both operands of a sum must agree on them.
+    The first field is the algebra of every summand.  The other fields and
+    the tuple's length fix the shape; both operands of a sum must agree on it.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        Record.__init__(self, *fields)
+        if any(c.algebra is not fields[0] and c.algebra != fields[0]
+               for c in fields[-1]):
+            raise ValueError(f"{type(self).__name__} components belong to "
+                             "different algebras")
 
     def _combine(self, other, op):
         if type(other) is not type(self):
             return NotImplemented
         (*head, mine), (*shape, theirs) = self._key(self), self._key(other)
-        if head != shape:
+        if head != shape or len(mine) != len(theirs):
             raise ValueError(f"{type(self).__name__} operands differ in shape")
         return type(self)(*head, tuple(map(op, mine, theirs)))
 
@@ -236,7 +244,8 @@ class GwaParams:
             p = Poly([j * self.eta, 1])
         else:
             lj = self.lam**j if j >= 0 else div(1, self.lam ** -j)
-            p = Poly([div(self.eta * (lj - 1), self.lam - 1), lj])
+            p = Poly([div(self.eta * (lj - 1), self.lam - 1) if self.eta
+                      else _ZERO, lj])
         self._sigma_z[j] = p
         return p
 

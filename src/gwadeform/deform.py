@@ -24,12 +24,13 @@ F_n(x, y), F_n(y, z), F_n(y, x): for n = 1 those of ``build_f1``, which
 ``check_relations`` compares with A_tau's, and for n >= 2 A_tau's own,
 read off by ``build_star``; and both satisfy every stage identity below
 (A_tau is associative).  So F_n is determined by F_1 .. F_{n-1} for both,
-and they agree stage by stage.  ``_deformed_mul`` computes the product of
-A_tau directly, from rows of sigma_tau as ``core._multiply_into`` does
-from rows of sigma, and is the only code that knows lambda_tau and
-eta_tau: ``build_star`` and ``check_relations`` read A_tau through it, the
-CLI answers ``star`` with it, and tests compare it with ``pair_values`` and
-``star``.
+and they agree stage by stage.  A_tau is the image of the formal GWA
+k[z; t, 0, phi] (quantum) or k[z; 1, t, phi] (classical) over k[t, 1/t]
+under t -> lambda_tau or eta_tau.  ``_deformed_mul`` multiplies there with
+``core._multiply_into`` (its scalars ``scalars.Laurent``s in t), then
+substitutes t: ``build_star`` and ``check_relations`` read A_tau through
+it, the CLI answers ``star`` with it, and tests compare it with
+``pair_values`` and ``star``.
 
 Verification helpers re-check what the construction promises:
 associativity of the truncated product, the four presentation relations
@@ -56,7 +57,6 @@ first in place.
 """
 from __future__ import annotations
 
-import math
 from functools import cached_property, partial
 
 from .core import (
@@ -79,7 +79,7 @@ from .hochschild import (
     theta2_pullback,
 )
 from .percomplex import PerCochain, f_map, per_solve_preimage
-from .scalars import Poly, div, rat
+from .scalars import Laurent, div
 
 # The largest order build_star accepts; orders 12 and 16 pass deform-verify
 # on quantum and classical algebras.
@@ -105,10 +105,7 @@ def _from_terms(params: GwaParams, coefficients: list) -> TruncatedElement:
 
 
 def lift(params: GwaParams, u: GwaElement, order: int) -> TruncatedElement:
-    if u.algebra != params:
-        raise ValueError("operands belong to different algebras")
-    return TruncatedElement(params, (u,) + tuple(params.zero()
-                                                 for _ in range(order)))
+    return TruncatedElement(params, (u,) + (params.zero(),) * order)
 
 
 class StarProduct:
@@ -230,115 +227,31 @@ def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
                                                out, _MINUS_ONE))
 
 
-def _bimul(f: dict, g: dict) -> dict:
-    """The product of two polynomials {(z-degree, t-degree): c}."""
-    out = {}
-    for (d1, e1), c1 in f.items():
-        for (d2, e2), c2 in g.items():
-            k = (d1 + d2, e1 + e2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return out
-
-
-class _DeformedRows(dict):
-    """(q, i, m) -> the row R_tau(q, i, m) of A_tau, filled on first lookup.
-
-    R_tau(q, i, m) = sigma_tau^q(z)^i prod_{k <= m} sigma_tau^{r_k}(phi) is
-    the row of ``GwaParams._row`` with sigma_tau in place of sigma, r_k as
-    in ``_pair_factor``.  It is built as a polynomial {(d, e): c} in z and
-    the deformed parameter t, where sigma_tau^r(z) = t^r z with
-    t = lambda_tau = lambda (1 - tau) (quantum) and sigma_tau^r(z) = z + r t
-    with t = eta_tau = eta - tau (classical); then each t^e is expanded in
-    tau.  A row is (z-offset, one list of z-coefficients per tau^n), cut
-    at tau^N and normalized by ``rat``.  Memoized per product only.
-    """
-
-    def __init__(self, params: GwaParams, order: int):
-        super().__init__()
-        self.params, self.order = params, order
-        self._factors = {}   # (q, m) -> prod_{k <= m} sigma_tau^{r_k}(phi)
-        self._t_powers = {}  # e -> tau-coefficients of t^e
-
-    def _sigma(self, r: int, h: Poly) -> dict:
-        """sigma_tau^r(h) in z and t, by Horner in sigma_tau^r(z)."""
-        lin = ({(1, r): _ONE} if self.params.is_quantum
-               else {(1, 0): _ONE, (0, 1): r})
-        out = {}
-        for c in reversed(h.coeffs):
-            out = _bimul(out, lin)
-            if c:
-                out[0, 0] = out.get((0, 0), 0) + c
-        return out
-
-    def _factor(self, q: int, m: int) -> dict:
-        """prod_{k <= m} sigma_tau^{r_k}(phi), built from (q, m - 1)."""
-        if m == 0:
-            return {(0, 0): _ONE}
-        out = self._factors.get((q, m))
-        if out is None:
-            s = 1 if q > 0 else -1
-            out = self._factors[q, m] = _bimul(
-                self._factor(q, m - 1),
-                self._sigma(q - s * m + (s > 0), self.params.phi))
-        return out
-
-    def _t_power(self, e: int) -> list:
-        """The tau-coefficients of t^e up to tau^N; e < 0 only when quantum."""
-        out = self._t_powers.get(e)
-        if out is None:
-            a, N = self.params, self.order
-            if e < 0:  # (lambda (1 - tau))^(-k) = lambda^(-k) sum C(k+n-1, n) tau^n
-                k = -e
-                lk = div(1, a.lam ** k)
-                out = [math.comb(k + n - 1, n) * lk for n in range(N + 1)]
-            else:  # (c - d tau)^e = sum C(e, n) c^(e-n) (-d)^n tau^n
-                c, d = (a.lam, a.lam) if a.is_quantum else (a.eta, 1)
-                out = [math.comb(e, n) * c ** (e - n) * (-d) ** n
-                       for n in range(min(e, N) + 1)]
-            self._t_powers[e] = out
-        return out
-
-    def __missing__(self, key):
-        q, i, m = key
-        poly = _bimul(self._sigma(q, Poly.monomial(i)), self._factor(q, m))
-        off = min(d for d, _ in poly)
-        table = [[0] * (max(d for d, _ in poly) - off + 1)
-                 for _ in range(self.order + 1)]
-        for (d, e), c in poly.items():
-            if c:
-                for n, t in enumerate(self._t_power(e)):
-                    table[n][d - off] += c * t
-        while len(table) > 1 and not any(table[-1]):
-            table.pop()
-        row = self[key] = (off, [[*map(rat, r)] for r in table])
-        return row
-
-
 def _deformed_mul(params: GwaParams, order: int, u_terms: dict,
                   v_terms: dict) -> list:
     """u v in A_tau = k[z; lambda_tau, eta_tau, phi] over k[tau]/(tau^{N+1}).
 
     u and v are term dicts of A, N = order; returns the N + 1
-    tau-coefficients of the product as term dicts, each under the
-    ``_accumulate`` contract.  A pair of terms (z^p x_q)(z^i x_j) is a key
-    shift when q = 0, or i = 0 and no pair cancels, else the row
-    ``_DeformedRows``[q, i, m] shifted by z^p into column q + j, as in
-    ``GwaParams._mono_mul``.  This equals ``star`` on ``build_star(params,
-    order)`` (module docstring).
+    tau-coefficients as term dicts under the ``_accumulate`` contract: u v
+    in the formal algebra (module docstring), then each t^e expanded as
+    t^e = c^e (1 - tau / s)^e = sum C(e, n) c^e (-s)^(-n) tau^n, where
+    t = lambda (1 - tau) (c = lambda, s = 1) or eta - tau (c = s = eta).
+    It equals ``star`` on ``build_star(params, order)``.
     """
     _require_deformable(params, order)
-    rows = _DeformedRows(params, order)
+    t = Laurent({1: _ONE})
+    formal = GwaParams(*((t, 0) if params.is_quantum else (1, t)), params.phi)
+    at_power = {}  # e -> the term dict of the t^e part
+    for key, a in _multiply_into(formal, {}, u_terms, v_terms).items():
+        for e, v in (a.terms.items() if type(a) is Laurent else ((0, a),)):
+            at_power.setdefault(e, {})[key] = v
+    c, s = (params.lam, 1) if params.is_quantum else (params.eta, params.eta)
     out = [{} for _ in range(order + 1)]
-    for (p, q), cu in u_terms.items():
-        for (i, j), cv in v_terms.items():
-            if q == 0 or (i == 0 and q * j >= 0):  # z^(p+i) x_(q+j)
-                off, table = i, [[_ONE]]
-            else:
-                off, table = rows[q, i, min(abs(q), abs(j)) if q * j < 0 else 0]
-            s, qj, w = p + off, q + j, cu * cv
-            for acc, coeffs in zip(out, table):
-                _accumulate(acc, {(e, qj): r for e, r in enumerate(coeffs, s)
-                                  if r}, w)
+    for e, terms in at_power.items():  # C(e, n) = 0 once n > e >= 0
+        b = c**e if e >= 0 else div(1, c**-e)
+        for n in range(order + 1 if e < 0 else min(e, order) + 1):
+            _accumulate(out[n], terms, None if b == 1 else b)
+            b = div(b * (e - n), -(n + 1) * s)
     return out
 
 

@@ -33,7 +33,7 @@ from .core import (
     tensor_act,
 )
 from .errors import NotCocycleError
-from .scalars import BezoutPair, Record, div
+from .scalars import BezoutPair, div
 
 _SIG = LegMap(1, 0)
 _SIG_D = LegMap(1, 1)  # derivative, then sigma
@@ -51,7 +51,7 @@ class PerCochain(DirectSum):
             raise ValueError(f"cochain degree must be >= 0, got {degree}")
         if len(components) != self.slots(degree):
             raise ValueError("component count does not match the degree")
-        Record.__init__(self, params, module, degree, components)
+        DirectSum.__init__(self, params, module, degree, components)
 
     @staticmethod
     def slots(degree: int) -> int:

@@ -9,7 +9,9 @@ Fraction's slower parser, to the same result or error.  Every division
 goes through ``div``, which keeps that form, so that no ``/`` between two
 ints can make a float.  Arithmetic on two Fractions may still give an
 integral Fraction; it compares and hashes equal to the int, and ``rat``,
-``div`` and the term-dict sums of ``core`` turn it back into one.
+``div`` and the term-dict sums of ``core`` turn it back into one.  A third
+type, ``Laurent`` in a formal parameter t, is the lambda or eta of the
+formal algebras of ``deform`` and nothing else; ``rat`` passes it through.
 
 A polynomial in z is stored as a tuple of such scalars indexed by degree;
 the zero polynomial has an empty tuple and degree -1.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from functools import partialmethod, reduce
 
 from .errors import MultipleRootError, ZeroPhiError
 
@@ -34,7 +37,7 @@ def rat(value) -> int | Fraction:
     Floats are refused (0.1 is not 1/10), and so are bools, other types
     and a zero denominator; each raises ValueError.
     """
-    if type(value) is int:
+    if type(value) is int or type(value) is Laurent:
         return value
     if type(value) is str and (canonical := _CANONICAL.fullmatch(value)):
         num, den = canonical.groups()
@@ -55,13 +58,13 @@ def rat(value) -> int | Fraction:
 
 def div(a, b) -> int | Fraction:
     """The exact quotient a / b of two scalars: an int when it is integral,
-    else a Fraction.  The only division of the package; b = 0 raises
-    ZeroDivisionError."""
+    else a Fraction, or a Laurent if a or b is one.  The only division of
+    the package; b = 0 raises ZeroDivisionError."""
     if type(a) is int and type(b) is int:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     q = a / b
-    return q.numerator if q.denominator == 1 else q
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
 def rat_str(value) -> str:
@@ -110,6 +113,78 @@ class Record:
 
     def __repr__(self):
         return type(self).__name__ + repr(self._key(self))
+
+
+def _terms_of(value):
+    """The {e: c} of a Laurent or a rational scalar; None for anything else."""
+    if isinstance(value, (int, Fraction)):
+        return {0: value} if value else {}
+    return value.terms if type(value) is Laurent else None
+
+
+class Laurent:
+    """A Laurent polynomial sum c_e t^e, as {e: c} with rational c != 0; it
+    mixes with rational scalars in +, -, * and ==.  ``div`` divides it by a
+    nonzero monomial (or 0 by anything nonzero), else raises ValueError."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        b = _terms_of(other)
+        return NotImplemented if b is None else self.terms == b
+
+    def __add__(self, other):
+        b = _terms_of(other)
+        if b is None:
+            return NotImplemented
+        out = self.terms.copy()
+        for e, c in b.items():
+            out[e] = out.get(e, _ZERO) + c
+        return Laurent(out)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return Laurent({e: other * c for e, c in self.terms.items()})
+        if type(other) is not Laurent:
+            return NotImplemented
+        out = {}
+        for e, c in self.terms.items():
+            for f, d in other.terms.items():
+                out[e + f] = out.get(e + f, _ZERO) + c * d
+        return Laurent(out)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = partialmethod(__mul__, -1)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __pow__(self, n: int):
+        if len(self.terms) == 1:  # (c t^e)^n = c^n t^(e n)
+            ((e, c),) = self.terms.items()
+            return Laurent({e * n: c**n if n >= 0 else div(1, c**-n)})
+        if n < 0:
+            raise (ValueError if self else ZeroDivisionError)(
+                "only a nonzero monomial has an inverse in k[t, 1/t]")
+        return reduce(operator.mul, [self] * n, Laurent({0: _ONE}))
+
+    def __truediv__(self, other):
+        b = _terms_of(other)
+        return (NotImplemented if b is None else self if b and not self
+                else self * Laurent(b)**-1)
+
+    def __rtruediv__(self, other):
+        a = _terms_of(other)
+        return NotImplemented if a is None else Laurent(a).__truediv__(self)
 
 
 def convolve(a, b) -> list:

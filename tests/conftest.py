@@ -204,6 +204,109 @@ def reference_check_relations(sp):
     return out
 
 
+def _bimul(f: dict, g: dict) -> dict:
+    """The product of two polynomials {(z-degree, t-degree): c}."""
+    out = {}
+    for (d1, e1), c1 in f.items():
+        for (d2, e2), c2 in g.items():
+            k = (d1 + d2, e1 + e2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return out
+
+
+class _DeformedRows(dict):
+    """(q, i, m) -> the row R_tau(q, i, m) of A_tau, filled on first lookup.
+
+    R_tau(q, i, m) = sigma_tau^q(z)^i prod_{k <= m} sigma_tau^{r_k}(phi) is
+    the row of ``GwaParams._row`` with sigma_tau in place of sigma, r_k as
+    in ``_pair_factor``.  It is built as a polynomial {(d, e): c} in z and
+    the deformed parameter t, where sigma_tau^r(z) = t^r z with
+    t = lambda_tau = lambda (1 - tau) (quantum) and sigma_tau^r(z) = z + r t
+    with t = eta_tau = eta - tau (classical); then each t^e is expanded in
+    tau.  A row is (z-offset, one list of z-coefficients per tau^n), cut
+    at tau^N and normalized by ``rat``.  Memoized per product only.
+    """
+
+    def __init__(self, params, order):
+        super().__init__()
+        self.params, self.order = params, order
+        self._factors = {}   # (q, m) -> prod_{k <= m} sigma_tau^{r_k}(phi)
+        self._t_powers = {}  # e -> tau-coefficients of t^e
+
+    def _sigma(self, r, h):
+        """sigma_tau^r(h) in z and t, by Horner in sigma_tau^r(z)."""
+        lin = ({(1, r): 1} if self.params.is_quantum
+               else {(1, 0): 1, (0, 1): r})
+        out = {}
+        for c in reversed(h.coeffs):
+            out = _bimul(out, lin)
+            if c:
+                out[0, 0] = out.get((0, 0), 0) + c
+        return out
+
+    def _factor(self, q, m):
+        """prod_{k <= m} sigma_tau^{r_k}(phi), built from (q, m - 1)."""
+        if m == 0:
+            return {(0, 0): 1}
+        out = self._factors.get((q, m))
+        if out is None:
+            s = 1 if q > 0 else -1
+            out = self._factors[q, m] = _bimul(
+                self._factor(q, m - 1),
+                self._sigma(q - s * m + (s > 0), self.params.phi))
+        return out
+
+    def _t_power(self, e):
+        """The tau-coefficients of t^e up to tau^N; e < 0 only when quantum."""
+        out = self._t_powers.get(e)
+        if out is None:
+            a, N = self.params, self.order
+            if e < 0:  # (lambda (1 - tau))^(-k) = lambda^(-k) sum C(k+n-1, n) tau^n
+                k = -e
+                lk = div(1, a.lam ** k)
+                out = [math.comb(k + n - 1, n) * lk for n in range(N + 1)]
+            else:  # (c - d tau)^e = sum C(e, n) c^(e-n) (-d)^n tau^n
+                c, d = (a.lam, a.lam) if a.is_quantum else (a.eta, 1)
+                out = [math.comb(e, n) * c ** (e - n) * (-d) ** n
+                       for n in range(min(e, N) + 1)]
+            self._t_powers[e] = out
+        return out
+
+    def __missing__(self, key):
+        q, i, m = key
+        poly = _bimul(self._sigma(q, Poly.monomial(i)), self._factor(q, m))
+        off = min(d for d, _ in poly)
+        table = [[0] * (max(d for d, _ in poly) - off + 1)
+                 for _ in range(self.order + 1)]
+        for (d, e), c in poly.items():
+            if c:
+                for n, t in enumerate(self._t_power(e)):
+                    table[n][d - off] += c * t
+        while len(table) > 1 and not any(table[-1]):
+            table.pop()
+        row = self[key] = (off, [[*map(rat, r)] for r in table])
+        return row
+
+
+def reference_deformed_mul(params, order, u_terms, v_terms):
+    """deform._deformed_mul as it was: the rows of A_tau built in z and t by
+    ``_DeformedRows``, expanded in tau row by row, and a shift-or-row loop
+    over the pairs of terms that repeated ``core._multiply_into``'s."""
+    rows = _DeformedRows(params, order)
+    out = [{} for _ in range(order + 1)]
+    for (p, q), cu in u_terms.items():
+        for (i, j), cv in v_terms.items():
+            if q == 0 or (i == 0 and q * j >= 0):  # z^(p+i) x_(q+j)
+                off, table = i, [[1]]
+            else:
+                off, table = rows[q, i, min(abs(q), abs(j)) if q * j < 0 else 0]
+            s, qj, w = p + off, q + j, cu * cv
+            for acc, coeffs in zip(out, table):
+                _accumulate(acc, {(e, qj): r for e, r in enumerate(coeffs, s)
+                                  if r}, w)
+    return out
+
+
 def reference_shift_series(params, order):
     """phi(sigma_tau(z)) = phi_bar((1-tau) z) (quantum) or phi_bar(z - tau)
     (classical) by binomial expansion: the tau^n coefficient of

@@ -13,7 +13,8 @@ import pytest
 from gwadeform.cli import parse_cochain, run
 from gwadeform.core import GwaElement, GwaParams, TensorElement, basis_window, \
     module_nu, module_plain, tensor_act
-from gwadeform.deform import build_star, check_assoc, lift, star, star_mul
+from gwadeform.deform import TruncatedElement, build_star, check_assoc, lift, \
+    star, star_mul
 from gwadeform.percomplex import PerCochain
 from gwadeform.scalars import Poly, rat
 
@@ -208,6 +209,35 @@ def test_direct_sum_shapes_must_agree():
             u + v
     assert (zero(2) - zero(2)).is_zero()
     assert -zero(1) == zero(1)
+
+
+def test_direct_sum_lengths_must_agree():
+    # zipping the two tuples cut the longer one: z + (z, x) gave 2 z
+    a = GwaParams(2, 0, Z)
+    short = TruncatedElement(a, (a.z(),))
+    long = TruncatedElement(a, (a.z(), a.x()))
+    for u, v in [(short, long), (long, short)]:
+        for op in (lambda u, v: u + v, lambda u, v: u - v):
+            with pytest.raises(ValueError, match="differ in shape"):
+                op(u, v)
+    assert short + short == TruncatedElement(a, (2 * a.z(),))
+
+
+def test_direct_sums_reject_components_of_another_algebra():
+    # a cochain labelled A with components of B was differentiated with B's
+    # products under A's tables
+    a, b = GwaParams(2, 0, Z), GwaParams(3, 0, Z)
+    plain = module_plain(a)
+    for comps in [(b.z(), b.x(), b.y()), (a.z(), b.x(), a.y())]:
+        with pytest.raises(ValueError, match="different algebras"):
+            PerCochain(a, plain, 1, comps)
+    with pytest.raises(ValueError, match="different algebras"):
+        TruncatedElement(a, (a.x(), b.x()))
+    # an equal algebra built separately is the same algebra
+    c = GwaParams(2, 0, Z)
+    assert (PerCochain(a, plain, 1, (c.z(), c.x(), c.y()))
+            == PerCochain(a, plain, 1, (a.z(), a.x(), a.y())))
+    assert TruncatedElement(a, (c.x(),)) == lift(a, a.x(), 0)
 
 
 def test_accumulate_in_place():

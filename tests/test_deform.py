@@ -52,6 +52,7 @@ from conftest import (
     reference_check_relations,
     reference_circle,
     reference_closed_form_datum,
+    reference_deformed_mul,
     reference_hochschild_b,
     reference_shift_series,
     reference_star,
@@ -691,6 +692,51 @@ def test_deformed_mul_matches_reference_star():
                     want.coefficients), (a, order)
                 assert all(type(c) is not Fraction or c.denominator != 1
                            for t in got for c in t.values()), (a, order)
+
+
+def reference_cases(seed):
+    """The corpus, and random phi under lambda = 2, -1, 1/3, -2/5 (quantum)
+    and under eta = 1, 2/3, -1/2 (classical), two algebras each."""
+    rng = random.Random(seed)
+    out = full_corpus()
+    for lam in (2, -1, Fraction(1, 3), Fraction(-2, 5)):
+        out += [GwaParams(lam, 0, random_algebra(rng).phi) for _ in range(2)]
+    for eta in (1, Fraction(2, 3), Fraction(-1, 2)):
+        out += [GwaParams(1, eta, random_algebra(rng).phi) for _ in range(2)]
+    return out
+
+
+def assert_matches_reference(a, order, u_terms, v_terms):
+    got = _deformed_mul(a, order, u_terms, v_terms)
+    assert got == reference_deformed_mul(a, order, u_terms, v_terms), (
+        a, order, u_terms, v_terms)
+    assert len(got) == order + 1
+    assert all(v and (type(v) is not Fraction or v.denominator != 1)
+               for t in got for v in t.values()), (a, order)
+
+
+def test_deformed_mul_matches_reference_on_basis_windows():
+    # the formal algebra over k[t, 1/t] against reference_deformed_mul, which
+    # builds A_tau's rows in z and t itself, on every basis pair of a window
+    cases = reference_cases(53)
+    assert len(cases) == 11 + 8 + 6
+    for a in cases:
+        window = a.l + 3
+        pairs = [(t1, t2) for t1 in basis_window(a, window)
+                 for t2 in basis_window(a, window - a.weight(*t1))]
+        for order in (1, 4, 8, MAX_ORDER):
+            for t1, t2 in pairs:
+                assert_matches_reference(a, order, {t1: 1}, {t2: 1})
+
+
+def test_deformed_mul_matches_reference_on_random_elements():
+    rng = random.Random(59)
+    for a in reference_cases(61):
+        for order in (1, 4, 8, MAX_ORDER):
+            for _ in range(3):
+                u, v = (random_element(rng, a, 2 * a.l + 4, nterms=5)
+                        for _ in range(2))
+                assert_matches_reference(a, order, u.terms, v.terms)
 
 
 def test_deformed_mul_refuses_what_build_star_refuses():

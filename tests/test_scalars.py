@@ -10,6 +10,7 @@ import gwadeform
 from gwadeform.errors import MultipleRootError, ZeroPhiError
 from gwadeform.scalars import (
     BezoutPair,
+    Laurent,
     Poly,
     bezout_for_phi,
     div,
@@ -166,6 +167,108 @@ def test_scalars_imports_only_errors():
         elif isinstance(node, ast.Import):
             found.update((0, a.name) for a in node.names if a.name.startswith("gwadeform"))
     assert found == {(1, "errors")}
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials in t, against plain {e: c} dicts
+# ---------------------------------------------------------------------------
+
+laurent_dicts = st.dictionaries(st.integers(-4, 4), small_fracs, max_size=4)
+laurent_operands = st.one_of(laurent_dicts.map(Laurent), small_fracs.map(rat))
+
+
+def _plain(x) -> dict:
+    """The {e: c} of a Laurent or a scalar, zeros dropped: the oracle's form."""
+    terms = x.terms if isinstance(x, Laurent) else {0: x}
+    return {e: c for e, c in terms.items() if c}
+
+
+def _plain_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _plain_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@given(laurent_dicts.map(Laurent), laurent_operands)
+def test_laurent_ring_operations_match_plain_dicts(f, g):
+    # with a Laurent or a scalar on either side of +, - and *
+    pf, pg = _plain(f), _plain(g)
+    minus_g = {e: -c for e, c in pg.items()}
+    for got, want in [(f + g, _plain_add(pf, pg)), (g + f, _plain_add(pf, pg)),
+                      (f - g, _plain_add(pf, minus_g)),
+                      (g - f, _plain_add(pg, {e: -c for e, c in pf.items()})),
+                      (f * g, _plain_mul(pf, pg)), (g * f, _plain_mul(pf, pg)),
+                      (-f, {e: -c for e, c in pf.items()})]:
+        assert type(got) is Laurent and got.terms == want
+        assert all(got.terms.values())
+        assert bool(got) == bool(want)
+
+
+@given(laurent_dicts.map(Laurent), laurent_dicts.map(Laurent),
+       laurent_dicts.map(Laurent))
+def test_laurent_ring_identities(f, g, h):
+    assert (f * g) * h == f * (g * h)
+    assert f * (g + h) == f * g + f * h
+    assert f - f == 0 and not f - f
+    assert f * 1 == f and f * 0 == 0
+
+
+@given(laurent_dicts.map(Laurent), st.integers(0, 4))
+def test_laurent_powers_are_repeated_products(f, n):
+    want = {0: 1}
+    for _ in range(n):
+        want = _plain_mul(want, _plain(f))
+    assert (f ** n).terms == want
+
+
+@given(st.integers(-4, 4), small_fracs.filter(bool), st.integers(-3, 3),
+       laurent_dicts.map(Laurent))
+def test_laurent_divides_by_a_monomial(e, c, n, f):
+    m = Laurent({e: c})
+    assert (m ** n).terms == {e * n: rat(c ** n)}
+    assert div(f, m) * m == f
+    assert div(c, m) == Laurent({-e: 1})
+
+
+def test_laurent_division():
+    t = Laurent({1: 1})
+    for k in range(1, 6):
+        assert div(1, t ** k) == Laurent({-k: 1}) == t ** -k
+    assert div(3, 2 * t ** 2) == Laurent({-2: Fraction(3, 2)})
+    assert div(t ** 2 - 1, 2) == Laurent({2: Fraction(1, 2), 0: Fraction(-1, 2)})
+    # zero divides by anything nonzero; nothing else leaves k[t, 1/t]
+    assert div(0 * (t - 1), t - 1) == 0 and div(0, t - 1) == 0
+    for num in (1, t, t - 1):
+        with pytest.raises(ValueError, match="only a nonzero monomial"):
+            div(num, t - 1)
+    with pytest.raises(ValueError, match="only a nonzero monomial"):
+        (t + 1) ** -1
+    for zero in (0, Fraction(0), Laurent({})):
+        with pytest.raises(ZeroDivisionError):
+            div(t, zero)
+
+
+def test_laurent_equality_and_rat():
+    t = Laurent({1: 1})
+    assert Laurent({0: 3, 2: 0}) == 3 == Laurent({0: Fraction(6, 2)})
+    assert Laurent({0: 0}) == 0 == Laurent({}) and 1 != Laurent({})
+    assert not Laurent({}) and t
+    assert t != 1 and t != Laurent({1: 2}) and t != "t"
+    assert rat(t) is t
+    for bad in (0.5, 2.0, True, False):
+        with pytest.raises(ValueError):
+            rat(bad)
+    with pytest.raises(TypeError):
+        t + 0.5
 
 
 def test_poly_basics():
