@@ -385,8 +385,7 @@ def run(argv=None) -> int:
         params, label = load_config(args.config)
         rng = random.Random(args.seed)
         results = _DISPATCH[args.command](params, args, rng)
-    except (GwadeformError, ValueError, OSError, KeyError,
-            json.JSONDecodeError) as exc:
+    except (GwadeformError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ok = all(r.get("pass", True) for r in results)

@@ -56,13 +56,6 @@ class TruncatedSubspace:
         self.window = window
         self.columns: dict[int, Echelon] = {}
 
-    def _column(self, q: int) -> Echelon:
-        ech = self.columns.get(q)
-        if ech is None:
-            ech = Echelon()
-            self.columns[q] = ech
-        return ech
-
     def _split(self, u: GwaElement | dict) -> dict[int, dict]:
         """The x-columns of u as sparse z-coefficient vectors {p: c}.
 
@@ -80,16 +73,21 @@ class TruncatedSubspace:
     def add(self, u: GwaElement | dict) -> bool:
         grew = False
         for q, vec in self._split(u).items():
-            if self._column(q).add(vec):
+            ech = self.columns.get(q)
+            if ech is None:
+                ech = self.columns[q] = Echelon()
+            if ech.add(vec):
                 grew = True
         return grew
 
-    def contains(self, u: GwaElement) -> bool:
+    def contains(self, u: GwaElement | dict) -> bool:
+        """Whether u lies in the span; a lookup never adds a column."""
         try:
             parts = self._split(u)
         except ValueError:
             return False
-        return all(self._column(q).contains(vec) for q, vec in parts.items())
+        return all(q in self.columns and self.columns[q].contains(vec)
+                   for q, vec in parts.items())
 
     @property
     def rank(self) -> int:
@@ -231,63 +229,62 @@ def predict_h0(params: GwaParams) -> H0Prediction:
     return H0Prediction("quantum", e, R, finite, True)
 
 
+def _certify(pending: list, space: TruncatedSubspace, window: int,
+             strictly_zero: bool) -> list:
+    """Mark the entries whose monomial lies in ``space``; return the rest."""
+    rest = []
+    for u, entry in pending:
+        if space.contains(u):
+            entry.update(certified=True, strictly_zero=strictly_zero,
+                         window=window)
+        else:
+            rest.append((u, entry))
+    return rest
+
+
 def compare_h0(params: GwaParams, window: int | None = None) -> dict:
     """Predicted basis of M/[A, M^nu] against the windowed commutator span.
 
     Survivor checks are one-sided (non-membership at a finite window).
     A non-predicted monomial is certified once its class is expressible in
     the predicted basis modulo the span; "strictly_zero" marks the ones
-    lying in the span itself.
+    lying in the span itself.  One pass over the windows w0, w0 + l + 2 and
+    w0 + 2l + 4 tests the open ones against one commutator span, widened at
+    each window, then against the span plus the survivors in the window,
+    built there only if some remain open.  At w0 that augmented span is the
+    one the survivors' independence check fills: membership, rank and
+    independence depend only on the subspace spanned, not on the order.
     """
     pred = predict_h0(params)
     if window is None:
         window = max(2 * params.l + 8, 12)
     mod = module_nu(params)
-    escalations = [window, window + params.l + 2, window + 2 * params.l + 4]
-    spans = {}
-
-    def span_at(w):
-        if w not in spans:
-            below = [v for v in spans if v < w]
-            base = spans[max(below)] if below else None
-            spans[w] = commutator_span(params, mod, w, base)
-        return spans[w]
-
-    augmented_spans = {}
-
-    def augmented_at(w):
-        if w not in augmented_spans:
-            aug = span_at(w).copy()
-            for pq_s in pred.survivors_in_window(params, w):
-                aug.add(params.monomial(*pq_s))
-            augmented_spans[w] = aug
-        return augmented_spans[w]
-
-    base = span_at(escalations[0])
+    span = commutator_span(params, mod, window)
     survivors = pred.survivors_in_window(params, window)
-    survivor_report = []
-    independence = base.copy()
-    for pq in survivors:
-        u = params.monomial(*pq)
-        survivor_report.append({"monomial": {"p": pq[0], "q": pq[1]},
-                                "in_span": base.contains(u),
-                                "independent": independence.add(u)})
-    non_predicted = []
+    augmented = span.copy()
+    survivor_report = [{"monomial": {"p": p, "q": q},
+                        "in_span": span.contains({(p, q): 1}),
+                        "independent": augmented.add({(p, q): 1})}
+                       for p, q in survivors]
+    dimension = {"window_dim": len(basis_window(params, window)),
+                 "span_rank": span.rank, "survivor_count": len(survivors)}
     predicted_set = set(survivors)
-    for pq in basis_window(params, window):
-        if pq in predicted_set:
-            continue
-        u = params.monomial(*pq)
-        entry = {"monomial": {"p": pq[0], "q": pq[1]}, "certified": False,
-                 "strictly_zero": False, "window": None}
-        for w in escalations:
-            if span_at(w).contains(u):
-                entry.update(certified=True, strictly_zero=True, window=w)
-                break
-            if augmented_at(w).contains(u):
-                entry.update(certified=True, strictly_zero=False, window=w)
-                break
-        non_predicted.append(entry)
+    pending = [({(p, q): 1}, {"monomial": {"p": p, "q": q}, "certified": False,
+                              "strictly_zero": False, "window": None})
+               for p, q in basis_window(params, window)
+               if (p, q) not in predicted_set]
+    non_predicted = [n for _, n in pending]
+    for w in (window, window + params.l + 2, window + 2 * params.l + 4):
+        if w > span.window:
+            span = commutator_span(params, mod, w, span)
+        pending = _certify(pending, span, w, True)
+        if pending and w > augmented.window:
+            augmented = span.copy()
+            for pq in pred.survivors_in_window(params, w):
+                augmented.add({pq: 1})
+        pending = _certify(pending, augmented, w, False)
+        if not pending:
+            break
     ok = (all(s["independent"] and not s["in_span"] for s in survivor_report)
           and all(n["certified"] for n in non_predicted))
     return {
@@ -295,8 +292,6 @@ def compare_h0(params: GwaParams, window: int | None = None) -> dict:
         "window": window,
         "survivors": survivor_report,
         "non_predicted": non_predicted,
-        "dimension": {"window_dim": len(basis_window(params, window)),
-                      "span_rank": base.rank,
-                      "survivor_count": len(survivors)},
+        "dimension": dimension,
         "pass": ok,
     }

@@ -156,22 +156,26 @@ def contract3(c: PerCochain, bez: BezoutPair) -> PerCochain:
                       _pair(_h_table(c.params, bez), c.module, c.components))
 
 
+def _split2_table(params: GwaParams, bez: BezoutPair) -> list:
+    """The table ``split2`` pairs with: rows k : T_1 -> T_2, one per
+    generator of T_1, then the row of g : T_0 -> T_2."""
+    ay, beta, sbeta = _right_legs(params, bez)
+    dsD_l = _delta_phi(params, _SIG, _D, _MINUS_ONE)   # sigma left, D right
+    d_sD = _delta_phi(params, LEG_ID, _SIG_D, -params.lam)
+    return [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
+            [_then(params, dsD_l, beta), {}, {}, {}],
+            [{}, _then(params, d_sD, sbeta), ay, {}],
+            _g_row(params, ay, beta, sbeta)]
+
+
 def split2(c: PerCochain, bez: BezoutPair):
     """Write a degree-2 cocycle as per_diff(u) + f_map(n2); returns (u, n2)."""
     if c.degree != 2:
         raise ValueError("split2 expects a degree-2 cochain")
     if not is_cocycle(c):
         raise NotCocycleError("not a degree-2 cocycle")
-    params = c.params
-    ay, beta, sbeta = _right_legs(params, bez)
-    dsD_l = _delta_phi(params, _SIG, _D, _MINUS_ONE)   # sigma left, D right
-    d_sD = _delta_phi(params, LEG_ID, _SIG_D, -params.lam)
-    table = [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
-             [_then(params, dsD_l, beta), {}, {}, {}],
-             [{}, _then(params, d_sD, sbeta), ay, {}],
-             _g_row(params, ay, beta, sbeta)]
-    n1, n3, n4, n2 = _pair(table, c.module, c.components)
-    return PerCochain(params, c.module, 1, (n1, n3, n4)), n2
+    n1, n3, n4, n2 = _pair(_split2_table(c.params, bez), c.module, c.components)
+    return PerCochain(c.params, c.module, 1, (n1, n3, n4)), n2
 
 
 # ---------------------------------------------------------------------------

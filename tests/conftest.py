@@ -18,6 +18,7 @@ from gwadeform.core import (
     _same_algebra,
     apply_automorphism,
     basis_window,
+    module_nu,
     multiply,
     tensor_act,
     twisted_delta,
@@ -25,6 +26,7 @@ from gwadeform.core import (
 from gwadeform.deform import TruncatedElement, _deformed_mul, lift, star
 from gwadeform.errors import NotCocycleError, UnsupportedPatternError
 from gwadeform.hochschild import Cochain2, _sigma_poly_elem
+from gwadeform.homology import commutator_span, predict_h0
 from gwadeform.percomplex import PerCochain, _D, _SIG, _SIG_D, is_cocycle
 from gwadeform.scalars import Poly, div, rat
 
@@ -893,3 +895,70 @@ def reference_right_legs(params, bez):
     one = params.one()
     return tuple(tensor_from_pair(one, params.from_poly(h, q)) for h, q in (
         (bez.alpha, -1), (bez.beta, 0), (params.sigma_pow(bez.beta, 1), 0)))
+
+
+def reference_compare_h0(params, window=None):
+    """homology.compare_h0 as it was: spans and augmented spans cached per
+    window behind two lazy closures, each monomial escalated on its own, and
+    the survivors' independence checked in a copy of its own."""
+    pred = predict_h0(params)
+    if window is None:
+        window = max(2 * params.l + 8, 12)
+    mod = module_nu(params)
+    escalations = [window, window + params.l + 2, window + 2 * params.l + 4]
+    spans = {}
+
+    def span_at(w):
+        if w not in spans:
+            below = [v for v in spans if v < w]
+            base = spans[max(below)] if below else None
+            spans[w] = commutator_span(params, mod, w, base)
+        return spans[w]
+
+    augmented_spans = {}
+
+    def augmented_at(w):
+        if w not in augmented_spans:
+            aug = span_at(w).copy()
+            for pq_s in pred.survivors_in_window(params, w):
+                aug.add(params.monomial(*pq_s))
+            augmented_spans[w] = aug
+        return augmented_spans[w]
+
+    base = span_at(escalations[0])
+    survivors = pred.survivors_in_window(params, window)
+    survivor_report = []
+    independence = base.copy()
+    for pq in survivors:
+        u = params.monomial(*pq)
+        survivor_report.append({"monomial": {"p": pq[0], "q": pq[1]},
+                                "in_span": base.contains(u),
+                                "independent": independence.add(u)})
+    non_predicted = []
+    predicted_set = set(survivors)
+    for pq in basis_window(params, window):
+        if pq in predicted_set:
+            continue
+        u = params.monomial(*pq)
+        entry = {"monomial": {"p": pq[0], "q": pq[1]}, "certified": False,
+                 "strictly_zero": False, "window": None}
+        for w in escalations:
+            if span_at(w).contains(u):
+                entry.update(certified=True, strictly_zero=True, window=w)
+                break
+            if augmented_at(w).contains(u):
+                entry.update(certified=True, strictly_zero=False, window=w)
+                break
+        non_predicted.append(entry)
+    ok = (all(s["independent"] and not s["in_span"] for s in survivor_report)
+          and all(n["certified"] for n in non_predicted))
+    return {
+        "prediction": pred.to_json(),
+        "window": window,
+        "survivors": survivor_report,
+        "non_predicted": non_predicted,
+        "dimension": {"window_dim": len(basis_window(params, window)),
+                      "span_rank": base.rank,
+                      "survivor_count": len(survivors)},
+        "pass": ok,
+    }

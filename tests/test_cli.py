@@ -356,6 +356,20 @@ def test_missing_key_is_named_with_its_record(tmp_path, capsys, config,
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+def test_key_error_inside_a_command_propagates(tmp_path, capsys, monkeypatch):
+    # no input path raises KeyError (a missing key is a ValueError naming
+    # it), so one from inside a command is a bug, not exit 2
+    def broken(params, window=None):
+        raise KeyError("k")
+
+    monkeypatch.setattr(gwadeform.cli, "compare_h0", broken)
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    with pytest.raises(KeyError):
+        run(["--config", cfg, "h0"])
+    assert run(["--config", cfg, "mul", '[{"p": 0', "[]"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_mixed_case_rejected_at_build(tmp_path, capsys):
     cfg = write_config(tmp_path, "2", "1", ["0", "1"])
     code = run(["--config", cfg, "--order", "2", "deform-verify"])

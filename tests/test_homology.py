@@ -20,7 +20,7 @@ from gwadeform.homology import (
 from gwadeform.scalars import Poly
 
 from conftest import full_corpus, random_algebra, random_element, \
-    reference_multiply_into
+    reference_compare_h0, reference_multiply_into
 
 Z = Poly.z()
 ONE = Poly.one()
@@ -224,6 +224,58 @@ def test_compare_h0_e0_keeps_l_classes_in_column_zero():
                          ids=["z2", "z3", "2z4", "z2(z-1)"])
 def test_compare_h0_e2_multiple_root_at_zero(phi):
     assert compare_h0(GwaParams(-1, 0, phi))["pass"]
+
+
+# lambda = -1 and 0 a multiple root of phi, beyond the four cases above: in
+# the first five a predicted survivor lies in the span; for z^2 (z^2 + 1),
+# z^4 depends on the other survivors modulo the span
+MORE_MULTIPLE_ZERO_PHIS = [Z**4, Z**5, Z**6, Z**3 * (Z - ONE),
+                           Z**4 * (Z - ONE), Z**2 * (Z**2 + ONE)]
+
+
+@pytest.mark.xfail(strict=True, reason="the lambda = -1 rule for a multiple "
+                   "root 0 of phi is not derived; predict_h0 keeps too many")
+@pytest.mark.parametrize("phi", MORE_MULTIPLE_ZERO_PHIS,
+                         ids=["z4", "z5", "z6", "z3(z-1)", "z4(z-1)",
+                              "z2(z2+1)"])
+def test_compare_h0_e2_higher_multiple_root_at_zero(phi):
+    assert compare_h0(GwaParams(-1, 0, phi))["pass"]
+
+
+def test_compare_h0_equals_reference():
+    # the one-pass escalation against the per-window span caches it
+    # replaced: every report, failing ones included, is equal
+    rng = random.Random(23)
+    algebras = []
+    for _ in range(16):
+        phi = random_algebra(rng).phi
+        algebras.append(GwaParams(rng.choice([2, -1, Fraction(1, 3), 3]), 0,
+                                  phi))
+        algebras.append(GwaParams(1, rng.choice([1, Fraction(2, 3)]), phi))
+    for a in full_corpus():
+        for window in (None, 0, 3, 9):
+            assert compare_h0(a, window) == reference_compare_h0(a, window), \
+                (a, window)
+    for a in algebras:
+        assert compare_h0(a) == reference_compare_h0(a), a
+    for phi in MORE_MULTIPLE_ZERO_PHIS:
+        a = GwaParams(-1, 0, phi)
+        rep = compare_h0(a)
+        assert not rep["pass"] and rep == reference_compare_h0(a), phi
+
+
+def test_contains_leaves_the_span_unchanged():
+    a = GwaParams(2, 0, Z)
+    span = TruncatedSubspace(a, 6)
+    assert not span.contains(a.monomial(0, 1))
+    assert span.columns == {}
+    span = commutator_span(a, module_nu(a), 6)
+    columns = {q: dict(e.rows) for q, e in span.columns.items()}
+    for pq in basis_window(a, 8):
+        span.contains(a.monomial(*pq))
+        span.contains({pq: 1})
+    assert {q: e.rows for q, e in span.columns.items()} == columns
+    assert set(span.copy().columns) == set(columns)
 
 
 def test_compare_h0_quantum_e2():

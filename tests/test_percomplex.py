@@ -4,17 +4,19 @@ from fractions import Fraction
 import pytest
 
 from gwadeform import percomplex
-from gwadeform.complexes import _compose, tot_images
+from gwadeform.complexes import _1, _compose, tot_images
 from gwadeform.core import (
     GwaParams,
     LEG_ID,
     LegMap,
+    _accumulate,
     apply_automorphism,
     basis_window,
     bimodule_act,
     module_nu,
     module_plain,
     nakayama,
+    tensor_act,
     twisted_delta,
 )
 from gwadeform.errors import NotCocycleError
@@ -376,6 +378,58 @@ def test_split2_computes_per_diff_once(monkeypatch):
     calls.clear()
     g_map(c, bez)
     assert calls == [2]
+
+
+def _mu_nu(a, T):
+    """mu_nu(L (x) R) = R nu(L): the legs swapped, acting on 1 in A^nu."""
+    return tensor_act({(R, L): c for (L, R), c in T.items()}, module_nu(a),
+                      a.one())
+
+
+def _table_identities(a, bez, F, G):
+    """The identities (a), (b) and (c) behind H^2(A, M) = M / [A, M]_nu,
+    with k the rows T_1 -> T_2 of split2's table and
+    E = id - k d_2 - G F on T_2 (tables compose first row, then second)."""
+    D2 = tot_images(a, 2)
+    k = percomplex._split2_table(a, bez)[:3]
+    E = [[_accumulate(_accumulate({(_1, _1): 1} if s == t else {}, dk, -1),
+                      fg, -1)
+          for s, (dk, fg) in enumerate(zip(dk_row, fg_row))]
+         for t, (dk_row, fg_row) in enumerate(zip(_compose(a, D2, k),
+                                                  _compose(a, F, G)))]
+    return (all(not e for row in _compose(a, E, D2) for e in row),
+            all(_mu_nu(a, e).is_zero() for e in _compose(a, G, D2)[0]),
+            _mu_nu(a, _compose(a, G, F)[0][0]) == a.one())
+
+
+def test_h2_table_identities():
+    # for squarefree phi: (a) d_2 E = 0, (b) mu_nu(d_2 G) = 0 and
+    # (c) mu_nu(F G) = 1; negating any one nonzero entry of F or G breaks
+    # (a) or (c)
+    rng = random.Random(11)
+    algebras = squarefree_corpus() + [
+        GwaParams(3, 0, Z**2 - ONE), GwaParams(-1, 0, Z**2 + ONE),
+        GwaParams(1, 2, Z**3 - Z)]
+    count = len(algebras) + 24
+    while len(algebras) < count:
+        a = random_algebra(rng)
+        if bezout_is_ok(a):
+            algebras.append(a)
+    for a in algebras:
+        bez = bezout_for_phi(a.phi)
+        F = percomplex._f_table(a)
+        G = [percomplex._g_row(a, *percomplex._right_legs(a, bez))]
+        assert _table_identities(a, bez, F, G) == (True, True, True), a
+        for name, table in (("F", F), ("G", G)):
+            for t, row in enumerate(table):
+                for s, entry in enumerate(row):
+                    if not entry:
+                        continue
+                    bad = [list(r) for r in table]
+                    bad[t][s] = {key: -c for key, c in entry.items()}
+                    ident = (_table_identities(a, bez, bad, G) if name == "F"
+                             else _table_identities(a, bez, F, bad))
+                    assert not (ident[0] and ident[2]), (a, name, t, s)
 
 
 def test_per_solve_preimage():
