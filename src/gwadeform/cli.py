@@ -9,7 +9,6 @@ report never holds a float, and the writer raises TypeError on one.
 """
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import random
@@ -18,6 +17,7 @@ import time
 from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
+from types import SimpleNamespace
 
 from . import __version__
 from .complexes import c_diff, verify_hdc
@@ -53,9 +53,6 @@ from .percomplex import (
     split2,
 )
 from .scalars import bezout_for_phi, rat, rat_str
-
-ENV_PREFIX = "GWADEFORM_"
-
 
 def load_config(path: str) -> tuple[GwaParams, str]:
     with open(path) as fh:
@@ -116,8 +113,8 @@ def _random_element(rng, params, window, nterms=3):
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_check_algebra(params, args, rng):
-    results = []
+def cmd_check_algebra(params, args):
+    results, rng = [], random.Random(args.seed)
     x, y, z = params.x(), params.y(), params.z()
     sz = params.from_poly(params.sigma_z(1))
     siz = params.from_poly(params.sigma_z(-1))
@@ -152,13 +149,13 @@ def cmd_check_algebra(params, args, rng):
     return results
 
 
-def cmd_mul(params, args, rng):
+def cmd_mul(params, args):
     u = parse_element(params, args.left)
     v = parse_element(params, args.right)
     return [{"check": "mul", "product": (u * v).to_json(), "pass": True}]
 
 
-def cmd_star(params, args, rng):
+def cmd_star(params, args):
     """u * v as the product of A_tau, equal to ``deform.star`` on
     ``build_star(params, order)`` and built without the cochains."""
     _require_deformable(params, args.order)
@@ -170,7 +167,7 @@ def cmd_star(params, args, rng):
              "pass": True}]
 
 
-def cmd_cohomology(params, args, rng):
+def cmd_cohomology(params, args):
     sub = args.operation
     if sub == "f":
         m = parse_element(params, args.payload)
@@ -204,13 +201,13 @@ def cmd_cohomology(params, args, rng):
              "f_part": n2.to_json(), "roundtrip": ok, "pass": ok}]
 
 
-def cmd_h0(params, args, rng):
+def cmd_h0(params, args):
     rep = compare_h0(params, args.window)
     return [{"check": "h0", **rep}]
 
 
-def cmd_deform_verify(params, args, rng):
-    results = []
+def cmd_deform_verify(params, args):
+    results, rng = [], random.Random(args.seed)
     sp = build_star(params, args.order)
     rel = check_relations(sp)
     for name, residual in rel.items():
@@ -300,91 +297,110 @@ def json_text(obj, indent: str = "\n") -> str:
                     "is not JSON serializable")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser; flags left out stay None until ``_read_env``."""
-    parser = argparse.ArgumentParser(
-        prog="gwadeform",
-        description="verified computations in generalized Weyl algebras "
-        "and their formal deformations")
-    parser.add_argument("--config",
-                        help="path to an algebra config JSON file")
-    parser.add_argument("--json", action="store_true", default=None,
-                        help="emit the full report as JSON")
-    parser.add_argument("--seed", type=int,
-                        help="seed for randomized sweeps (default 0)")
-    parser.add_argument("--window", type=int,
-                        help="filtration window for windowed checks")
-    parser.add_argument("--order", type=int,
-                        help="truncation order for star products (default 4)")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("check-algebra")
-    p = sub.add_parser("mul")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub.add_parser("star")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = sub.add_parser("cohomology")
-    p.add_argument("operation",
-                   choices=["f", "g", "contract3", "split2", "diff"])
-    p.add_argument("payload")
-    p.add_argument("--module", choices=["plain", "nu"])
-    sub.add_parser("h0")
-    sub.add_parser("deform-verify")
-    return parser
-
-
-_PARSER = build_parser()
-
-# flag -> (converter, default, accepted values) for GWADEFORM_<FLAG>
-_ENV_FLAGS = {
-    "config": (str, None, "a path"),
-    "json": ({"0": False, "1": True}.__getitem__, False, "0 or 1"),
-    "seed": (int, 0, "an integer"),
-    "window": (int, None, "an integer"),
-    "order": (int, 4, "an integer"),
+# flag -> (converter, default, accepted values, help).  Flags go before the
+# command; each one left out is read from GWADEFORM_<FLAG> on every run (an
+# empty variable is unset), else it takes its default.  --json is a switch.
+_SWITCH = {"0": False, "1": True}.__getitem__
+_FLAGS = {
+    "config": (str, None, "a path", "path to an algebra config JSON file"),
+    "json": (_SWITCH, False, "0 or 1", "emit the full report as JSON"),
+    "seed": (int, 0, "an integer", "seed for randomized sweeps (default 0)"),
+    "window": (int, None, "an integer", "window for windowed checks"),
+    "order": (int, 4, "an integer", "star product order (default 4)"),
+}
+# command -> (function, positional -> its choices or None, flags after it)
+_COMMANDS = {
+    "check-algebra": (cmd_check_algebra, {}, {}),
+    "mul": (cmd_mul, {"left": None, "right": None}, {}),
+    "star": (cmd_star, {"left": None, "right": None}, {}),
+    "cohomology": (cmd_cohomology, {
+        "operation": ("f", "g", "contract3", "split2", "diff"),
+        "payload": None,
+    }, {"module": ({"plain": "plain", "nu": "nu"}.__getitem__, None,
+                   "plain or nu", "module of a payload naming none")}),
+    "h0": (cmd_h0, {}, {}),
+    "deform-verify": (cmd_deform_verify, {}, {}),
 }
 
 
-def _read_env(args) -> None:
-    """Fill each flag left out from GWADEFORM_<FLAG>, read now, or its default.
-
-    An empty variable counts as unset; a malformed one raises ValueError.
-    """
-    for flag, (convert, default, accepted) in _ENV_FLAGS.items():
-        if getattr(args, flag) is None:
-            name = ENV_PREFIX + flag.upper()
-            raw = os.environ.get(name)
-            try:
-                setattr(args, flag, convert(raw) if raw else default)
-            except (KeyError, ValueError):
-                raise ValueError(f"{name} must be {accepted}, got {raw!r}") \
-                    from None
+def _convert(name: str, spec: tuple, raw: str):
+    try:
+        return spec[0](raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{name} must be {spec[2]}, got {raw!r}") from None
 
 
-_DISPATCH = {
-    "check-algebra": cmd_check_algebra,
-    "mul": cmd_mul,
-    "star": cmd_star,
-    "cohomology": cmd_cohomology,
-    "h0": cmd_h0,
-    "deform-verify": cmd_deform_verify,
-}
+def _parse(argv, env) -> SimpleNamespace | None:
+    """The request argv names, read in one pass, or None for --help; each
+    flag left out is then read from ``env``.  A flag takes the next token or
+    the text after '=', and a token starting with '-' is a flag unless it is
+    a negative int."""
+    args, flags, slots = {}, _FLAGS, iter([("command", _COMMANDS)])
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-" or token[1:].isdecimal():
+            name, choices = next(slots, ("argument", ()))
+            if choices is not None and token not in choices:
+                raise ValueError(f"unexpected {name} {token!r}" + (
+                    "; use one of " + ", ".join(choices) if choices else ""))
+            args[name] = token
+            if name == "command":
+                _, positionals, flags = _COMMANDS[token]
+                slots = iter(positionals.items())
+                args.update((flag, spec[1]) for flag, spec in flags.items())
+        elif token in ("-h", "--help"):
+            return None
+        else:
+            key, eq, raw = token.partition("=")
+            spec = flags.get(key[2:]) if key[:2] == "--" else None
+            if spec is None or eq and spec[0] is _SWITCH:
+                raise ValueError(f"no flag {token!r} here (see --help)")
+            if spec[0] is _SWITCH:
+                raw = "1"
+            elif not eq:
+                raw = next(tokens, None)
+                if raw is None or raw[:1] == "-" and not raw[1:].isdecimal():
+                    raise ValueError(f"{key} needs a value ({spec[2]})")
+            args[key[2:]] = _convert(key, spec, raw)
+    missing = next(slots, None)
+    if missing:
+        raise ValueError(f"{args.get('command', 'gwadeform')}: missing "
+                         + missing[0])
+    for flag, spec in _FLAGS.items():
+        if flag not in args:
+            raw = env.get(name := "GWADEFORM_" + flag.upper())
+            args[flag] = _convert(name, spec, raw) if raw else spec[1]
+    return SimpleNamespace(**args)
+
+
+def _help() -> str:
+    """The usage text, built from the flag and command tables."""
+    lines = ["usage: gwadeform [--FLAG VALUE ...] COMMAND [ARGUMENT ...]",
+             "flags, before the command (or GWADEFORM_<FLAG>):"]
+    lines += [f"  --{flag:<7} {spec[3]}" for flag, spec in _FLAGS.items()]
+    lines.append("commands:")
+    for command, (_, positionals, flags) in _COMMANDS.items():
+        lines.append(" ".join(["  " + command, *(
+            "{" + ",".join(c) + "}" if c else p.upper()
+            for p, c in positionals.items()), *(
+            f"[--{f} {s[2]}]: {s[3]}" for f, s in flags.items())]))
+    return "\n".join(lines)
 
 
 def run(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
     started = time.monotonic()
     try:
-        _read_env(args)
+        args = _parse(sys.argv[1:] if argv is None else argv, os.environ)
+        if args is None:
+            print(_help())
+            return 0
         if args.window is not None and args.window < 0:
             raise ValueError("the window (--window or GWADEFORM_WINDOW) must "
                              f"be >= 0, got {args.window}")
         if not args.config:
             raise ValueError("--config is required (or set GWADEFORM_CONFIG)")
         params, label = load_config(args.config)
-        rng = random.Random(args.seed)
-        results = _DISPATCH[args.command](params, args, rng)
+        results = _COMMANDS[args.command][0](params, args)
     except (GwadeformError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -517,7 +517,7 @@ class Automorphism(Record):
 
     Given the z-condition, z -> Z commutes with sigma and phi_bar = phi o
     sigma, so the two phi-conditions are equivalent; both are checked, one
-    per relation.
+    per relation, unless Z = z: then they read a b = 1 (phi != 0).
     """
 
     __slots__ = ("params", "x_scale", "y_scale", "z_image")
@@ -528,7 +528,7 @@ class Automorphism(Record):
             raise ValueError("automorphism must be invertible")
         d, c = z_image.coeffs
         ab = x_scale * y_scale
-        if (c * a.eta + d != a.lam * d + a.eta
+        if (ab != 1 if (d, c) == (0, 1) else c * a.eta + d != a.lam * d + a.eta
                 or a.phi * ab != a.phi.affine(c, d)
                 or a.phi_bar * ab != a.phi_bar.affine(c, d)):
             raise ValueError("images do not satisfy the defining relations")

@@ -29,11 +29,10 @@ from .core import (
     _MINUS_ONE,
     _accumulate,
     basis_window,
-    nakayama,
     tensor_act,
 )
 from .errors import NotCocycleError
-from .scalars import BezoutPair, div
+from .scalars import BezoutPair, Poly, div
 
 _SIG = LegMap(1, 0)
 _SIG_D = LegMap(1, 1)  # derivative, then sigma
@@ -61,8 +60,9 @@ class PerCochain(DirectSum):
     def to_json(self) -> dict:
         """The cochain as JSON; only the modules A and A^nu have a name."""
         f, g = self.module.left_twist, self.module.right_twist
-        right = ("id" if g.is_identity() else
-                 "nu" if g == nakayama(self.params) else None)
+        # g is nu when it fixes z and scales x by lambda (then y by 1/lambda)
+        right = ("id" if g.is_identity() else "nu" if g.z_image == Poly.z()
+                 and g.x_scale == self.params.lam else None)
         if right is None or not f.is_identity():
             raise ValueError(f"no JSON name for the module {self.module!r}")
         return {"degree": self.degree, "module": {"left": "id", "right": right},

@@ -1,3 +1,4 @@
+import argparse
 import math
 import random
 from fractions import Fraction
@@ -962,3 +963,37 @@ def reference_compare_h0(params, window=None):
                       "survivor_count": len(survivors)},
         "pass": ok,
     }
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's former argparse parser; flags left out stay None."""
+    parser = argparse.ArgumentParser(
+        prog="gwadeform",
+        description="verified computations in generalized Weyl algebras "
+        "and their formal deformations")
+    parser.add_argument("--config",
+                        help="path to an algebra config JSON file")
+    parser.add_argument("--json", action="store_true", default=None,
+                        help="emit the full report as JSON")
+    parser.add_argument("--seed", type=int,
+                        help="seed for randomized sweeps (default 0)")
+    parser.add_argument("--window", type=int,
+                        help="filtration window for windowed checks")
+    parser.add_argument("--order", type=int,
+                        help="truncation order for star products (default 4)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("check-algebra")
+    p = sub.add_parser("mul")
+    p.add_argument("left")
+    p.add_argument("right")
+    p = sub.add_parser("star")
+    p.add_argument("left")
+    p.add_argument("right")
+    p = sub.add_parser("cohomology")
+    p.add_argument("operation",
+                   choices=["f", "g", "contract3", "split2", "diff"])
+    p.add_argument("payload")
+    p.add_argument("--module", choices=["plain", "nu"])
+    sub.add_parser("h0")
+    sub.add_parser("deform-verify")
+    return parser

@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import random
 from enum import IntEnum
@@ -9,6 +11,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import gwadeform
+import gwadeform.cli
+import gwadeform.core
 import gwadeform.deform
 import gwadeform.hochschild
 from gwadeform.cli import json_text, load_config, run
@@ -17,6 +21,8 @@ from gwadeform.deform import build_star, star
 from gwadeform.errors import MultipleRootError
 from gwadeform.percomplex import PerCochain, f_map, per_diff
 from gwadeform.scalars import Poly, bezout_for_phi
+
+from conftest import reference_parser
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent
                  / "perfbench" / "corpus").glob("alg*.json"))
@@ -592,3 +598,197 @@ def test_reports_have_one_encoder():
                     and any(a.name in ("dumps", "dump") for a in node.names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# ---------------------------------------------------------------------------
+# The argv parser against the former argparse parser
+# ---------------------------------------------------------------------------
+
+REFERENCE = reference_parser()
+COMMANDS = ["check-algebra", "mul", "star", "cohomology", "h0",
+            "deform-verify"]
+OPERATIONS = ["f", "g", "contract3", "split2", "diff"]
+# values never start with '-' unless they are negative ints, and no flag is
+# abbreviated: argparse takes a unique prefix, the parser refuses it.  (It
+# also refuses '-', '--', '-1.5' and '-a b', which argparse may read as
+# values.)
+ints = st.integers(-2**40, 2**40).map(str)
+values = st.one_of(st.text(alphabet='ab./=[]{}":,0123', max_size=6), ints,
+                   st.sampled_from(["h0", "mul", "f", "nu"]))
+
+
+def _flag(draw, flag, value):
+    """``--flag=value`` or ``--flag value``, as drawn."""
+    if draw(st.booleans()):
+        return [f"--{flag}={value}"]
+    return [f"--{flag}", value]
+
+
+@st.composite
+def requests(draw):
+    """(global flag groups, command, tail groups) of a well-formed argv."""
+    head = []
+    for flag in draw(st.lists(st.sampled_from(
+            ["config", "json", "seed", "window", "order"]), max_size=7)):
+        head.append(["--json"] if flag == "json" else _flag(
+            draw, flag, draw(values if flag == "config" else ints)))
+    command = draw(st.sampled_from(COMMANDS))
+    positionals = {"mul": 2, "star": 2}.get(command, 0)
+    tail = [[draw(values)] for _ in range(positionals)]
+    if command == "cohomology":
+        tail = [[draw(st.sampled_from(OPERATIONS))], [draw(values)]]
+        for _ in range(draw(st.integers(0, 2))):
+            module = draw(st.sampled_from(["plain", "nu"]))
+            tail.insert(draw(st.integers(0, len(tail))),
+                        _flag(draw, "module", module))
+    return head, command, tail
+
+
+def _argv(head, command, tail):
+    return [t for group in head for t in group] + (
+        [command] if command else []) + [t for group in tail for t in group]
+
+
+MALFORMED = ["unknown flag", "unknown command", "missing positional",
+             "extra positional", "bad choice", "non-int value",
+             "global flag after the command", "value starting with -"]
+
+
+@st.composite
+def malformed(draw):
+    head, command, tail = draw(requests())
+    kind = draw(st.sampled_from(MALFORMED))
+    positionals = [g for g in tail if not g[0].startswith("--module")]
+    if kind == "unknown flag":
+        bad = [draw(st.sampled_from(["--verbose", "--bogus", "-q", "--seeds",
+                                     "--modules", "-config"]))]
+        groups = draw(st.sampled_from([head, tail]))
+        groups.insert(draw(st.integers(0, len(groups))), bad)
+    elif kind == "unknown command":
+        command = draw(st.sampled_from(["frobnicate", "Mul", "help", "h1"]))
+    elif kind == "missing positional" and positionals:
+        tail.remove(positionals[-1])
+    elif kind == "missing positional":
+        command = None
+    elif kind == "extra positional":
+        tail.append([draw(st.sampled_from(["extra", "-3", "h0"]))])
+    elif kind == "bad choice" and command == "cohomology" and draw(
+            st.booleans()):
+        tail.append(_flag(draw, "module", draw(st.sampled_from(
+            ["both", "Nu", ""]))))
+    elif kind == "bad choice":
+        command, tail = "cohomology", [["q"], ["{}"]]
+    elif kind == "non-int value":
+        head.insert(draw(st.integers(0, len(head))), _flag(
+            draw, draw(st.sampled_from(["seed", "window", "order"])),
+            draw(st.sampled_from(["x", "1.5", "", "0x10", "1e3"]))))
+    elif kind == "global flag after the command":
+        tail.insert(draw(st.integers(0, len(tail))), draw(st.sampled_from(
+            [["--json"], ["--seed", "3"], ["--config=a.json"]])))
+    elif draw(st.booleans()):  # a flag value starting with '-'
+        flag = draw(st.sampled_from(["--config", "--seed", "--order"]))
+        head.append([flag, draw(st.sampled_from(
+            ["-x", "--json"] + (["-1.5"] if flag != "--config" else [])))])
+    else:  # a positional starting with '-'
+        tail.insert(0, ["-x"])
+    return _argv(head, command, tail)
+
+
+def _reference(argv):
+    """The reference parse with its defaults, or None where it exits 2."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            parsed = vars(REFERENCE.parse_args(argv))
+    except SystemExit as exc:
+        assert exc.code == 2
+        return None
+    defaults = {"json": False, "seed": 0, "order": 4}
+    return {k: defaults.get(k) if v is None else v for k, v in parsed.items()}
+
+
+@given(requests())
+@example(([["--seed", "-5"], ["--json"], ["--json"], ["--order=-1"]],
+          "mul", [["-7"], ["[]"]]))
+@example(([["--config="], ["--config", "a=b"]], "cohomology",
+          [["--module", "nu"], ["diff"], ["--module=plain"], ["{}"]]))
+def test_parser_matches_argparse_on_well_formed_argv(request_):
+    argv = _argv(*request_)
+    want = _reference(argv)
+    assert want is not None, argv
+    assert vars(gwadeform.cli._parse(argv, {})) == want
+
+
+@given(malformed())
+@example(["--conf", "a.json", "h0"])
+@example(["--config", "a.json", "cohomology", "f", "[]", "--mod", "nu"])
+@example(["--json=1", "h0"])
+@example([])
+def test_parser_refuses_what_argparse_refuses(argv):
+    # abbreviations (the examples) are the one deliberate difference
+    if "--conf" not in argv and "--mod" not in argv:
+        assert _reference(argv) is None, argv
+    with pytest.raises(ValueError):
+        gwadeform.cli._parse(argv, {})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(
+            io.StringIO()) as out:
+        assert run(argv) == 2, argv
+    assert err.getvalue().startswith("error: ") and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                  ["--config", "a.json", "mul", "-h"]])
+def test_help_names_every_command_and_flag(capsys, argv):
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    for word in [*COMMANDS, *OPERATIONS, "--config", "--json", "--seed",
+                 "--window", "--order", "--module", "GWADEFORM_"]:
+        assert word in out, word
+
+
+def test_equals_form_gives_the_same_report(tmp_path, capsys):
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    reports = []
+    for argv in (["--config", cfg, "--json", "--window", "6", "h0"],
+                 [f"--config={cfg}", "--json", "--window=6", "h0"],
+                 ["--window", "9", "--config", "x", "--json", "--config",
+                  cfg, "--window=6", "h0"]):
+        code, report = run_json(capsys, argv)
+        assert code == 0
+        report.pop("timing_ms")
+        reports.append(report)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_nu_cochain_request_builds_one_nu(tmp_path, capsys, monkeypatch):
+    # parse_cochain builds A^nu (the identity and nu); to_json names the
+    # module from nu itself, without building and checking a second nu
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    real, built = gwadeform.core.Automorphism.__init__, []
+
+    def counted(self, params, *images):
+        built.append(images[0])
+        real(self, params, *images)
+
+    monkeypatch.setattr(gwadeform.core.Automorphism, "__init__", counted)
+    payload = json.dumps({**BARE_COCHAIN, "module": "nu"})
+    code, report = run_json(capsys, ["--config", cfg, "--json", "cohomology",
+                                     "diff", payload])
+    assert code == 0
+    assert report["results"][0]["cochain"]["module"]["right"] == "nu"
+    assert built == [1, 2]
+
+
+@pytest.mark.parametrize("command", ["mul", "star", "cohomology", "h0"])
+def test_seed_builds_no_generator_where_nothing_draws(tmp_path, capsys,
+                                                      monkeypatch, command):
+    # only check-algebra and deform-verify draw random triples
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    built = []
+    monkeypatch.setattr(gwadeform.cli.random, "Random",
+                        lambda seed: built.append(seed))
+    tail = {"mul": ["mul", "[]", "[]"], "star": ["star", "[]", "[]"],
+            "cohomology": ["cohomology", "f", "[]"], "h0": ["h0"]}[command]
+    code, report = run_json(capsys, ["--config", cfg, "--json", "--seed", "5",
+                                     *tail])
+    assert code == 0 and report["seed"] == 5 and built == []

@@ -145,6 +145,24 @@ def test_validation_errors_unchanged():
     assert H0Prediction("quantum", 2, 0, [0], True).finite_basis == [0]
 
 
+@pytest.mark.parametrize("params", [
+    A, GwaParams(-1, 0, Z**2 - Poly.one()), GwaParams(1, 1, Poly.one()),
+    GwaParams(Fraction(1, 3), 2, Z**3 + Z)], ids=["z", "lambda-1", "weyl",
+                                                   "third"])
+def test_z_fixing_twist_is_checked_by_its_scalar_condition(params):
+    # for z -> z the relations read phi * ab = phi and phi_bar * ab = phi_bar,
+    # so x_scale * y_scale = 1 decides them (phi != 0)
+    for a, b in [(2, Fraction(1, 2)), (-3, Fraction(-1, 3)), (1, 1), (2, 2),
+                 (3, 1), (Fraction(2, 3), Fraction(3, 2)), (-1, 1)]:
+        ab = Fraction(a) * b
+        if params.phi * ab == params.phi.affine(1, 0) and \
+                params.phi_bar * ab == params.phi_bar.affine(1, 0):
+            assert Automorphism(params, a, b, Z).x_scale == a
+        else:
+            with pytest.raises(ValueError, match="defining relations"):
+                Automorphism(params, a, b, Z)
+
+
 def test_cochain_json_names_only_plain_and_nu():
     # x -> 3x, y -> y/3 on both sides is neither A nor A^nu (nu: x -> 2x)
     rho = Automorphism(A, 3, Fraction(1, 3), Z)
@@ -166,11 +184,13 @@ def test_cochain_json_names_only_plain_and_nu():
 
 def test_cli_imports_no_dataclasses_or_introspection():
     # dataclasses loads inspect, ast, dis and tokenize, about 14 ms of every
-    # CLI start-up; the package needs none of them
+    # CLI start-up, and argparse is a slower parser than the CLI's flag
+    # table; the package needs none of them
     src = Path(gwadeform.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     code = ("import sys, gwadeform.cli; print(' '.join(sorted(m for m in "
-            "('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') "
+            "('dataclasses', 'inspect', 'ast', 'dis', 'tokenize', "
+            "'argparse') "
             "if m in sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60, check=True)
