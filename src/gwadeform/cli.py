@@ -100,8 +100,7 @@ def parse_cochain(params: GwaParams, text: str, flag=None) -> PerCochain:
     return PerCochain(params, module, degree, comps)
 
 
-def _random_element(rng, params, window, nterms=3):
-    pool = basis_window(params, window)
+def _random_element(rng, params, pool, nterms=3):
     terms = {}
     for _ in range(nterms):
         pq = rng.choice(pool)
@@ -130,7 +129,8 @@ def cmd_check_algebra(params, args):
     mul = partial(_multiply_into, params)
     basis = ([{t: 1} for t in triple]
              for triple in basis_triples(params, window))
-    drawn = ([_random_element(rng, params, window).terms for _ in range(3)]
+    pool = basis_window(params, window)
+    drawn = ([_random_element(rng, params, pool).terms for _ in range(3)]
              for _ in range(200))
     differ = [mul({}, mul({}, u, v), w) != mul({}, u, mul({}, v, w))
               for u, v, w in chain(basis, drawn)]
@@ -216,9 +216,9 @@ def cmd_deform_verify(params, args):
     for n in range(2, sp.order + 1):
         rep = check_obstruction(sp, n, window)
         results.append({"check": f"obstruction n={n}", **rep})
-    ok = True
+    ok, pool = True, basis_window(params, 2 * params.l + 4)
     for _ in range(100):
-        u, v, w = (_random_element(rng, params, 2 * params.l + 4, nterms=2)
+        u, v, w = (_random_element(rng, params, pool, nterms=2)
                    for _ in range(3))
         if not check_assoc(sp, u, v, w).is_zero():
             ok = False

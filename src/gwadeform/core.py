@@ -13,7 +13,7 @@ Shared arithmetic.  Every object of the package is a finite combination
 over A or A (x) A, or a short tuple of such combinations:
 
 * ``LinComb`` is a combination {key: coefficient} over one algebra, with
-  scalar coefficients (an int when integral, else a Fraction; see
+  scalar coefficients (an int when integral, else a ``scalars.Q``; see
   ``scalars``); a falsy coefficient means zero and is never stored.  It
   gives equality (the algebra is part of it), negation, sum, difference
   and scaling.  ``GwaElement`` and ``TensorElement`` subclass it.  The

@@ -2,7 +2,7 @@
 incremental spans.
 
 Everything comes in sparse.  A sparse vector is a dict {key: scalar},
-the scalar an int or a Fraction as in `scalars`, that never stores a zero
+the scalar an int, else a `scalars.Q`, that never stores a zero
 (a term dict of the package, flattened by its caller); rows are
 normalized through `scalars.div`, so an integral quotient stays an int.
 Elimination works on rows of that form: a reduced table

@@ -1,17 +1,17 @@
 """Exact rational scalars and dense univariate polynomials over them.
 
-A scalar is an ``int`` when it is integral and a ``fractions.Fraction``
-(in lowest terms) otherwise; it is never a float or a bool.  ``rat`` is
-the entry point: it keeps ints, turns an integral Fraction or string
-into an int, and refuses floats; it reads the canonical "n" and "n/d"
-that ``rat_str`` writes with ``int``, and any other string with
-Fraction's slower parser, to the same result or error.  Every division
-goes through ``div``, which keeps that form, so that no ``/`` between two
-ints can make a float.  Arithmetic on two Fractions may still give an
-integral Fraction; it compares and hashes equal to the int, and ``rat``,
-``div`` and the term-dict sums of ``core`` turn it back into one.  A third
-type, ``Laurent`` in a formal parameter t, is the lambda or eta of the
-formal algebras of ``deform`` and nothing else; ``rat`` passes it through.
+A scalar is an ``int`` when it is integral, else a ``Q``: a non-integral
+rational in lowest terms, a ``fractions.Fraction`` whose +, -, * and **
+keep that form.  It is never a float or a bool.  ``rat`` is the entry
+point: it keeps ints and Qs, turns any other Fraction or string into one,
+and refuses floats; it reads the canonical "n" and "n/d" that ``rat_str``
+writes with ``int``, and any other string with Fraction's slower parser,
+to the same result or error.  Every division goes through ``div``, which
+keeps that form, so that no ``/`` between two ints can make a float.  The
+term-dict sums of ``core`` still turn an integral plain Fraction from
+outside into an int.  A third type, ``Laurent`` in a formal parameter t,
+is the lambda or eta of the formal algebras of ``deform`` and nothing
+else; ``rat`` passes it through.
 
 A polynomial in z is stored as a tuple of such scalars indexed by degree;
 the zero polynomial has an empty tuple and degree -1.
@@ -22,6 +22,7 @@ import operator
 import re
 from fractions import Fraction
 from functools import partialmethod, reduce
+from math import gcd
 
 from .errors import MultipleRootError, ZeroPhiError
 
@@ -30,51 +31,106 @@ from .errors import MultipleRootError, ZeroPhiError
 _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
-def rat(value) -> int | Fraction:
+class Q(Fraction):
+    """A non-integral rational in lowest terms, made by ``_q`` only.  +, -, *
+    and ** by an int, with an int, Q or Fraction on either side, give an int
+    when integral, else a Q; all else (==, hash, order, str) is Fraction's."""
+
+    __slots__ = ()
+
+    def __add__(a, b):
+        if type(b) is int:
+            return _q(a._numerator + b * a._denominator, a._denominator)
+        if not isinstance(b, Fraction):
+            return Fraction.__add__(a, b)
+        da, db = a._denominator, b._denominator
+        g = gcd(da, db)
+        n = a._numerator * (db // g) + b._numerator * (da // g)
+        h = gcd(n, g)
+        return _q(n // h, da // g * (db // h))
+
+    def __mul__(a, b):
+        if type(b) is int:
+            g = gcd(b, a._denominator)
+            return _q(a._numerator * (b // g), a._denominator // g)
+        if isinstance(b, Fraction):
+            g = gcd(a._numerator, b._denominator)
+            h = gcd(b._numerator, a._denominator)
+            return _q((a._numerator // g) * (b._numerator // h),
+                      (a._denominator // h) * (b._denominator // g))
+        return Fraction.__mul__(a, b)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __sub__(a, b):
+        return a + -b
+
+    def __rsub__(a, b):
+        return -a + b
+
+    def __neg__(a):
+        return _q(-a._numerator, a._denominator)
+
+    def __pow__(a, b):
+        if type(b) is not int:
+            return Fraction.__pow__(a, b)
+        return _q(a._numerator**b, a._denominator**b) if b >= 0 else div(1, a**-b)
+
+
+def _q(n: int, d: int) -> int | Q:
+    """n/d for coprime ints n and d > 0: n if d = 1, else a Q, unchecked."""
+    if d == 1:
+        return n
+    q = object.__new__(Q)
+    q._numerator, q._denominator = n, d
+    return q
+
+
+def rat(value) -> int | Q:
     """Coerce ints, strings like "3/2", or Fractions to an exact rational:
-    an int when the value is integral, else a Fraction.
+    an int when the value is integral, else a Q.
 
     Floats are refused (0.1 is not 1/10), and so are bools, other types
     and a zero denominator; each raises ValueError.
     """
-    if type(value) is int or type(value) is Laurent:
+    if type(value) is int or type(value) is Q or type(value) is Laurent:
         return value
     if type(value) is str and (canonical := _CANONICAL.fullmatch(value)):
         num, den = canonical.groups()
-        return int(num) if den is None else rat(Fraction(int(num), int(den)))
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"inexact or non-numeric scalar {value!r}; "
-                         "use an int or a rational string such as '1/10'")
-    try:
-        value = Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {value!r}") from None
-    except TypeError:
-        raise ValueError(f"not a rational scalar: {value!r}") from None
-    return value.numerator if value.denominator == 1 else value
+        return int(num) if den is None else div(int(num), int(den))
+    if not isinstance(value, Fraction):
+        if isinstance(value, (bool, float)):
+            raise ValueError(f"inexact or non-numeric scalar {value!r}; "
+                             "use an int or a rational string such as '1/10'")
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+        except TypeError:
+            raise ValueError(f"not a rational scalar: {value!r}") from None
+    return _q(value.numerator, value.denominator)
 
 
-def div(a, b) -> int | Fraction:
+def div(a, b) -> int | Q:
     """The exact quotient a / b of two scalars: an int when it is integral,
-    else a Fraction, or a Laurent if a or b is one.  The only division of
-    the package; b = 0 raises ZeroDivisionError."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = a / b
-    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+    else a Q, or a Laurent if a or b is one.  The only division of the
+    package; b = 0 raises ZeroDivisionError."""
+    if type(a) is not int or type(b) is not int:
+        if type(a) is Laurent or type(b) is Laurent:
+            return a / b
+        a, b = rat(a), rat(b)
+        a, b = a.numerator * b.denominator, a.denominator * b.numerator
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    g = gcd(a, b) if b > 0 else -gcd(a, b)
+    return _q(a // g, b // g)
 
 
 def rat_str(value) -> str:
     """Serialize a rational as "p/q", or "p" when it is integral."""
-    if type(value) is int:
+    if type(value) is int or isinstance(value, Fraction):
         return str(value)
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    return str(Fraction(value))
 
 
 _ZERO = 0
@@ -138,6 +194,10 @@ class Laurent:
     def __eq__(self, other):
         b = _terms_of(other)
         return NotImplemented if b is None else self.terms == b
+
+    def __hash__(self):  # a constant hashes as the scalar it equals
+        t = self.terms
+        return hash(t.get(0, _ZERO) if t.keys() <= {0} else frozenset(t.items()))
 
     def __add__(self, other):
         b = _terms_of(other)

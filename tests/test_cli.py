@@ -792,3 +792,20 @@ def test_seed_builds_no_generator_where_nothing_draws(tmp_path, capsys,
     code, report = run_json(capsys, ["--config", cfg, "--json", "--seed", "5",
                                      *tail])
     assert code == 0 and report["seed"] == 5 and built == []
+
+
+@pytest.mark.parametrize("command", ["check-algebra", "deform-verify"])
+def test_random_draws_share_one_pool(tmp_path, capsys, monkeypatch, command):
+    # the random elements of a sweep are drawn from one basis window, built
+    # once per command, not once per draw
+    cfg = write_config(tmp_path, "2", "0", ["0", "1"])
+    real, windows = gwadeform.cli.basis_window, []
+
+    def counted(params, n):
+        windows.append(n)
+        return real(params, n)
+
+    monkeypatch.setattr(gwadeform.cli, "basis_window", counted)
+    code, report = run_json(capsys, ["--config", cfg, "--json", "--order", "2",
+                                     command])
+    assert code == 0 and report["pass"] and windows == [6]

@@ -31,7 +31,7 @@ from gwadeform.hochschild import (
     thetaprime3,
 )
 from gwadeform.percomplex import PerCochain, f_map, is_cocycle, per_diff
-from gwadeform.scalars import Poly
+from gwadeform.scalars import Poly, Q
 
 from conftest import (
     cochain2_sum,
@@ -150,7 +150,7 @@ def test_theta2_y_branch_is_exact():
         assert slots[1] == (-(tensor_from_pair(a.y(), a.one())
                               + inv * tensor_from_pair(a.one(), a.y()))).terms
         coeff = slots[1][((0, 0), (0, -1))]
-        assert coeff == -inv and type(coeff) is (Fraction if lam == 2 else int)
+        assert coeff == -inv and type(coeff) is (Q if lam == 2 else int)
         for slot in theta2(a, (1, -3), (2, -1)):
             assert not any(isinstance(c, float) for c in slot.values())
 

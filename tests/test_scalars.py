@@ -12,6 +12,7 @@ from gwadeform.scalars import (
     BezoutPair,
     Laurent,
     Poly,
+    Q,
     bezout_for_phi,
     div,
     poly_ext_gcd,
@@ -46,8 +47,8 @@ def test_rat_roundtrip():
 
 
 def _is_normal_scalar(v) -> bool:
-    """An int (not a bool) or a Fraction that is not integral."""
-    if isinstance(v, Fraction):
+    """An int (not a bool) or a Q that is not integral."""
+    if type(v) is Q:
         return v.denominator != 1
     return type(v) is int
 
@@ -115,19 +116,24 @@ def test_rat_string_fast_path_matches_fraction_parser(text):
         assert type(got.value) is type(exc) and str(got.value) == str(exc)
         return
     got = rat(text)
-    assert got == want and type(got) is type(want), text
+    assert got == want and type(got) is (int if type(want) is int else Q), text
 
 
 def test_rat_normal_forms():
     assert type(rat(3)) is int and type(rat("3")) is int
     assert type(rat(Fraction(6, 3))) is int and rat(Fraction(6, 3)) == 2
+    assert type(rat(Fraction(6, 4))) is Q and rat(Fraction(6, 4)) == Fraction(3, 2)
 
 
-@given(scalars, scalars.filter(bool))
+# plain Fractions too, integral ones included: div still returns an int or a Q
+div_operands = st.one_of(scalars, st.fractions(max_denominator=50))
+
+
+@given(div_operands, div_operands.filter(bool))
 def test_div_is_exact(a, b):
     q = div(a, b)
     assert _is_normal_scalar(q), (a, b, q)
-    assert q * b == a
+    assert q * b == a and q == Fraction(a) / Fraction(b)
 
 
 @given(scalars)
@@ -136,6 +142,78 @@ def test_div_by_zero_raises(a):
         div(a, 0)
     with pytest.raises(ZeroDivisionError):
         div(a, Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Q, the non-integral scalar, against plain Fraction arithmetic
+# ---------------------------------------------------------------------------
+
+def test_fraction_slot_layout():
+    # Q builds its instances by setting these two slots of Fraction, and
+    # must not grow a __dict__ of its own
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    assert Q.__slots__ == () and not hasattr(rat("1/2"), "__dict__")
+    half = rat("-1/2")
+    assert (half.numerator, half.denominator) == (-1, 2)
+
+
+q_values = st.fractions(-50, 50, max_denominator=40).filter(
+    lambda f: f.denominator != 1).map(rat)
+q_operands = st.one_of(st.integers(-10**4, 10**4), q_values,
+                       st.fractions(-50, 50, max_denominator=40))
+
+
+def _as_fraction(x):
+    return Fraction(x.numerator, x.denominator)
+
+
+def _same_scalar(got, want):
+    """got is want's value in the package's form: an int exactly when it
+    is integral, otherwise a Q; never a float or a plain Fraction."""
+    assert type(got) is (int if want.denominator == 1 else Q), (got, want)
+    assert got == want and want == got and not got != want
+    assert hash(got) == hash(want) == hash(_as_fraction(got))
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@given(q_values, q_operands)
+@example(rat("1/2"), rat("1/2"))
+@example(rat("1/2"), rat("-1/2"))
+@example(rat("1/6"), rat("5/6"))
+@example(rat("2/3"), 0)
+@example(rat("2/3"), Fraction(3, 2))
+@example(rat("2/3"), Fraction(0))
+@example(rat("-3/4"), Fraction(-4, 3))
+def test_q_arithmetic_matches_fraction(q, b):
+    # a Q on either side, an int, a Q or a plain Fraction on the other
+    fq, fb = _as_fraction(q), _as_fraction(b)
+    for got, want in [(q + b, fq + fb), (b + q, fb + fq), (q - b, fq - fb),
+                      (b - q, fb - fq), (q * b, fq * fb), (b * q, fb * fq),
+                      (-q, -fq), (div(q, q), 1), (div(b, q), fb / fq)]:
+        _same_scalar(got, Fraction(want))
+    if b:
+        _same_scalar(div(q, b), fq / fb)
+
+
+@given(q_values, st.integers(-6, 6))
+@example(rat("-1/2"), -3)
+@example(rat("1/2"), 0)
+@example(rat("-5/3"), -1)
+def test_q_powers_match_fraction(q, n):
+    _same_scalar(q**n, _as_fraction(q)**n)
+
+
+def test_q_keeps_fractions_plain_results_elsewhere():
+    # abs, //, % and round are Fraction's; mixing with a float or a Laurent
+    # behaves as a Fraction does
+    q = rat("-7/2")
+    assert type(abs(q)) is Fraction and abs(q) == Fraction(7, 2)
+    assert q // 1 == -4 and q % 1 == Fraction(1, 2) and round(q) == -4
+    assert type(q * 0.5) is float and type(0.5 + q) is float
+    assert q * Laurent({1: 2}) == Laurent({1: -7})
+    assert str(q) == "-7/2" and rat_str(q) == "-7/2"
+    with pytest.raises(TypeError):
+        q + "1"
 
 
 def test_only_scalars_div_divides():
@@ -257,10 +335,25 @@ def test_laurent_division():
             div(t, zero)
 
 
+@given(laurent_dicts, small_fracs)
+def test_laurent_hash_agrees_with_equality(d, c):
+    # equal values hash equal: zero terms dropped, a Q or an integral
+    # Fraction against its int, and a constant against the scalar itself
+    f = Laurent(d)
+    same = Laurent({**{e: Fraction(x) for e, x in d.items()}, 9: 0})
+    assert f == same and hash(f) == hash(same)
+    assert hash(Laurent({0: c})) == hash(c) == hash(rat(c))
+    assert hash(Laurent({0: rat(c)})) == hash(c)
+    assert {Laurent({0: c}): "k"}.get(rat(c)) == "k"
+
+
 def test_laurent_equality_and_rat():
     t = Laurent({1: 1})
     assert Laurent({0: 3, 2: 0}) == 3 == Laurent({0: Fraction(6, 2)})
     assert Laurent({0: 0}) == 0 == Laurent({}) and 1 != Laurent({})
+    assert hash(Laurent({})) == 0 == hash(Laurent({0: 0}))
+    assert hash(Laurent({0: 3})) == hash(3)
+    assert len({t, Laurent({1: 1}), t * t, Laurent({2: 1}), t + 1}) == 3
     assert not Laurent({}) and t
     assert t != 1 and t != Laurent({1: 2}) and t != "t"
     assert rat(t) is t
