@@ -52,7 +52,7 @@ from .percomplex import (
     per_diff,
     split2,
 )
-from .scalars import bezout_for_phi, rat, rat_str
+from .scalars import bezout_for_phi, rat_str
 
 def load_config(path: str) -> tuple[GwaParams, str]:
     with open(path) as fh:
@@ -104,7 +104,7 @@ def _random_element(rng, params, pool, nterms=3):
     terms = {}
     for _ in range(nterms):
         pq = rng.choice(pool)
-        terms[pq] = terms.get(pq, 0) + rat(rng.randint(-4, 4))
+        terms[pq] = terms.get(pq, 0) + rng.randint(-4, 4)
     return GwaElement(params, terms)
 
 

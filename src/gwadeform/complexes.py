@@ -23,7 +23,6 @@ from .core import (
     GwaParams,
     LEG_ID,
     LegMap,
-    _MINUS_ONE,
     _accumulate,
     _delta_terms,
 )
@@ -64,7 +63,7 @@ def _dv_gens(a: GwaParams, p: int) -> list:
     def dv(j):  # sigma^j(z) (x) 1 - 1 (x) z
         terms = {((e, 0), _1): c
                  for e, c in enumerate(a.sigma_z(j).coeffs) if c}
-        terms[(_1, (1, 0))] = _MINUS_ONE
+        terms[(_1, (1, 0))] = -1
         return terms
 
     if p == 0:
@@ -97,9 +96,9 @@ def _r_gens(a: GwaParams, p: int) -> list:
     """r on the generators of P_{p,0}, per slot of P_{p-2,1} (p >= 2)."""
     sig = LegMap(1, 0)
     if p % 2 == 1:
-        return [[_delta_phi(a, sig, LEG_ID, _MINUS_ONE), {}],
+        return [[_delta_phi(a, sig, LEG_ID, -1), {}],
                 [{}, _delta_phi(a, LEG_ID, sig, -a.lam)]]
-    d = _delta_phi(a, LEG_ID, LEG_ID, _MINUS_ONE)
+    d = _delta_phi(a, LEG_ID, LEG_ID, -1)
     ds_s = _delta_phi(a, sig, sig, -a.lam)
     return [[d], [ds_s]] if p == 2 else [[d, {}], [{}, ds_s]]
 

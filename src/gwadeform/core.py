@@ -19,12 +19,18 @@ over A or A (x) A, or a short tuple of such combinations:
   and scaling.  ``GwaElement`` and ``TensorElement`` subclass it.  The
   chains of T and C in ``complexes`` are plain lists of term dicts, one
   per slot, and carry no algebra.
+* Scalars are normalised where they enter, by ``scalars.rat``: in the
+  ``LinComb`` constructor (every value of a caller's term dict, so a float
+  is refused and "1/2" or Fraction(4, 2) is stored canonically), in
+  ``LinComb.scale`` and in ``GwaParams`` and ``Automorphism``.  Everything
+  downstream trusts the canonical form and never re-normalises it.
 * ``DirectSum`` gives the records whose last field is a tuple (cochain
   components, truncated tau-series) componentwise zero test, negation,
   sum and difference; their equality is the ``scalars.Record`` one.
 * ``_accumulate(out, terms, c)`` adds c * terms into the term dict ``out``
   in place.  Its contract: a falsy value is never stored (a key that
-  cancels is deleted), and an integral value is stored as an int.
+  cancels is deleted).  It keeps the canonical form it is given: int and
+  Q arithmetic gives an int when the value is integral.
   Summing loops use it instead of rebuilding an element per term; it must
   only be given a dict that the caller owns.
   ``_multiply_into(alg, out, u, v, c)`` (out += c * u v on term dicts;
@@ -46,11 +52,11 @@ column q + j, where m = min(|q|, |j|) pairs cancel when q j < 0 and none
 otherwise.  The row is sigma^q(z)^i = (c z + d)^i (binomial theorem;
 c^i z^i when d = 0) times the factor that the m cancelled pairs leave
 (memoized per (q, m) and built from (q, m - 1)).  ``_row`` keeps it per
-algebra as (z-offset, coefficients), normalized once (integral values as
-ints), shared and never mutated; ``complexes._standardize`` reads its
-m = 0 rows to move z^p across the balanced tensor.  ``_multiply_into``
-adds every pair of terms by this rule: a key shift inline, any other
-product from the row, with no product memo in between.
+algebra as (z-offset, coefficients), shared and never mutated;
+``complexes._standardize`` reads its m = 0 rows to move z^p across the
+balanced tensor.  ``_multiply_into`` adds every pair of terms by this
+rule: a key shift inline, any other product from the row, with no product
+memo in between.
 ``GwaParams._mono_mul(p, q, i, j)`` spells out the same rule as a term
 dict memoized per (p, q, i, j), for callers that want one basis product
 as a dict: the h0 commutator span, the linear extensions of ``complexes``
@@ -59,23 +65,18 @@ and ``hochschild.determine_F`` (g z^i x_j).
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
 from .errors import ZeroPhiError
 from .scalars import Poly, Record, convolve, div, rat, rat_str
 
-_ZERO = 0
-_ONE = 1
-_MINUS_ONE = -1
-
 
 def _accumulate(out: dict, terms: dict, c=None) -> dict:
     """out += c * terms in place (c = None means 1); cancelled keys are dropped.
 
-    A sum or product of Fractions that comes out integral is stored as an
-    int, so that later arithmetic on it stays int arithmetic.
+    Values keep the canonical form of their scalars (``scalars``): a sum
+    or product of ints and Qs is an int when it is integral.
     """
     for k, v in terms.items():
         if c is not None:
@@ -84,7 +85,7 @@ def _accumulate(out: dict, terms: dict, c=None) -> dict:
         if old is not None:
             v = old + v
         if v:
-            out[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+            out[k] = v
         elif old is not None:
             del out[k]
     return out
@@ -112,7 +113,7 @@ class LinComb:
 
     def __init__(self, algebra, terms: dict):
         self.algebra = algebra
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.terms = {k: c for k, v in terms.items() if (c := rat(v))}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -140,7 +141,7 @@ class LinComb:
         return self._plus(other, None)
 
     def __sub__(self, other):
-        return self._plus(other, _MINUS_ONE)
+        return self._plus(other, -1)
 
     def scale(self, c):
         return type(self)(self.algebra, _accumulate({}, self.terms, rat(c)))
@@ -245,7 +246,7 @@ class GwaParams:
         else:
             lj = self.lam**j if j >= 0 else div(1, self.lam ** -j)
             p = Poly([div(self.eta * (lj - 1), self.lam - 1) if self.eta
-                      else _ZERO, lj])
+                      else 0, lj])
         self._sigma_z[j] = p
         return p
 
@@ -270,15 +271,12 @@ class GwaParams:
         return GwaElement(self, {})
 
     def one(self) -> "GwaElement":
-        return GwaElement(self, {(0, 0): _ONE})
+        return GwaElement(self, {(0, 0): 1})
 
     def monomial(self, p: int, q: int, c=1) -> "GwaElement":
         if type(p) is not int or type(q) is not int or p < 0:
             raise ValueError(f"monomial z^p x_q needs ints p >= 0 and q, "
                              f"got p={p!r}, q={q!r}")
-        c = rat(c)
-        if c == 0:
-            return self.zero()
         return GwaElement(self, {(p, q): c})
 
     def x(self, n: int = 1) -> "GwaElement":
@@ -303,17 +301,18 @@ class GwaParams:
         """prod_{k=1..m} sigma^{q - s k + [s > 0]}(phi) with s = sign(q).
 
         Cancelled pair k (x y or y x) of x_q x_j leaves the k-th factor.
-        Coefficients, memoized per (q, m) and built from (q, m - 1).
+        Coefficients, memoized per (q, m) and built from (q, m - 1); a
+        convolution of canonical scalars, so canonical itself.
         """
         if m == 0:
-            return (_ONE,)
+            return (1,)
         key = (q, m)
         out = self._pair_cache.get(key)
         if out is None:
             s = 1 if q > 0 else -1
-            out = tuple(map(rat, convolve(
+            out = tuple(convolve(
                 self._pair_factor(q, m - 1),
-                self.sigma_pow(self.phi, q - s * m + (s > 0)).coeffs)))
+                self.sigma_pow(self.phi, q - s * m + (s > 0)).coeffs))
             self._pair_cache[key] = out
         return out
 
@@ -323,8 +322,8 @@ class GwaParams:
         sigma^q(z) = c z + d; (c z + d)^i comes from the binomial theorem,
         or is c^i z^i (offset i) when d = 0.  Memoized per (q, i, m): this
         is the only memo that ``_multiply_into`` reads, at every p and j
-        with the same m.  The coefficients are normalized by ``rat`` and
-        shared, never mutated.
+        with the same m.  The coefficients are products of canonical
+        scalars, so canonical themselves; they are shared, never mutated.
         They are a list, not a tuple: tuples freed with the algebra stay on
         CPython's tuple free lists, which raised perfbench's peak RSS.
         """
@@ -338,7 +337,7 @@ class GwaParams:
                 off, b = i, [c**i]
             if m:
                 b = convolve(b, self._pair_factor(q, m))
-            row = (off, [*map(rat, b)])
+            row = (off, b)
             self._row_cache[key] = row
         return row
 
@@ -354,7 +353,7 @@ class GwaParams:
         if cached is not None:
             return cached
         if q == 0 or (i == 0 and q * j >= 0):
-            terms = {(p + i, q + j): _ONE}
+            terms = {(p + i, q + j): 1}
         else:
             off, row = self._row(q, i, min(abs(q), abs(j)) if q * j < 0 else 0)
             p, qj = p + off, q + j
@@ -372,7 +371,7 @@ class GwaParams:
     def from_json(data) -> "GwaParams":
         lam, eta, phi = (_field(data, k, "an algebra")
                          for k in ("lambda", "eta", "phi"))
-        return GwaParams(rat(lam), rat(eta), Poly.from_json(phi))
+        return GwaParams(lam, eta, Poly.from_json(phi))
 
 
 class GwaElement(LinComb):
@@ -421,7 +420,7 @@ class GwaElement(LinComb):
                                  f"got p={p!r}, q={q!r}")
             if (p, q) in terms:
                 raise ValueError(f"monomial (p, q) = ({p}, {q}) given twice")
-            terms[(p, q)] = rat(c)
+            terms[(p, q)] = c
         return GwaElement(algebra, terms)
 
 
@@ -445,8 +444,7 @@ def _multiply_into(alg: GwaParams, out: dict, u_terms: dict, v_terms: dict,
                 old = get(k)
                 v = w if old is None else old + w
                 if v:
-                    out[k] = (v.numerator if type(v) is Fraction
-                              and v.denominator == 1 else v)
+                    out[k] = v
                 elif old is not None:
                     del out[k]
                 continue
@@ -462,8 +460,7 @@ def _multiply_into(alg: GwaParams, out: dict, u_terms: dict, v_terms: dict,
                 if old is not None:
                     v = old + v
                 if v:
-                    out[k] = (v.numerator if type(v) is Fraction
-                              and v.denominator == 1 else v)
+                    out[k] = v
                 elif old is not None:
                     del out[k]
     return out
@@ -595,7 +592,7 @@ class TensorElement(LinComb):
     __slots__ = ()
 
     def _leg(self, pq) -> GwaElement:
-        return GwaElement(self.algebra, {pq: _ONE})
+        return GwaElement(self.algebra, {pq: 1})
 
     def __repr__(self):
         if not self.terms:
@@ -626,8 +623,8 @@ def _delta_terms(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
 
     The memo holds plain term dicts: an element in it would refer back to
     the algebra and keep it alive until the cyclic garbage collector runs.
-    They may hold zeros and integral Fractions: ``_accumulate`` drops the
-    one and normalizes the other, the ``LinComb`` constructor drops zeros.
+    They may hold zeros: ``_accumulate`` and the ``LinComb`` constructor
+    drop them.
     """
     key = (f_spec, g_spec, h)
     out = params._delta_cache.get(key)
@@ -647,7 +644,7 @@ def _delta_terms(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
                     if cR == 0:
                         continue
                     t = ((pL, 0), (pR, 0))
-                    out[t] = out.get(t, _ZERO) + c * cL * cR
+                    out[t] = out.get(t, 0) + c * cL * cR
     params._delta_cache[key] = out
     return out
 
@@ -661,9 +658,9 @@ def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
 def _twisted_leg(rho: Automorphism, alg: GwaParams, pq, c) -> tuple:
     """c rho(z^p x_q) as (terms, c'): a z-fixing rho only scales c."""
     if rho.z_image.coeffs != (0, 1):
-        return apply_automorphism(rho, GwaElement(alg, {pq: _ONE})).terms, c
+        return apply_automorphism(rho, GwaElement(alg, {pq: 1})).terms, c
     s = rho.x_scale ** pq[1] if pq[1] >= 0 else rho.y_scale ** -pq[1]
-    return {pq: _ONE}, c if s == 1 else c * s
+    return {pq: 1}, c if s == 1 else c * s
 
 
 def tensor_act(T, spec: BimoduleSpec, m: GwaElement, out: dict | None = None):

@@ -63,8 +63,6 @@ from .core import (
     DirectSum,
     GwaElement,
     GwaParams,
-    _MINUS_ONE,
-    _ONE,
     _accumulate,
     _multiply_into,
     basis_triples,
@@ -135,7 +133,7 @@ class StarProduct:
         vals = self._pairs.get((t1, t2))
         if vals is None:
             vals = self._pairs[(t1, t2)] = tuple(
-                _series_into(self, [{t1: _ONE}], [{t2: _ONE}]))
+                _series_into(self, [{t1: 1}], [{t2: 1}]))
         return vals
 
 
@@ -190,7 +188,7 @@ def build_star(params: GwaParams, order: int = 4) -> StarProduct:
     # F_n on (x, z), (x, y), (y, z), (y, x): the tau^n coefficient of the
     # product in A_tau
     x, y, z = (0, 1), (0, -1), (1, 0)
-    datum = [_deformed_mul(params, order, {g: _ONE}, {h: _ONE})
+    datum = [_deformed_mul(params, order, {g: 1}, {h: 1})
              for g, h in ((x, z), (x, y), (y, z), (y, x))]
     for n in range(2, order + 1):
         target = circle(cochains[0], cochains[n - 2])
@@ -224,7 +222,7 @@ def check_assoc(sp: StarProduct, u: GwaElement, v: GwaElement,
     U, V, W = [u.terms], [v.terms], [w.terms]
     out = _series_into(sp, _series_into(sp, U, V), W)
     return _from_terms(sp.params, _series_into(sp, U, _series_into(sp, V, W),
-                                               out, _MINUS_ONE))
+                                               out, -1))
 
 
 def _deformed_mul(params: GwaParams, order: int, u_terms: dict,
@@ -239,7 +237,7 @@ def _deformed_mul(params: GwaParams, order: int, u_terms: dict,
     It equals ``star`` on ``build_star(params, order)``.
     """
     _require_deformable(params, order)
-    t = Laurent({1: _ONE})
+    t = Laurent({1: 1})
     formal = GwaParams(*((t, 0) if params.is_quantum else (1, t)), params.phi)
     at_power = {}  # e -> the term dict of the t^e part
     for key, a in _multiply_into(formal, {}, u_terms, v_terms).items():

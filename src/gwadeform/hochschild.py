@@ -29,14 +29,11 @@ a term dict in place; ``evaluate`` builds one element at the end.
 from __future__ import annotations
 
 import weakref
-from fractions import Fraction
 from functools import partial
 
 from .core import (
     GwaElement,
     GwaParams,
-    _MINUS_ONE,
-    _ONE,
     _accumulate,
     _multiply_into,
     module_plain,
@@ -96,8 +93,7 @@ class Cochain2:
                     if old is not None:
                         v = old + v
                     if v:
-                        out[key] = (v.numerator if type(v) is Fraction
-                                    and v.denominator == 1 else v)
+                        out[key] = v
                     elif old is not None:
                         del out[key]
         return out
@@ -136,7 +132,7 @@ def circle(F: Cochain2, G: Cochain2) -> Cochain3:
     """F(G(u,v),w) - F(u,G(v,w))."""
     def into(out, u, v, w, c=None):
         F.evaluate_into(out, G.evaluate_into({}, u, v), w, c)
-        neg = _MINUS_ONE if c is None else -c
+        neg = -1 if c is None else -c
         return F.evaluate_into(out, u, G.evaluate_into({}, v, w), neg)
 
     return Cochain3(F.params, into)
@@ -147,7 +143,7 @@ def hochschild_b(F: Cochain2) -> Cochain3:
     a = F.params
 
     def into(out, u, v, w, c=None):
-        neg = _MINUS_ONE if c is None else -c
+        neg = -1 if c is None else -c
         _multiply_into(a, out, u, F.evaluate_into({}, v, w), c)
         F.evaluate_into(out, _multiply_into(a, {}, u, v), w, neg)
         F.evaluate_into(out, u, _multiply_into(a, {}, v, w), c)
@@ -304,7 +300,7 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
     def tb(out, u, v, w, c=None):
         """out += c * target_b(u, v, w) on the basis monomials u, v, w."""
         if target_b is not None:
-            target_b.into(out, {u: _ONE}, {v: _ONE}, {w: _ONE}, c)
+            target_b.into(out, {u: 1}, {v: 1}, {w: 1}, c)
         return out
 
     def sigma_col(i, s):
@@ -318,21 +314,21 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
         s = 1 if q > 0 else -1
         g = (0, s)
         if q != s:  # F(g^n, z^i x_j), n >= 2
-            out = mul({}, {(0, q - s): _ONE}, F(s, i, j).terms)
+            out = mul({}, {(0, q - s): 1}, F(s, i, j).terms)
             for (a, b), c in params._mono_mul(0, s, i, j).items():  # g z^i x_j
                 _accumulate(out, F(q - s, a, b).terms, c)
-            tb(out, (0, q - s), g, (i, j), _MINUS_ONE)
+            tb(out, (0, q - s), g, (i, j), -1)
         elif j == 0:  # F(g, z^i), i >= 2
             out = tb({}, g, (1, 0), (i - 1, 0))
             mul(out, sigma_col(1, s), F(s, i - 1, 0).terms)
-            mul(out, F(s, 1, 0).terms, {(i - 1, 0): _ONE})
+            mul(out, F(s, 1, 0).terms, {(i - 1, 0): 1})
         elif i == 0:  # F(g, h^J), J >= 2
             out = tb({}, g, (0, -s), (0, j + s))
-            mul(out, F(s, 0, -s).terms, {(0, j + s): _ONE})
+            mul(out, F(s, 0, -s).terms, {(0, j + s): 1})
         else:  # F(g, z^i x_j), i >= 1
             out = tb({}, g, (i, 0), (0, j))
             mul(out, sigma_col(i, s), F(s, 0, j).terms)
-            mul(out, F(s, i, 0).terms, {(0, j): _ONE})
+            mul(out, F(s, i, 0).terms, {(0, j): 1})
         return GwaElement(params, out)
 
     cochain = Cochain2(params, val)

@@ -45,8 +45,6 @@ from __future__ import annotations
 
 from .scalars import div
 
-_ZERO = 0
-
 
 def _reduce(row: dict, table: dict) -> dict:
     """row minus row[p] * table[p] for every pivot p of the table it touches.
@@ -61,7 +59,7 @@ def _reduce(row: dict, table: dict) -> dict:
     for p in hits:
         f = row[p]
         for c, a in table[p].items():
-            v = out.get(c, _ZERO) - f * a
+            v = out.get(c, 0) - f * a
             if v:
                 out[c] = v
             else:
@@ -121,10 +119,10 @@ def solve_many(columns: list[dict], rhss: list[dict]):
         if col in inconsistent:
             results.append(None)
             continue
-        x = [_ZERO] * ncols
+        x = [0] * ncols
         for p, row in table.items():
             if p < ncols:
-                x[p] = row.get(col, _ZERO)
+                x[p] = row.get(col, 0)
         results.append(x)
     return results
 

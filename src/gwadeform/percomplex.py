@@ -26,7 +26,6 @@ from .core import (
     GwaParams,
     LEG_ID,
     LegMap,
-    _MINUS_ONE,
     _accumulate,
     basis_window,
     tensor_act,
@@ -104,7 +103,7 @@ def _then(params: GwaParams, T: dict, H: dict) -> dict:
 def _f_table(params: GwaParams) -> list:
     """f as a one-column table: m -> (lam m x, -y m, 0, -lam (sDs(phi)) . m)."""
     lam = params.lam
-    return [[{(_1, _X): lam}], [{(_Y, _1): _MINUS_ONE}], [{}],
+    return [[{(_1, _X): lam}], [{(_Y, _1): -1}], [{}],
             [_delta_phi(params, _SIG, _SIG, -lam)]]
 
 
@@ -138,12 +137,12 @@ def _h_table(params: GwaParams, bez: BezoutPair) -> list:
     generator of T_2; d_3 h d_3 = d_3 on T_3 when phi is squarefree."""
     ay, beta, sbeta = _right_legs(params, bez)
     il = div(1, params.lam)
-    dD = _delta_phi(params, LEG_ID, _D, _MINUS_ONE)
+    dD = _delta_phi(params, LEG_ID, _D, -1)
     dsD = _delta_phi(params, _SIG, _SIG_D, -params.lam)
-    return [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
+    return [[{}, {}, _accumulate({}, beta, -1), {}],
             [_accumulate({}, ay, -il), {}, {}, _accumulate({}, sbeta, -il)],
             [_then(params, dD, beta), {}, {}, {}],
-            [{}, _then(params, dsD, sbeta), _accumulate({}, ay, _MINUS_ONE), {}]]
+            [{}, _then(params, dsD, sbeta), _accumulate({}, ay, -1), {}]]
 
 
 def contract3(c: PerCochain, bez: BezoutPair) -> PerCochain:
@@ -160,9 +159,9 @@ def _split2_table(params: GwaParams, bez: BezoutPair) -> list:
     """The table ``split2`` pairs with: rows k : T_1 -> T_2, one per
     generator of T_1, then the row of g : T_0 -> T_2."""
     ay, beta, sbeta = _right_legs(params, bez)
-    dsD_l = _delta_phi(params, _SIG, _D, _MINUS_ONE)   # sigma left, D right
+    dsD_l = _delta_phi(params, _SIG, _D, -1)   # sigma left, D right
     d_sD = _delta_phi(params, LEG_ID, _SIG_D, -params.lam)
-    return [[{}, {}, _accumulate({}, beta, _MINUS_ONE), {}],
+    return [[{}, {}, _accumulate({}, beta, -1), {}],
             [_then(params, dsD_l, beta), {}, {}, {}],
             [{}, _then(params, d_sD, sbeta), ay, {}],
             _g_row(params, ay, beta, sbeta)]

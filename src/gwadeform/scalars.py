@@ -7,11 +7,12 @@ point: it keeps ints and Qs, turns any other Fraction or string into one,
 and refuses floats; it reads the canonical "n" and "n/d" that ``rat_str``
 writes with ``int``, and any other string with Fraction's slower parser,
 to the same result or error.  Every division goes through ``div``, which
-keeps that form, so that no ``/`` between two ints can make a float.  The
-term-dict sums of ``core`` still turn an integral plain Fraction from
-outside into an int.  A third type, ``Laurent`` in a formal parameter t,
-is the lambda or eta of the formal algebras of ``deform`` and nothing
-else; ``rat`` passes it through.
+keeps that form, so that no ``/`` between two ints can make a float.
+``rat`` runs where a value comes from a caller (``Poly``, and the
+constructors listed in ``core``); the rest of the package trusts the
+form.  A third type, ``Laurent`` in a formal parameter t, is the lambda or
+eta of the formal algebras of ``deform`` and nothing else; ``rat`` passes
+it through.
 
 A polynomial in z is stored as a tuple of such scalars indexed by degree;
 the zero polynomial has an empty tuple and degree -1.
@@ -127,14 +128,11 @@ def div(a, b) -> int | Q:
 
 
 def rat_str(value) -> str:
-    """Serialize a rational as "p/q", or "p" when it is integral."""
+    """Serialize a rational as "p/q", or "p" when it is integral; anything
+    but an int or a Fraction (a Q included) raises ValueError."""
     if type(value) is int or isinstance(value, Fraction):
         return str(value)
-    return str(Fraction(value))
-
-
-_ZERO = 0
-_ONE = 1
+    raise ValueError(f"not a rational scalar: {value!r}")
 
 
 class Record:
@@ -197,7 +195,7 @@ class Laurent:
 
     def __hash__(self):  # a constant hashes as the scalar it equals
         t = self.terms
-        return hash(t.get(0, _ZERO) if t.keys() <= {0} else frozenset(t.items()))
+        return hash(t.get(0, 0) if t.keys() <= {0} else frozenset(t.items()))
 
     def __add__(self, other):
         b = _terms_of(other)
@@ -205,7 +203,7 @@ class Laurent:
             return NotImplemented
         out = self.terms.copy()
         for e, c in b.items():
-            out[e] = out.get(e, _ZERO) + c
+            out[e] = out.get(e, 0) + c
         return Laurent(out)
 
     def __mul__(self, other):
@@ -216,7 +214,7 @@ class Laurent:
         out = {}
         for e, c in self.terms.items():
             for f, d in other.terms.items():
-                out[e + f] = out.get(e + f, _ZERO) + c * d
+                out[e + f] = out.get(e + f, 0) + c * d
         return Laurent(out)
 
     __radd__, __rmul__ = __add__, __mul__
@@ -235,7 +233,7 @@ class Laurent:
         if n < 0:
             raise (ValueError if self else ZeroDivisionError)(
                 "only a nonzero monomial has an inverse in k[t, 1/t]")
-        return reduce(operator.mul, [self] * n, Laurent({0: _ONE}))
+        return reduce(operator.mul, [self] * n, Laurent({0: 1}))
 
     def __truediv__(self, other):
         b = _terms_of(other)
@@ -252,7 +250,7 @@ def convolve(a, b) -> list:
     sequences (constant term first); empty if either is empty."""
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, u in enumerate(a):
         if u:
             for j, v in enumerate(b):
@@ -306,15 +304,15 @@ class Poly:
         return not self.coeffs
 
     @property
-    def lead(self) -> int | Fraction:
+    def lead(self) -> int | Q:
         if not self.coeffs:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, k: int) -> int | Fraction:
+    def __getitem__(self, k: int) -> int | Q:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return _ZERO
+        return 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Poly):
@@ -365,7 +363,7 @@ class Poly:
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = [_ZERO] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
+        q = [0] * max(0, len(self.coeffs) - len(other.coeffs) + 1)
         r = list(self.coeffs)
         d = other.degree
         lead = other.lead
@@ -413,7 +411,7 @@ class Poly:
         """h(c z + d) on the coefficient list: a scaling when d = 0, else Horner."""
         c, d = rat(c), rat(d)
         if not d:
-            out, ck = [], _ONE
+            out, ck = [], 1
             for a in self.coeffs:
                 out.append(a * ck)
                 ck *= c
@@ -427,8 +425,8 @@ class Poly:
             out = shifted
         return Poly(out)
 
-    def __call__(self, value) -> int | Fraction:
-        acc = _ZERO
+    def __call__(self, value) -> int | Q:
+        acc = 0
         v = rat(value)
         for c in reversed(self.coeffs):
             acc = acc * v + c
@@ -457,7 +455,7 @@ class Poly:
         """A list of coefficients, constant term first."""
         if not isinstance(data, list):
             raise ValueError(f"polynomial must be a coefficient list, got {data!r}")
-        return Poly([rat(c) for c in data])
+        return Poly(data)
 
 
 def poly_ext_gcd(h1: Poly, h2: Poly) -> tuple[Poly, Poly, Poly]:
@@ -521,8 +519,8 @@ def root_power_poly(phi: Poly, e: int) -> Poly:
     s = [l]  # s[k] is the k-th power sum of the roots
     for k in range(1, e * l + 1):
         s.append(-sum(c[l - j] * s[k - j] for j in range(1, min(k, l + 1)))
-                 - (k * c[l - k] if k <= l else _ZERO))
-    b = [_ONE]  # b[k] is the coefficient of w^(l-k)
+                 - (k * c[l - k] if k <= l else 0))
+    b = [1]  # b[k] is the coefficient of w^(l-k)
     for k in range(1, l + 1):
         b.append(div(-sum(b[j] * s[e * (k - j)] for j in range(k)), k))
     return Poly(b[::-1])

@@ -14,7 +14,6 @@ from gwadeform.core import (
     LEG_ID,
     LegMap,
     TensorElement,
-    _MINUS_ONE,
     _accumulate,
     _same_algebra,
     apply_automorphism,
@@ -531,7 +530,7 @@ def reference_theta2(params, left, right):
                 lhs = params.from_poly(lz, q - s)
                 rz = params.sigma_pow(Poly.monomial(k - 1), s - 1)
                 rhs = params.lam ** (s - 1) * params.from_poly(rz, s - 1 + j)
-                _accumulate(slots[0], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
+                _accumulate(slots[0], tensor_from_pair(lhs, rhs).terms, -1)
     elif q < 0 and j <= 0:
         # y^Q against z^i y^J
         Q, J = -q, -j
@@ -541,14 +540,14 @@ def reference_theta2(params, left, right):
                 lhs = params.from_poly(lz, -(Q - s))
                 rz = params.sigma_pow(Poly.monomial(k - 1), -(s - 1))
                 rhs = div(1, params.lam ** (s - 1)) * params.from_poly(rz, -(s - 1) - J)
-                _accumulate(slots[1], tensor_from_pair(lhs, rhs).terms, _MINUS_ONE)
+                _accumulate(slots[1], tensor_from_pair(lhs, rhs).terms, -1)
     elif q == 1:
         # x against z^i y^J
         J = -j
         for k in range(1, i + 1):
             lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), 1))
             _accumulate(slots[0], tensor_from_pair(
-                lhs, params.monomial(k - 1, -J)).terms, _MINUS_ONE)
+                lhs, params.monomial(k - 1, -J)).terms, -1)
         slots[3] = tensor_from_pair(
             params.from_poly(zp * params.sigma_pow(Poly.monomial(i), 1)),
             params.y(J - 1)).terms
@@ -557,7 +556,7 @@ def reference_theta2(params, left, right):
         for k in range(1, i + 1):
             lhs = params.from_poly(zp * params.sigma_pow(Poly.monomial(i - k), -1))
             _accumulate(slots[1], tensor_from_pair(
-                lhs, params.monomial(k - 1, j)).terms, _MINUS_ONE)
+                lhs, params.monomial(k - 1, j)).terms, -1)
         slots[2] = tensor_from_pair(
             params.from_poly(zp * params.sigma_pow(Poly.monomial(i), -1)),
             params.x(j - 1)).terms

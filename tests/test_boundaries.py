@@ -16,7 +16,7 @@ from gwadeform.core import GwaElement, GwaParams, TensorElement, basis_window, \
 from gwadeform.deform import TruncatedElement, build_star, check_assoc, lift, \
     star, star_mul
 from gwadeform.percomplex import PerCochain
-from gwadeform.scalars import Poly, rat
+from gwadeform.scalars import Poly, Q, rat
 
 from conftest import tensor_from_pair
 
@@ -35,6 +35,24 @@ def test_rat_rejects_float_and_bool():
             rat(bad)
     assert rat("1/10") == Fraction(1, 10)
     assert rat(3) == 3 and rat(Fraction(2, 3)) == Fraction(2, 3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, c: GwaElement(a, {(0, 0): c}),
+    lambda a, c: TensorElement(a, {((0, 0), (0, 0)): c}),
+], ids=["gwa", "tensor"])
+def test_element_constructors_normalise_scalars(build):
+    # the term dict of a caller enters here: every value goes through rat
+    a = GwaParams(2, 0, Z)
+    with pytest.raises(ValueError):
+        build(a, 0.5)
+    (two,) = build(a, Fraction(4, 2)).terms.values()
+    assert type(two) is int and two == 2
+    for half in (Fraction(1, 2), "1/2"):
+        (c,) = build(a, half).terms.values()
+        assert type(c) is Q and c == Fraction(1, 2)
+    for zero in ("0", Fraction(0)):
+        assert build(a, zero).terms == {}
 
 
 @pytest.mark.parametrize("data", [

@@ -20,7 +20,7 @@ from gwadeform.core import GwaElement, GwaParams, module_nu, module_plain
 from gwadeform.deform import build_star, star
 from gwadeform.errors import MultipleRootError
 from gwadeform.percomplex import PerCochain, f_map, per_diff
-from gwadeform.scalars import Poly, bezout_for_phi
+from gwadeform.scalars import Poly, bezout_for_phi, div
 
 from conftest import reference_parser
 
@@ -534,6 +534,97 @@ def test_no_float_in_any_report(capsys):
             assert _floats(report) == [], (path.name, tail[:2])
             reports += 1
     assert len(CORPUS) == 11 and reports > 150
+
+
+_FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__pos__",
+    "__abs__")
+
+
+def count_plain_fractions(monkeypatch) -> list:
+    """Wrap Fraction's constructor and arithmetic; the returned list gains
+    one entry for each plain Fraction (not a Q) that they make."""
+    made, new = [], Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        if cls is Fraction:
+            made.append("__new__")
+        return new(cls, *args, **kwargs)
+
+    def counting(name, method):
+        def wrapper(*args):
+            out = method(*args)
+            if type(out) is Fraction:
+                made.append(name)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for name in _FRACTION_ARITHMETIC:
+        monkeypatch.setattr(Fraction, name,
+                            counting(name, getattr(Fraction, name)))
+    return made
+
+
+def _fraction_guard_requests(params):
+    """Small-window argv tails of every command, payloads built in code."""
+    rng = random.Random(5)
+
+    def element(nterms=3):
+        return GwaElement(params, {
+            (rng.randint(0, 2), rng.randint(-2, 2)):
+            div(rng.choice([1, -2, 3]), rng.choice([1, 2, 3]))
+            for _ in range(nterms)})
+
+    def js(obj):
+        return json.dumps(obj.to_json())
+
+    def cochain(module, degree):
+        return PerCochain(params, module, degree, tuple(
+            element(2) for _ in range(PerCochain.slots(degree))))
+
+    requests = [["mul", js(element()), js(element())],
+                ["--order", "2", "star", js(element()), js(element())],
+                ["--window", "4", "h0"], ["check-algebra"],
+                ["--order", "2", "deform-verify"]]
+    for name, make in (("plain", module_plain), ("nu", module_nu)):
+        module, m = make(params), element()
+        cocycle2 = per_diff(cochain(module, 1)) + f_map(m, params, module)
+        requests += [["cohomology", "f", js(m), "--module", name],
+                     ["cohomology", "diff", js(cochain(module, 2))],
+                     ["cohomology", "g", js(cocycle2)],
+                     ["cohomology", "split2", js(cocycle2)],
+                     ["cohomology", "contract3",
+                      js(per_diff(cochain(module, 2)))]]
+    return requests
+
+
+@pytest.mark.parametrize("lam, eta, phi", [
+    ("1/3", "0", ["1", "0", "1"]), ("1", "2/3", ["-1", "0", "1"]),
+    ("-1", "0", ["1", "0", "1"])], ids=["quantum-1_3", "classical-2_3",
+                                        "quantum-minus-1"])
+def test_no_plain_fraction_inside_run(tmp_path, capsys, monkeypatch,
+                                      lam, eta, phi):
+    # the package keeps every scalar an int or a Q, so no code downstream
+    # of the entry points needs to normalise a plain Fraction
+    cfg = write_config(tmp_path, lam, eta, phi)
+    requests = _fraction_guard_requests(load_config(cfg)[0])
+    made = count_plain_fractions(monkeypatch)
+    for tail in requests:
+        code = run(["--config", cfg, "--json", *tail])
+        assert code == 0, (tail[:2], capsys.readouterr().err)
+        assert made == [], tail[:2]
+    capsys.readouterr()
+
+
+def test_plain_fraction_counter_sees_a_plain_scale_factor(monkeypatch):
+    # the positive control of the guard above
+    a, half = GwaParams(2, 0, Poly([0, 1])), Fraction(1, 2)
+    made = count_plain_fractions(monkeypatch)
+    gwadeform.core._multiply_into(a, {}, {(0, 1): 1}, {(1, 0): 1}, half)
+    assert made
 
 
 # report-shaped values: strings with quotes, backslashes, control and

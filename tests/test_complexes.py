@@ -21,7 +21,6 @@ from gwadeform.core import (
     TensorElement,
     LEG_ID,
     LegMap,
-    _MINUS_ONE,
     _accumulate,
     multiply,
     twisted_delta,
@@ -274,7 +273,7 @@ def test_verify_hdc_reports_a_negated_r_row(monkeypatch, p0, k):
     def poisoned(params, p):
         rows = honest(params, p)
         if p == p0:
-            rows[k] = [_accumulate({}, t, _MINUS_ONE) for t in rows[k]]
+            rows[k] = [_accumulate({}, t, -1) for t in rows[k]]
         return rows
 
     monkeypatch.setattr(complexes, "_r_gens", poisoned)

@@ -32,8 +32,8 @@ from conftest import (
     random_element,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def dense_solve_many(matrix, rhss):
@@ -66,7 +66,7 @@ def dense_solve_many(matrix, rhss):
                for i in range(r, nrows)):
             results.append(None)
             continue
-        x = [_ZERO] * ncols
+        x = [ZERO] * ncols
         for i, c in enumerate(pivots):
             x[c] = aug[i][col]
         results.append(x)
@@ -107,7 +107,7 @@ class DenseEchelon:
 
     def widened(self, ncols):
         out = DenseEchelon(ncols)
-        pad = [_ZERO] * (ncols - self.ncols)
+        pad = [ZERO] * (ncols - self.ncols)
         out.rows = [row + pad for row in self.rows]
         out.pivots = list(self.pivots)
         return out
@@ -121,7 +121,7 @@ class DenseEchelon:
 
 
 def matvec(matrix, x):
-    return [sum((a * b for a, b in zip(row, x)), _ZERO) for row in matrix]
+    return [sum((a * b for a, b in zip(row, x)), ZERO) for row in matrix]
 
 
 def sparse(vec):
@@ -138,14 +138,14 @@ def sparse_columns(matrix):
 def densify(columns, rhss):
     """The dense matrix and right-hand sides of a sparse system."""
     keys = list(dict.fromkeys(k for v in columns + rhss for k in v))
-    matrix = [[col.get(k, _ZERO) for col in columns] for k in keys]
-    return matrix, [[b.get(k, _ZERO) for k in keys] for b in rhss]
+    matrix = [[col.get(k, ZERO) for col in columns] for k in keys]
+    return matrix, [[b.get(k, ZERO) for k in keys] for b in rhss]
 
 
 def dense_vector(terms, basis):
     """Coordinates of a term dict on an explicit key list."""
     pos = {k: n for n, k in enumerate(basis)}
-    vec = [_ZERO] * len(basis)
+    vec = [ZERO] * len(basis)
     for k, c in terms.items():
         if k not in pos:
             raise ValueError(f"monomial {k} outside the window")
@@ -295,7 +295,7 @@ rationals = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
 def _summand(draw, max_rows, max_cols):
     nrows = draw(st.integers(1, max_rows))
     ncols = draw(st.integers(1, max_cols))
-    cell = st.one_of(st.just(_ZERO), st.just(_ZERO), rationals)
+    cell = st.one_of(st.just(ZERO), st.just(ZERO), rationals)
     rows = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
     if nrows > 1 and draw(st.booleans()):
         # a dependent row makes inconsistent right-hand sides possible
@@ -318,7 +318,7 @@ def sparse_matrix(draw, max_rows=7, max_cols=7):
     ncols = sum(len(m[0]) for m in parts)
     row_at = draw(st.permutations(range(nrows)))
     col_at = draw(st.permutations(range(ncols)))
-    rows = [[_ZERO] * ncols for _ in range(nrows)]
+    rows = [[ZERO] * ncols for _ in range(nrows)]
     blocks = [(range(nrows), range(ncols))]
     for m in parts:
         rs, row_at = row_at[:len(m)], row_at[len(m):]
@@ -340,11 +340,11 @@ def test_random_systems_match_dense(data):
         on_rows, on_cols = data.draw(st.sampled_from(blocks))
         if data.draw(st.booleans()):
             x0 = data.draw(st.lists(rationals, min_size=ncols, max_size=ncols))
-            x0 = [a if c in on_cols else _ZERO for c, a in enumerate(x0)]
+            x0 = [a if c in on_cols else ZERO for c, a in enumerate(x0)]
             rhss.append(matvec(matrix, x0))
         else:
             b = data.draw(st.lists(rationals, min_size=nrows, max_size=nrows))
-            rhss.append([a if r in on_rows else _ZERO for r, a in enumerate(b)])
+            rhss.append([a if r in on_rows else ZERO for r, a in enumerate(b)])
     got = solve_many(sparse_columns(matrix), [sparse(b) for b in rhss])
     assert got == dense_solve_many(matrix, rhss)
     for b, x in zip(rhss, got):
@@ -356,11 +356,11 @@ def test_rows_no_right_hand_side_reaches_are_not_eliminated(monkeypatch):
     # the direct sum of two blocks, disjoint in row keys and in unknowns,
     # with the right-hand side on the first block
     two, three = Fraction(2), Fraction(3)
-    matrix = [[_ONE, two, _ZERO, _ZERO],
-              [three, _ONE, _ZERO, _ZERO],
-              [_ZERO, _ZERO, _ONE, _ONE],
-              [_ZERO, _ZERO, two, three]]
-    rhs = [three, two, _ZERO, _ZERO]
+    matrix = [[ONE, two, ZERO, ZERO],
+              [three, ONE, ZERO, ZERO],
+              [ZERO, ZERO, ONE, ONE],
+              [ZERO, ZERO, two, three]]
+    rhs = [three, two, ZERO, ZERO]
     inserted = []
     real = linalg._insert
 
@@ -374,31 +374,31 @@ def test_rows_no_right_hand_side_reaches_are_not_eliminated(monkeypatch):
     assert inserted and not any(row.keys() & {2, 3} for row in inserted)
     # the unknowns of the other block get the zeros of the RREF solution
     assert got == dense_solve_many(matrix, [rhs])
-    assert got == [[Fraction(1, 5), Fraction(7, 5), _ZERO, _ZERO]]
+    assert got == [[Fraction(1, 5), Fraction(7, 5), ZERO, ZERO]]
 
 
 def test_inconsistent_and_consistent_rhs_together():
-    matrix = [[_ONE, _ONE], [Fraction(2), Fraction(2)], [_ZERO, _ONE]]
-    good = [Fraction(3), Fraction(6), _ONE]
-    bad = [_ONE, _ONE, _ONE]
+    matrix = [[ONE, ONE], [Fraction(2), Fraction(2)], [ZERO, ONE]]
+    good = [Fraction(3), Fraction(6), ONE]
+    bad = [ONE, ONE, ONE]
     got = solve_many(sparse_columns(matrix), [sparse(good), sparse(bad), sparse(good)])
-    assert got == [[Fraction(2), _ONE], None, [Fraction(2), _ONE]]
+    assert got == [[Fraction(2), ONE], None, [Fraction(2), ONE]]
     assert solve_many([], [{}]) == dense_solve_many([], [[]]) == [[]]
 
 
 def test_row_keys_need_only_be_hashable():
-    columns = [{"a": _ONE, (0, 1): _ONE}, {(0, 1): _ONE, 2: _ONE}]
+    columns = [{"a": ONE, (0, 1): ONE}, {(0, 1): ONE, 2: ONE}]
     two = Fraction(2)
-    assert solve_many(columns, [{"a": _ONE, (0, 1): Fraction(3), 2: two}]) == [[_ONE, two]]
+    assert solve_many(columns, [{"a": ONE, (0, 1): Fraction(3), 2: two}]) == [[ONE, two]]
     # a key no image touches is an equation without unknowns
-    assert solve_many(columns, [{"a": _ONE, "b": _ONE}, {}]) == [None, [_ZERO, _ZERO]]
+    assert solve_many(columns, [{"a": ONE, "b": ONE}, {}]) == [None, [ZERO, ZERO]]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_echelon_matches_dense(data):
     ncols = data.draw(st.integers(1, 7))
-    vec = st.lists(st.one_of(st.just(_ZERO), rationals),
+    vec = st.lists(st.one_of(st.just(ZERO), rationals),
                    min_size=ncols, max_size=ncols)
     ech, dense = Echelon(), DenseEchelon(ncols)
     for v in data.draw(st.lists(vec, max_size=8)):
@@ -412,9 +412,9 @@ def test_echelon_matches_dense(data):
     wide = ncols + data.draw(st.integers(0, 3))
     ech, dense = ech.copy(), dense.widened(wide)
     assert ech.rank == dense.rank
-    wvec = st.lists(st.one_of(st.just(_ZERO), rationals), min_size=wide, max_size=wide)
+    wvec = st.lists(st.one_of(st.just(ZERO), rationals), min_size=wide, max_size=wide)
     for v in probes:
-        padded = v + [_ZERO] * (wide - ncols)
+        padded = v + [ZERO] * (wide - ncols)
         assert ech.contains(sparse(padded)) == dense.contains(padded)
     for v in data.draw(st.lists(wvec, max_size=4)):
         assert ech.add(sparse(v)) == dense.add(v)
@@ -424,9 +424,9 @@ def test_echelon_matches_dense(data):
 
 def test_copy_leaves_the_original_alone():
     ech = Echelon()
-    assert ech.add({0: _ONE, 1: _ONE})
+    assert ech.add({0: ONE, 1: ONE})
     copy = ech.copy()
-    assert copy.add({1: _ONE})
+    assert copy.add({1: ONE})
     assert (ech.rank, copy.rank) == (1, 2)
-    assert not ech.contains({1: _ONE})
-    assert ech.rows == {0: {0: _ONE, 1: _ONE}}
+    assert not ech.contains({1: ONE})
+    assert ech.rows == {0: {0: ONE, 1: ONE}}

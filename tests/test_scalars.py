@@ -46,6 +46,14 @@ def test_rat_roundtrip():
     assert rat("-7/14") == Fraction(-1, 2)
 
 
+def test_rat_str_refuses_what_is_not_a_rational():
+    # a float or a bool would otherwise print as a rational it never was
+    assert rat_str(7) == "7" and rat_str(Fraction(6, 4)) == "3/2"
+    for bad in (0.1, True, "1/2"):
+        with pytest.raises(ValueError):
+            rat_str(bad)
+
+
 def _is_normal_scalar(v) -> bool:
     """An int (not a bool) or a Q that is not integral."""
     if type(v) is Q:
@@ -232,6 +240,19 @@ def test_only_scalars_div_divides():
                 found.append((f"{path.name}:{node.lineno}", node in allowed))
     assert [where for where, ok in found if not ok] == []
     assert [ok for _, ok in found] == [True]
+
+
+def test_only_scalars_imports_fractions():
+    # scalars alone decides the canonical form of a scalar; every other
+    # module trusts it and needs no Fraction
+    found = []
+    for path in sorted(Path(gwadeform.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                found.append(path.name)
+            elif isinstance(node, ast.Import):
+                found += [path.name for a in node.names if a.name == "fractions"]
+    assert found == ["scalars.py"]
 
 
 def test_scalars_imports_only_errors():
