@@ -407,8 +407,7 @@ def run(argv=None) -> int:
     ok = all(r.get("pass", True) for r in results)
     report = {
         "command": args.command,
-        "algebra": {"label": label, "lambda": rat_str(params.lam),
-                    "eta": rat_str(params.eta), "phi": params.phi.to_json()},
+        "algebra": {"label": label, **params.to_json()},
         "seed": args.seed,
         "version": __version__,
         "results": results,

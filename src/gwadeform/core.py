@@ -50,13 +50,13 @@ When q = 0, or i = 0 and no pair cancels, it is the key shift
 z^(p+i) x_(q+j).  Otherwise it is the row R(q, i, m) shifted by z^p into
 column q + j, where m = min(|q|, |j|) pairs cancel when q j < 0 and none
 otherwise.  The row is sigma^q(z)^i = (c z + d)^i (binomial theorem;
-c^i z^i when d = 0) times the factor that the m cancelled pairs leave
-(memoized per (q, m) and built from (q, m - 1)).  ``_row`` keeps it per
-algebra as (z-offset, coefficients), shared and never mutated;
-``complexes._standardize`` reads its m = 0 rows to move z^p across the
-balanced tensor.  ``_multiply_into`` adds every pair of terms by this
-rule: a key shift inline, any other product from the row, with no product
-memo in between.
+c^i z^i when d = 0) times the factor that the m cancelled pairs leave.
+``_row`` keeps one memo per algebra, keyed (q, i, m), of (z-offset,
+coefficients), shared and never mutated; its rows of i = 0 are the pair
+factors, each built from the one of m - 1.  ``complexes._standardize``
+reads its m = 0 rows to move z^p across the balanced tensor.
+``_multiply_into`` adds every pair of terms by this rule: a key shift
+inline, any other product from the row, with no product memo in between.
 ``GwaParams._mono_mul(p, q, i, j)`` spells out the same rule as a term
 dict memoized per (p, q, i, j), for callers that want one basis product
 as a dict: the h0 commutator span, the linear extensions of ``complexes``
@@ -204,7 +204,6 @@ class GwaParams:
         self._sigma_z: dict[int, Poly] = {}
         self._sigma_cache: dict[tuple[Poly, int], Poly] = {}
         self._mono_cache: dict[tuple[int, int, int, int], dict] = {}
-        self._pair_cache: dict[tuple[int, int], tuple] = {}
         self._row_cache: dict[tuple[int, int, int], tuple] = {}
         self._delta_cache: dict[tuple[LegMap, LegMap, Poly], dict] = {}
         self.phi_bar = self.sigma_pow(phi, 1)
@@ -297,46 +296,37 @@ class GwaParams:
     def weight(self, p: int, q: int) -> int:
         return p + (self.l + 1) * abs(q)
 
-    def _pair_factor(self, q: int, m: int) -> tuple:
-        """prod_{k=1..m} sigma^{q - s k + [s > 0]}(phi) with s = sign(q).
-
-        Cancelled pair k (x y or y x) of x_q x_j leaves the k-th factor.
-        Coefficients, memoized per (q, m) and built from (q, m - 1); a
-        convolution of canonical scalars, so canonical itself.
-        """
-        if m == 0:
-            return (1,)
-        key = (q, m)
-        out = self._pair_cache.get(key)
-        if out is None:
-            s = 1 if q > 0 else -1
-            out = tuple(convolve(
-                self._pair_factor(q, m - 1),
-                self.sigma_pow(self.phi, q - s * m + (s > 0)).coeffs))
-            self._pair_cache[key] = out
-        return out
-
     def _row(self, q: int, i: int, m: int) -> tuple:
-        """sigma^q(z)^i times ``_pair_factor(q, m)`` as (z-offset, coefficients).
+        """sigma^q(z)^i times the factor that m cancelled pairs leave, as
+        (z-offset, coefficients), memoized per (q, i, m).
 
-        sigma^q(z) = c z + d; (c z + d)^i comes from the binomial theorem,
-        or is c^i z^i (offset i) when d = 0.  Memoized per (q, i, m): this
-        is the only memo that ``_multiply_into`` reads, at every p and j
-        with the same m.  The coefficients are products of canonical
-        scalars, so canonical themselves; they are shared, never mutated.
-        They are a list, not a tuple: tuples freed with the algebra stay on
+        Pair k (x y or y x) of x_q x_j leaves sigma^{q - s k + [s > 0]}(phi)
+        with s = sign(q), so the row of i = 0 is the pair factor, the
+        product for k = 1..m, built from the row of (q, 0, m - 1).  For
+        i > 0, sigma^q(z) = c z + d and (c z + d)^i (binomial theorem; c^i
+        z^i, offset i, when d = 0) is convolved with the row of (q, 0, m).
+        This is the one memo of basis rows: ``_multiply_into`` reads it at
+        every p and j with the same m.  The coefficients are products of
+        canonical scalars, so canonical; shared, never mutated.  They are
+        a list, not a tuple: tuples freed with the algebra stay on
         CPython's tuple free lists, which raised perfbench's peak RSS.
         """
         key = (q, i, m)
         row = self._row_cache.get(key)
         if row is None:
             d, c = self.sigma_z(q).coeffs
-            if d:
+            if i == 0:
+                off, b = 0, [1]
+            elif d:
                 off, b = 0, [comb(i, k) * c**k * d ** (i - k) for k in range(i + 1)]
             else:
                 off, b = i, [c**i]
-            if m:
-                b = convolve(b, self._pair_factor(q, m))
+            if m and i:
+                b = convolve(b, self._row(q, 0, m)[1])
+            elif m:  # the pair factor of m pairs, from the one of m - 1
+                s = 1 if q > 0 else -1
+                b = convolve(self._row(q, 0, m - 1)[1],
+                             self.sigma_pow(self.phi, q - s * m + (s > 0)).coeffs)
             row = (off, b)
             self._row_cache[key] = row
         return row

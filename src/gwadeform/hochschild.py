@@ -9,10 +9,12 @@ coboundary together with the four values F(x,z), F(x,y), F(y,z), F(y,x);
 each value once as an element that the cochain's memo shares.  A 2-cochain
 is its evaluator and memo only; it keeps no record of how it was built.
 
-The theta maps translate between bar-resolution cochains and the
-periodic cochain grid: theta2 sends a basis pair to an element of the
-degree-2 column pair, its pullback turns a degree-2 periodic cochain
-into a 2-cochain, and thetaprime2/thetaprime3 go the other way.
+The comparison map theta2 translates the periodic cochain grid into
+bar-resolution cochains: it sends a basis pair to an element of the
+degree-2 column pair, and its pullback turns a degree-2 periodic cochain
+into a 2-cochain.  The maps back, theta'_2 and theta'_3, and the bar
+coboundary b are test oracles in ``tests/conftest.py``: they check that
+theta2 is a chain map, and the program never runs them.
 
 Mirror rule.  Swapping x and y is an isomorphism A(sigma, phi) ~
 A(sigma^{-1}, phi o sigma), so `theta2` and `determine_F` write one
@@ -36,7 +38,6 @@ from .core import (
     GwaParams,
     _accumulate,
     _multiply_into,
-    module_plain,
 )
 from .errors import UnsupportedPatternError
 from .percomplex import PerCochain, _pair
@@ -138,20 +139,6 @@ def circle(F: Cochain2, G: Cochain2) -> Cochain3:
     return Cochain3(F.params, into)
 
 
-def hochschild_b(F: Cochain2) -> Cochain3:
-    """The coboundary u F(v,w) - F(uv,w) + F(u,vw) - F(u,v) w."""
-    a = F.params
-
-    def into(out, u, v, w, c=None):
-        neg = -1 if c is None else -c
-        _multiply_into(a, out, u, F.evaluate_into({}, v, w), c)
-        F.evaluate_into(out, _multiply_into(a, {}, u, v), w, neg)
-        F.evaluate_into(out, u, _multiply_into(a, {}, v, w), c)
-        return _multiply_into(a, out, F.evaluate_into({}, u, v), w, neg)
-
-    return Cochain3(a, into)
-
-
 # ---------------------------------------------------------------------------
 # Comparison maps between the bar resolution and the periodic grid
 # ---------------------------------------------------------------------------
@@ -202,69 +189,6 @@ def theta2_pullback(c: PerCochain) -> Cochain2:
         return _pair([theta2(params, (0, q), (i, j))], c.module, c.components)[0]
 
     return Cochain2(params, base)
-
-
-def _sigma_poly_elem(params: GwaParams, h: Poly, j: int) -> GwaElement:
-    return params.from_poly(params.sigma_pow(h, j))
-
-
-def thetaprime2(F: Cochain2, module=None) -> PerCochain:
-    """Assemble the degree-2 cochain 4-tuple of F along the theta'_2 images."""
-    a = F.params
-    if module is None:
-        module = module_plain(a)
-    one, x, y, z = a.one(), a.x(), a.y(), a.z()
-    lam = a.lam
-    m1 = lam * F(z, x) - F(x, z)
-    m2 = div(1, lam) * F(z, y) - F(y, z)
-    m3 = dict((F(y, x) + F(one, one) * a.from_poly(a.phi)).terms)
-    m4 = dict((F(x, y) + F(one, one) * a.from_poly(a.phi_bar)).terms)
-    for i in range(1, a.l + 1):
-        ai = a.phi[i]
-        if ai == 0:
-            continue
-        for j in range(1, i + 1):
-            _accumulate(m3, (F(a.z(i - j), z) * a.z(j - 1)).terms, -ai)
-            _accumulate(m4, (F(_sigma_poly_elem(a, Poly.monomial(i - j), 1),
-                               lam * z)
-                             * _sigma_poly_elem(a, Poly.monomial(j - 1), 1)).terms,
-                        -ai)
-    return PerCochain(a, module, 2,
-                      (m1, m2, GwaElement(a, m3), GwaElement(a, m4)))
-
-
-def thetaprime3(G: Cochain3, module=None) -> PerCochain:
-    """Assemble the degree-3 cochain 4-tuple of G along the theta'_3 images."""
-    a = G.params
-    if module is None:
-        module = module_plain(a)
-    one, x, y, z = a.one(), a.x(), a.y(), a.z()
-    lam = a.lam
-    phi_el = a.from_poly(a.phi)
-    phibar_el = a.from_poly(a.phi_bar)
-    m1 = (G(z, y, x) - lam * G(y, z, x) + G(y, x, z)
-          + G(z, one, one) * phi_el + G(one, one, z) * phi_el)
-    m2 = (G(z, x, y) - div(1, lam) * G(x, z, y) + G(x, y, z)
-          + G(z, one, one) * phibar_el + G(one, one, z) * phibar_el)
-    m3 = (G(x, y, x) + G(x, one, one) * phi_el + G(one, one, x) * phi_el)
-    m4 = G(y, x, y)
-    ms = [dict(m.terms) for m in (m1, m2, m3, m4)]
-    for i in range(1, a.l + 1):
-        ai = a.phi[i]
-        if ai == 0:
-            continue
-        for j in range(1, i + 1):
-            zij = a.z(i - j)
-            zj1 = a.z(j - 1)
-            sij = _sigma_poly_elem(a, Poly.monomial(i - j), 1)
-            sj1 = _sigma_poly_elem(a, Poly.monomial(j - 1), 1)
-            _accumulate(ms[0], (G(z, zij, z) * zj1).terms, -ai)
-            _accumulate(ms[1], (G(z, sij, lam * z) * sj1).terms, -ai)
-            _accumulate(ms[2], ((G(x, zij, z) - G(sij, x, z)
-                                 + G(sij, lam * z, x)) * zj1).terms, -ai)
-            _accumulate(ms[3], ((G(y, sij, lam * z) - G(zij, y, lam * z)
-                                 + G(zij, z, y)) * sj1).terms, -ai)
-    return PerCochain(a, module, 3, tuple(GwaElement(a, m) for m in ms))
 
 
 # ---------------------------------------------------------------------------

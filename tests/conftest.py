@@ -15,17 +15,19 @@ from gwadeform.core import (
     LegMap,
     TensorElement,
     _accumulate,
+    _multiply_into,
     _same_algebra,
     apply_automorphism,
     basis_window,
     module_nu,
+    module_plain,
     multiply,
     tensor_act,
     twisted_delta,
 )
 from gwadeform.deform import TruncatedElement, _deformed_mul, lift, star
 from gwadeform.errors import NotCocycleError, UnsupportedPatternError
-from gwadeform.hochschild import Cochain2, _sigma_poly_elem
+from gwadeform.hochschild import Cochain2, Cochain3
 from gwadeform.homology import commutator_span, predict_h0
 from gwadeform.percomplex import PerCochain, _D, _SIG, _SIG_D, is_cocycle
 from gwadeform.scalars import Poly, div, rat
@@ -156,6 +158,89 @@ def reference_hochschild_b(F):
                             + F(u, v * w) - F(u, v) * w)
 
 
+# The Hochschild coboundary b and the comparison maps theta'_2 and
+# theta'_3, from bar-side cochains back to the periodic grid.  The program
+# runs none of them: they are the oracles that check that theta2 is a
+# chain map (per_diff o theta'_2 = theta'_3 o b) and that read the
+# obstruction cocycles on the grid.
+
+def hochschild_b(F: Cochain2) -> Cochain3:
+    """The coboundary u F(v,w) - F(uv,w) + F(u,vw) - F(u,v) w."""
+    a = F.params
+
+    def into(out, u, v, w, c=None):
+        neg = -1 if c is None else -c
+        _multiply_into(a, out, u, F.evaluate_into({}, v, w), c)
+        F.evaluate_into(out, _multiply_into(a, {}, u, v), w, neg)
+        F.evaluate_into(out, u, _multiply_into(a, {}, v, w), c)
+        return _multiply_into(a, out, F.evaluate_into({}, u, v), w, neg)
+
+    return Cochain3(a, into)
+
+
+def _sigma_poly_elem(params: GwaParams, h: Poly, j: int) -> GwaElement:
+    return params.from_poly(params.sigma_pow(h, j))
+
+
+def thetaprime2(F: Cochain2, module=None) -> PerCochain:
+    """Assemble the degree-2 cochain 4-tuple of F along the theta'_2 images."""
+    a = F.params
+    if module is None:
+        module = module_plain(a)
+    one, x, y, z = a.one(), a.x(), a.y(), a.z()
+    lam = a.lam
+    m1 = lam * F(z, x) - F(x, z)
+    m2 = div(1, lam) * F(z, y) - F(y, z)
+    m3 = dict((F(y, x) + F(one, one) * a.from_poly(a.phi)).terms)
+    m4 = dict((F(x, y) + F(one, one) * a.from_poly(a.phi_bar)).terms)
+    for i in range(1, a.l + 1):
+        ai = a.phi[i]
+        if ai == 0:
+            continue
+        for j in range(1, i + 1):
+            _accumulate(m3, (F(a.z(i - j), z) * a.z(j - 1)).terms, -ai)
+            _accumulate(m4, (F(_sigma_poly_elem(a, Poly.monomial(i - j), 1),
+                               lam * z)
+                             * _sigma_poly_elem(a, Poly.monomial(j - 1), 1)).terms,
+                        -ai)
+    return PerCochain(a, module, 2,
+                      (m1, m2, GwaElement(a, m3), GwaElement(a, m4)))
+
+
+def thetaprime3(G: Cochain3, module=None) -> PerCochain:
+    """Assemble the degree-3 cochain 4-tuple of G along the theta'_3 images."""
+    a = G.params
+    if module is None:
+        module = module_plain(a)
+    one, x, y, z = a.one(), a.x(), a.y(), a.z()
+    lam = a.lam
+    phi_el = a.from_poly(a.phi)
+    phibar_el = a.from_poly(a.phi_bar)
+    m1 = (G(z, y, x) - lam * G(y, z, x) + G(y, x, z)
+          + G(z, one, one) * phi_el + G(one, one, z) * phi_el)
+    m2 = (G(z, x, y) - div(1, lam) * G(x, z, y) + G(x, y, z)
+          + G(z, one, one) * phibar_el + G(one, one, z) * phibar_el)
+    m3 = (G(x, y, x) + G(x, one, one) * phi_el + G(one, one, x) * phi_el)
+    m4 = G(y, x, y)
+    ms = [dict(m.terms) for m in (m1, m2, m3, m4)]
+    for i in range(1, a.l + 1):
+        ai = a.phi[i]
+        if ai == 0:
+            continue
+        for j in range(1, i + 1):
+            zij = a.z(i - j)
+            zj1 = a.z(j - 1)
+            sij = _sigma_poly_elem(a, Poly.monomial(i - j), 1)
+            sj1 = _sigma_poly_elem(a, Poly.monomial(j - 1), 1)
+            _accumulate(ms[0], (G(z, zij, z) * zj1).terms, -ai)
+            _accumulate(ms[1], (G(z, sij, lam * z) * sj1).terms, -ai)
+            _accumulate(ms[2], ((G(x, zij, z) - G(sij, x, z)
+                                 + G(sij, lam * z, x)) * zj1).terms, -ai)
+            _accumulate(ms[3], ((G(y, sij, lam * z) - G(zij, y, lam * z)
+                                 + G(zij, z, y)) * sj1).terms, -ai)
+    return PerCochain(a, module, 3, tuple(GwaElement(a, m) for m in ms))
+
+
 def reference_star(sp, u, v):
     """deform.star as it was written on elements: u v, then F_n(u, v) for
     each order n = 1..N through Cochain2.evaluate."""
@@ -221,12 +306,13 @@ class _DeformedRows(dict):
 
     R_tau(q, i, m) = sigma_tau^q(z)^i prod_{k <= m} sigma_tau^{r_k}(phi) is
     the row of ``GwaParams._row`` with sigma_tau in place of sigma, r_k as
-    in ``_pair_factor``.  It is built as a polynomial {(d, e): c} in z and
-    the deformed parameter t, where sigma_tau^r(z) = t^r z with
-    t = lambda_tau = lambda (1 - tau) (quantum) and sigma_tau^r(z) = z + r t
-    with t = eta_tau = eta - tau (classical); then each t^e is expanded in
-    tau.  A row is (z-offset, one list of z-coefficients per tau^n), cut
-    at tau^N and normalized by ``rat``.  Memoized per product only.
+    in its rows of i = 0 (the pair factors).  It is built as a polynomial
+    {(d, e): c} in z and the deformed parameter t, where sigma_tau^r(z) =
+    t^r z with t = lambda_tau = lambda (1 - tau) (quantum) and
+    sigma_tau^r(z) = z + r t with t = eta_tau = eta - tau (classical);
+    then each t^e is expanded in tau.  A row is (z-offset, one list of
+    z-coefficients per tau^n), cut at tau^N and normalized by ``rat``.
+    Memoized per product only.
     """
 
     def __init__(self, params, order):

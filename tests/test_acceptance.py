@@ -13,13 +13,12 @@ from gwadeform.core import basis_triples, basis_window, module_nu, module_plain,
     multiply
 from gwadeform.deform import build_star, check_assoc, check_local_finiteness, \
     check_obstruction, check_relations
-from gwadeform.hochschild import hochschild_b
 from gwadeform.homology import commutator_span, compare_h0, compute_R, \
     compute_e
 from gwadeform.percomplex import contract3, f_map, g_map, per_diff, split2
 from gwadeform.scalars import Poly, bezout_for_phi
 
-from conftest import c_chain, full_corpus, random_element
+from conftest import c_chain, full_corpus, hochschild_b, random_element
 from free_oracle import oracle_multiply
 from test_hochschild import build_f1, f1_closed_quantum
 from test_percomplex import obstruction_cocycle, random_cochain

@@ -602,7 +602,8 @@ def test_mono_mul_matches_poly_formula_and_free_oracle(a, keys):
                          ids=["classical", "quantum"])
 def test_mono_mul_row_built_once_and_shared(a):
     # sigma^2(z)^3 times the factor of the two pairs that cancel in x^2 y^2
-    # and in x^2 y^3: one row for both, at every shift z^p
+    # and in x^2 y^3: one row for both, at every shift z^p; the factor is
+    # the row of i = 0, built from those of m = 0 and m = 1
     def miss(p, q, i, j):
         assert a._mono_mul(p, q, i, j) == reference_mono_mul(a, p, q, i, j)
 
@@ -610,16 +611,18 @@ def test_mono_mul_row_built_once_and_shared(a):
     row = a._row_cache[(2, 3, 2)]
     miss(4, 2, 3, -3)
     miss(1, 2, 3, -2)
-    assert list(a._row_cache) == [(2, 3, 2)] and a._row_cache[(2, 3, 2)] is row
+    factors = [(2, 0, 0), (2, 0, 1), (2, 0, 2)]
+    assert list(a._row_cache) == factors + [(2, 3, 2)]
+    assert a._row_cache[(2, 3, 2)] is row
     assert len(a._mono_cache) == 3
     # nothing cancels for j >= 0: the row of m = 0, whatever j is
     miss(0, 2, 3, 0)
     miss(2, 2, 3, 5)
-    assert list(a._row_cache) == [(2, 3, 2), (2, 3, 0)]
+    assert list(a._row_cache) == factors + [(2, 3, 2), (2, 3, 0)]
     # a key shift needs no row
     miss(0, 0, 3, -2)
     miss(1, 2, 0, 1)
-    assert len(a._row_cache) == 2 and len(a._mono_cache) == 7
+    assert len(a._row_cache) == 5 and len(a._mono_cache) == 7
 
 
 @pytest.mark.parametrize("lam", [-1, Fraction(1, 3), 2, 1])
@@ -640,6 +643,23 @@ def test_mono_mul_rows_match_reference(lam, eta):
     assert any(off for off, _ in a._row_cache.values()) == (eta == 0 or lam == -1)
     assert all(type(v) is not Fraction or v.denominator != 1
                for _, row in a._row_cache.values() for v in row)
+
+
+
+@pytest.mark.parametrize("lam", [-1, Fraction(1, 3), 2, 1])
+@pytest.mark.parametrize("eta", [0, Fraction(2, 3), Fraction(-1, 2)])
+def test_pair_factor_rows_match_poly_product(lam, eta):
+    # the row of i = 0 is the factor that m cancelled pairs leave: the
+    # product of sigma^{q - s k + [s > 0]}(phi) for k = 1..m, s = sign(q)
+    a = GwaParams(lam, eta, Poly([Fraction(1, 2), 0, 2]))
+    for q in range(-3, 4):
+        s = 1 if q > 0 else -1
+        want = Poly.one()
+        for m in range(abs(q) + 1):
+            if m:
+                want = want * a.sigma_pow(a.phi, q - s * m + (s > 0))
+            off, row = a._row(q, 0, m)
+            assert off == 0 and Poly(row) == want, (q, m)
 
 
 INLINE_ALGEBRAS = [CORPUS[3], CORPUS[5], CORPUS[9],

@@ -36,8 +36,6 @@ from gwadeform.hochschild import (
     Cochain2,
     circle,
     determine_F,
-    hochschild_b,
-    thetaprime3,
 )
 from gwadeform.percomplex import contract3
 from gwadeform.scalars import Poly, bezout_for_phi
@@ -46,6 +44,7 @@ from conftest import (
     closed_form_datum,
     cochain2_sum,
     full_corpus,
+    hochschild_b,
     non_cocycle,
     random_algebra,
     random_element,
@@ -56,6 +55,7 @@ from conftest import (
     reference_hochschild_b,
     reference_shift_series,
     reference_star,
+    thetaprime3,
 )
 
 Z = Poly.z()

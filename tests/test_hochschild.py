@@ -25,10 +25,7 @@ from gwadeform.hochschild import (
     Cochain3,
     circle,
     determine_F,
-    hochschild_b,
     theta2,
-    thetaprime2,
-    thetaprime3,
 )
 from gwadeform.percomplex import PerCochain, f_map, is_cocycle, per_diff
 from gwadeform.scalars import Poly, Q
@@ -37,6 +34,7 @@ from conftest import (
     cochain2_sum,
     delta_nu,
     full_corpus,
+    hochschild_b,
     non_cocycle,
     random_algebra,
     random_element,
@@ -45,6 +43,8 @@ from conftest import (
     reference_hochschild_b,
     reference_theta2,
     tensor_from_pair,
+    thetaprime2,
+    thetaprime3,
 )
 
 Z = Poly.z()

@@ -242,6 +242,28 @@ def test_compare_h0_e2_higher_multiple_root_at_zero(phi):
     assert compare_h0(GwaParams(-1, 0, phi))["pass"]
 
 
+
+# lambda = -1 and phi with a multiple root other than 0: every such phi
+# failed in a scan of products of the roots 0, +-1, 2 and 1/2 of degree at
+# most 3.  At the default window the survivor 1 lies in the span for the
+# first five, z^2 for z (z - 1)^2, both 1 and z^2 for (z - 2)^3, and for
+# (z - 1)^2 (z + 1) z^2 depends on the other survivors modulo the span
+NONZERO_MULTIPLE_ROOT_PHIS = {
+    "(z-1)2": (Z - ONE)**2, "(z+1)2": (Z + ONE)**2,
+    "(z-2)2": (Z - Poly.constant(2))**2,
+    "(z-1/2)2": (Z - Poly.constant(Fraction(1, 2)))**2,
+    "(z-1)2(z-2)": (Z - ONE)**2 * (Z - Poly.constant(2)),
+    "z(z-1)2": Z * (Z - ONE)**2, "(z-2)3": (Z - Poly.constant(2))**3,
+    "(z-1)2(z+1)": (Z - ONE)**2 * (Z + ONE)}
+
+
+@pytest.mark.xfail(strict=True, reason="the lambda = -1 rule for a multiple "
+                   "root of phi is not derived; predict_h0 keeps too many")
+@pytest.mark.parametrize("phi", NONZERO_MULTIPLE_ROOT_PHIS.values(),
+                         ids=NONZERO_MULTIPLE_ROOT_PHIS)
+def test_compare_h0_e2_multiple_nonzero_root(phi):
+    assert compare_h0(GwaParams(-1, 0, phi))["pass"]
+
 def test_compare_h0_equals_reference():
     # the one-pass escalation against the per-window span caches it
     # replaced: every report, failing ones included, is equal
@@ -258,7 +280,8 @@ def test_compare_h0_equals_reference():
                 (a, window)
     for a in algebras:
         assert compare_h0(a) == reference_compare_h0(a), a
-    for phi in MORE_MULTIPLE_ZERO_PHIS:
+    for phi in [*MORE_MULTIPLE_ZERO_PHIS,
+                *NONZERO_MULTIPLE_ROOT_PHIS.values()]:
         a = GwaParams(-1, 0, phi)
         rep = compare_h0(a)
         assert not rep["pass"] and rep == reference_compare_h0(a), phi

@@ -3,11 +3,11 @@
 Every name defined at module level in ``src/gwadeform`` must be read
 somewhere in ``src/`` (as a name or an attribute), and every name defined
 at class level must be read there as an attribute (``.name``), so that a
-local variable of the same name does not count.  A name that is not read
-must be a span that ``perfbench/tracer.py`` wraps, or be listed in
-``ALLOWED`` with its reason.  Oracles and fixtures that only tests use
-live in ``tests/``.  The scan is by name, so a name read anywhere in
-``src/`` counts as reached wherever it is defined.
+local variable of the same name does not count.  The only exception is a
+span that ``perfbench/tracer.py`` wraps; there is no allowlist.  Oracles
+and fixtures that only tests use live in ``tests/``.  The scan is by name,
+so a name read anywhere in ``src/`` counts as reached wherever it is
+defined.
 """
 import ast
 from pathlib import Path
@@ -15,18 +15,6 @@ from pathlib import Path
 from test_bench_contract import tracer_constant
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gwadeform"
-
-# name -> why it stays in src/ although nothing in src/ reads it
-ALLOWED = {
-    "thetaprime2": "the degree-2 comparison map, the reference for the "
-                   "theta2 pullback and the chain-map identity in tests",
-    "hochschild_b": "the Hochschild coboundary, which the acceptance "
-                    "criteria and the stage-2 contraction oracle in tests "
-                    "apply",
-    "thetaprime3": "the degree-3 comparison map, the reference for the "
-                   "chain-map identity and the stage-2 contraction oracle "
-                   "in tests",
-}
 
 
 def _defined_names(tree):
@@ -66,6 +54,4 @@ def unreached_names():
 def test_src_defines_only_reached_names():
     spans = {path.split(".")[-1] for _, path in tracer_constant("SPANS").values()}
     unreached = unreached_names()
-    assert unreached - spans - set(ALLOWED) == set()
-    # the allowlist cannot rot: each entry still exists and is still unreached
-    assert set(ALLOWED) <= unreached
+    assert unreached - spans == set()
