@@ -105,7 +105,7 @@ def _random_element(rng, params, pool, nterms=3):
     for _ in range(nterms):
         pq = rng.choice(pool)
         terms[pq] = terms.get(pq, 0) + rng.randint(-4, 4)
-    return GwaElement(params, terms)
+    return GwaElement._of(params, {pq: c for pq, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +163,7 @@ def cmd_star(params, args):
     v = parse_element(params, args.right)
     series = _deformed_mul(params, args.order, u.terms, v.terms)
     return [{"check": "star", "order": args.order,
-             "series": [GwaElement(params, t).to_json() for t in series],
+             "series": [GwaElement._of(params, t).to_json() for t in series],
              "pass": True}]
 
 

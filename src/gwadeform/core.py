@@ -19,11 +19,17 @@ over A or A (x) A, or a short tuple of such combinations:
   and scaling.  ``GwaElement`` and ``TensorElement`` subclass it.  The
   chains of T and C in ``complexes`` are plain lists of term dicts, one
   per slot, and carry no algebra.
-* Scalars are normalised where they enter, by ``scalars.rat``: in the
-  ``LinComb`` constructor (every value of a caller's term dict, so a float
-  is refused and "1/2" or Fraction(4, 2) is stored canonically), in
-  ``LinComb.scale`` and in ``GwaParams`` and ``Automorphism``.  Everything
-  downstream trusts the canonical form and never re-normalises it.
+* Scalars are normalised once, where a caller's value enters, by
+  ``scalars.rat``: in the public constructors ``GwaElement(...)`` and
+  ``TensorElement(...)`` (every value of the term dict, so a float is
+  refused and "1/2" or Fraction(4, 2) is stored canonically, zeros
+  dropped), ``GwaParams(...)``, ``GwaParams.monomial``, ``Automorphism``,
+  ``LinComb.scale`` and every ``from_json``.  Every term dict the package
+  builds itself is adopted by ``LinComb._of(algebra, terms)`` (and
+  ``GwaParams._of``, ``scalars.Poly._of``): no ``rat``, no copy, no zero
+  filter.  Its contract: the dict is zero-free, its values are canonical
+  (int, Q, or Laurent in ``deform``'s formal algebras), and it is never
+  mutated afterwards; every ``LinComb`` operation builds a new dict.
 * ``DirectSum`` gives the records whose last field is a tuple (cochain
   components, truncated tau-series) componentwise zero test, negation,
   sum and difference; their equality is the ``scalars.Record`` one.
@@ -115,6 +121,13 @@ class LinComb:
         self.algebra = algebra
         self.terms = {k: c for k, v in terms.items() if (c := rat(v))}
 
+    @classmethod
+    def _of(cls, algebra, terms: dict):
+        """Adopt a term dict that the package built (module docstring)."""
+        self = object.__new__(cls)
+        self.algebra, self.terms = algebra, terms
+        return self
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -128,14 +141,14 @@ class LinComb:
                 and self.terms == other.terms)
 
     def __neg__(self):
-        return type(self)(self.algebra, {k: -v for k, v in self.terms.items()})
+        return self._of(self.algebra, {k: -v for k, v in self.terms.items()})
 
     def _plus(self, other, c):
         """self + c * other for an operand of the same type and algebra."""
         if type(other) is not type(self):
             return NotImplemented
         alg = _same_algebra(self, other)
-        return type(self)(alg, _accumulate(dict(self.terms), other.terms, c))
+        return self._of(alg, _accumulate(dict(self.terms), other.terms, c))
 
     def __add__(self, other):
         return self._plus(other, None)
@@ -144,7 +157,7 @@ class LinComb:
         return self._plus(other, -1)
 
     def scale(self, c):
-        return type(self)(self.algebra, _accumulate({}, self.terms, rat(c)))
+        return self._of(self.algebra, _accumulate({}, self.terms, rat(c)))
 
     __rmul__ = scale
 
@@ -191,16 +204,21 @@ class GwaParams:
     """Defining data (lambda, eta, phi) plus cached basis-product tables."""
 
     def __init__(self, lam, eta, phi: Poly):
-        self.lam = rat(lam)
-        self.eta = rat(eta)
-        if self.lam == 0:
+        self._adopt(rat(lam), rat(eta), phi if isinstance(phi, Poly) else Poly(phi))
+
+    @classmethod
+    def _of(cls, lam, eta, phi: Poly) -> "GwaParams":
+        """The algebra of canonical scalars lam, eta and a Poly phi, no ``rat``."""
+        self = object.__new__(cls)
+        self._adopt(lam, eta, phi)
+        return self
+
+    def _adopt(self, lam, eta, phi: Poly):
+        if lam == 0:
             raise ValueError("lambda must be nonzero")
-        if not isinstance(phi, Poly):
-            phi = Poly(phi)
         if phi.is_zero():
             raise ZeroPhiError("phi = 0 makes z a zero divisor")
-        self.phi = phi
-        self.l = phi.degree
+        self.lam, self.eta, self.phi, self.l = lam, eta, phi, phi.degree
         self._sigma_z: dict[int, Poly] = {}
         self._sigma_cache: dict[tuple[Poly, int], Poly] = {}
         self._mono_cache: dict[tuple[int, int, int, int], dict] = {}
@@ -241,11 +259,11 @@ class GwaParams:
         if cached is not None:
             return cached
         if self.lam == 1:
-            p = Poly([j * self.eta, 1])
+            p = Poly._of([j * self.eta, 1])
         else:
             lj = self.lam**j if j >= 0 else div(1, self.lam ** -j)
-            p = Poly([div(self.eta * (lj - 1), self.lam - 1) if self.eta
-                      else 0, lj])
+            p = Poly._of([div(self.eta * (lj - 1), self.lam - 1) if self.eta
+                          else 0, lj])
         self._sigma_z[j] = p
         return p
 
@@ -260,17 +278,17 @@ class GwaParams:
         out = self._sigma_cache.get(key)
         if out is None:
             d, c = self.sigma_z(j).coeffs
-            out = h.affine(c, d)
+            out = h._affine(c, d)
             self._sigma_cache[key] = out
         return out
 
     # -- element constructors ----------------------------------------------
 
     def zero(self) -> "GwaElement":
-        return GwaElement(self, {})
+        return GwaElement._of(self, {})
 
     def one(self) -> "GwaElement":
-        return GwaElement(self, {(0, 0): 1})
+        return GwaElement._of(self, {(0, 0): 1})
 
     def monomial(self, p: int, q: int, c=1) -> "GwaElement":
         if type(p) is not int or type(q) is not int or p < 0:
@@ -289,7 +307,7 @@ class GwaParams:
 
     def from_poly(self, h: Poly, q: int = 0) -> "GwaElement":
         """h(z) * x_q as an element."""
-        return GwaElement(self, {(p, q): c for p, c in enumerate(h.coeffs) if c != 0})
+        return GwaElement._of(self, {(p, q): c for p, c in enumerate(h.coeffs) if c})
 
     # -- basis product -----------------------------------------------------
 
@@ -459,7 +477,7 @@ def _multiply_into(alg: GwaParams, out: dict, u_terms: dict, v_terms: dict,
 def multiply(u: GwaElement, v: GwaElement) -> GwaElement:
     """Product in A, in normal form."""
     alg = _same_algebra(u, v)
-    return GwaElement(alg, _multiply_into(alg, {}, u.terms, v.terms))
+    return GwaElement._of(alg, _multiply_into(alg, {}, u.terms, v.terms))
 
 
 @lru_cache(maxsize=1024)
@@ -539,7 +557,7 @@ def apply_automorphism(rho: Automorphism, u: GwaElement) -> GwaElement:
     if rho.z_image.coeffs == (0, 1):  # z -> z: rescale x_q, or nothing at all
         if rho.x_scale == 1 and rho.y_scale == 1:
             return u
-        return GwaElement(u.algebra, {
+        return GwaElement._of(u.algebra, {
             (p, q): c * (rho.x_scale**q if q >= 0 else rho.y_scale ** (-q))
             for (p, q), c in u.terms.items()})
     alg = u.algebra
@@ -551,7 +569,7 @@ def apply_automorphism(rho: Automorphism, u: GwaElement) -> GwaElement:
         scale = c * (rho.x_scale**q if q >= 0 else rho.y_scale ** (-q))
         _accumulate(out, {(d, q): a for d, a in enumerate(zpow[p].coeffs) if a},
                     scale)
-    return GwaElement(alg, out)
+    return GwaElement._of(alg, out)
 
 
 class BimoduleSpec(Record):
@@ -648,7 +666,7 @@ def twisted_delta(params: GwaParams, f_spec: LegMap, g_spec: LegMap,
 def _twisted_leg(rho: Automorphism, alg: GwaParams, pq, c) -> tuple:
     """c rho(z^p x_q) as (terms, c'): a z-fixing rho only scales c."""
     if rho.z_image.coeffs != (0, 1):
-        return apply_automorphism(rho, GwaElement(alg, {pq: 1})).terms, c
+        return apply_automorphism(rho, GwaElement._of(alg, {pq: 1})).terms, c
     s = rho.x_scale ** pq[1] if pq[1] >= 0 else rho.y_scale ** -pq[1]
     return {pq: 1}, c if s == 1 else c * s
 
@@ -675,4 +693,4 @@ def tensor_act(T, spec: BimoduleSpec, m: GwaElement, out: dict | None = None):
         else:
             f, c = _twisted_leg(spec.left_twist, alg, L, c)
             _multiply_into(alg, acc, f, v, c)
-    return acc if out is not None else GwaElement(alg, acc)
+    return acc if out is not None else GwaElement._of(alg, acc)

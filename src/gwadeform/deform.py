@@ -98,7 +98,7 @@ class TruncatedElement(DirectSum):
 
 
 def _from_terms(params: GwaParams, coefficients: list) -> TruncatedElement:
-    return TruncatedElement(params, tuple(GwaElement(params, t)
+    return TruncatedElement(params, tuple(GwaElement._of(params, t)
                                           for t in coefficients))
 
 
@@ -195,7 +195,7 @@ def build_star(params: GwaParams, order: int = 4) -> StarProduct:
         for i in range(2, n):
             target = target + circle(cochains[i - 1], cochains[n - i - 1])
         cochains.append(determine_F(params, target, *(
-            GwaElement(params, series[n]) for series in datum)))
+            GwaElement._of(params, series[n]) for series in datum)))
     return StarProduct(params, order, cochains)
 
 
@@ -238,7 +238,7 @@ def _deformed_mul(params: GwaParams, order: int, u_terms: dict,
     """
     _require_deformable(params, order)
     t = Laurent({1: 1})
-    formal = GwaParams(*((t, 0) if params.is_quantum else (1, t)), params.phi)
+    formal = GwaParams._of(*((t, 0) if params.is_quantum else (1, t)), params.phi)
     at_power = {}  # e -> the term dict of the t^e part
     for key, a in _multiply_into(formal, {}, u_terms, v_terms).items():
         for e, v in (a.terms.items() if type(a) is Laurent else ((0, a),)):

@@ -100,8 +100,8 @@ class Cochain2:
         return out
 
     def evaluate(self, u: GwaElement, v: GwaElement) -> GwaElement:
-        return GwaElement(self.params,
-                          self.evaluate_into({}, u.terms, v.terms))
+        return GwaElement._of(self.params,
+                              self.evaluate_into({}, u.terms, v.terms))
 
     def __call__(self, u: GwaElement, v: GwaElement) -> GwaElement:
         return self.evaluate(u, v)
@@ -119,8 +119,8 @@ class Cochain3:
         self.into = into
 
     def evaluate(self, u: GwaElement, v: GwaElement, w: GwaElement) -> GwaElement:
-        return GwaElement(self.params,
-                          self.into({}, u.terms, v.terms, w.terms))
+        return GwaElement._of(self.params,
+                              self.into({}, u.terms, v.terms, w.terms))
 
     __call__ = evaluate
 
@@ -253,7 +253,7 @@ def determine_F(params: GwaParams, target_b, vxz: GwaElement, vxy: GwaElement,
             out = tb({}, g, (i, 0), (0, j))
             mul(out, sigma_col(i, s), F(s, 0, j).terms)
             mul(out, F(s, i, 0).terms, {(0, j): 1})
-        return GwaElement(params, out)
+        return GwaElement._of(params, out)
 
     cochain = Cochain2(params, val)
     # val reads the cochain through a proxy: a strong reference would make

@@ -29,8 +29,20 @@ roots are those powers, less one if 0 is among them.  When lambda is not
 a root of unity (e = 0) and l >= 2, the q = 0 column of the span is
 (sigma - lambda)(phi k[z]), and sigma - lambda kills only z, so it keeps
 exactly l classes: the cut is max(R, 1), since R = 0 there means
-phi = c z^l.  The rule for lambda = -1 when 0 is a multiple root of phi
-is not derived, and the prediction fails there.
+phi = c z^l.
+
+lambda = -1 (e = 2).  By the generator lemma only [x, z^p y] =
+(sigma - lambda)(z^p phi) and [y, z^p x] = -lambda^{-1} (sigma -
+lambda)(sigma^{-1}(z^p) phi) land in column 0 ([z, z^p] = 0, as nu fixes
+z), so its span is V = (sigma - lambda)(phi k[z]) for every quantum
+lambda.  At lambda = -1, sigma + 1 sends z^k to (1 + (-1)^k) z^k, so V is
+twice the even part of phi k[z].  With phi = phi_e(z^2) + z phi_o(z^2)
+and h = h_e(z^2) + z h_o(z^2), the even part of phi h is phi_e h_e + z^2
+phi_o h_o, so V = g(z^2) k[z^2] with g = gcd(phi_e(w), w phi_o(w)).
+Column 0 keeps every odd power (the periodic family) and the finite part
+1, z^2, .., z^{2(d-1)}, d = deg g.  For squarefree phi, g is squarefree
+and its roots are 0 when phi(0) = 0 and r^2 for each pair of roots +-r of
+phi, so d = l - R, the cut of the other cases.
 """
 from __future__ import annotations
 
@@ -45,7 +57,8 @@ from .core import (
 )
 from .errors import CommutativeAlgebraError, MixedCaseError
 from .linalg import Echelon
-from .scalars import Poly, Record, rat, root_power_poly, squarefree_part
+from .scalars import Poly, Record, poly_ext_gcd, rat, root_power_poly, \
+    squarefree_part
 
 
 class TruncatedSubspace:
@@ -223,10 +236,14 @@ def predict_h0(params: GwaParams) -> H0Prediction:
         raise MixedCaseError("lambda != 1 with eta != 0 is not normalized here")
     e = compute_e(params.lam)
     R = compute_R(params.phi, e)
-    # e = 0 keeps l classes in column q = 0 once l >= 2 (module docstring)
-    cut = max(R, 1) if e == 0 and params.l >= 2 else R
-    finite = [xi(i, e) for i in range(1, params.l - cut + 1)]
-    return H0Prediction("quantum", e, R, finite, True)
+    if e == 2:  # column 0 keeps d = deg gcd(phi_e(w), w phi_o(w)) classes
+        phi = params.phi.coeffs
+        d = poly_ext_gcd(Poly._of(list(phi[::2])),
+                         Poly._of([0, *phi[1::2]]))[0].degree
+    else:  # e = 0 keeps l classes once l >= 2 (module docstring)
+        d = params.l - (max(R, 1) if e == 0 and params.l >= 2 else R)
+    return H0Prediction("quantum", e, R, [xi(i, e) for i in range(1, d + 1)],
+                        True)
 
 
 def _certify(pending: list, space: TruncatedSubspace, window: int,

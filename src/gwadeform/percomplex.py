@@ -77,7 +77,7 @@ def _pair(images, module: BimoduleSpec, comps) -> tuple:
         for T, m in zip(row, comps):
             if m and T:
                 tensor_act(T, module, m, acc)
-        out.append(GwaElement(params, acc))
+        out.append(GwaElement._of(params, acc))
     return tuple(out)
 
 
@@ -212,4 +212,4 @@ def per_solve_preimage(target: PerCochain, window: int):
     for (slot, pq), coeff in zip(index, sol):
         _accumulate(comps[slot], {pq: coeff})
     return PerCochain(params, mod, n - 1,
-                      tuple(GwaElement(params, t) for t in comps))
+                      tuple(GwaElement._of(params, t) for t in comps))

@@ -8,11 +8,17 @@ and refuses floats; it reads the canonical "n" and "n/d" that ``rat_str``
 writes with ``int``, and any other string with Fraction's slower parser,
 to the same result or error.  Every division goes through ``div``, which
 keeps that form, so that no ``/`` between two ints can make a float.
-``rat`` runs where a value comes from a caller (``Poly``, and the
-constructors listed in ``core``); the rest of the package trusts the
-form.  A third type, ``Laurent`` in a formal parameter t, is the lambda or
-eta of the formal algebras of ``deform`` and nothing else; ``rat`` passes
-it through.
+A third type, ``Laurent`` in a formal parameter t, is the lambda or eta of
+the formal algebras of ``deform`` and nothing else; ``rat`` passes it
+through.
+
+One boundary.  ``rat`` runs only where a value comes from a caller:
+``Poly(...)`` (and so ``Poly.from_json`` and ``Poly.constant``), the scalar
+of ``p * c``, ``affine`` and ``p(value)``, an operand of ``div`` that is
+not an int or a Q, and the constructors listed in ``core``.  What the
+package builds itself is adopted as it is: ``Poly._of`` keeps a list of
+canonical scalars (int, Q or Laurent) after popping its trailing zeros,
+with no ``rat`` and no copy, and the list is never mutated afterwards.
 
 A polynomial in z is stored as a tuple of such scalars indexed by degree;
 the zero polynomial has an empty tuple and degree -1.
@@ -35,14 +41,16 @@ _CANONICAL = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 class Q(Fraction):
     """A non-integral rational in lowest terms, made by ``_q`` only.  +, -, *
     and ** by an int, with an int, Q or Fraction on either side, give an int
-    when integral, else a Q; all else (==, hash, order, str) is Fraction's."""
+    when integral, else a Q; all else (==, hash, order, str) is Fraction's.
+    + and * test ``type(b) is Q`` before ``isinstance(b, Fraction)``, which
+    goes through ``ABCMeta.__instancecheck__`` and costs ten times more."""
 
     __slots__ = ()
 
     def __add__(a, b):
         if type(b) is int:
             return _q(a._numerator + b * a._denominator, a._denominator)
-        if not isinstance(b, Fraction):
+        if type(b) is not Q and not isinstance(b, Fraction):
             return Fraction.__add__(a, b)
         da, db = a._denominator, b._denominator
         g = gcd(da, db)
@@ -54,7 +62,7 @@ class Q(Fraction):
         if type(b) is int:
             g = gcd(b, a._denominator)
             return _q(a._numerator * (b // g), a._denominator // g)
-        if isinstance(b, Fraction):
+        if type(b) is Q or isinstance(b, Fraction):
             g = gcd(a._numerator, b._denominator)
             h = gcd(b._numerator, a._denominator)
             return _q((a._numerator // g) * (b._numerator // h),
@@ -119,7 +127,10 @@ def div(a, b) -> int | Q:
     if type(a) is not int or type(b) is not int:
         if type(a) is Laurent or type(b) is Laurent:
             return a / b
-        a, b = rat(a), rat(b)
+        if type(a) not in (int, Q):
+            a = rat(a)
+        if type(b) not in (int, Q):
+            b = rat(b)
         a, b = a.numerator * b.denominator, a.denominator * b.numerator
     if not b:
         raise ZeroDivisionError("division by zero")
@@ -130,7 +141,7 @@ def div(a, b) -> int | Q:
 def rat_str(value) -> str:
     """Serialize a rational as "p/q", or "p" when it is integral; anything
     but an int or a Fraction (a Q included) raises ValueError."""
-    if type(value) is int or isinstance(value, Fraction):
+    if type(value) is int or type(value) is Q or isinstance(value, Fraction):
         return str(value)
     raise ValueError(f"not a rational scalar: {value!r}")
 
@@ -271,26 +282,32 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        self.coeffs = Poly._of([rat(c) for c in coeffs]).coeffs
+
+    @staticmethod
+    def _of(cs: list) -> "Poly":
+        """Adopt canonical coefficients, trailing zeros popped (module docstring)."""
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        p = object.__new__(Poly)
+        p.coeffs = tuple(cs)
+        return p
 
     @staticmethod
     def zero() -> "Poly":
-        return Poly()
+        return Poly._of([])
 
     @staticmethod
     def one() -> "Poly":
-        return Poly([1])
+        return Poly._of([1])
 
     @staticmethod
     def z() -> "Poly":
-        return Poly([0, 1])
+        return Poly._of([0, 1])
 
     @staticmethod
     def monomial(k: int, c=1) -> "Poly":
-        return Poly([0] * k + [c])
+        return (Poly._of if type(c) is int else Poly)([0] * k + [c])
 
     @staticmethod
     def constant(c) -> "Poly":
@@ -326,7 +343,7 @@ class Poly:
         return bool(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.coeffs])
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs
@@ -335,16 +352,16 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return Poly(convolve(self.coeffs, other.coeffs))
+            return Poly._of(convolve(self.coeffs, other.coeffs))
         c = rat(other)
-        return Poly([c * a for a in self.coeffs])
+        return Poly._of([c * a for a in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -378,7 +395,7 @@ class Poly:
             for i, c in enumerate(other.coeffs):
                 r[k + i] -= t * c
             r.pop()
-        return Poly(q), Poly(r)
+        return Poly._of(q), Poly._of(r)
 
     def exact_quo(self, other: "Poly") -> "Poly":
         """The quotient by a polynomial that divides this one exactly."""
@@ -389,8 +406,7 @@ class Poly:
 
     def over(self, c) -> "Poly":
         """Every coefficient divided by the nonzero scalar c."""
-        c = rat(c)
-        return Poly([div(a, c) for a in self.coeffs])
+        return Poly._of([div(a, c) for a in self.coeffs])
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -398,7 +414,7 @@ class Poly:
         return self.over(self.lead)
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Poly._of([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def compose(self, other: "Poly") -> "Poly":
         """Substitute ``other`` for z (Horner scheme)."""
@@ -409,13 +425,15 @@ class Poly:
 
     def affine(self, c, d) -> "Poly":
         """h(c z + d) on the coefficient list: a scaling when d = 0, else Horner."""
-        c, d = rat(c), rat(d)
+        return self._affine(rat(c), rat(d))
+
+    def _affine(self, c, d) -> "Poly":  # affine on canonical c and d
         if not d:
             out, ck = [], 1
             for a in self.coeffs:
                 out.append(a * ck)
                 ck *= c
-            return Poly(out)
+            return Poly._of(out)
         out = []
         for a in reversed(self.coeffs):
             # out <- out * (c z + d) + a
@@ -423,7 +441,7 @@ class Poly:
             for k, u in enumerate(out):
                 shifted[k] += d * u
             out = shifted
-        return Poly(out)
+        return Poly._of(out)
 
     def __call__(self, value) -> int | Q:
         acc = 0
@@ -523,4 +541,4 @@ def root_power_poly(phi: Poly, e: int) -> Poly:
     b = [1]  # b[k] is the coefficient of w^(l-k)
     for k in range(1, l + 1):
         b.append(div(-sum(b[j] * s[e * (k - j)] for j in range(k)), k))
-    return Poly(b[::-1])
+    return Poly._of(b[::-1])

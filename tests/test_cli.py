@@ -15,12 +15,15 @@ import gwadeform.cli
 import gwadeform.core
 import gwadeform.deform
 import gwadeform.hochschild
+import gwadeform.homology
+import gwadeform.scalars
 from gwadeform.cli import json_text, load_config, run
-from gwadeform.core import GwaElement, GwaParams, module_nu, module_plain
+from gwadeform.core import GwaElement, GwaParams, LinComb, module_nu, \
+    module_plain
 from gwadeform.deform import build_star, star
 from gwadeform.errors import MultipleRootError
 from gwadeform.percomplex import PerCochain, f_map, per_diff
-from gwadeform.scalars import Poly, bezout_for_phi, div
+from gwadeform.scalars import Laurent, Poly, Q, bezout_for_phi, div
 
 from conftest import reference_parser
 
@@ -625,6 +628,109 @@ def test_plain_fraction_counter_sees_a_plain_scale_factor(monkeypatch):
     made = count_plain_fractions(monkeypatch)
     gwadeform.core._multiply_into(a, {}, {(0, 1): 1}, {(1, 0): 1}, half)
     assert made
+
+
+def watch_adoptions(monkeypatch) -> list:
+    """Wrap LinComb._of and Poly._of; the returned list gains a (container,
+    copy) pair for each term dict or coefficient list that they adopt."""
+    adopted, of_terms, of_coeffs = [], LinComb._of.__func__, Poly._of
+
+    def terms(cls, algebra, d):
+        adopted.append((d, dict(d)))
+        return of_terms(cls, algebra, d)
+
+    def coeffs(cs):
+        p = of_coeffs(cs)
+        adopted.append((cs, list(cs)))
+        return p
+
+    monkeypatch.setattr(LinComb, "_of", classmethod(terms))
+    monkeypatch.setattr(Poly, "_of", staticmethod(coeffs))
+    return adopted
+
+
+def broken_adoptions(adopted) -> list:
+    """The copies of the adopted containers that hold a value other than an
+    int, a Q or a Laurent, a zero in a dict or at the end of a list, or that
+    changed since they were adopted."""
+    broken = []
+    for box, copy in adopted:
+        values = list(box.values() if isinstance(box, dict) else box)
+        zero = (not all(values) if isinstance(box, dict)
+                else bool(values) and not values[-1])
+        if zero or box != copy or {type(v) for v in values} - {int, Q, Laurent}:
+            broken.append(copy)
+    return broken
+
+
+def count_rat(monkeypatch) -> list:
+    """Wrap scalars.rat wherever a module of the package holds it; the
+    returned list gains each value that it is called on."""
+    seen, rat = [], gwadeform.scalars.rat
+
+    def counting(value):
+        seen.append(value)
+        return rat(value)
+
+    for module in (gwadeform.scalars, gwadeform.core, gwadeform.homology):
+        assert module.rat is rat
+        monkeypatch.setattr(module, "rat", counting)
+    return seen
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_adopted_terms_are_canonical(capsys, monkeypatch, path):
+    # what LinComb._of and Poly._of adopt without rat: a zero-free dict or a
+    # list without trailing zeros, of ints, Qs and Laurents only, and never
+    # mutated afterwards
+    params, _ = load_config(str(path))
+    try:
+        bezout_for_phi(params.phi)
+        squarefree = True
+    except MultipleRootError:
+        squarefree = False
+    requests = _fraction_guard_requests(params)
+    adopted = watch_adoptions(monkeypatch)
+    for tail in requests:
+        code = run(["--config", str(path), "--json", *tail])
+        assert code == 0 or (code == 2 and not squarefree), tail[:2]
+    capsys.readouterr()
+    assert len(adopted) > 1000 and broken_adoptions(adopted) == []
+
+
+def test_adoption_guard_sees_a_broken_adoption(monkeypatch):
+    # the positive control of the guard above
+    a = GwaParams(2, 0, Poly([0, 1]))
+    adopted = watch_adoptions(monkeypatch)
+    GwaElement._of(a, {(0, 0): Fraction(1, 2)})
+    GwaElement._of(a, {(0, 0): 0})
+    Poly._of([1, 0.5])
+    mutated = {(0, 0): 1}
+    GwaElement._of(a, mutated)
+    mutated[(1, 0)] = 2
+    GwaElement._of(a, {(0, 1): div(1, 3)})
+    assert len(broken_adoptions(adopted)) == 4 and len(adopted) == 5
+
+
+def test_built_elements_make_no_rat_call(monkeypatch):
+    # products, the cochain differential and the product of A_tau adopt
+    # the dicts they build; the positive control: a caller's values do
+    # go through rat
+    for a in (GwaParams(Fraction(1, 3), 0, Poly([1, 0, 1])),
+              GwaParams(1, Fraction(2, 3), Poly([-1, 0, 1]))):
+        u = GwaElement(a, {(0, 1): Fraction(1, 2), (2, -1): 3, (1, 0): -2})
+        v = GwaElement(a, {(1, -1): Fraction(-2, 3), (0, 2): 1})
+        c = PerCochain(a, module_nu(a), 1, (u, v, u))
+        seen = count_rat(monkeypatch)
+        assert (u * v).terms and per_diff(c).components
+        assert any(gwadeform.deform._deformed_mul(a, 4, u.terms, v.terms))
+        assert seen == []
+        monkeypatch.undo()
+    seen = count_rat(monkeypatch)
+    GwaElement.from_json(a, [{"p": 0, "q": 0, "c": "1/2"}])
+    assert seen == ["1/2"]
+    GwaElement(a, {(0, 0): "1/2"})
+    assert seen == ["1/2", "1/2"]
 
 
 # report-shaped values: strings with quotes, backslashes, control and

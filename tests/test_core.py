@@ -84,16 +84,17 @@ def test_sigma_pow():
 
 
 def test_sigma_pow_memo_composes_once(monkeypatch):
-    # sigma_pow substitutes sigma^j(z) = c z + d through Poly.affine
+    # sigma_pow substitutes sigma^j(z) = c z + d through Poly._affine, the
+    # substitution of Poly.affine without rat
     a = GwaParams(2, 3, Z + ONE)
     calls = []
-    affine = Poly.affine
+    affine = Poly._affine
 
     def counted(h, c, d):
         calls.append((h, c, d))
         return affine(h, c, d)
 
-    monkeypatch.setattr(Poly, "affine", counted)
+    monkeypatch.setattr(Poly, "_affine", counted)
     h = Z**2 - ONE
     first = a.sigma_pow(h, -2)
     assert a.sigma_pow(Poly(h.coeffs), -2) is first

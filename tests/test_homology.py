@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from gwadeform.core import Automorphism, BimoduleSpec, GwaElement, GwaParams, \
     basis_window, bimodule_act, identity_auto, module_nu, module_plain, nakayama, \
     apply_automorphism
+from gwadeform import homology
 from gwadeform.errors import CommutativeAlgebraError, MixedCaseError
 from gwadeform.homology import (
+    H0Prediction,
     TruncatedSubspace,
     commutator_span,
     compare_h0,
@@ -218,23 +220,20 @@ def test_compare_h0_e0_keeps_l_classes_in_column_zero():
             assert len(column0) == a.l, a
 
 
-@pytest.mark.xfail(strict=True, reason="the lambda = -1 rule for a multiple "
-                   "root 0 of phi is not derived; predict_h0 keeps too many")
 @pytest.mark.parametrize("phi", MULTIPLE_ZERO_PHIS[:4],
                          ids=["z2", "z3", "2z4", "z2(z-1)"])
 def test_compare_h0_e2_multiple_root_at_zero(phi):
     assert compare_h0(GwaParams(-1, 0, phi))["pass"]
 
 
-# lambda = -1 and 0 a multiple root of phi, beyond the four cases above: in
-# the first five a predicted survivor lies in the span; for z^2 (z^2 + 1),
-# z^4 depends on the other survivors modulo the span
+# lambda = -1 and 0 a multiple root of phi, beyond the four cases above.
+# The cut l - R of the other cases made a predicted survivor lie in the span
+# for the first five; for z^2 (z^2 + 1), z^4 depended on the other survivors
+# modulo the span
 MORE_MULTIPLE_ZERO_PHIS = [Z**4, Z**5, Z**6, Z**3 * (Z - ONE),
                            Z**4 * (Z - ONE), Z**2 * (Z**2 + ONE)]
 
 
-@pytest.mark.xfail(strict=True, reason="the lambda = -1 rule for a multiple "
-                   "root 0 of phi is not derived; predict_h0 keeps too many")
 @pytest.mark.parametrize("phi", MORE_MULTIPLE_ZERO_PHIS,
                          ids=["z4", "z5", "z6", "z3(z-1)", "z4(z-1)",
                               "z2(z2+1)"])
@@ -243,11 +242,11 @@ def test_compare_h0_e2_higher_multiple_root_at_zero(phi):
 
 
 
-# lambda = -1 and phi with a multiple root other than 0: every such phi
-# failed in a scan of products of the roots 0, +-1, 2 and 1/2 of degree at
-# most 3.  At the default window the survivor 1 lies in the span for the
-# first five, z^2 for z (z - 1)^2, both 1 and z^2 for (z - 2)^3, and for
-# (z - 1)^2 (z + 1) z^2 depends on the other survivors modulo the span
+# lambda = -1 and phi with a multiple root other than 0: under the cut l - R
+# every such phi failed in a scan of products of the roots 0, +-1, 2 and 1/2
+# of degree at most 3.  At the default window the survivor 1 lay in the span
+# for the first five, z^2 for z (z - 1)^2, both 1 and z^2 for (z - 2)^3, and
+# for (z - 1)^2 (z + 1) z^2 depended on the other survivors modulo the span
 NONZERO_MULTIPLE_ROOT_PHIS = {
     "(z-1)2": (Z - ONE)**2, "(z+1)2": (Z + ONE)**2,
     "(z-2)2": (Z - Poly.constant(2))**2,
@@ -257,12 +256,37 @@ NONZERO_MULTIPLE_ROOT_PHIS = {
     "(z-1)2(z+1)": (Z - ONE)**2 * (Z + ONE)}
 
 
-@pytest.mark.xfail(strict=True, reason="the lambda = -1 rule for a multiple "
-                   "root of phi is not derived; predict_h0 keeps too many")
 @pytest.mark.parametrize("phi", NONZERO_MULTIPLE_ROOT_PHIS.values(),
                          ids=NONZERO_MULTIPLE_ROOT_PHIS)
 def test_compare_h0_e2_multiple_nonzero_root(phi):
     assert compare_h0(GwaParams(-1, 0, phi))["pass"]
+
+
+H0_ROOTS = (0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(H0_ROOTS), max_size=5))
+def test_compare_h0_lambda_minus_one_rule(roots):
+    # column 0 keeps 1, z^2, .., z^{2(d-1)} with d = deg gcd(phi_e(w),
+    # w phi_o(w)); from the roots, d = ceil(m_0 / 2) + min(m_1, m_-1), m_r
+    # the multiplicity of r (the only pair +-r among H0_ROOTS)
+    phi = Poly.one()
+    for r in roots:
+        phi = phi * (Z - Poly.constant(r))
+    a = GwaParams(-1, 0, phi)
+    d = -(-roots.count(0) // 2) + min(roots.count(1), roots.count(-1))
+    pred = predict_h0(a)
+    assert pred.finite_basis == list(range(0, 2 * d, 2)), phi
+    for window in (None, 6):
+        assert compare_h0(a, window)["pass"], (phi, window)
+    # the controls: one class more, or one fewer, fails
+    for wrong in [d + 1] + ([d - 1] if d else []):
+        bad = H0Prediction(pred.kind, pred.e, pred.R,
+                           list(range(0, 2 * wrong, 2)), True)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "predict_h0", lambda params: bad)
+            assert not compare_h0(a)["pass"], (phi, wrong)
 
 def test_compare_h0_equals_reference():
     # the one-pass escalation against the per-window span caches it
@@ -284,7 +308,7 @@ def test_compare_h0_equals_reference():
                 *NONZERO_MULTIPLE_ROOT_PHIS.values()]:
         a = GwaParams(-1, 0, phi)
         rep = compare_h0(a)
-        assert not rep["pass"] and rep == reference_compare_h0(a), phi
+        assert rep["pass"] and rep == reference_compare_h0(a), phi
 
 
 def test_contains_leaves_the_span_unchanged():
