@@ -1,10 +1,14 @@
 """Command-line interface: every check and computation as a scriptable command.
 
-Reports are JSON-friendly dictionaries with exact rational strings; the
-process exits 0 exactly when every check in the invoked suite passed.
+Reports are dictionaries of JSON values, exact rational strings among
+them, and of the computed objects themselves: a product or star series
+holds its ``GwaElement``s and a cohomology result its ``PerCochain``s.
+The process exits 0 exactly when every check in the invoked suite passed.
 Random sweeps are driven by a seeded generator and the seed is echoed in
 the report.  ``--json`` prints exactly the bytes of
-``json.dumps(report, indent=2)``, through one writer, ``json_text``; a
+``json.dumps(report, indent=2)`` for the report with every element and
+cochain replaced by its ``to_json()``, through one writer, ``json_text``,
+which writes an element's term list straight from its term dict; a
 report never holds a float, and the writer raises TypeError on one.
 """
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .complexes import c_diff, verify_hdc
 from .core import (
     GwaElement,
     GwaParams,
+    _BY_COLUMN,
     _field,
     _multiply_into,
     basis_triples,
@@ -52,7 +57,7 @@ from .percomplex import (
     per_diff,
     split2,
 )
-from .scalars import bezout_for_phi, rat_str
+from .scalars import Q, bezout_for_phi, rat_str
 
 def load_config(path: str) -> tuple[GwaParams, str]:
     with open(path) as fh:
@@ -152,7 +157,7 @@ def cmd_check_algebra(params, args):
 def cmd_mul(params, args):
     u = parse_element(params, args.left)
     v = parse_element(params, args.right)
-    return [{"check": "mul", "product": (u * v).to_json(), "pass": True}]
+    return [{"check": "mul", "product": u * v, "pass": True}]
 
 
 def cmd_star(params, args):
@@ -163,7 +168,7 @@ def cmd_star(params, args):
     v = parse_element(params, args.right)
     series = _deformed_mul(params, args.order, u.terms, v.terms)
     return [{"check": "star", "order": args.order,
-             "series": [GwaElement._of(params, t).to_json() for t in series],
+             "series": [GwaElement._of(params, t) for t in series],
              "pass": True}]
 
 
@@ -173,11 +178,11 @@ def cmd_cohomology(params, args):
         m = parse_element(params, args.payload)
         out = f_map(m, params, _module(params, args.module))
         ok = is_cocycle(out)
-        return [{"check": "f", "cochain": out.to_json(),
+        return [{"check": "f", "cochain": out,
                  "is_cocycle": ok, "pass": ok}]
     if sub == "diff":
         c = parse_cochain(params, args.payload, args.module)
-        return [{"check": "diff", "cochain": per_diff(c).to_json(),
+        return [{"check": "diff", "cochain": per_diff(c),
                  "pass": True}]
     try:
         bez = bezout_for_phi(params.phi)
@@ -188,17 +193,17 @@ def cmd_cohomology(params, args):
     c = parse_cochain(params, args.payload, args.module)
     if sub == "g":
         out = g_map(c, bez)
-        return [{"check": "g", "value": out.to_json(), "pass": True}]
+        return [{"check": "g", "value": out, "pass": True}]
     if sub == "contract3":
         out = contract3(c, bez)
         ok = per_diff(out) == c
-        return [{"check": "contract3", "preimage": out.to_json(),
+        return [{"check": "contract3", "preimage": out,
                  "roundtrip": ok, "pass": ok}]
     out, n2 = split2(c, bez)
     module = c.module
     ok = (per_diff(out) + f_map(n2, params, module)) == c
-    return [{"check": "split2", "coboundary_part": out.to_json(),
-             "f_part": n2.to_json(), "roundtrip": ok, "pass": ok}]
+    return [{"check": "split2", "coboundary_part": out, "f_part": n2,
+             "roundtrip": ok, "pass": ok}]
 
 
 def cmd_h0(params, args):
@@ -252,18 +257,41 @@ def cmd_deform_verify(params, args):
 # Driver
 # ---------------------------------------------------------------------------
 
-def json_text(obj, indent: str = "\n") -> str:
-    """The bytes of ``json.dumps(obj, indent=2)``, for report values only.
+def _terms_text(terms: dict, indent: str) -> str:
+    """The text of ``GwaElement.to_json()`` at ``indent``, one f-string per
+    term of the dict; a scalar other than an int or a Q raises TypeError."""
+    if not terms:
+        return "[]"
+    inner = indent + "  "
+    deep, out = inner + "  ", []
+    for p, q in sorted(terms, key=_BY_COLUMN):
+        c = terms[p, q]
+        if type(c) is not int and type(c) is not Q:
+            raise TypeError(f"Object of type {type(c).__name__} "
+                            "is not a rational scalar")
+        out.append(f'{{{deep}"p": {p},{deep}"q": {q},{deep}"c": "{c!s}"'
+                   f'{inner}}}')
+    return "[" + inner + ("," + inner).join(out) + indent + "]"
 
-    Reports hold dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else (a float, a Fraction, a set, a non-str key) raises
-    TypeError.  ``indent`` is the newline and indentation of the current
-    level.  The stdlib encoder has no C path for ``indent`` and falls back
-    to a pure-Python generator chain; this one recursion writes the same
-    text with the same C string quoting, in well under half the time.
-    Dicts (term records above all) and lists are tested first, and their
-    str and int members are written inline.
+
+def json_text(obj, indent: str = "\n") -> str:
+    """The bytes of ``json.dumps(obj, indent=2)``, for report values only,
+    with every ``GwaElement`` and ``PerCochain`` read as its ``to_json()``.
+
+    Reports hold dicts with str keys, lists, tuples, str, int, bool, None,
+    elements and cochains; anything else (a float, a Fraction, a set, a
+    non-str key) raises TypeError.  ``indent`` is the newline and
+    indentation of the current level.  The stdlib encoder has no C path
+    for ``indent`` and falls back to a pure-Python generator chain; this
+    one recursion writes the same text with the same C string quoting, in
+    well under half the time.  An element's term list is written from its
+    term dict by ``_terms_text``, with no record dict per term, and a
+    cochain's components likewise.  Elements, dicts and lists are tested
+    first, and the str and int members of a dict or list are written
+    inline.
     """
+    if type(obj) is GwaElement:
+        return _terms_text(obj.terms, indent)
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -285,6 +313,8 @@ def json_text(obj, indent: str = "\n") -> str:
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(obj, str):
         return _quote(obj)
+    if type(obj) is PerCochain:
+        return json_text(obj.to_json(elements=True), indent)
     if obj is None:
         return "null"
     if obj is True:
@@ -401,28 +431,28 @@ def run(argv=None) -> int:
             raise ValueError("--config is required (or set GWADEFORM_CONFIG)")
         params, label = load_config(args.config)
         results = _COMMANDS[args.command][0](params, args)
+        ok = all(r.get("pass", True) for r in results)
+        report = {
+            "command": args.command,
+            "algebra": {"label": label, **params.to_json()},
+            "seed": args.seed,
+            "version": __version__,
+            "results": results,
+            "pass": ok,
+            "timing_ms": int((time.monotonic() - started) * 1000),
+        }
+        # written here, so that a cochain whose module has no JSON name
+        # (PerCochain.to_json) is an error like any other
+        text = json_text(report) if args.json else "\n".join([
+            f"gwadeform {args.command} "
+            f"[{label or 'lambda=' + rat_str(params.lam)}]",
+            *(f"  {'PASS' if r.get('pass', True) else 'FAIL'}  "
+              f"{r.get('check', '?')}" for r in results),
+            "overall: " + ("PASS" if ok else "FAIL")])
     except (GwadeformError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ok = all(r.get("pass", True) for r in results)
-    report = {
-        "command": args.command,
-        "algebra": {"label": label, **params.to_json()},
-        "seed": args.seed,
-        "version": __version__,
-        "results": results,
-        "pass": ok,
-        "timing_ms": int((time.monotonic() - started) * 1000),
-    }
-    if args.json:
-        print(json_text(report))
-    else:
-        print(f"gwadeform {report['command']} "
-              f"[{label or 'lambda=' + rat_str(params.lam)}]")
-        for r in results:
-            status = "PASS" if r.get("pass", True) else "FAIL"
-            print(f"  {status}  {r.get('check', '?')}")
-        print("overall:", "PASS" if ok else "FAIL")
+    print(text)
     return 0 if ok else 1
 
 

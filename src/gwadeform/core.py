@@ -77,6 +77,9 @@ from math import comb
 from .errors import ZeroPhiError
 from .scalars import Poly, Record, convolve, div, rat, rat_str
 
+# the report order of monomial keys (p, q): by column q, then by p
+_BY_COLUMN = operator.itemgetter(1, 0)
+
 
 def _accumulate(out: dict, terms: dict, c=None) -> dict:
     """out += c * terms in place (c = None means 1); cancelled keys are dropped.
@@ -395,9 +398,9 @@ class GwaElement(LinComb):
     def __repr__(self):
         if not self.terms:
             return "Gwa(0)"
-        bits = []
-        for (p, q), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
-            mono = ""
+        bits, terms = [], self.terms
+        for p, q in sorted(terms, key=_BY_COLUMN):
+            c, mono = terms[p, q], ""
             if p:
                 mono += f"z^{p}" if p > 1 else "z"
             if q > 0:
@@ -408,10 +411,9 @@ class GwaElement(LinComb):
         return "Gwa(" + " + ".join(bits) + ")"
 
     def to_json(self) -> list:
-        out = []
-        for (p, q), c in sorted(self.terms.items(), key=lambda t: (t[0][1], t[0][0])):
-            out.append({"p": p, "q": q, "c": rat_str(c)})
-        return out
+        terms = self.terms
+        return [{"p": p, "q": q, "c": rat_str(terms[p, q])}
+                for p, q in sorted(terms, key=_BY_COLUMN)]
 
     @staticmethod
     def from_json(algebra: GwaParams, data) -> "GwaElement":
@@ -422,7 +424,10 @@ class GwaElement(LinComb):
         for rec in data:
             if not isinstance(rec, dict):
                 raise ValueError(f"a term is a record {{p, q, c}}, got {rec!r}")
-            p, q, c = (_field(rec, k, "a term") for k in ("p", "q", "c"))
+            try:
+                p, q, c = rec["p"], rec["q"], rec["c"]
+            except KeyError:
+                p, q, c = (_field(rec, k, "a term") for k in ("p", "q", "c"))
             if type(p) is not int or type(q) is not int or p < 0:
                 raise ValueError(f"monomial z^p x_q needs ints p >= 0 and q, "
                                  f"got p={p!r}, q={q!r}")

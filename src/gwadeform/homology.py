@@ -50,6 +50,7 @@ from .core import (
     BimoduleSpec,
     GwaElement,
     GwaParams,
+    _BY_COLUMN,
     _accumulate,
     apply_automorphism,
     basis_window,
@@ -215,7 +216,7 @@ class H0Prediction(Record):
                         if k % step == 0:
                             out.append((j + 1, k))
                     j += step
-        return sorted(set(out), key=lambda t: (t[1], t[0]))
+        return sorted(set(out), key=_BY_COLUMN)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "e": self.e, "R": self.R,

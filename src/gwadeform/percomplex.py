@@ -56,8 +56,10 @@ class PerCochain(DirectSum):
         """Number of module components of a degree-n cochain."""
         return {0: 1, 1: 3}.get(degree, 4)
 
-    def to_json(self) -> dict:
-        """The cochain as JSON; only the modules A and A^nu have a name."""
+    def to_json(self, elements: bool = False) -> dict:
+        """The cochain as JSON; only the modules A and A^nu have a name.
+        With ``elements`` the components stay GwaElements, for
+        ``cli.json_text`` to write from their term dicts."""
         f, g = self.module.left_twist, self.module.right_twist
         # g is nu when it fixes z and scales x by lambda (then y by 1/lambda)
         right = ("id" if g.is_identity() else "nu" if g.z_image == Poly.z()
@@ -65,7 +67,8 @@ class PerCochain(DirectSum):
         if right is None or not f.is_identity():
             raise ValueError(f"no JSON name for the module {self.module!r}")
         return {"degree": self.degree, "module": {"left": "id", "right": right},
-                "components": [c.to_json() for c in self.components]}
+                "components": self.components if elements else
+                [c.to_json() for c in self.components]}
 
 
 def _pair(images, module: BimoduleSpec, comps) -> tuple:

@@ -798,6 +798,154 @@ def test_reports_have_one_encoder():
 
 
 # ---------------------------------------------------------------------------
+# Term lists written from the term dicts
+# ---------------------------------------------------------------------------
+
+def _as_json(value):
+    """The report value with every element and cochain read as its
+    to_json(), the form that json.dumps accepts."""
+    if isinstance(value, (GwaElement, PerCochain)):
+        return value.to_json()
+    if isinstance(value, dict):
+        return {k: _as_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_as_json(v) for v in value]
+    return value
+
+
+def capture_reports(monkeypatch) -> list:
+    """Wrap cli.json_text; the returned list gains each report that run
+    writes (the outermost call, at the default indent)."""
+    reports, write = [], gwadeform.cli.json_text
+
+    def recording(obj, indent="\n"):
+        if indent == "\n":
+            reports.append(obj)
+        return write(obj, indent)
+
+    monkeypatch.setattr(gwadeform.cli, "json_text", recording)
+    return reports
+
+
+def _writer_requests(path, rng):
+    """mul (one of them by 0), star at orders 1, 2 and 8, and every
+    cohomology operation the config admits, under both modules."""
+    tails = _corpus_requests(path, rng)
+    star_tail = next(t for t in tails if "star" in t)
+    tails = [t for t in tails if t[0] in ("mul", "cohomology")]
+    tails.append(["mul", tails[0][1], "[]"])
+    for order in ("1", "2", "8"):
+        tails.append(["--order", order, *star_tail[2:]])
+    return tails
+
+
+@pytest.mark.parametrize("config", [*CORPUS, None],
+                         ids=[p.stem for p in CORPUS] + ["third-z2+1"])
+def test_term_lists_match_the_records(tmp_path, capsys, monkeypatch, config):
+    # run's reports hold elements and cochains; written, they are the bytes
+    # of json.dumps on the same report with every to_json() in its place
+    path = config or write_config(tmp_path, "1/3", "0", ["1", "0", "1"])
+    tails = _writer_requests(path, random.Random(23))
+    reports = capture_reports(monkeypatch)
+    kinds = set()
+    for tail in tails:
+        assert run(["--config", str(path), "--json", *tail]) == 0, tail[:2]
+        out = capsys.readouterr().out
+        report = reports.pop()
+        want = json.dumps(_as_json(report), indent=2)
+        assert json_text(report) == want and out == want + "\n", tail[:2]
+        result = report["results"][0]
+        kinds.add(result["check"])
+        if result["check"] == "mul" and tail[2] == "[]":
+            assert json.loads(out)["results"][0]["product"] == []
+    assert kinds >= {"mul", "star", "f", "diff"}
+    if config is None:
+        assert kinds == {"mul", "star", "f", "diff", "g", "contract3",
+                         "split2"}
+
+
+_ALG = GwaParams(2, 0, Poly([0, 1]))
+term_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 2**66), st.integers(-2**66, 2**66)),
+    st.builds(div, st.integers(-2**70, 2**70).filter(bool),
+              st.integers(1, 60)),
+    max_size=8)
+
+
+@given(term_dicts, st.lists(st.sampled_from([list, tuple, "key"]),
+                            max_size=6))
+@example({}, [list])
+@example({(0, 0): 1, (1, -1): div(-1, 2), (0, -1): 3}, [])
+def test_term_list_matches_stdlib_at_any_depth(terms, wrappers):
+    u = GwaElement._of(_ALG, terms)
+    obj, ref = u, u.to_json()
+    for wrap in wrappers:
+        obj, ref = ((obj,), (ref,)) if wrap is tuple else (
+            ({"k": obj}, {"k": ref}) if wrap == "key" else ([obj], [ref]))
+    assert json_text(obj) == json.dumps(ref, indent=2)
+
+
+@pytest.mark.parametrize("value, name", [
+    (0.5, "float"), (Laurent({1: 1}), "Laurent"), (Fraction(1, 3), "Fraction"),
+], ids=["float", "laurent", "fraction"])
+def test_term_writer_rejects_non_rational_scalars(value, name):
+    # an adopted element breaking the scalar contract is a bug, named as one
+    u = GwaElement._of(_ALG, {(0, 1): 1, (1, 0): value})
+    for report in (u, {"product": u},
+                   [PerCochain(_ALG, module_plain(_ALG), 0, (u,))]):
+        with pytest.raises(TypeError, match=rf"\b{name}\b"):
+            json_text(report)
+
+
+def refuse_term_records(monkeypatch):
+    """Make GwaElement.to_json raise: the output path must not call it."""
+    def refuse(self):
+        raise AssertionError("GwaElement.to_json called")
+
+    monkeypatch.setattr(GwaElement, "to_json", refuse)
+
+
+def test_run_builds_no_term_record(tmp_path, capsys, monkeypatch):
+    # mul, star and every cohomology operation under both modules write
+    # their term lists from the term dicts, with no record dict per term
+    cfg = write_config(tmp_path, "1/3", "0", ["1", "0", "1"])
+    tails = [t for t in _fraction_guard_requests(load_config(cfg)[0])
+             if t[0] in ("mul", "cohomology") or "star" in t]
+    assert len(tails) == 12
+    refuse_term_records(monkeypatch)
+    for tail in tails:
+        assert run(["--config", cfg, "--json", *tail]) == 0, tail[:2]
+    assert '"p": 0' in capsys.readouterr().out
+
+
+def test_term_record_guard_sees_a_report_built_the_old_way(
+        tmp_path, capsys, monkeypatch):
+    # the positive control of the guard above: reports holding to_json()
+    # values, as mul and diff once built them
+    cfg = write_config(tmp_path, "1/3", "0", ["1", "0", "1"])
+    x = json.dumps([{"p": 0, "q": 1, "c": "1"}])
+
+    def old_mul(params, args):
+        u, v = (GwaElement.from_json(params, json.loads(t))
+                for t in (args.left, args.right))
+        return [{"check": "mul", "product": (u * v).to_json(), "pass": True}]
+
+    def old_diff(params, args):
+        c = gwadeform.cli.parse_cochain(params, args.payload, args.module)
+        return [{"check": "diff", "cochain": per_diff(c).to_json(),
+                 "pass": True}]
+
+    refuse_term_records(monkeypatch)
+    commands = gwadeform.cli._COMMANDS
+    for name, old, tail in (("mul", old_mul, ["mul", x, x]),
+                            ("cohomology", old_diff,
+                             ["cohomology", "diff", json.dumps(BARE_COCHAIN)])):
+        monkeypatch.setitem(commands, name, (old, *commands[name][1:]))
+        with pytest.raises(AssertionError, match="to_json called"):
+            run(["--config", cfg, "--json", *tail])
+
+
+# ---------------------------------------------------------------------------
 # The argv parser against the former argparse parser
 # ---------------------------------------------------------------------------
 
